@@ -15,13 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import io, mesh, system
+from .tolerances import CLOSEDNESS_TOL, CONE_HALO_CELLS, CONE_LEAK_TOL, CONTINUITY_TOL, SUPPORT_TOL
 
 BOUNDARY_MODES = ("project_B", "periodic_test")
 MAX_CFL = 0.9
-SUPPORT_TOL = 1e-12
-CLOSEDNESS_TOL = 1e-12
-CONTINUITY_TOL = 1e-8
-CONE_HALO_CELLS = 4.0
 
 
 @dataclass(frozen=True)
@@ -35,14 +32,12 @@ class EvolveConfig:
             boundary after every stage; ``periodic_test`` requires an
             all-periodic grid and applies no boundary handling.
         monitor_stride: steps between monitor samples.
-        seed: recorded for provenance; the integrator itself is deterministic.
     """
 
     t_final: float
     cfl: float = 0.4
     boundary_mode: str = "project_B"
     monitor_stride: int = 1
-    seed: int | None = None
 
     def __post_init__(self):
         if not 0.0 < self.cfl <= MAX_CFL:
@@ -293,45 +288,80 @@ def validate_problem(
     return report
 
 
-def _project(fb: mesh.Cochain, boundary_mode: str) -> mesh.Cochain:
-    if boundary_mode == "project_B" and not all(fb.grid.periodic):
-        return mesh.project_normal_flux(fb)
-    return fb
+def curls(lw: mesh.Layout, lb: mesh.Layout, w, fb, beta_w, beta_b, conf):
+    """The split system's two curls of flat rows: ``d(*(beta fb))`` and ``d(*(beta w))``.
+
+    ``lw``/``lb`` are the layouts of ``w`` (primal, degree n-k) and ``fb``
+    (dual, degree k); the lapse samples and a(t) are one row or one per row.
+    """
+    grid, k = lb.grid, lb.degree
+    curl_b = mesh.d_flat(mesh.layout(grid, grid.dim - k, False), mesh.hodge_flat(lb, beta_b * fb, conf))
+    curl_e = mesh.d_flat(mesh.layout(grid, k - 1, True), mesh.hodge_flat(lw, beta_w * w, conf))
+    return curl_b, curl_e
 
 
-def _rhs(t, w, fb, src, metric, k):
-    n = w.grid.n
-    eps = system.eps_sign(n, k)
-    rhs_e, rhs_b = system.rhs_sources(src, t, metric)
-    curl_b = mesh.d_sigma(mesh.hodge_sigma(mesh.multiply_scalar(fb, metric.beta, t), t, metric))
-    dw = mesh.multiply_scalar(rhs_e, metric.beta, t) + curl_b * float(-eps)
-    curl_e = mesh.d_sigma(mesh.hodge_sigma(mesh.multiply_scalar(w, metric.beta, t), t, metric))
-    dfb = curl_e + rhs_b
-    return dw, dfb
+class Generator:
+    """Semi-discrete generator of the split system on stacked ``[w; fb]`` rows.
+
+    ``w = fe / beta`` is the lapse-weighted electric component (primal,
+    degree n-k) and ``fb`` the magnetic one (dual, degree k); a row is the
+    two flat cochains end to end, and leading axes hold independent rows.
+    When ``metric.beta_dt`` is None the lapse is time independent and is
+    sampled once, at ``t``; otherwise it is sampled at every evaluation.
+    With ``project_B`` on a grid with faces, :meth:`project` zeroes the
+    magnetic normal legs on the boundary.
+    """
+
+    def __init__(self, grid, k, metric, src, boundary_mode, t):
+        n = grid.n
+        self.k, self.metric, self.src = k, metric, src
+        self.lw = mesh.layout(grid, n - k, False)
+        self.lb = mesh.layout(grid, k, True)
+        self.nw = self.lw.size
+        self.curl_sign = float(-system.eps_sign(n, k))
+        self.projects = boundary_mode == "project_B" and not all(grid.periodic)
+        self._lapse = None
+        if metric.beta_dt is None:
+            self._lapse = self.lapse(t)
+
+    def lapse(self, t):
+        """Lapse samples at the (w, fb) sites at time t."""
+        if self._lapse is not None:
+            return self._lapse
+        return mesh.sample_flat(self.lw, self.metric.beta, t), mesh.sample_flat(self.lb, self.metric.beta, t)
+
+    def project(self, y: np.ndarray) -> np.ndarray:
+        """Zero the boundary normal flux of the fb part of ``y`` in place; returns ``y``."""
+        if self.projects:
+            mesh.project_flat(self.lb, y[..., self.nw :])
+        return y
+
+    def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
+        """Time derivative of the rows ``y`` at time t, sources included."""
+        beta_w, beta_b = self.lapse(t)
+        conf = float(self.metric.conf(t))
+        src_e, src_b = system.rhs_sources(self.src, t, self.metric)
+        curl_b, curl_e = curls(self.lw, self.lb, y[..., : self.nw], y[..., self.nw :], beta_w, beta_b, conf)
+        dw = beta_w * mesh.flatten(src_e) + curl_b * self.curl_sign
+        return np.concatenate([dw, curl_e + mesh.flatten(src_b)], axis=-1)
+
+    def rows(self, s: system.FieldState) -> np.ndarray:
+        """The stacked row of a state."""
+        return np.concatenate([mesh.flatten(s.fe) * (1.0 / self.lapse(s.t)[0]), mesh.flatten(s.fb)])
+
+    def state(self, t: float, y: np.ndarray) -> system.FieldState:
+        """The field state of a stacked row."""
+        fe = self.lw.cochain(y[: self.nw] * self.lapse(t)[0])
+        return system.FieldState(t, fe, self.lb.cochain(y[self.nw :]), self.k)
 
 
-def _rk4_step(t, w, fb, src, metric, k, dt, boundary_mode):
-    fb = _project(fb, boundary_mode)
-    k1w, k1b = _rhs(t, w, fb, src, metric, k)
-    k2w, k2b = _rhs(
-        t + dt / 2, w + k1w * (dt / 2), _project(fb + k1b * (dt / 2), boundary_mode), src, metric, k
-    )
-    k3w, k3b = _rhs(
-        t + dt / 2, w + k2w * (dt / 2), _project(fb + k2b * (dt / 2), boundary_mode), src, metric, k
-    )
-    k4w, k4b = _rhs(t + dt, w + k3w * dt, _project(fb + k3b * dt, boundary_mode), src, metric, k)
-    w_new = w + (k1w + k2w * 2.0 + k3w * 2.0 + k4w) * (dt / 6.0)
-    fb_new = _project(fb + (k1b + k2b * 2.0 + k3b * 2.0 + k4b) * (dt / 6.0), boundary_mode)
-    return w_new, fb_new
-
-
-def _to_w(s: system.FieldState, metric: mesh.MetricField) -> mesh.Cochain:
-    return mesh.multiply_scalar(s.fe, lambda t, *x: 1.0 / metric.beta(t, *x), s.t)
-
-
-def _to_state(t, w, fb, metric, k) -> system.FieldState:
-    fe = mesh.multiply_scalar(w, metric.beta, t)
-    return system.FieldState(t, fe, fb, k)
+def _rk4_step(t, y, gen: Generator, dt):
+    """One classical RK4 step of projected rows, projecting every stage."""
+    k1 = gen.rhs(t, y)
+    k2 = gen.rhs(t + dt / 2, gen.project(y + k1 * (dt / 2)))
+    k3 = gen.rhs(t + dt / 2, gen.project(y + k2 * (dt / 2)))
+    k4 = gen.rhs(t + dt, gen.project(y + k3 * dt))
+    return gen.project(y + (k1 + k2 * 2.0 + k3 * 2.0 + k4) * (dt / 6.0))
 
 
 def operator_matrix(
@@ -348,20 +378,9 @@ def operator_matrix(
     projection, so its exponential propagates admissible data exactly.  Used
     as an oracle against the stepped integrator and for reference histories.
     """
-    n = grid.n
-    src = system.zero_sources(grid, k)
-    nw = mesh.cochain_size(grid, n - k, False)
-    nb = mesh.cochain_size(grid, k, True)
-    size = nw + nb
-    mat = np.zeros((size, size))
-    for j in range(size):
-        col = np.zeros(size)
-        col[j] = 1.0
-        w = mesh.unflatten(grid, n - k, False, col[:nw])
-        fb = _project(mesh.unflatten(grid, k, True, col[nw:]), boundary_mode)
-        dw, dfb = _rhs(t, w, fb, src, metric, k)
-        mat[:, j] = np.concatenate([mesh.flatten(dw), mesh.flatten(_project(dfb, boundary_mode))])
-    return mat
+    gen = Generator(grid, k, metric, system.zero_sources(grid, k), boundary_mode, t)
+    size = gen.nw + gen.lb.size
+    return gen.project(gen.rhs(t, gen.project(np.eye(size)))).T
 
 
 def step(
@@ -380,9 +399,8 @@ def step(
     limit = stable_dt(grid, metric, MAX_CFL, (s.t, s.t + dt))
     if dt > limit * (1 + 1e-12):
         raise ValueError(f"cfl violation: dt={dt!r} exceeds {limit!r}")
-    w = _to_w(s, metric)
-    w_new, fb_new = _rk4_step(s.t, w, s.fb, src, metric, s.k, dt, boundary_mode)
-    return _to_state(s.t + dt, w_new, fb_new, metric, s.k)
+    gen = Generator(grid, s.k, metric, src, boundary_mode, s.t)
+    return gen.state(s.t + dt, _rk4_step(s.t, gen.project(gen.rows(s)), gen, dt))
 
 
 class InstabilityError(RuntimeError):
@@ -473,25 +491,25 @@ def evolve(
 
     dt = grid.dt
     n_steps = int(np.ceil((cfg.t_final - s0.t) / dt - 1e-9))
-    w = _to_w(s0, metric)
-    fb = _project(s0.fb, cfg.boundary_mode)
+    gen = Generator(grid, s0.k, metric, src, cfg.boundary_mode, s0.t)
+    y = gen.project(gen.rows(s0))
     t = s0.t
 
     rows, radii, maxima = [], [], []
-    row, radius, mx = _monitor_row(_to_state(t, w, fb, metric, s0.k), src, metric, support, s0.t)
+    row, radius, mx = _monitor_row(gen.state(t, y), src, metric, support, s0.t)
     rows.append(row)
     radii.append(radius)
     maxima.append(mx)
 
     for i in range(n_steps):
         h = min(dt, cfg.t_final - t)
-        w_new, fb_new = _rk4_step(t, w, fb, src, metric, s0.k, h, cfg.boundary_mode)
+        y_new = _rk4_step(t, y, gen, h)
         t_new = cfg.t_final if i == n_steps - 1 else t + h
-        state = _to_state(t_new, w_new, fb_new, metric, s0.k)
+        state = gen.state(t_new, y_new)
         if not (np.isfinite(mesh.max_pointwise(state.fe)) and np.isfinite(mesh.max_pointwise(state.fb))):
             series = _series_from(rows, radii, maxima, support)
-            raise InstabilityError(t, _to_state(t, w, fb, metric, s0.k), series)
-        w, fb, t = w_new, fb_new, t_new
+            raise InstabilityError(t, gen.state(t, y), series)
+        y, t = y_new, t_new
         if (i + 1) % cfg.monitor_stride == 0 or i == n_steps - 1:
             row, radius, mx = _monitor_row(state, src, metric, support, s0.t)
             rows.append(row)
@@ -499,7 +517,7 @@ def evolve(
             maxima.append(mx)
 
     series = _series_from(rows, radii, maxima, support)
-    return _to_state(t, w, fb, metric, s0.k), series
+    return gen.state(t, y), series
 
 
 def _series_from(rows, radii, maxima, support) -> MonitorSeries:
@@ -512,28 +530,7 @@ def _series_from(rows, radii, maxima, support) -> MonitorSeries:
     )
 
 
-@dataclass
-class AuditVerdict:
-    """Outcome of a monitored-series audit."""
-
-    passed: bool
-    measure: float
-    threshold: float
-    detail: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": bool(self.passed),
-            "measure": float(self.measure),
-            "threshold": float(self.threshold),
-            "detail": self.detail,
-        }
-
-
-CONE_LEAK_TOL = 1e-7
-
-
-def support_audit(series: MonitorSeries, radius: float, c_max: float) -> AuditVerdict:
+def support_audit(series: MonitorSeries, radius: float, c_max: float) -> CheckResult:
     """Verify the state stayed inside the causal cone of its initial support.
 
     Passes when every sampled leak outside radius + c_max*(t - t0) + 4h is
@@ -545,9 +542,9 @@ def support_audit(series: MonitorSeries, radius: float, c_max: float) -> AuditVe
         raise ValueError("audit parameters disagree with the monitored cone")
     scale = float(series.state_max.max())
     if scale == 0.0:
-        return AuditVerdict(True, 0.0, CONE_LEAK_TOL, "zero state")
+        return CheckResult("cone_leak", True, 0.0, CONE_LEAK_TOL, "zero state")
     worst = float(np.max(series.columns["cone_leak"])) / scale
-    return AuditVerdict(worst < CONE_LEAK_TOL, worst, CONE_LEAK_TOL)
+    return CheckResult("cone_leak", worst < CONE_LEAK_TOL, worst, CONE_LEAK_TOL)
 
 
 def constraint_propagation_audit(

@@ -21,9 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import evolution, exterior, manufactured, mesh, system
+from .tolerances import SOURCE_COMPAT_TOL
 
-# Declaration-time tolerance on source admissibility residuals.
-DECLARATION_TOL = 1e-10
 # Slices of margin required between a source window and the time-range ends.
 SUPPORT_MARGIN_SLICES = 2
 # Default cutoff ramp width, in units of the grid time step.
@@ -40,6 +39,11 @@ DT_LEG_SIGN = exterior.lorentzian(2).diag[0]
 def _maxabs(c: mesh.Cochain) -> float:
     vals = [np.max(np.abs(a)) for a in c.comps.values() if a.size]
     return float(max(vals)) if vals else 0.0
+
+
+def _conf(metric: mesh.MetricField, times: np.ndarray) -> np.ndarray:
+    """The conformal factor a(t) at every slice time."""
+    return np.array([float(metric.conf(float(t))) for t in times])
 
 
 # ---------------------------------------------------------------------------
@@ -190,23 +194,15 @@ class History:
 
     def norm(self, metric: mesh.MetricField) -> float:
         """Spacetime L2 norm: trapezoidal time quadrature of slice pairings."""
-        vals = np.empty(len(self.times))
-        for i in range(len(self.times)):
-            s = self.state(i)
-            vals[i] = mesh.pair_sigma(s.fe, s.fe, s.t, metric) + mesh.pair_sigma(
-                s.fb, s.fb, s.t, metric
-            )
+        le, lb, conf = _frame(self, metric)
+        vals = mesh.pair_flat(le, self.fe, self.fe, conf) + mesh.pair_flat(lb, self.fb, self.fb, conf)
         return float(np.sqrt(max(np.trapezoid(vals, self.times), 0.0)))
 
     def restrict(self, i0: int, i1: int) -> "History":
         return History(self.grid, self.k, self.times[i0:i1], self.fe[i0:i1], self.fb[i0:i1])
 
     def _compat(self, other: "History") -> None:
-        if self.grid is not other.grid and (
-            self.grid.cells_per_axis != other.grid.cells_per_axis
-            or self.grid.lengths != other.grid.lengths
-            or self.grid.periodic != other.grid.periodic
-        ):
+        if not self.grid.compatible(other.grid):
             raise ValueError("histories on mismatched grids")
         if self.k != other.k:
             raise ValueError(f"histories of mismatched degrees {self.k} and {other.k}")
@@ -280,17 +276,16 @@ class SourceHistory:
 
     def norm(self, metric: mesh.MetricField) -> float:
         """Spacetime L2 norm summed over the present families."""
+        conf = _conf(metric, self.times)
         vals = np.zeros(len(self.times))
         for _, rows, degree, dual in self._families():
-            if rows is None:
-                continue
-            for i, t in enumerate(self.times):
-                c = mesh.unflatten(self.grid, degree, dual, rows[i])
-                vals[i] += mesh.pair_sigma(c, c, float(t), metric)
+            if rows is not None:
+                vals += mesh.pair_flat(mesh.layout(self.grid, degree, dual), rows, rows, conf)
         return float(np.sqrt(max(np.trapezoid(vals, self.times), 0.0)))
 
 
 def _row_interpolant(grid, degree, dual, times, rows):
+    lay = mesh.layout(grid, degree, dual)
     t0 = float(times[0])
     dt = float(times[1] - times[0])
     last = len(times) - 1
@@ -302,7 +297,7 @@ def _row_interpolant(grid, degree, dual, times, rows):
         x = min(max(x, 0.0), float(last))
         i = min(int(x), last - 1)
         u = x - i
-        return mesh.unflatten(grid, degree, dual, (1.0 - u) * rows[i] + u * rows[i + 1])
+        return lay.cochain((1.0 - u) * rows[i] + u * rows[i + 1])
 
     return fn
 
@@ -323,7 +318,7 @@ class SourcePair:
     continuity identities exactly wherever a time derivative enters.
 
     Invariants are checked at declaration by sampling the residuals at
-    probe times inside the window against ``DECLARATION_TOL``; the check
+    probe times inside the window against ``SOURCE_COMPAT_TOL``; the check
     uses ``metric`` (unit lapse when omitted), which must match the metric
     the sources were built for.
     """
@@ -337,7 +332,6 @@ class SourcePair:
     zb: object | None = None
     je_rate: object | None = None
     zb_rate: object | None = None
-    bbox: tuple | None = None
     metric: mesh.MetricField | None = None
 
     def __post_init__(self):
@@ -351,10 +345,10 @@ class SourcePair:
         for frac in (0.25, 0.5, 0.75):
             t = wa + (wb - wa) * frac
             defect = self._admissibility_defect(t)
-            if defect > DECLARATION_TOL:
+            if defect > SOURCE_COMPAT_TOL:
                 raise ValueError(
                     f"source admissibility residual {defect:.3e} at t={t:.6g} "
-                    f"exceeds {DECLARATION_TOL:.1e}"
+                    f"exceeds {SOURCE_COMPAT_TOL:.1e}"
                 )
 
     def _admissibility_defect(self, t: float) -> float:
@@ -407,7 +401,6 @@ class SourcePair:
             jb=self.jb,
             ze=self.ze,
             zb=self.zb,
-            bbox=self.bbox,
         )
 
 
@@ -418,9 +411,7 @@ def _as_source_data(src, grid) -> system.SourceData:
         data = src.data()
     else:
         raise TypeError(f"unsupported source object {type(src).__name__}")
-    if data.grid is not grid and (
-        data.grid.cells_per_axis != grid.cells_per_axis or data.grid.lengths != grid.lengths
-    ):
+    if not data.grid.compatible(grid):
         raise ValueError("source declared on a different grid")
     return data
 
@@ -440,23 +431,18 @@ def _integrate(grid, k, metric, data, t_start, n_steps, dt, state0=None) -> Hist
     limit = evolution.stable_dt(grid, metric, evolution.MAX_CFL, span)
     if abs(dt) > limit * (1 + 1e-12):
         raise ValueError(f"cfl violation: dt={abs(dt)!r} exceeds {limit!r}")
-    n = grid.n
-    if state0 is None:
-        w = mesh.zero_cochain(grid, n - k, False)
-        fb = mesh.zero_cochain(grid, k, True)
-    else:
-        w = mesh.multiply_scalar(state0.fe, lambda t, *x: 1.0 / metric.beta(t, *x), t_start)
-        fb = state0.fb
-    fb = evolution._project(fb, "project_B")
-    fe_rows = np.empty((n_steps + 1, mesh.cochain_size(grid, n - k, False)))
-    fb_rows = np.empty((n_steps + 1, mesh.cochain_size(grid, k, True)))
+    gen = evolution.Generator(grid, k, metric, data, "project_B", t_start)
+    nw = gen.nw
+    y = gen.project(np.zeros(nw + gen.lb.size) if state0 is None else gen.rows(state0))
+    fe_rows = np.empty((n_steps + 1, nw))
+    fb_rows = np.empty((n_steps + 1, gen.lb.size))
     times = t_start + dt * np.arange(n_steps + 1)
     for i in range(n_steps + 1):
         t = float(times[i])
-        fe_rows[i] = mesh.flatten(mesh.multiply_scalar(w, metric.beta, t))
-        fb_rows[i] = mesh.flatten(fb)
+        fe_rows[i] = y[:nw] * gen.lapse(t)[0]
+        fb_rows[i] = y[nw:]
         if i < n_steps:
-            w, fb = evolution._rk4_step(t, w, fb, data, metric, k, dt, "project_B")
+            y = evolution._rk4_step(t, y, gen, dt)
     if dt < 0:
         times, fe_rows, fb_rows = times[::-1].copy(), fe_rows[::-1].copy(), fb_rows[::-1].copy()
     return History(grid, k, times, fe_rows, fb_rows)
@@ -526,8 +512,8 @@ def causal(src, grid: mesh.GridSpec, metric: mesh.MetricField, t_start=None, t_f
 def apply_operator(h: History, metric: mesh.MetricField) -> SourceHistory:
     """Discrete first-order operator on a history: the source pair it solves.
 
-    Reassembles (delta omega, d omega) slice by slice from the split
-    equations, taking time derivatives by centered differences (one-sided
+    Reassembles (delta omega, d omega) from the split equations, on all
+    slices at once, taking time derivatives by centered differences (one-sided
     second-order stencils at the ends).  Rows where the input is bit-zero
     through the difference stencil come out exactly zero, so compact
     temporal support survives with one slice of smearing per side.
@@ -538,43 +524,32 @@ def apply_operator(h: History, metric: mesh.MetricField) -> SourceHistory:
     """
     grid, k = h.grid, h.k
     n = grid.n
-    T = len(h.times)
-    dt = h.dt
     eps = float(system.eps_sign(n, k))
     ssign = float(system.source_sign(n, k))
-    inv_beta = lambda t, *x: 1.0 / metric.beta(t, *x)
+    lw, lb, conf = _frame(h, metric)
+    beta_w = mesh.sample_lapse(lw, metric, h.times)
+    beta_b = mesh.sample_lapse(lb, metric, h.times)
 
-    w_rows = np.empty_like(h.fe)
-    for i in range(T):
-        s = h.state(i)
-        w_rows[i] = mesh.flatten(mesh.multiply_scalar(s.fe, inv_beta, s.t))
-    w_dot = np.gradient(w_rows, dt, axis=0, edge_order=2)
-    fb_dot = np.gradient(h.fb, dt, axis=0, edge_order=2)
-
-    je = np.empty((T, mesh.cochain_size(grid, n + 1 - k, False))) if k >= 2 else None
-    jb = np.empty((T, mesh.cochain_size(grid, k - 1, True)))
-    ze = np.empty((T, mesh.cochain_size(grid, n - 1 - k, False)))
-    zb = np.empty((T, mesh.cochain_size(grid, k + 1, True))) if k <= n - 2 else None
-    for i in range(T):
-        t = float(h.times[i])
-        w_i = mesh.unflatten(grid, n - k, False, w_rows[i])
-        fb_i = mesh.unflatten(grid, k, True, h.fb[i])
-        wd_i = mesh.unflatten(grid, n - k, False, w_dot[i])
-        fbd_i = mesh.unflatten(grid, k, True, fb_dot[i])
-        curl_b = mesh.d_sigma(mesh.hodge_sigma(mesh.multiply_scalar(fb_i, metric.beta, t), t, metric))
-        slot_e = mesh.multiply_scalar(wd_i + eps * curl_b, inv_beta, t)
-        jb[i] = mesh.flatten(ssign * mesh.hodge_inverse_sigma(slot_e, t, metric))
-        curl_e = mesh.d_sigma(mesh.hodge_sigma(mesh.multiply_scalar(w_i, metric.beta, t), t, metric))
-        ze[i] = mesh.flatten(mesh.hodge_inverse_sigma(fbd_i - curl_e, t, metric))
-        if je is not None:
-            je[i] = mesh.flatten(
-                float((-1) ** (n - k)) * mesh.multiply_scalar(mesh.d_sigma(w_i), metric.beta, t)
-            )
-        if zb is not None:
-            zb[i] = mesh.flatten(mesh.d_sigma(fb_i))
+    w = h.fe * (1.0 / beta_w)
+    w_dot = np.gradient(w, h.dt, axis=0, edge_order=2)
+    fb_dot = np.gradient(h.fb, h.dt, axis=0, edge_order=2)
+    curl_b, curl_e = evolution.curls(lw, lb, w, h.fb, beta_w, beta_b, conf)
+    jb = ssign * mesh.hodge_inverse_flat(lw, (w_dot + curl_b * eps) * (1.0 / beta_w), conf)
+    ze = mesh.hodge_inverse_flat(lb, fb_dot - curl_e, conf)
+    je = None
+    if k >= 2:
+        beta_j = mesh.sample_lapse(mesh.layout(grid, n + 1 - k, False), metric, h.times)
+        je = float((-1) ** (n - k)) * (mesh.d_flat(lw, w) * beta_j)
+    zb = mesh.d_flat(lb, h.fb) if k <= n - 2 else None
 
     window = _support_window(h.times, (je, jb, ze, zb))
     return SourceHistory(grid, k, h.times, window, je, jb, ze, zb)
+
+
+def _frame(h: History, metric: mesh.MetricField):
+    """The electric and magnetic layouts of a history and a(t) at its slices."""
+    n = h.grid.n
+    return mesh.layout(h.grid, n - h.k, False), mesh.layout(h.grid, h.k, True), _conf(metric, h.times)
 
 
 def _support_window(times, families) -> tuple[float, float]:
@@ -617,16 +592,10 @@ def cutoff_sources(h: History, chi: CutoffProfile, metric: mesh.MetricField, com
     if complement:
         values = 1.0 - values
         rates = -rates
-    ramp_jb = np.empty_like(base.jb)
-    ramp_ze = np.empty_like(base.ze)
-    inv_beta2 = lambda t, *x: 1.0 / metric.beta(t, *x) ** 2
-    for i in range(len(h.times)):
-        t = float(h.times[i])
-        s = h.state(i)
-        ramp_jb[i] = mesh.flatten(
-            ssign * mesh.hodge_inverse_sigma(mesh.multiply_scalar(s.fe, inv_beta2, t), t, metric)
-        )
-        ramp_ze[i] = mesh.flatten(mesh.hodge_inverse_sigma(s.fb, t, metric))
+    lw, lb, conf = _frame(h, metric)
+    beta_w = mesh.sample_lapse(lw, metric, h.times)
+    ramp_jb = ssign * mesh.hodge_inverse_flat(lw, h.fe * (1.0 / beta_w**2), conf)
+    ramp_ze = mesh.hodge_inverse_flat(lb, h.fb, conf)
     je = None if base.je is None else values[:, None] * base.je
     jb = values[:, None] * base.jb + rates[:, None] * ramp_jb
     ze = values[:, None] * base.ze + rates[:, None] * ramp_ze
@@ -637,27 +606,16 @@ def cutoff_sources(h: History, chi: CutoffProfile, metric: mesh.MetricField, com
 
 def sample_sources(data: system.SourceData, times: np.ndarray, tag_window=None) -> SourceHistory:
     """Snapshot a source family onto history times (for norms and defects)."""
-    grid, k = data.grid, data.k
-    n = grid.n
-
-    def rows(fn, degree, dual):
-        if fn is None:
-            return None
-        out = np.empty((len(times), mesh.cochain_size(grid, degree, dual)))
-        for i, t in enumerate(times):
-            out[i] = mesh.flatten(fn(float(t)))
-        return out
-
+    times = np.asarray(times, dtype=float)
+    families = (data.je, data.jb, data.ze, data.zb)
     return SourceHistory(
-        grid,
-        k,
-        np.asarray(times, dtype=float),
-        tag_window or data.window,
-        rows(data.je, n + 1 - k, False),
-        rows(data.jb, k - 1, True),
-        rows(data.ze, n - 1 - k, False),
-        rows(data.zb, k + 1, True),
+        data.grid, data.k, times, tag_window or data.window, *(_family_rows(fn, times) for fn in families)
     )
+
+
+def _family_rows(fn, times: np.ndarray):
+    """Flat rows of a ``t -> Cochain`` family at the given times (None when absent)."""
+    return None if fn is None else np.stack([mesh.flatten(fn(float(t))) for t in times])
 
 
 # ---------------------------------------------------------------------------
@@ -675,18 +633,15 @@ def right_inverse_check(omega: History, grid: mesh.GridSpec, metric: mesh.Metric
             holds for fields with vanishing normal trace), or when its
             support leaves no slice margin at the ends.
     """
-    if omega.grid is not grid and (
-        omega.grid.cells_per_axis != grid.cells_per_axis or omega.grid.lengths != grid.lengths
-    ):
+    if not omega.grid.compatible(grid):
         raise ValueError("history declared on a different grid")
     scale = 1.0 + omega.maxabs()
-    worst = 0.0
-    for i in range(len(omega.times)):
-        s = omega.state(i)
-        worst = max(worst, mesh.normal_flux_maxabs(s.fb))
-        if omega.k >= 2:
-            worst = max(worst, mesh.normal_flux_maxabs(mesh.hodge_sigma(s.fe, s.t, metric)))
-    if worst > DECLARATION_TOL * scale:
+    lw, lb, conf = _frame(omega, metric)
+    worst = mesh.flux_maxabs_flat(lb, omega.fb)
+    if omega.k >= 2:
+        star = mesh.hodge_flat(lw, omega.fe, conf)
+        worst = max(worst, mesh.flux_maxabs_flat(mesh.layout(omega.grid, omega.k - 1, True), star))
+    if worst > SOURCE_COMPAT_TOL * scale:
         raise ValueError(
             f"history violates the boundary condition: normal flux {worst:.3e}"
         )
@@ -784,17 +739,9 @@ def random_source_pair(
     inv_beta = lambda t, *x: 1.0 / metric.beta(t, *x)
 
     def interior_potential(degree, dual):
-        pot = mesh.zero_cochain(grid, degree, dual)
         center = np.asarray(grid.lengths) * rng.uniform(0.42, 0.58, size=grid.dim)
         radius = float(rng.uniform(0.13, 0.19) * min(grid.lengths))
-        profile = manufactured.bump_profile(center, radius)
-        for s in pot.comps:
-            pot.comps[s] = (
-                rng.uniform(0.5, 1.0)
-                * mesh.sample_scalar(grid, s, dual, profile, 0.0)
-                * mesh.cell_measure(grid, s)
-            )
-        return pot
+        return manufactured.bump_potential(grid, degree, dual, manufactured.bump_profile(center, radius), rng)
 
     kw = {}
     if with_alpha:
@@ -806,7 +753,7 @@ def random_source_pair(
             weighted = mesh.multiply_scalar(mesh.hodge_sigma(jb_h, 0.0, metric), metric.beta, 0.0)
             if weighted.degree < grid.dim:
                 leak = mesh.d_sigma(weighted)
-                if _maxabs(leak) > DECLARATION_TOL * (1.0 + _maxabs(jb_h)):
+                if _maxabs(leak) > SOURCE_COMPAT_TOL * (1.0 + _maxabs(jb_h)):
                     raise ValueError("harmonic magnetic current requires a spatially uniform lapse")
             jb0 = jb0 + jb_h
         if k >= 2:
@@ -975,22 +922,8 @@ def random_potential(
     center = 0.5 * np.asarray(grid.lengths)
     radius = 0.3 * float(min(grid.lengths))
     prof = manufactured.bump_profile(tuple(center), radius)
-    pot_b = mesh.zero_cochain(grid, k - 1, True)
-    for s in pot_b.comps:
-        pot_b.comps[s] = (
-            rng.uniform(0.5, 1.0)
-            * mesh.sample_scalar(grid, s, True, prof, t0)
-            * mesh.cell_measure(grid, s)
-        )
-    pot_e = mesh.zero_cochain(grid, n - k - 1, False)
-    for s in pot_e.comps:
-        pot_e.comps[s] = (
-            rng.uniform(0.5, 1.0)
-            * mesh.sample_scalar(grid, s, False, prof, t0)
-            * mesh.cell_measure(grid, s)
-        )
-    pot_b = _smooth_components(pot_b, smoothing)
-    pot_e = _smooth_components(pot_e, smoothing)
+    pot_b = _smooth_components(manufactured.bump_potential(grid, k - 1, True, prof, rng, t0), smoothing)
+    pot_e = _smooth_components(manufactured.bump_potential(grid, n - k - 1, False, prof, rng, t0), smoothing)
     fb0 = mesh.d_sigma(pot_b)
     fe0 = mesh.multiply_scalar(mesh.d_sigma(pot_e), metric.beta, t0)
     sol = _integrate(
@@ -1003,12 +936,7 @@ def random_potential(
         grid.dt,
         state0=system.FieldState(t=t0, fe=fe0, fb=fb0, k=k),
     )
-    star_rows = np.stack(
-        [
-            mesh.flatten(mesh.hodge_sigma(sol.state(i).fe, float(sol.times[i]), metric))
-            for i in range(len(sol.times))
-        ]
-    )
+    star_rows = mesh.hodge_flat(mesh.layout(grid, n - k, False), sol.fe, _conf(metric, sol.times))
     ab_rows = np.empty_like(star_rows)
     ab_rows[0] = mesh.flatten(pot_b)
     ab_rows[1:] = ab_rows[0] + np.cumsum(
@@ -1099,11 +1027,7 @@ def _as_bundle(f) -> dict:
 def _bundle_times(bundle: dict, grid) -> np.ndarray:
     times = None
     for h in bundle.values():
-        if h.grid is not grid and (
-            h.grid.cells_per_axis != grid.cells_per_axis
-            or h.grid.lengths != grid.lengths
-            or h.grid.periodic != grid.periodic
-        ):
+        if not h.grid.compatible(grid):
             raise ValueError("histories on mismatched grids")
         if times is None:
             times = h.times
@@ -1114,23 +1038,28 @@ def _bundle_times(bundle: dict, grid) -> np.ndarray:
     return times
 
 
-def _slice_current(b1: dict, b2: dict, i: int, t: float, metric) -> float:
-    """Boundary current of the cutoff pairing at one slice.
+def _currents(b1: dict, b2: dict, times: np.ndarray, metric) -> np.ndarray:
+    """Boundary current of the cutoff pairing at every slice.
 
     Couples degree k of the first bundle against degrees k-1 and k+1 of the
     second; the lapse weight is 1/beta because the dt-leg fiber sign
     contributes ``DT_LEG_SIGN / beta^2`` against the lapse-weighted volume.
     """
-    weight = lambda tt, *x: 1.0 / metric.beta(tt, *x)
-    total = 0.0
+    conf = _conf(metric, times)
+    total = np.zeros(len(times))
     for k in sorted(b1):
         h1 = b1[k]
+        n = h1.grid.n
         if k - 1 in b2:
-            star_fe1 = mesh.hodge_sigma(h1.state(i).fe, t, metric)
-            total += mesh.pair_sigma(star_fe1, b2[k - 1].state(i).fb, t, metric, weight=weight)
+            lb = mesh.layout(h1.grid, k - 1, True)
+            star_fe1 = mesh.hodge_flat(mesh.layout(h1.grid, n - k, False), h1.fe, conf)
+            weight = 1.0 / mesh.sample_lapse(lb, metric, times)
+            total += mesh.pair_flat(lb, star_fe1, b2[k - 1].fb, conf, weight)
         if k + 1 in b2:
-            star_fe2 = mesh.hodge_sigma(b2[k + 1].state(i).fe, t, metric)
-            total -= mesh.pair_sigma(b1[k].state(i).fb, star_fe2, t, metric, weight=weight)
+            lb = mesh.layout(h1.grid, k, True)
+            star_fe2 = mesh.hodge_flat(mesh.layout(h1.grid, n - k - 1, False), b2[k + 1].fe, conf)
+            weight = 1.0 / mesh.sample_lapse(lb, metric, times)
+            total -= mesh.pair_flat(lb, h1.fb, star_fe2, conf, weight)
     return total
 
 
@@ -1163,9 +1092,7 @@ def presymplectic(f1, f2, chi: CutoffProfile, grid: mesh.GridSpec, metric: mesh.
     lo, hi = chi.t_c - chi.width / 2.0, chi.t_c + chi.width / 2.0
     if lo < times[0] - 1e-9 or hi > times[-1] + 1e-9:
         raise ValueError("cutoff ramp leaves the history time range")
-    current = np.array(
-        [_slice_current(b1, b2, i, float(times[i]), metric) for i in range(len(times))]
-    )
+    current = _currents(b1, b2, times, metric)
     steps = np.diff(chi.value(times))
     return float(np.sum(steps * 0.5 * (current[1:] + current[:-1])))
 
@@ -1178,18 +1105,15 @@ def _pair_against_history(data: system.SourceData, h: History, metric, kind: str
     carry the dt-leg fiber sign over beta^2 against the beta-weighted
     volume, the magnetic terms the plain beta weight.
     """
-    grid = data.grid
-    w_b = metric.beta
-    w_e = lambda t, *x: 1.0 / metric.beta(t, *x)
     dual_fn, prim_fn = (data.jb, data.je) if kind == "alpha" else (data.zb, data.ze)
+    le, lb, conf = _frame(h, metric)
     vals = np.zeros(len(h.times))
-    for i in range(len(h.times)):
-        t = float(h.times[i])
-        s = h.state(i)
-        if dual_fn is not None:
-            vals[i] += mesh.pair_sigma(dual_fn(t), s.fb, t, metric, weight=w_b)
-        if prim_fn is not None:
-            vals[i] += DT_LEG_SIGN * mesh.pair_sigma(prim_fn(t), s.fe, t, metric, weight=w_e)
+    if dual_fn is not None:
+        beta_b = mesh.sample_lapse(lb, metric, h.times)
+        vals += mesh.pair_flat(lb, _family_rows(dual_fn, h.times), h.fb, conf, beta_b)
+    if prim_fn is not None:
+        inv_beta_e = 1.0 / mesh.sample_lapse(le, metric, h.times)
+        vals += DT_LEG_SIGN * mesh.pair_flat(le, _family_rows(prim_fn, h.times), h.fe, conf, inv_beta_e)
     return float(np.trapezoid(vals, h.times))
 
 
@@ -1245,18 +1169,11 @@ def history_differential(a: History, metric: mesh.MetricField) -> History:
     n = grid.n
     if j + 1 > n - 1:
         raise ValueError("differential would leave the supported field degrees")
-    T = len(a.times)
+    le, lb, conf = _frame(a, metric)
     fb_dot = np.gradient(a.fb, a.dt, axis=0, edge_order=2)
-    fe_rows = np.empty((T, mesh.cochain_size(grid, n - (j + 1), False)))
-    fb_rows = np.empty((T, mesh.cochain_size(grid, j + 1, True)))
-    for i in range(T):
-        t = float(a.times[i])
-        s = a.state(i)
-        fbd_i = mesh.unflatten(grid, j, True, fb_dot[i])
-        x = fbd_i - mesh.d_sigma(mesh.hodge_sigma(s.fe, t, metric))
-        fe_rows[i] = mesh.flatten(mesh.hodge_inverse_sigma(x, t, metric))
-        fb_rows[i] = mesh.flatten(mesh.d_sigma(s.fb))
-    return History(grid, j + 1, a.times, fe_rows, fb_rows)
+    x = fb_dot - mesh.d_flat(mesh.layout(grid, j - 1, True), mesh.hodge_flat(le, a.fe, conf))
+    fe_rows = mesh.hodge_inverse_flat(lb, x, conf)
+    return History(grid, j + 1, a.times, fe_rows, mesh.d_flat(lb, a.fb))
 
 
 def _drop_end_slices(h: History, pad: int) -> History:

@@ -89,38 +89,6 @@ def read_monitor_csv(path) -> dict:
     return out
 
 
-def write_cochain_csv(path, c: Cochain, time: float) -> None:
-    """Dump a cochain as (cell-id, value) rows with commented metadata.
-
-    Cell ids are the axis-lexicographic flat order: components in increasing
-    extent order, row-major within each component.
-    """
-    meta = _grid_header(c.grid)
-    lines = [f"# {key}={json.dumps(meta[key])}" for key in sorted(meta)]
-    lines.append(f"# degree={c.degree}")
-    lines.append(f"# dual={int(c.dual)}")
-    lines.append(f"# time={_fmt(time)}")
-    lines.append("cell_id,value")
-    for i, v in enumerate(flatten(c)):
-        lines.append(f"{i},{_fmt(v)}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_cochain_csv(path) -> tuple[Cochain, float]:
-    meta = {}
-    values = []
-    for line in Path(path).read_text().splitlines():
-        if line.startswith("#"):
-            key, _, raw = line[1:].strip().partition("=")
-            meta[key.strip()] = json.loads(raw)
-        elif line and not line.startswith("cell_id"):
-            _, _, raw = line.partition(",")
-            values.append(float(raw))
-    grid = _grid_from_header(meta)
-    c = unflatten(grid, int(meta["degree"]), bool(meta["dual"]), np.array(values))
-    return c, float(meta["time"])
-
-
 def snapshot_paths(stem) -> tuple[Path, Path]:
     stem = Path(stem)
     return stem.with_suffix(".json"), stem.with_suffix(".bin")

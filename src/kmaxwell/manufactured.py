@@ -224,6 +224,15 @@ def bump_profile(center, radius: float) -> Callable:
     return fn
 
 
+def bump_potential(grid: mesh.GridSpec, degree: int, dual: bool, profile, rng, t: float = 0.0) -> mesh.Cochain:
+    """Integral cochain of a profile on every component, each scaled by a random amplitude in [0.5, 1)."""
+    comps = {
+        s: rng.uniform(0.5, 1.0) * mesh.sample_scalar(grid, s, dual, profile, t) * mesh.cell_measure(grid, s)
+        for s in mesh.subsets(grid, degree)
+    }
+    return mesh.Cochain(grid, degree, dual, comps)
+
+
 def bump_state(
     grid: mesh.GridSpec,
     k: int,
@@ -263,16 +272,8 @@ def bump_state(
     rng = np.random.default_rng(seed)
     profile = bump_profile(center, radius)
 
-    pot_b = mesh.zero_cochain(grid, k - 1, True)
-    for s in pot_b.comps:
-        amp = rng.uniform(0.5, 1.0)
-        pot_b.comps[s] = amp * mesh.sample_scalar(grid, s, True, profile, t) * mesh.cell_measure(grid, s)
-    fb = mesh.project_normal_flux(mesh.d_sigma(pot_b))
-
-    pot_e = mesh.zero_cochain(grid, n - k - 1, False)
-    for s in pot_e.comps:
-        amp = rng.uniform(0.5, 1.0)
-        pot_e.comps[s] = amp * mesh.sample_scalar(grid, s, False, profile, t) * mesh.cell_measure(grid, s)
+    fb = mesh.project_normal_flux(mesh.d_sigma(bump_potential(grid, k - 1, True, profile, rng, t)))
+    pot_e = bump_potential(grid, n - k - 1, False, profile, rng, t)
     fe = mesh.multiply_scalar(mesh.d_sigma(pot_e), metric.beta, t)
 
     support_radius = radius + float(max(grid.spacings))

@@ -20,10 +20,24 @@ exact for the flux-free boundary condition enforced by
 The Hodge dual maps component S to its complement and swaps families; with
 this staggering both live on the same index set, so the map is diagonal and
 invertible, with weight ``eps(S) * a(t)^(m-2k) * prod(h_out) / prod(h_in)``.
+
+Storage is flat.  A :class:`Layout`, cached per (grid, degree, family),
+fixes the component order (lexicographic extents), each component's shape
+and its offset in one float64 vector, plus the per-component Hodge and
+pairing constants.  The operators (``d_flat``, ``hodge_flat``,
+``pair_flat``, ``project_flat``, lapse samples from ``sample_flat``) act on
+such vectors, or on arrays of them stacked along leading axes (a history's
+time slices, an operator's columns): ``d`` differences reshaped component
+views, the Hodge dual rescales and permutes whole component blocks.  The
+:class:`Cochain` functions (``d_sigma``, ``hodge_sigma``, ``pair_sigma``,
+...) are adapters that flatten, apply the flat operator and wrap the result
+as views, so every operator has one implementation.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -63,10 +77,10 @@ class GridSpec:
             raise ValueError(f"expected {m} spatial axes for n={self.n}")
         if any(c < 4 for c in self.cells_per_axis):
             raise ValueError("each axis needs at least 4 cells")
-        if any(v <= 0 for v in self.lengths):
-            raise ValueError("axis lengths must be positive")
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in self.lengths):
+            raise ValueError("axis lengths must be positive and finite")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError("dt must be positive and finite")
         if self.periodic is None:
             object.__setattr__(self, "periodic", (False,) * m)
         else:
@@ -82,6 +96,15 @@ class GridSpec:
     @property
     def spacings(self) -> tuple[float, ...]:
         return tuple(l / c for l, c in zip(self.lengths, self.cells_per_axis))
+
+    def compatible(self, other: "GridSpec") -> bool:
+        """Whether ``other`` carries the same slice: cells, lengths and periodicity.
+
+        The time step and initial time may differ.
+        """
+        return self is other or (self.cells_per_axis, self.lengths, self.periodic) == (
+            other.cells_per_axis, other.lengths, other.periodic
+        )
 
 
 @dataclass
@@ -179,6 +202,82 @@ def cell_measure(grid: GridSpec, subset: tuple[int, ...]) -> float:
     return out
 
 
+@dataclass(frozen=True, eq=False)
+class Layout:
+    """Flat storage order of one cochain space (grid, degree, family).
+
+    Component i (extent S = ``subsets[i]``, shape ``shapes[i]``) is stored
+    row-major in ``[offsets[i], offsets[i + 1])`` of the last axis of a flat
+    array; leading axes, if any, index independent rows (time slices, or
+    columns of an operator).  The per-component operator constants:
+
+    * ``measures[i] = (cell_measure(S^c), cell_measure(S))``: their ratio is
+      the pairing factor and, times ``signs[i] = eps(S)``, the Hodge factor
+      (kept apart so both round exactly as the per-cell formula does);
+    * ``stars[i]``: the position of S^c in the Hodge image;
+    * ``node_axes[i]``: the bounded axes sampled at nodes (trapezoid ends;
+      on the dual family exactly the normal legs);
+    * ``cofaces``: the incidence terms (i, axis, target, sign) of ``d``.
+    """
+
+    grid: GridSpec
+    degree: int
+    dual: bool
+    subsets: tuple
+    shapes: tuple
+    offsets: tuple
+    measures: tuple
+    signs: tuple
+    stars: tuple
+    node_axes: tuple
+    cofaces: tuple
+
+    @property
+    def size(self) -> int:
+        return self.offsets[-1]
+
+    def view(self, x: np.ndarray, i: int) -> np.ndarray:
+        """Component i of flat rows ``x`` as a ``(..., *shapes[i])`` view."""
+        return x[..., self.offsets[i] : self.offsets[i + 1]].reshape(x.shape[:-1] + self.shapes[i])
+
+    def cochain(self, vec: np.ndarray) -> "Cochain":
+        """The cochain whose components are views of the flat vector ``vec``."""
+        return Cochain(
+            self.grid, self.degree, self.dual, {s: self.view(vec, i) for i, s in enumerate(self.subsets)}
+        )
+
+
+@functools.lru_cache(maxsize=256)
+def layout(grid: GridSpec, degree: int, dual: bool) -> Layout:
+    """The cached flat layout of degree-``degree`` cochains of one family."""
+    m = grid.dim
+    subs = subsets(grid, degree)
+    shapes = tuple(component_shape(grid, s, dual) for s in subs)
+    sizes = [int(np.prod(shape)) for shape in shapes]
+    comps = [tuple(a for a in range(m) if a not in s) for s in subs]
+    up = exterior.basis_index(m, degree + 1)
+    return Layout(
+        grid=grid,
+        degree=degree,
+        dual=dual,
+        subsets=subs,
+        shapes=shapes,
+        offsets=tuple(int(v) for v in np.cumsum([0] + sizes)),
+        measures=tuple((cell_measure(grid, c), cell_measure(grid, s)) for s, c in zip(subs, comps)),
+        signs=tuple(exterior.complement_sign(m, s) for s in subs),
+        stars=tuple(exterior.basis_index(m, m - degree)[c] for c in comps),
+        node_axes=tuple(
+            tuple(a for a in range(m) if (a in s) == dual and not grid.periodic[a]) for s in subs
+        ),
+        cofaces=tuple(
+            (i, b, up[tuple(sorted(s + (b,)))], exterior.merge_sign((b,), s))
+            for i, s in enumerate(subs)
+            for b in range(m)
+            if b not in s
+        ),
+    )
+
+
 @dataclass
 class Cochain:
     """Discrete degree-k field: one value per k-cell of one staggered family.
@@ -200,13 +299,12 @@ class Cochain:
         m = self.grid.dim
         if not 0 <= self.degree <= m:
             raise ValueError(f"degree {self.degree} out of range [0, {m}]")
-        want = subsets(self.grid, self.degree)
-        if tuple(self.comps.keys()) != want:
-            self.comps = {s: self.comps[s] for s in want}
-        for s, arr in self.comps.items():
-            shape = component_shape(self.grid, s, self.dual)
-            if arr.shape != shape:
-                raise ValueError(f"component {s}: expected shape {shape}, got {arr.shape}")
+        lay = layout(self.grid, self.degree, self.dual)
+        if tuple(self.comps.keys()) != lay.subsets:
+            self.comps = {s: self.comps[s] for s in lay.subsets}
+        for s, shape in zip(lay.subsets, lay.shapes):
+            if self.comps[s].shape != shape:
+                raise ValueError(f"component {s}: expected shape {shape}, got {self.comps[s].shape}")
 
     def copy(self) -> "Cochain":
         return Cochain(self.grid, self.degree, self.dual, {s: a.copy() for s, a in self.comps.items()})
@@ -240,17 +338,13 @@ class Cochain:
 
 
 def zero_cochain(grid: GridSpec, degree: int, dual: bool) -> Cochain:
-    return Cochain(
-        grid, degree, dual,
-        {s: np.zeros(component_shape(grid, s, dual)) for s in subsets(grid, degree)},
-    )
+    lay = layout(grid, degree, dual)
+    return lay.cochain(np.zeros(lay.size))
 
 
 def random_cochain(grid: GridSpec, degree: int, dual: bool, rng: np.random.Generator) -> Cochain:
-    return Cochain(
-        grid, degree, dual,
-        {s: rng.standard_normal(component_shape(grid, s, dual)) for s in subsets(grid, degree)},
-    )
+    lay = layout(grid, degree, dual)
+    return lay.cochain(rng.standard_normal(lay.size))
 
 
 def sample_scalar(grid: GridSpec, subset: tuple[int, ...], dual: bool, fn, t: float) -> np.ndarray:
@@ -261,6 +355,19 @@ def sample_scalar(grid: GridSpec, subset: tuple[int, ...], dual: bool, fn, t: fl
     if value.shape != shape:
         value = np.broadcast_to(value, shape).copy()
     return value
+
+
+def sample_flat(lay: Layout, fn, t: float) -> np.ndarray:
+    """A scalar callback fn(t, *coords) at every site of a layout, in flat order."""
+    return np.concatenate([sample_scalar(lay.grid, s, lay.dual, fn, t).ravel() for s in lay.subsets])
+
+
+def sample_lapse(lay: Layout, metric: MetricField, times: np.ndarray) -> np.ndarray:
+    """The lapse at a layout's sites: one flat row when it is time independent
+    (``metric.beta_dt is None``), else one row per time."""
+    if metric.beta_dt is None:
+        return sample_flat(lay, metric.beta, float(times[0]))
+    return np.stack([sample_flat(lay, metric.beta, float(t)) for t in times])
 
 
 def sample_cochain(grid: GridSpec, degree: int, dual: bool, component_fns, t: float = 0.0) -> Cochain:
@@ -296,10 +403,8 @@ def multiply_scalar(c: Cochain, fn, t: float) -> Cochain:
     The sites are the component sample locations, so diagonal operators
     (Hodge, lapse weights) commute with this multiplication exactly.
     """
-    return Cochain(
-        c.grid, c.degree, c.dual,
-        {s: arr * sample_scalar(c.grid, s, c.dual, fn, t) for s, arr in c.comps.items()},
-    )
+    lay = layout(c.grid, c.degree, c.dual)
+    return lay.cochain(flatten(c) * sample_flat(lay, fn, t))
 
 
 def component_values(c: Cochain) -> dict[tuple[int, ...], np.ndarray]:
@@ -320,47 +425,136 @@ def flatten(c: Cochain) -> np.ndarray:
 
 
 def cochain_size(grid: GridSpec, degree: int, dual: bool) -> int:
-    return sum(int(np.prod(component_shape(grid, s, dual))) for s in subsets(grid, degree))
+    return layout(grid, degree, dual).size
 
 
 def unflatten(grid: GridSpec, degree: int, dual: bool, vec: np.ndarray) -> Cochain:
-    want = cochain_size(grid, degree, dual)
-    if vec.size != want:
-        raise ValueError(f"vector length {vec.size} does not match cochain size {want}")
-    comps = {}
-    offset = 0
-    for s in subsets(grid, degree):
-        shape = component_shape(grid, s, dual)
-        size = int(np.prod(shape))
-        comps[s] = vec[offset : offset + size].reshape(shape).astype(float, copy=True)
-        offset += size
-    return Cochain(grid, degree, dual, comps)
+    lay = layout(grid, degree, dual)
+    if vec.size != lay.size:
+        raise ValueError(f"vector length {vec.size} does not match cochain size {lay.size}")
+    return lay.cochain(np.array(vec, dtype=float))
 
 
-def _diff_node_to_center(arr: np.ndarray, axis: int, periodic: bool) -> np.ndarray:
-    if periodic:
-        return np.roll(arr, -1, axis=axis) - arr
-    hi = [slice(None)] * arr.ndim
-    lo = [slice(None)] * arr.ndim
-    hi[axis] = slice(1, None)
-    lo[axis] = slice(None, -1)
-    return arr[tuple(hi)] - arr[tuple(lo)]
+# ---------------------------------------------------------------------------
+# operators on flat rows; the Cochain functions below are adapters over these
 
 
-def _diff_center_to_node(arr: np.ndarray, axis: int, periodic: bool) -> np.ndarray:
-    if periodic:
-        return arr - np.roll(arr, 1, axis=axis)
-    shape = list(arr.shape)
-    shape[axis] += 1
-    out = np.zeros(shape)
-    mid = [slice(None)] * arr.ndim
-    mid[axis] = slice(1, -1)
-    hi = [slice(None)] * arr.ndim
-    lo = [slice(None)] * arr.ndim
-    hi[axis] = slice(1, None)
-    lo[axis] = slice(None, -1)
-    out[tuple(mid)] = arr[tuple(hi)] - arr[tuple(lo)]
+def _along(axis: int, index) -> tuple:
+    """Index tuple taking ``index`` along ``axis``, counted from the end (< 0)."""
+    return (Ellipsis, index) + (slice(None),) * (-1 - axis)
+
+
+def _conf_power(conf, p: int):
+    """a(t)^p for one a(t) (a float) or one per leading row (an array).
+
+    Each power is a Python float power, so batched rows round exactly as
+    the single-row operators do.
+    """
+    if np.ndim(conf) == 0:
+        return float(conf) ** p
+    return np.array([float(c) ** p for c in np.ravel(conf)]).reshape(np.shape(conf))
+
+
+def d_flat(lay: Layout, x: np.ndarray) -> np.ndarray:
+    """Coboundary of flat rows in ``lay``: signed differences, degree k -> k+1."""
+    grid = lay.grid
+    m = grid.dim
+    if lay.degree >= m:
+        raise ValueError("d_sigma: top-degree input")
+    out_lay = layout(grid, lay.degree + 1, lay.dual)
+    out = np.zeros(x.shape[:-1] + (out_lay.size,))
+    for i, b, j, sign in lay.cofaces:
+        arr = lay.view(x, i)
+        target = out_lay.view(out, j)
+        axis = b - m
+        if grid.periodic[b]:
+            if lay.dual:
+                diff = arr - np.roll(arr, 1, axis=axis)
+            else:
+                diff = np.roll(arr, -1, axis=axis) - arr
+        else:
+            diff = arr[_along(axis, slice(1, None))] - arr[_along(axis, slice(None, -1))]
+            if lay.dual:
+                target = target[_along(axis, slice(1, -1))]
+        if sign > 0:
+            target += diff
+        else:
+            target -= diff
     return out
+
+
+def hodge_flat(lay: Layout, x: np.ndarray, conf, scale: float = 1.0) -> np.ndarray:
+    """Diagonal Hodge dual of flat rows: component S -> S^c, family swapped.
+
+    ``conf`` is a(t), one float or one value per leading row; ``scale``
+    multiplies every weight (orientation and inverse signs).
+    """
+    m = lay.grid.dim
+    power = _conf_power(conf, m - 2 * lay.degree)
+    if np.ndim(power):
+        power = power[..., None]
+    out_lay = layout(lay.grid, m - lay.degree, not lay.dual)
+    out = np.empty(x.shape)
+    for i, j in enumerate(lay.stars):
+        outer, inner = lay.measures[i]
+        src = x[..., lay.offsets[i] : lay.offsets[i + 1]]
+        out[..., out_lay.offsets[j] : out_lay.offsets[j + 1]] = (
+            scale * lay.signs[i] * power * outer / inner
+        ) * src
+    return out
+
+
+def hodge_inverse_flat(lay: Layout, x: np.ndarray, conf) -> np.ndarray:
+    """Inverse Hodge dual of flat rows in ``lay``."""
+    k = lay.degree
+    return hodge_flat(lay, x, conf, (-1) ** (k * (lay.grid.dim - k)))
+
+
+def pair_flat(lay: Layout, a: np.ndarray, b: np.ndarray, conf, weight=None):
+    """Slice inner products of matching flat rows, one per leading row.
+
+    ``weight`` is a flat row (or rows) multiplied in pointwise; node-sampled
+    bounded directions get trapezoidal 1/2 end weights.
+    """
+    m = lay.grid.dim
+    power = _conf_power(conf, m - 2 * lay.degree)
+    total = 0.0
+    for i, shape in enumerate(lay.shapes):
+        sl = slice(lay.offsets[i], lay.offsets[i + 1])
+        prod = a[..., sl] * b[..., sl]
+        prod = prod.reshape(prod.shape[:-1] + shape)
+        for axis in lay.node_axes[i]:
+            prod[_along(axis - m, 0)] *= 0.5
+            prod[_along(axis - m, -1)] *= 0.5
+        if weight is not None:
+            prod = prod * lay.view(weight, i)
+        outer, inner = lay.measures[i]
+        total = total + (power * outer / inner) * prod.sum(axis=tuple(range(-m, 0)))
+    return total
+
+
+def _normal_faces(lay: Layout, x: np.ndarray):
+    """Face-node views of the normal-leg components of dual-family rows."""
+    if not lay.dual:
+        raise ValueError("normal flux: dual-family cochain required")
+    m = lay.grid.dim
+    for i, axes in enumerate(lay.node_axes):
+        arr = lay.view(x, i)
+        for axis in axes:
+            yield arr[_along(axis - m, 0)]
+            yield arr[_along(axis - m, -1)]
+
+
+def project_flat(lay: Layout, x: np.ndarray) -> np.ndarray:
+    """Zero the normal flux of dual-family rows in place; returns ``x``."""
+    for face in _normal_faces(lay, x):
+        face[...] = 0.0
+    return x
+
+
+def flux_maxabs_flat(lay: Layout, x: np.ndarray) -> float:
+    """Largest face-node normal-leg value over all dual-family rows."""
+    return max((float(np.max(np.abs(face), initial=0.0)) for face in _normal_faces(lay, x)), default=0.0)
 
 
 def d_sigma(c: Cochain) -> Cochain:
@@ -372,22 +566,8 @@ def d_sigma(c: Cochain) -> Cochain:
     (see the module docstring); d_sigma∘d_sigma vanishes to rounding on both
     families, and exactly on integer data.
     """
-    m = c.grid.dim
-    if c.degree >= m:
-        raise ValueError("d_sigma: top-degree input")
-    out = zero_cochain(c.grid, c.degree + 1, c.dual)
-    for s, arr in c.comps.items():
-        for b in range(m):
-            if b in s:
-                continue
-            target = tuple(sorted(s + (b,)))
-            sign = exterior.merge_sign((b,), s)
-            if c.dual:
-                diff = _diff_center_to_node(arr, b, c.grid.periodic[b])
-            else:
-                diff = _diff_node_to_center(arr, b, c.grid.periodic[b])
-            out.comps[target] += sign * diff
-    return out
+    vec = d_flat(layout(c.grid, c.degree, c.dual), flatten(c))
+    return layout(c.grid, c.degree + 1, c.dual).cochain(vec)
 
 
 def hodge_sigma(c: Cochain, t: float, metric: MetricField, orientation: int = 1) -> Cochain:
@@ -397,25 +577,16 @@ def hodge_sigma(c: Cochain, t: float, metric: MetricField, orientation: int = 1)
     prod(h_a, a in S)`` per degree of freedom; ``orientation`` (+1 or -1)
     selects the slice orientation, used for faces with induced orientation.
     """
-    m = c.grid.dim
-    k = c.degree
-    scale = float(metric.conf(t))
-    conf_power = scale ** (m - 2 * k)
-    out_comps = {}
-    for s, arr in c.comps.items():
-        comp = tuple(a for a in range(m) if a not in s)
-        eps = exterior.complement_sign(m, s)
-        factor = orientation * eps * conf_power * cell_measure(c.grid, comp) / cell_measure(c.grid, s)
-        out_comps[comp] = factor * arr
-    ordered = {s: out_comps[s] for s in subsets(c.grid, m - k)}
-    return Cochain(c.grid, m - k, not c.dual, ordered)
+    lay = layout(c.grid, c.degree, c.dual)
+    vec = hodge_flat(lay, flatten(c), metric.conf(t), orientation)
+    return layout(c.grid, c.grid.dim - c.degree, not c.dual).cochain(vec)
 
 
 def hodge_inverse_sigma(c: Cochain, t: float, metric: MetricField, orientation: int = 1) -> Cochain:
     """Inverse of hodge_sigma: hodge_inverse_sigma(hodge_sigma(c)) = c."""
     m = c.grid.dim
     sign = (-1) ** (c.degree * (m - c.degree))
-    return sign * hodge_sigma(c, t, metric, orientation)
+    return hodge_sigma(c, t, metric, sign * orientation)
 
 
 def codiff_sigma(c: Cochain, t: float, metric: MetricField) -> Cochain:
@@ -424,21 +595,6 @@ def codiff_sigma(c: Cochain, t: float, metric: MetricField) -> Cochain:
         raise ValueError("codiff_sigma: degree-0 input")
     inner = d_sigma(hodge_sigma(c, t, metric))
     return ((-1) ** c.degree) * hodge_inverse_sigma(inner, t, metric)
-
-
-def _apply_trapezoid(arr: np.ndarray, c: Cochain, s: tuple[int, ...]) -> np.ndarray:
-    out = arr
-    for a in range(c.grid.dim):
-        centers = (a in s) != c.dual
-        if centers or c.grid.periodic[a]:
-            continue
-        w = np.ones(out.shape[a])
-        w[0] = 0.5
-        w[-1] = 0.5
-        shape = [1] * out.ndim
-        shape[a] = out.shape[a]
-        out = out * w.reshape(shape)
-    return out
 
 
 def pair_sigma(a: Cochain, b: Cochain, t: float, metric: MetricField, weight=None) -> float:
@@ -460,18 +616,9 @@ def pair_sigma(a: Cochain, b: Cochain, t: float, metric: MetricField, weight=Non
         The pairing value as a float.
     """
     a._check_match(b)
-    m = a.grid.dim
-    k = a.degree
-    conf_power = float(metric.conf(t)) ** (m - 2 * k)
-    total = 0.0
-    for s in subsets(a.grid, k):
-        prod = a.comps[s] * b.comps[s]
-        prod = _apply_trapezoid(prod, a, s)
-        if weight is not None:
-            prod = prod * sample_scalar(a.grid, s, a.dual, weight, t)
-        rho = conf_power * cell_measure(a.grid, tuple(x for x in range(m) if x not in s)) / cell_measure(a.grid, s)
-        total += rho * float(np.sum(prod))
-    return total
+    lay = layout(a.grid, a.degree, a.dual)
+    w = None if weight is None else sample_flat(lay, weight, t)
+    return float(pair_flat(lay, flatten(a), flatten(b), metric.conf(t), w))
 
 
 def norm_sigma(c: Cochain, t: float, metric: MetricField) -> float:
@@ -560,38 +707,13 @@ def project_normal_flux(c: Cochain) -> Cochain:
     the affected degrees of freedom sit exactly on the faces, so the
     projection is idempotent and commutes with the interior dynamics.
     """
-    if not c.dual:
-        raise ValueError("project_normal_flux: dual-family cochain required")
-    out = c.copy()
-    for axis in range(c.grid.dim):
-        if c.grid.periodic[axis]:
-            continue
-        for s, arr in out.comps.items():
-            if axis not in s:
-                continue
-            lo = [slice(None)] * arr.ndim
-            hi = [slice(None)] * arr.ndim
-            lo[axis] = 0
-            hi[axis] = -1
-            arr[tuple(lo)] = 0.0
-            arr[tuple(hi)] = 0.0
-    return out
+    lay = layout(c.grid, c.degree, c.dual)
+    return lay.cochain(project_flat(lay, flatten(c)))
 
 
 def normal_flux_maxabs(c: Cochain) -> float:
     """Largest face-node normal-leg value of a dual cochain (0 when projected)."""
-    if not c.dual:
-        raise ValueError("normal_flux_maxabs: dual-family cochain required")
-    worst = 0.0
-    for axis in range(c.grid.dim):
-        if c.grid.periodic[axis]:
-            continue
-        for s, arr in c.comps.items():
-            if axis not in s:
-                continue
-            for side in (0, 1):
-                worst = max(worst, float(np.max(np.abs(_face_slice(arr, axis, side)), initial=0.0)))
-    return worst
+    return flux_maxabs_flat(layout(c.grid, c.degree, c.dual), flatten(c))
 
 
 def boundary_pairing(a: Cochain, b: Cochain, t: float, metric: MetricField) -> float:

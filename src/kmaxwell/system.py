@@ -104,8 +104,7 @@ class SourceData:
     * ``zb``: magnetic defect, dual degree k+1 (None when k = n-1).
 
     ``window`` is the declared temporal support [t_a, t_b]; outside it every
-    family must evaluate to zero.  ``bbox`` optionally records the spatial
-    support as per-axis (lo, hi) pairs for locality audits.
+    family must evaluate to zero.
     """
 
     grid: mesh.GridSpec
@@ -115,7 +114,6 @@ class SourceData:
     jb: Callable | None = None
     ze: Callable | None = None
     zb: Callable | None = None
-    bbox: tuple[tuple[float, float], ...] | None = None
 
 
 def zero_sources(grid: mesh.GridSpec, k: int) -> SourceData:

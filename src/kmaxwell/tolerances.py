@@ -63,6 +63,12 @@ SOURCE_COMPAT_TOL = 1e-10
 # Initial-data closedness checked by validate_problem.
 CLOSEDNESS_TOL = 1e-12
 
+# Initial-data magnitude allowed near the boundary faces by validate_problem.
+SUPPORT_TOL = 1e-12
+
+# Discrete continuity residuals of the sources checked by validate_problem.
+CONTINUITY_TOL = 1e-8
+
 # Energy conservation over 100 steps, periodic mode, unit lapse.
 ENERGY_DRIFT_TOL = 1e-8
 

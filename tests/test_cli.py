@@ -240,6 +240,28 @@ class TestRunSuites:
         assert manifest["files"] == ["manifest.json"]
         assert "FAIL" in text and "cfl" in text
 
+    @pytest.mark.parametrize("scale_factor", ["unit", "expanding"])
+    def test_evolve_with_well_lapse(self, tmp_path, capsys, scale_factor):
+        # the catalogue lapse must broadcast over arrays of mesh sites
+        cfg = write_config(
+            tmp_path,
+            f"experiment = evolve\nbeta = well\na = {scale_factor}\ndt = 0.01\nt_final = 0.1\n",
+        )
+        out = tmp_path / "out"
+        code, text = run_cli(["run", "--config", cfg, "--out", out], capsys)
+        assert code == 0, text
+        assert load_manifest(out)["passed"] is True
+
+    def test_green_suite_with_well_lapse(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            "experiment = green_suite\nbeta = well\ncells = 12\ndt = 0.004\nsteps = 100\ntrials = 1\n",
+        )
+        out = tmp_path / "out"
+        code, text = run_cli(["run", "--config", cfg, "--out", out], capsys)
+        assert code == 0, text
+        assert checks_by_name(load_manifest(out))["right_inverse_defect"]["passed"] is True
+
     def test_green_suite_defaults(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "experiment = green_suite\n")
         out = tmp_path / "out"

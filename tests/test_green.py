@@ -317,6 +317,12 @@ class TestOneSidedSolves:
         with pytest.raises(ValueError, match="different grid"):
             green.g_plus(sp, other, METRIC, t_start=0.0, t_final=0.5)
 
+    def test_source_on_torus_rejected_on_box(self):
+        g = box_grid()
+        sp = green.SourcePair(grid=torus_grid(), k=1, window=(0.1, 0.4), metric=METRIC)
+        with pytest.raises(ValueError, match="different grid"):
+            green.g_plus(sp, g, METRIC, t_start=0.0, t_final=0.5)
+
     def test_determinism(self):
         g, pair, _ = causal_reference()
         a = green.g_plus(pair, g, METRIC, t_start=0.0, t_final=0.5)

@@ -20,35 +20,6 @@ def sample_cochain():
     return mesh.random_cochain(sample_grid(), 1, True, rng)
 
 
-class TestCochainCsv:
-    def test_roundtrip_exact(self, tmp_path):
-        c = sample_cochain()
-        path = tmp_path / "field.csv"
-        io.write_cochain_csv(path, c, time=1.25)
-        back, t = io.read_cochain_csv(path)
-        assert t == 1.25
-        assert back.grid == c.grid
-        assert back.degree == c.degree and back.dual == c.dual
-        for s in c.comps:
-            np.testing.assert_array_equal(back.comps[s], c.comps[s])
-
-    def test_layout(self, tmp_path):
-        c = sample_cochain()
-        path = tmp_path / "field.csv"
-        io.write_cochain_csv(path, c, time=0.0)
-        lines = path.read_text().splitlines()
-        header_idx = lines.index("cell_id,value")
-        assert lines[header_idx + 1].startswith("0,")
-        assert len(lines) - header_idx - 1 == mesh.flatten(c).size
-
-    def test_deterministic_bytes(self, tmp_path):
-        c = sample_cochain()
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        io.write_cochain_csv(a, c, time=0.3)
-        io.write_cochain_csv(b, c.copy(), time=0.3)
-        assert a.read_bytes() == b.read_bytes()
-
-
 class TestCochainBinary:
     def test_roundtrip_exact(self, tmp_path):
         c = sample_cochain()

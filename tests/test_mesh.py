@@ -56,6 +56,19 @@ class TestGridSpec:
         with pytest.raises(ValueError, match="positive"):
             box_grid((4, 4), lengths=(1.0, -1.0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_lengths_and_dt(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            box_grid((4, 4), lengths=(1.0, bad))
+        with pytest.raises(ValueError, match="finite"):
+            box_grid((4, 4), dt=bad)
+
+    def test_compatible_ignores_time_step_but_not_periodicity(self):
+        g = box_grid((4, 6))
+        assert g.compatible(box_grid((4, 6), dt=0.01))
+        assert not g.compatible(box_grid((4, 6), periodic=(True, False)))
+        assert not g.compatible(box_grid((4, 5)))
+
     def test_bad_periodic_flags(self):
         with pytest.raises(ValueError, match="periodic"):
             box_grid((4, 4), periodic=(True,))
@@ -499,6 +512,34 @@ class TestBoundaryOperators:
         g = box_grid((4, 4))
         with pytest.raises(ValueError, match="dual"):
             mesh.project_normal_flux(mesh.zero_cochain(g, 1, False))
+
+
+class TestFlatRows:
+    def test_stacked_rows_match_single_cochains(self):
+        # history algebra applies the flat operators to stacked time slices
+        # with one a(t) per slice; elementwise results must match the
+        # single-cochain operators bit for bit, reductions to rounding
+        g = box_grid((4, 5, 4), periodic=(True, False, False))
+        rng = np.random.default_rng(RNG_SEED)
+        confs = np.array([1.0, 1.3, 0.7])
+        for k in range(g.dim + 1):
+            for dual in (False, True):
+                lay = mesh.layout(g, k, dual)
+                cs = [mesh.random_cochain(g, k, dual, rng) for _ in confs]
+                rows = np.stack([mesh.flatten(c) for c in cs])
+                star = mesh.hodge_flat(lay, rows, confs)
+                pairs = mesh.pair_flat(lay, rows, rows[::-1], confs)
+                d_rows = mesh.d_flat(lay, rows) if k < g.dim else None
+                for i, c in enumerate(cs):
+                    metric = mesh.MetricField(conf=lambda t, a=confs[i]: a)
+                    np.testing.assert_array_equal(star[i], mesh.flatten(mesh.hodge_sigma(c, 0.0, metric)))
+                    assert pairs[i] == pytest.approx(mesh.pair_sigma(c, cs[-1 - i], 0.0, metric), rel=ROUNDING_TOL)
+                    if d_rows is not None:
+                        np.testing.assert_array_equal(d_rows[i], mesh.flatten(mesh.d_sigma(c)))
+                if dual:
+                    projected = mesh.project_flat(lay, rows.copy())
+                    for i, c in enumerate(cs):
+                        np.testing.assert_array_equal(projected[i], mesh.flatten(mesh.project_normal_flux(c)))
 
 
 class TestSampling:
