@@ -231,6 +231,12 @@ def _validate(cfg: RunConfig) -> list[str]:
     if cfg.experiment in ("green_suite", "symplectic_suite"):
         if cfg.a != "unit":
             errors.append(f"{cfg.experiment} requires the static scale factor a=unit")
+        # the dense-history budget of green._integrate, checked before any work starts
+        budget = f"{cfg.experiment} keeps dense histories"
+        if cfg.cells > green.MAX_HISTORY_CELLS:
+            errors.append(f"{budget}: cells must not exceed {green.MAX_HISTORY_CELLS}")
+        if cfg.steps is not None and cfg.steps > green.MAX_HISTORY_STEPS:
+            errors.append(f"{budget}: steps must not exceed {green.MAX_HISTORY_STEPS}")
     if cfg.experiment == "green_suite" and cfg.n in SUPPORTED_N and not 2 <= cfg.k <= cfg.n - 1:
         errors.append(f"green_suite requires 2 <= k <= {cfg.n - 1}")
     if cfg.experiment == "symplectic_suite" and cfg.n == 2:

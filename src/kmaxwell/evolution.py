@@ -119,21 +119,32 @@ class ValidationReport:
         return {"passed": self.passed, "checks": [c.to_dict() for c in self.checks]}
 
 
+def _lapse_probe(grid: mesh.GridSpec, metric: mesh.MetricField, t: float) -> np.ndarray:
+    """The lapse at time t on a 9-point-per-axis probe mesh of the box."""
+    coords = [np.linspace(0.0, l, 9) for l in grid.lengths]
+    pts = np.meshgrid(*coords, indexing="ij", sparse=True)
+    return np.broadcast_to(np.asarray(metric.beta(t, *pts), dtype=float), (9,) * grid.dim)
+
+
 def wave_speed_bound(grid: mesh.GridSpec, metric: mesh.MetricField, t_span, samples: int = 5) -> float:
     """Largest coordinate wave speed beta/a over a space-time probe grid."""
     t_lo, t_hi = t_span
-    coords = [np.linspace(0.0, l, 9) for l in grid.lengths]
-    pts = np.meshgrid(*coords, indexing="ij", sparse=True)
     c_max = 0.0
     for t in np.linspace(t_lo, t_hi, samples):
-        beta = np.broadcast_to(np.asarray(metric.beta(t, *pts), dtype=float), tuple(len(c) for c in coords))
-        c_max = max(c_max, float(np.max(beta)) / float(metric.conf(t)))
+        c_max = max(c_max, float(np.max(_lapse_probe(grid, metric, t))) / float(metric.conf(t)))
     return c_max
 
 
 def stable_dt(grid: mesh.GridSpec, metric: mesh.MetricField, cfl: float, t_span) -> float:
     """Time step meeting the Courant bound cfl * h_min / c_max."""
     return cfl * min(grid.spacings) / wave_speed_bound(grid, metric, t_span)
+
+
+def require_stable_dt(grid: mesh.GridSpec, metric: mesh.MetricField, dt: float, t_span) -> None:
+    """Raise ValueError when |dt| exceeds the hard Courant bound MAX_CFL * h_min / c_max."""
+    limit = stable_dt(grid, metric, MAX_CFL, t_span)
+    if abs(dt) > limit * (1 + 1e-12):
+        raise ValueError(f"cfl violation: dt={abs(dt)!r} exceeds {limit!r}")
 
 
 def check_cfl(grid: mesh.GridSpec, metric: mesh.MetricField, cfg: EvolveConfig) -> CheckResult:
@@ -163,48 +174,6 @@ def _boundary_layer_max(c: mesh.Cochain, margin_cells: int) -> float:
             worst = max(worst, float(np.abs(arr[tuple(sl_lo)]).max(initial=0.0)))
             worst = max(worst, float(np.abs(arr[tuple(sl_hi)]).max(initial=0.0)))
     return worst
-
-
-def _source_rate(fn, t: float, delta: float = 1e-5):
-    plus, minus = fn(t + delta), fn(t - delta)
-    return (plus - minus) * (0.5 / delta)
-
-
-def continuity_residuals(src: system.SourceData, metric: mesh.MetricField, t: float) -> dict:
-    """Discrete continuity residual norms of the split sources at time t.
-
-    The current pair satisfies ``(-1)^(n-k) d/dt (je/beta) = s * d(beta * hodge jb)``
-    (the identity that transports the electric constraint), and the flux pair
-    satisfies ``d/dt zb = d(hodge ze)`` together with ``d zb = 0``.  Residual
-    norms are keyed by which identity they test; absent degrees give 0.0.
-    """
-    grid, k, n = src.grid, src.k, src.grid.n
-    ssign = system.source_sign(n, k)
-    out = {"charge": 0.0, "flux": 0.0, "flux_closed": 0.0}
-
-    jb = src.jb(t) if src.jb is not None else mesh.zero_cochain(grid, k - 1, True)
-    if k >= 2:
-        spatial = mesh.d_sigma(mesh.multiply_scalar(mesh.hodge_sigma(jb, t, metric), metric.beta, t))
-        if src.je is not None:
-            je_rate = _source_rate(lambda tt: mesh.multiply_scalar(src.je(tt), lambda t_, *x: 1.0 / metric.beta(t_, *x), tt), t)
-            charge = je_rate * float((-1) ** (n - k)) - spatial * ssign
-        else:
-            charge = spatial * (-ssign)
-        out["charge"] = mesh.norm_sigma(charge, t, metric)
-
-    ze = src.ze(t) if src.ze is not None else mesh.zero_cochain(grid, n - 1 - k, False)
-    if k <= n - 2:
-        spatial = mesh.d_sigma(mesh.hodge_sigma(ze, t, metric))
-        if src.zb is not None:
-            zb_rate = _source_rate(src.zb, t)
-            flux = zb_rate - spatial
-            zb_now = src.zb(t)
-            if zb_now.degree + 1 <= grid.dim:
-                out["flux_closed"] = mesh.norm_sigma(mesh.d_sigma(zb_now), t, metric)
-        else:
-            flux = spatial * (-1.0)
-        out["flux"] = mesh.norm_sigma(flux, t, metric)
-    return out
 
 
 def validate_problem(
@@ -254,7 +223,6 @@ def validate_problem(
         )
     )
 
-    k, n = s0.k, grid.n
     if s0.fb.degree + 1 <= grid.dim:
         closed_b = mesh.norm_sigma(mesh.d_sigma(s0.fb), s0.t, metric)
     else:
@@ -268,22 +236,23 @@ def validate_problem(
         closed_e = 0.0
     report.checks.append(CheckResult("closed_fe", closed_e < CLOSEDNESS_TOL, closed_e, CLOSEDNESS_TOL))
 
+    norms = {"charge": 0.0, "flux": 0.0, "flux_closed": 0.0}
     if has_sources and np.isfinite(src.window).all():
         t_mid = 0.5 * (src.window[0] + src.window[1])
-        cont = continuity_residuals(src, metric, t_mid)
-    else:
-        cont = {"charge": 0.0, "flux": 0.0, "flux_closed": 0.0}
+        k, n = src.k, src.grid.n
+        spaces = {"charge": (n + 1 - k, False), "flux": (k + 1, True), "flux_closed": (k + 2, True)}
+        for name, row in system.continuity_residuals(src, metric, t_mid).items():
+            if row is not None:
+                norms[name] = mesh.norm_flat(mesh.layout(src.grid, *spaces[name]), row, metric.conf(t_mid))
     report.checks.append(
-        CheckResult("continuity_charge", cont["charge"] < CONTINUITY_TOL, cont["charge"], CONTINUITY_TOL)
+        CheckResult("continuity_charge", norms["charge"] < CONTINUITY_TOL, norms["charge"], CONTINUITY_TOL)
     )
-    flux_measure = max(cont["flux"], cont["flux_closed"])
+    flux_measure = max(norms["flux"], norms["flux_closed"])
     report.checks.append(
         CheckResult("continuity_flux", flux_measure < CONTINUITY_TOL, flux_measure, CONTINUITY_TOL)
     )
 
-    coords = [np.linspace(0.0, l, 9) for l in grid.lengths]
-    pts = np.meshgrid(*coords, indexing="ij", sparse=True)
-    beta_min = float(np.min(np.broadcast_to(np.asarray(metric.beta(s0.t, *pts), dtype=float), tuple(len(c) for c in coords))))
+    beta_min = float(np.min(_lapse_probe(grid, metric, s0.t)))
     report.checks.append(CheckResult("beta_positive", beta_min > 0.0, beta_min, 0.0))
     return report
 
@@ -342,8 +311,12 @@ class Generator:
         conf = float(self.metric.conf(t))
         src_e, src_b = system.rhs_sources(self.src, t, self.metric)
         curl_b, curl_e = curls(self.lw, self.lb, y[..., : self.nw], y[..., self.nw :], beta_w, beta_b, conf)
-        dw = beta_w * mesh.flatten(src_e) + curl_b * self.curl_sign
-        return np.concatenate([dw, curl_e + mesh.flatten(src_b)], axis=-1)
+        dw = curl_b * self.curl_sign
+        if src_e is not None:
+            dw = beta_w * src_e + dw
+        if src_b is not None:
+            curl_e = curl_e + src_b
+        return np.concatenate([dw, curl_e], axis=-1)
 
     def rows(self, s: system.FieldState) -> np.ndarray:
         """The stacked row of a state."""
@@ -395,11 +368,8 @@ def step(
     Raises:
         ValueError: when dt exceeds the hard Courant bound 0.9*h_min/c_max.
     """
-    grid = s.grid
-    limit = stable_dt(grid, metric, MAX_CFL, (s.t, s.t + dt))
-    if dt > limit * (1 + 1e-12):
-        raise ValueError(f"cfl violation: dt={dt!r} exceeds {limit!r}")
-    gen = Generator(grid, s.k, metric, src, boundary_mode, s.t)
+    require_stable_dt(s.grid, metric, dt, (s.t, s.t + dt))
+    gen = Generator(s.grid, s.k, metric, src, boundary_mode, s.t)
     return gen.state(s.t + dt, _rk4_step(s.t, gen.project(gen.rows(s)), gen, dt))
 
 

@@ -36,9 +36,8 @@ MAX_HISTORY_CELLS = 64
 DT_LEG_SIGN = exterior.lorentzian(2).diag[0]
 
 
-def _maxabs(c: mesh.Cochain) -> float:
-    vals = [np.max(np.abs(a)) for a in c.comps.values() if a.size]
-    return float(max(vals)) if vals else 0.0
+def _maxabs(x: np.ndarray) -> float:
+    return float(np.max(np.abs(x), initial=0.0))
 
 
 def _conf(metric: mesh.MetricField, times: np.ndarray) -> np.ndarray:
@@ -140,6 +139,12 @@ def _uniform_spacing(times: np.ndarray) -> float:
     return float(steps[0])
 
 
+def _same_times(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two uniform time samplings agree: rtol 1e-12, atol 1e-12 * max(dt, 1)."""
+    dt = float(a[1] - a[0]) if len(a) > 1 else 0.0
+    return len(a) == len(b) and np.allclose(a, b, rtol=1e-12, atol=1e-12 * max(dt, 1.0))
+
+
 @dataclass
 class History:
     """Dense time-major snapshots of one degree-k field on a fixed grid.
@@ -187,11 +192,6 @@ class History:
         fb = float(np.max(np.abs(self.fb))) if self.fb.size else 0.0
         return max(fe, fb)
 
-    def slice_maxabs(self) -> np.ndarray:
-        fe = np.max(np.abs(self.fe), axis=1) if self.fe.shape[1] else np.zeros(len(self.times))
-        fb = np.max(np.abs(self.fb), axis=1) if self.fb.shape[1] else np.zeros(len(self.times))
-        return np.maximum(fe, fb)
-
     def norm(self, metric: mesh.MetricField) -> float:
         """Spacetime L2 norm: trapezoidal time quadrature of slice pairings."""
         le, lb, conf = _frame(self, metric)
@@ -206,9 +206,7 @@ class History:
             raise ValueError("histories on mismatched grids")
         if self.k != other.k:
             raise ValueError(f"histories of mismatched degrees {self.k} and {other.k}")
-        if len(self.times) != len(other.times) or not np.allclose(
-            self.times, other.times, rtol=1e-12, atol=1e-12 * max(self.dt, 1.0)
-        ):
+        if not _same_times(self.times, other.times):
             raise ValueError("histories on mismatched time samples")
 
     def __add__(self, other: "History") -> "History":
@@ -226,11 +224,6 @@ class History:
 
     def __neg__(self) -> "History":
         return self * -1.0
-
-    def scaled_by(self, profile) -> "History":
-        """Multiply every slice by a scalar time profile (cutoff splitting)."""
-        w = np.asarray(profile(self.times), dtype=float)[:, None]
-        return History(self.grid, self.k, self.times, self.fe * w, self.fb * w)
 
 
 @dataclass
@@ -265,9 +258,9 @@ class SourceHistory:
 
     def data(self) -> system.SourceData:
         kw = {}
-        for name, rows, degree, dual in self._families():
+        for name, rows, _, _ in self._families():
             if rows is not None:
-                kw[name] = _row_interpolant(self.grid, degree, dual, self.times, rows)
+                kw[name] = _row_interpolant(self.times, rows)
         return system.SourceData(grid=self.grid, k=self.k, window=self.window, **kw)
 
     def maxabs(self) -> float:
@@ -284,8 +277,8 @@ class SourceHistory:
         return float(np.sqrt(max(np.trapezoid(vals, self.times), 0.0)))
 
 
-def _row_interpolant(grid, degree, dual, times, rows):
-    lay = mesh.layout(grid, degree, dual)
+def _row_interpolant(times, rows):
+    """The linear-in-time interpolant ``t -> row`` of rows on uniform times, zero outside."""
     t0 = float(times[0])
     dt = float(times[1] - times[0])
     last = len(times) - 1
@@ -293,11 +286,11 @@ def _row_interpolant(grid, degree, dual, times, rows):
     def fn(t):
         x = (float(t) - t0) / dt
         if x <= -1e-9 or x >= last + 1e-9:
-            return mesh.zero_cochain(grid, degree, dual)
+            return np.zeros(rows.shape[1])
         x = min(max(x, 0.0), float(last))
         i = min(int(x), last - 1)
         u = x - i
-        return lay.cochain((1.0 - u) * rows[i] + u * rows[i + 1])
+        return (1.0 - u) * rows[i] + u * rows[i + 1]
 
     return fn
 
@@ -307,15 +300,16 @@ def _row_interpolant(grid, degree, dual, times, rows):
 
 
 @dataclass
-class SourcePair:
+class SourcePair(system.SourceData):
     """Admissible source pair for one degree-k problem.
 
     ``alpha`` (split into je/jb) is the target of the codifferential: it must
     be divergence-compatible (the charge-continuity identity) and carry no
     normal flux at the boundary.  ``zeta`` (split into ze/zb) is the target
     of the differential: it must be closed (the flux-continuity identity).
-    All families are callables ``t -> Cochain``; rate callables certify the
-    continuity identities exactly wherever a time derivative enters.
+    The families are :class:`system.SourceData` rows; ``je_rate`` and
+    ``zb_rate`` are required wherever ``je`` and ``zb`` are given, so the
+    continuity identities are certified exactly.
 
     Invariants are checked at declaration by sampling the residuals at
     probe times inside the window against ``SOURCE_COMPAT_TOL``; the check
@@ -323,15 +317,6 @@ class SourcePair:
     the sources were built for.
     """
 
-    grid: mesh.GridSpec
-    k: int
-    window: tuple[float, float]
-    je: object | None = None
-    jb: object | None = None
-    ze: object | None = None
-    zb: object | None = None
-    je_rate: object | None = None
-    zb_rate: object | None = None
     metric: mesh.MetricField | None = None
 
     def __post_init__(self):
@@ -352,64 +337,30 @@ class SourcePair:
                 )
 
     def _admissibility_defect(self, t: float) -> float:
-        n, k = self.grid.n, self.k
+        grid, n, k = self.grid, self.grid.n, self.k
         metric = self.metric if self.metric is not None else mesh.unit_metric()
-        worst = 0.0
-        jb = self.jb(t) if self.jb is not None else mesh.zero_cochain(self.grid, k - 1, True)
-        # no normal flux: both legs of alpha vanish against the boundary
-        worst = max(worst, mesh.normal_flux_maxabs(jb))
+        # charge and flux continuity, and d zb = 0
+        rows = system.continuity_residuals(self, metric, t).values()
+        worst = max((_maxabs(r) for r in rows if r is not None), default=0.0)
+        # no normal flux: both legs of alpha and zb vanish against the boundary
+        if self.jb is not None:
+            worst = max(worst, mesh.flux_maxabs_flat(mesh.layout(grid, k - 1, True), self.jb(t)))
         if self.je is not None and k >= 3:
-            worst = max(worst, mesh.normal_flux_maxabs(mesh.hodge_sigma(self.je(t), t, metric)))
-        # charge continuity (present only when the divergence constraint is)
-        if k >= 2:
-            curl = mesh.d_sigma(mesh.multiply_scalar(mesh.hodge_sigma(jb, t, metric), metric.beta, t))
-            res = float(system.source_sign(n, k)) * curl
-            if self.je_rate is not None:
-                rate = mesh.multiply_scalar(
-                    self.je_rate(t), lambda tt, *x: 1.0 / metric.beta(tt, *x), t
-                )
-                res = res - float((-1) ** (n - k)) * rate
-            worst = max(worst, _maxabs(res))
-        # flux continuity: d zb = 0 spatially and d(*ze) matches zb's rate
+            star = mesh.hodge_flat(mesh.layout(grid, n + 1 - k, False), self.je(t), metric.conf(t))
+            worst = max(worst, mesh.flux_maxabs_flat(mesh.layout(grid, k - 2, True), star))
         if self.zb is not None:
-            zb = self.zb(t)
-            if k + 2 <= self.grid.dim:
-                worst = max(worst, _maxabs(mesh.d_sigma(zb)))
-            worst = max(worst, mesh.normal_flux_maxabs(zb))
-        if k <= n - 2:
-            curl = (
-                mesh.d_sigma(mesh.hodge_sigma(self.ze(t), t, metric))
-                if self.ze is not None
-                else mesh.zero_cochain(self.grid, k + 1, True)
-            )
-            res = curl
-            if self.zb_rate is not None:
-                res = res - self.zb_rate(t)
-            worst = max(worst, _maxabs(res))
+            worst = max(worst, mesh.flux_maxabs_flat(mesh.layout(grid, k + 1, True), self.zb(t)))
+        # ze has no tangential trace
         if self.ze is not None:
-            ze = self.ze(t)
-            for face in mesh.faces(self.grid):
-                worst = max(worst, _maxabs(mesh.trace_pullback(ze, face)))
+            ze = mesh.layout(grid, n - 1 - k, False).cochain(self.ze(t))
+            for face in mesh.faces(grid):
+                worst = max(worst, _maxabs(mesh.flatten(mesh.trace_pullback(ze, face))))
         return worst
-
-    def data(self) -> system.SourceData:
-        return system.SourceData(
-            grid=self.grid,
-            k=self.k,
-            window=self.window,
-            je=self.je,
-            jb=self.jb,
-            ze=self.ze,
-            zb=self.zb,
-        )
 
 
 def _as_source_data(src, grid) -> system.SourceData:
-    if isinstance(src, system.SourceData):
-        data = src
-    elif isinstance(src, (SourcePair, SourceHistory)):
-        data = src.data()
-    else:
+    data = src.data() if isinstance(src, SourceHistory) else src
+    if not isinstance(data, system.SourceData):
         raise TypeError(f"unsupported source object {type(src).__name__}")
     if not data.grid.compatible(grid):
         raise ValueError("source declared on a different grid")
@@ -427,10 +378,7 @@ def _integrate(grid, k, metric, data, t_start, n_steps, dt, state0=None) -> Hist
     if max(grid.cells_per_axis) > MAX_HISTORY_CELLS:
         raise ValueError(f"grid exceeds the {MAX_HISTORY_CELLS}-cell history budget")
     t_end = t_start + n_steps * dt
-    span = (min(t_start, t_end), max(t_start, t_end))
-    limit = evolution.stable_dt(grid, metric, evolution.MAX_CFL, span)
-    if abs(dt) > limit * (1 + 1e-12):
-        raise ValueError(f"cfl violation: dt={abs(dt)!r} exceeds {limit!r}")
+    evolution.require_stable_dt(grid, metric, dt, (min(t_start, t_end), max(t_start, t_end)))
     gen = evolution.Generator(grid, k, metric, data, "project_B", t_start)
     nw = gen.nw
     y = gen.project(np.zeros(nw + gen.lb.size) if state0 is None else gen.rows(state0))
@@ -614,8 +562,8 @@ def sample_sources(data: system.SourceData, times: np.ndarray, tag_window=None) 
 
 
 def _family_rows(fn, times: np.ndarray):
-    """Flat rows of a ``t -> Cochain`` family at the given times (None when absent)."""
-    return None if fn is None else np.stack([mesh.flatten(fn(float(t))) for t in times])
+    """The rows of a source family at the given times, stacked (None when absent)."""
+    return None if fn is None else np.stack([fn(float(t)) for t in times])
 
 
 # ---------------------------------------------------------------------------
@@ -752,10 +700,11 @@ def random_source_pair(
             jb_h = _constant_cochain(grid, k - 1, True, rng.uniform(0.3, 1.0, size=4))
             weighted = mesh.multiply_scalar(mesh.hodge_sigma(jb_h, 0.0, metric), metric.beta, 0.0)
             if weighted.degree < grid.dim:
-                leak = mesh.d_sigma(weighted)
-                if _maxabs(leak) > SOURCE_COMPAT_TOL * (1.0 + _maxabs(jb_h)):
+                leak = mesh.flatten(mesh.d_sigma(weighted))
+                if _maxabs(leak) > SOURCE_COMPAT_TOL * (1.0 + _maxabs(mesh.flatten(jb_h))):
                     raise ValueError("harmonic magnetic current requires a spatially uniform lapse")
             jb0 = jb0 + jb_h
+        jb0 = mesh.flatten(jb0)
         if k >= 2:
             # charged piece: (-1)^(n-k) d/dt(je/beta) balances d(beta*hodge(jb))
             jb1 = interior_potential(k - 1, True)
@@ -763,7 +712,8 @@ def random_source_pair(
                 mesh.multiply_scalar(mesh.hodge_sigma(jb1, 0.0, metric), metric.beta, 0.0)
             )
             sgn = float((-1) ** (n - k) * system.source_sign(n, k))
-            je0 = sgn * mesh.multiply_scalar(curl, metric.beta, 0.0)
+            je0 = mesh.flatten(sgn * mesh.multiply_scalar(curl, metric.beta, 0.0))
+            jb1 = mesh.flatten(jb1)
             kw["je"] = lambda t: float(q.value(t)) * je0
             kw["je_rate"] = lambda t: float(q.rate(t)) * je0
             kw["jb"] = lambda t: float(p.value(t)) * jb0 + float(q.rate(t)) * jb1
@@ -771,16 +721,16 @@ def random_source_pair(
             kw["jb"] = lambda t: float(p.value(t)) * jb0
     if with_zeta:
         pot = interior_potential(k, True)
-        inv = mesh.hodge_inverse_sigma(pot, 0.0, metric)
+        inv = mesh.flatten(mesh.hodge_inverse_sigma(pot, 0.0, metric))
         if with_harmonic:
-            ze_h = mesh.hodge_inverse_sigma(
+            ze_h = mesh.flatten(mesh.hodge_inverse_sigma(
                 _constant_cochain(grid, k, True, rng.uniform(0.3, 1.0, size=4)), 0.0, metric
-            )
+            ))
             kw["ze"] = lambda t: float(p.rate(t)) * inv + float(p.value(t)) * ze_h
         else:
             kw["ze"] = lambda t: float(p.rate(t)) * inv
         if k <= n - 2:
-            dpot = mesh.d_sigma(pot)
+            dpot = mesh.flatten(mesh.d_sigma(pot))
             kw["zb"] = lambda t: float(p.value(t)) * dpot
             kw["zb_rate"] = lambda t: float(p.rate(t)) * dpot
     return SourcePair(grid=grid, k=k, window=window, metric=metric, **kw)
@@ -985,7 +935,7 @@ def exact_sequence_suite(
         pair = random_source_pair(grid, k, metric, window, rng)
         h = causal(pair, grid, metric, t_start=t0, t_final=float(times[-1]))
         resid = apply_operator(h, metric)
-        src_norm = sample_sources(pair.data(), h.times).norm(metric)
+        src_norm = sample_sources(pair, h.times).norm(metric)
         out["defect_b"].append(resid.norm(metric) / src_norm)
 
         sol = solution_history(grid, k, metric, steps, seed=int(rng.integers(2**31)))
@@ -1007,20 +957,20 @@ def exact_sequence_suite(
 # pre-symplectic pairings
 
 
-def _as_bundle(f) -> dict:
-    if isinstance(f, History):
+def _by_degree(f) -> dict:
+    """A {degree: item} bundle from one History or source, a sequence of them, or a dict."""
+    if isinstance(f, (History, system.SourceData)):
         return {f.k: f}
     if isinstance(f, dict):
-        items = list(f.items())
-        for key, h in items:
-            if key != h.k:
-                raise ValueError(f"bundle key {key} does not match history degree {h.k}")
-        return dict(items)
+        for key, item in f.items():
+            if key != item.k:
+                raise ValueError(f"bundle key {key} does not match the degree {item.k} of its entry")
+        return dict(f)
     out = {}
-    for h in f:
-        if h.k in out:
-            raise ValueError("duplicate degree in the solution bundle")
-        out[h.k] = h
+    for item in f:
+        if item.k in out:
+            raise ValueError(f"duplicate degree {item.k} in the bundle")
+        out[item.k] = item
     return out
 
 
@@ -1031,7 +981,7 @@ def _bundle_times(bundle: dict, grid) -> np.ndarray:
             raise ValueError("histories on mismatched grids")
         if times is None:
             times = h.times
-        elif len(times) != len(h.times) or not np.allclose(times, h.times, rtol=1e-12):
+        elif not _same_times(times, h.times):
             raise ValueError("histories on mismatched time samples")
     if times is None:
         raise ValueError("empty solution bundle")
@@ -1084,10 +1034,9 @@ def presymplectic(f1, f2, chi: CutoffProfile, grid: mesh.GridSpec, metric: mesh.
     Returns:
         The pairing value (skew-symmetric in the two bundles).
     """
-    b1, b2 = _as_bundle(f1), _as_bundle(f2)
+    b1, b2 = _by_degree(f1), _by_degree(f2)
     times = _bundle_times(b1, grid)
-    times2 = _bundle_times(b2, grid)
-    if len(times) != len(times2) or not np.allclose(times, times2, rtol=1e-12):
+    if not _same_times(times, _bundle_times(b2, grid)):
         raise ValueError("histories on mismatched time samples")
     lo, hi = chi.t_c - chi.width / 2.0, chi.t_c + chi.width / 2.0
     if lo < times[0] - 1e-9 or hi > times[-1] + 1e-9:
@@ -1117,22 +1066,6 @@ def _pair_against_history(data: system.SourceData, h: History, metric, kind: str
     return float(np.trapezoid(vals, h.times))
 
 
-def _as_source_bundle(src) -> dict:
-    if isinstance(src, SourcePair):
-        return {src.k: src}
-    if isinstance(src, dict):
-        for key, pair in src.items():
-            if key != pair.k:
-                raise ValueError(f"bundle key {key} does not match source degree {pair.k}")
-        return dict(src)
-    out = {}
-    for pair in src:
-        if pair.k in out:
-            raise ValueError("duplicate degree in the source bundle")
-        out[pair.k] = pair
-    return out
-
-
 def presymplectic_source_form(src1, src2, grid: mesh.GridSpec, metric: mesh.MetricField, t_final=None) -> float:
     """Source-side pre-symplectic form: pair src1 against causal(src2).
 
@@ -1142,7 +1075,7 @@ def presymplectic_source_form(src1, src2, grid: mesh.GridSpec, metric: mesh.Metr
     second bundle.  Agrees with :func:`presymplectic` applied to the two
     causal solution bundles up to discretization error.
     """
-    b1, b2 = _as_source_bundle(src1), _as_source_bundle(src2)
+    b1, b2 = _by_degree(src1), _by_degree(src2)
     dt = grid.dt
     if t_final is None:
         hi = max(pair.window[1] for pair in list(b1.values()) + list(b2.values()))
@@ -1150,11 +1083,10 @@ def presymplectic_source_form(src1, src2, grid: mesh.GridSpec, metric: mesh.Metr
     sols = {k: causal(pair, grid, metric, t_final=t_final) for k, pair in b2.items()}
     total = 0.0
     for k, pair in b1.items():
-        data = pair.data()
         if k - 1 in sols:
-            total += _pair_against_history(data, sols[k - 1], metric, "alpha")
+            total += _pair_against_history(pair, sols[k - 1], metric, "alpha")
         if k + 1 in sols:
-            total += _pair_against_history(data, sols[k + 1], metric, "zeta")
+            total += _pair_against_history(pair, sols[k + 1], metric, "zeta")
     return float(total)
 
 
@@ -1187,7 +1119,7 @@ def _restrict_to(h: History, times: np.ndarray) -> History:
     """The history restricted to a contiguous sub-range of its times."""
     i0 = int(np.searchsorted(h.times, times[0] - 0.5 * h.dt))
     i1 = i0 + len(times)
-    if i1 > len(h.times) or not np.allclose(h.times[i0:i1], times, rtol=1e-12):
+    if i1 > len(h.times) or not _same_times(h.times[i0:i1], times):
         raise ValueError("history does not cover the requested time samples")
     return h.restrict(i0, i1)
 
@@ -1226,7 +1158,7 @@ def degeneracy_forward_check(
         ValueError: when the differentiated field fails the solution
             tolerance.
     """
-    a_bundle = _as_bundle(a_potential)
+    a_bundle = _by_degree(a_potential)
     f_bundle = {}
     for j, a in a_bundle.items():
         f = history_differential(a, metric)
@@ -1247,7 +1179,7 @@ def degeneracy_forward_check(
         chi = CutoffProfile(float(0.5 * (times[0] + times[-1])), DEFAULT_WIDTH_STEPS * grid.dt)
     values, rels = [], []
     for probe in probes:
-        p_bundle = {k: _restrict_to(p, times) for k, p in _as_bundle(probe).items()}
+        p_bundle = {k: _restrict_to(p, times) for k, p in _by_degree(probe).items()}
         value = presymplectic(p_bundle, f_bundle, chi, grid, metric)
         p_norm = math.sqrt(sum(p.norm(metric) ** 2 for p in p_bundle.values()))
         scale = p_norm * f_norm

@@ -31,7 +31,7 @@ class ManufacturedField:
     """A closed-form state family with sources derived from the equations.
 
     Component callables take ``(t, *coords)`` and broadcast over numpy
-    arrays; source families evaluate to cochains on demand.
+    arrays; source families evaluate to flat rows on demand.
     """
 
     n: int
@@ -66,20 +66,20 @@ class ManufacturedField:
     def sources(self, grid: mesh.GridSpec) -> system.SourceData:
         self._check(grid)
         n, k = self.n, self.k
-        je = None
-        if self.je_fns is not None:
-            je = lambda t: mesh.sample_cochain(grid, n + 1 - k, False, self.je_fns, t)
-        zb = None
-        if self.zb_fns is not None:
-            zb = lambda t: mesh.sample_cochain(grid, k + 1, True, self.zb_fns, t)
+
+        def family(degree, dual, fns):
+            if fns is None:
+                return None
+            return lambda t: mesh.flatten(mesh.sample_cochain(grid, degree, dual, fns, t))
+
         return system.SourceData(
             grid=grid,
             k=k,
             window=(-np.inf, np.inf),
-            je=je,
-            jb=lambda t: mesh.sample_cochain(grid, k - 1, True, self.jb_fns, t),
-            ze=lambda t: mesh.sample_cochain(grid, n - 1 - k, False, self.ze_fns, t),
-            zb=zb,
+            je=family(n + 1 - k, False, self.je_fns),
+            jb=family(k - 1, True, self.jb_fns),
+            ze=family(n - 1 - k, False, self.ze_fns),
+            zb=family(k + 1, True, self.zb_fns),
         )
 
 

@@ -533,6 +533,11 @@ def pair_flat(lay: Layout, a: np.ndarray, b: np.ndarray, conf, weight=None):
     return total
 
 
+def norm_flat(lay: Layout, x: np.ndarray, conf) -> float:
+    """Slice L2 norm of one flat row in ``lay``, induced by :func:`pair_flat`."""
+    return float(np.sqrt(max(float(pair_flat(lay, x, x, conf)), 0.0)))
+
+
 def _normal_faces(lay: Layout, x: np.ndarray):
     """Face-node views of the normal-leg components of dual-family rows."""
     if not lay.dual:
@@ -623,7 +628,7 @@ def pair_sigma(a: Cochain, b: Cochain, t: float, metric: MetricField, weight=Non
 
 def norm_sigma(c: Cochain, t: float, metric: MetricField) -> float:
     """Slice L2 norm induced by pair_sigma."""
-    return float(np.sqrt(max(pair_sigma(c, c, t, metric), 0.0)))
+    return norm_flat(layout(c.grid, c.degree, c.dual), flatten(c), metric.conf(t))
 
 
 def _face_slice(arr: np.ndarray, axis: int, side: int) -> np.ndarray:

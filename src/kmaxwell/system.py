@@ -7,6 +7,8 @@ fb (degree k, dual family).  This module provides:
 * the split/assemble bijection between the spacetime pair and the state;
 * the split evolution operator and its source right-hand side, with the
   dimension-dependent sign exponents;
+* the continuity residuals of a source family (the identities a source
+  pair must satisfy for the Cauchy problem to be well posed);
 * the interior and boundary constraint residuals;
 * the principal symbol with its symmetry/positivity structure, and the full
   boundary admissibility audit of the flux-free subbundle;
@@ -17,6 +19,11 @@ Sign exponents used throughout (n spacetime dimension, k field degree):
 ``eps_sign = (-1)^((n-k+1)(k+1)+1)`` on the magnetic curl in the electric
 evolution slot, and ``source_sign = (-1)^((n-k)(k+1))`` on the magnetic
 current.
+
+Source families are flat rows: a family is a callable ``t -> ndarray`` whose
+value is one float64 vector in ``mesh.layout(grid, degree, dual)`` order
+(the order of ``mesh.flatten``), and :func:`rhs_sources` and
+:func:`continuity_residuals` return rows in the same order.
 """
 
 from __future__ import annotations
@@ -95,16 +102,19 @@ def random_state(grid: mesh.GridSpec, k: int, rng: np.random.Generator, t: float
 class SourceData:
     """Time-dependent source families for the split system.
 
-    Each family is a callable ``t -> Cochain`` (or None when the degree falls
-    outside the slice complex, or the source vanishes identically):
+    Each family is a callable ``t -> ndarray`` returning one flat row in
+    ``mesh.layout`` order (or None when the degree falls outside the slice
+    complex, or the source vanishes identically):
 
     * ``je``: electric current, primal degree n+1-k (None when k = 1);
     * ``jb``: magnetic current, dual degree k-1;
     * ``ze``: electric defect, primal degree n-1-k;
     * ``zb``: magnetic defect, dual degree k+1 (None when k = n-1).
 
-    ``window`` is the declared temporal support [t_a, t_b]; outside it every
-    family must evaluate to zero.
+    ``je_rate`` and ``zb_rate`` are the optional analytic time derivatives of
+    ``je`` and ``zb`` (rows of the same layouts); :func:`continuity_residuals`
+    uses them in place of a finite difference.  ``window`` is the declared
+    temporal support [t_a, t_b]; outside it every family must evaluate to zero.
     """
 
     grid: mesh.GridSpec
@@ -114,16 +124,12 @@ class SourceData:
     jb: Callable | None = None
     ze: Callable | None = None
     zb: Callable | None = None
+    je_rate: Callable | None = None
+    zb_rate: Callable | None = None
 
 
 def zero_sources(grid: mesh.GridSpec, k: int) -> SourceData:
     return SourceData(grid=grid, k=k, window=(0.0, 0.0))
-
-
-def _eval_family(fn, t, grid, degree, dual) -> mesh.Cochain:
-    if fn is None:
-        return mesh.zero_cochain(grid, degree, dual)
-    return fn(t)
 
 
 def split(dt_part: mesh.Cochain, spatial_part: mesh.Cochain, t: float, metric: mesh.MetricField) -> FieldState:
@@ -200,14 +206,70 @@ def apply_S(s: FieldState, metric: mesh.MetricField, s_dot: FieldState) -> tuple
     return slot_e, slot_b
 
 
-def rhs_sources(src: SourceData, t: float, metric: mesh.MetricField) -> tuple[mesh.Cochain, mesh.Cochain]:
-    """Source side of the split system: (sign * hodge(jb), hodge(ze))."""
-    n, k = src.grid.n, src.k
-    jb = _eval_family(src.jb, t, src.grid, k - 1, True)
-    ze = _eval_family(src.ze, t, src.grid, n - 1 - k, False)
-    slot_e = source_sign(n, k) * mesh.hodge_sigma(jb, t, metric)
-    slot_b = mesh.hodge_sigma(ze, t, metric)
+def rhs_sources(src: SourceData, t: float, metric: mesh.MetricField):
+    """Source side of the split system as rows: (sign * hodge(jb), hodge(ze)).
+
+    Either slot is None when its family is absent.
+    """
+    n, k, conf = src.grid.n, src.k, metric.conf(t)
+    slot_e = slot_b = None
+    if src.jb is not None:
+        slot_e = mesh.hodge_flat(mesh.layout(src.grid, k - 1, True), src.jb(t), conf, source_sign(n, k))
+    if src.ze is not None:
+        slot_b = mesh.hodge_flat(mesh.layout(src.grid, n - 1 - k, False), src.ze(t), conf)
     return slot_e, slot_b
+
+
+def _source_rate(fn, t: float, delta: float = 1e-5):
+    """Centred finite-difference rate of a row family without an analytic rate."""
+    return (fn(t + delta) - fn(t - delta)) * (0.5 / delta)
+
+
+def continuity_residuals(src: SourceData, metric: mesh.MetricField, t: float) -> dict:
+    """Continuity residual rows of the split sources at time t.
+
+    The current pair satisfies ``(-1)^(n-k) d/dt (je/beta) = s * d(beta * hodge jb)``
+    (the identity that transports the electric constraint), and the flux pair
+    satisfies ``d/dt zb = d(hodge ze)`` together with ``d zb = 0``.  The time
+    derivatives use ``je_rate``/``zb_rate`` (and ``metric.beta_dt``) when
+    present, a centred finite difference otherwise.
+
+    Returns:
+        dict with the rows ``charge`` (primal, degree n+1-k), ``flux`` (dual,
+        degree k+1) and ``flux_closed`` (dual, degree k+2); an entry is None
+        where its identity has no degree to live in or, for ``flux_closed``,
+        no ``zb`` family.
+    """
+    grid, k, n = src.grid, src.k, src.grid.n
+    conf = metric.conf(t)
+    out = {"charge": None, "flux": None, "flux_closed": None}
+    if k >= 2:
+        lay_j, lay_h = mesh.layout(grid, k - 1, True), mesh.layout(grid, n - k, False)
+        jb = src.jb(t) if src.jb is not None else np.zeros(lay_j.size)
+        weighted = mesh.hodge_flat(lay_j, jb, conf) * mesh.sample_flat(lay_h, metric.beta, t)
+        charge = mesh.d_flat(lay_h, weighted) * float(-source_sign(n, k))
+        if src.je is not None:
+            lay_e = mesh.layout(grid, n + 1 - k, False)
+            inv_beta = 1.0 / mesh.sample_flat(lay_e, metric.beta, t)
+            if src.je_rate is None:
+                rate = _source_rate(lambda tt: src.je(tt) / mesh.sample_flat(lay_e, metric.beta, tt), t)
+            else:
+                rate = src.je_rate(t) * inv_beta
+                if metric.beta_dt is not None:
+                    rate = rate - src.je(t) * mesh.sample_flat(lay_e, metric.beta_dt, t) * inv_beta**2
+            charge = rate * float((-1) ** (n - k)) + charge
+        out["charge"] = charge
+    if k <= n - 2:
+        lay_z = mesh.layout(grid, n - 1 - k, False)
+        ze = src.ze(t) if src.ze is not None else np.zeros(lay_z.size)
+        flux = -mesh.d_flat(mesh.layout(grid, k, True), mesh.hodge_flat(lay_z, ze, conf))
+        if src.zb is not None:
+            rate = src.zb_rate(t) if src.zb_rate is not None else _source_rate(src.zb, t)
+            flux = rate + flux
+            if k + 2 <= grid.dim:
+                out["flux_closed"] = mesh.d_flat(mesh.layout(grid, k + 1, True), src.zb(t))
+        out["flux"] = flux
+    return out
 
 
 def constraint_residuals(s: FieldState, src: SourceData, metric: mesh.MetricField):
@@ -226,14 +288,16 @@ def constraint_residuals(s: FieldState, src: SourceData, metric: mesh.MetricFiel
     m = s.grid.dim
     r_e = None
     if s.fe.degree < m:
-        je = _eval_family(src.je, t, s.grid, n + 1 - k, False)
-        r_e = mesh.d_sigma(mesh.multiply_scalar(s.fe, _beta_inv(metric), t)) - (
-            (-1) ** (n - k)
-        ) * mesh.multiply_scalar(je, _beta_inv(metric), t)
+        r_e = mesh.d_sigma(mesh.multiply_scalar(s.fe, _beta_inv(metric), t))
+        if src.je is not None:
+            lay_e = mesh.layout(s.grid, n + 1 - k, False)
+            je = lay_e.cochain(src.je(t) * mesh.sample_flat(lay_e, _beta_inv(metric), t))
+            r_e = r_e - ((-1) ** (n - k)) * je
     r_b = None
     if s.fb.degree < m:
-        zb = _eval_family(src.zb, t, s.grid, k + 1, True)
-        r_b = mesh.d_sigma(s.fb) - zb
+        r_b = mesh.d_sigma(s.fb)
+        if src.zb is not None:
+            r_b = r_b - mesh.layout(s.grid, k + 1, True).cochain(src.zb(t))
     r_bdy = None
     if s.fe.degree <= m - 1:
         r_bdy = {face: mesh.trace_pullback(s.fe, face) for face in mesh.faces(s.grid)}
@@ -565,12 +629,11 @@ def split_system_residuals(
         0.0), plus ``bdy`` (largest face-trace norm, 0.0 without faces).
     """
     t = s.t
-    slot_e, slot_b = apply_S(s, metric, s_dot)
-    rhs_e, rhs_b = rhs_sources(src, t, metric)
-    out = {
-        "evo_e": mesh.norm_sigma(slot_e - rhs_e, t, metric),
-        "evo_b": mesh.norm_sigma(slot_b - rhs_b, t, metric),
-    }
+    out = {}
+    for key, slot, rhs in zip(("evo_e", "evo_b"), apply_S(s, metric, s_dot), rhs_sources(src, t, metric)):
+        if rhs is not None:
+            slot = slot - mesh.layout(slot.grid, slot.degree, slot.dual).cochain(rhs)
+        out[key] = mesh.norm_sigma(slot, t, metric)
     r_e, r_b, r_bdy = constraint_residuals(s, src, metric)
     out["div_e"] = mesh.norm_sigma(r_e, t, metric) if r_e is not None else 0.0
     out["div_b"] = mesh.norm_sigma(r_b, t, metric) if r_b is not None else 0.0

@@ -148,6 +148,23 @@ class TestParseConfig:
             cli.parse_config(write_config(tmp_path, "experiment = symplectic_suite\nn = 2\nk = 1\n"))
         assert any("symplectic_suite requires n >= 3" in e for e in err.value.errors)
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize(
+        "text,fragment",
+        [
+            ("experiment = green_suite\ncells = 80\n", "cells must not exceed 64"),
+            ("experiment = symplectic_suite\nsteps = 600\n", "steps must not exceed 512"),
+        ],
+    )
+    def test_history_budget_is_a_config_error(self, tmp_path, capsys, command, text, fragment):
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        args = [command, "--config", cfg] + (["--out", out] if command == "run" else [])
+        code, printed = run_cli(args, capsys)
+        assert code == 2
+        assert f"config error: {text.split()[2]} keeps dense histories: {fragment}" in printed
+        assert not out.exists()
+
 
 class TestBuilders:
     def test_grid_from_config(self, tmp_path):

@@ -405,7 +405,7 @@ class TestValidateProblem:
             grid=grid,
             k=2,
             window=(0.0, 0.5),
-            jb=lambda t: mesh.zero_cochain(grid, 1, True),
+            jb=lambda t: np.zeros(mesh.cochain_size(grid, 1, True)),
         )
         report = evolution.validate_problem(s0, src, grid, met)
         assert "source_window" in {c.name for c in report.failures()}
@@ -424,7 +424,7 @@ class TestValidateProblem:
             grid=grid,
             k=2,
             window=(0.2, 0.4),
-            jb=lambda t: jb_unit,
+            jb=lambda t: mesh.flatten(jb_unit),
         )
         report = evolution.validate_problem(s0, src, grid, met)
         charge = next(c for c in report.checks if c.name == "continuity_charge")

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from kmaxwell import green, manufactured, mesh, system
+from kmaxwell import evolution, green, manufactured, mesh, system
+from kmaxwell.tolerances import CONTINUITY_TOL
 
 DT = 0.005
 FINE_DT = 0.0025
@@ -30,6 +31,7 @@ VARSIGMA_TORUS = 1.884313544e-2
 FALSIFICATION_MAX = 2.789996494794e-2
 
 METRIC = mesh.unit_metric()
+TILTED = mesh.MetricField(beta=lambda t, *x: 1.0 + 0.2 * x[0] * x[1])
 
 
 def box_grid(cells=16, dt=DT):
@@ -207,10 +209,10 @@ class TestHistory:
 class TestSourcePair:
     def test_rate_callables_required(self):
         g = box_grid()
-        je = lambda t: mesh.zero_cochain(g, 2, False)
+        je = lambda t: np.zeros(mesh.cochain_size(g, 2, False))
         with pytest.raises(ValueError, match="je_rate"):
             green.SourcePair(grid=g, k=2, window=(0.1, 0.4), je=je, metric=METRIC)
-        zb = lambda t: mesh.zero_cochain(g, 2, True)
+        zb = lambda t: np.zeros(mesh.cochain_size(g, 2, True))
         with pytest.raises(ValueError, match="zb_rate"):
             green.SourcePair(grid=g, k=1, window=(0.1, 0.4), zb=zb, metric=METRIC)
 
@@ -226,7 +228,30 @@ class TestSourcePair:
         for s in jb0.comps:
             jb0.comps[s] = mesh.sample_scalar(g, s, True, prof, 0.0) * mesh.cell_measure(g, s)
         with pytest.raises(ValueError, match="admissibility"):
-            green.SourcePair(grid=g, k=2, window=(0.1, 0.4), jb=lambda t: jb0, metric=METRIC)
+            green.SourcePair(grid=g, k=2, window=(0.1, 0.4), jb=lambda t: mesh.flatten(jb0), metric=METRIC)
+
+    @pytest.mark.parametrize("metric", [METRIC, TILTED], ids=["unit", "tilted"])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_continuity_residuals_of_random_pairs(self, k, metric):
+        # on the ramps the analytic rates leave roundoff only; a finite
+        # difference of the window profiles misses CONTINUITY_TOL there
+        g = box_grid()
+        pair = green.random_source_pair(g, k, metric, (0.1, 0.4), np.random.default_rng(k))
+        spaces = {"charge": (4 - k, False), "flux": (k + 1, True), "flux_closed": (k + 2, True)}
+        for t in (0.15, 0.2, 0.35):
+            rows = system.continuity_residuals(pair, metric, t)
+            present = {name for name, row in rows.items() if row is not None}
+            assert present == ({"flux"} if k == 1 else {"charge"})
+            for name in present:
+                norm = mesh.norm_flat(mesh.layout(g, *spaces[name]), rows[name], metric.conf(t))
+                assert norm <= CONTINUITY_TOL, (name, t, norm)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_random_pair_passes_validation(self, k):
+        g = box_grid()
+        pair = green.random_source_pair(g, k, TILTED, (0.1, 0.4), np.random.default_rng(k))
+        report = evolution.validate_problem(system.zero_state(g, k), pair, g, TILTED)
+        assert report.passed, [c.to_dict() for c in report.failures()]
 
     def test_random_pair_legs_by_degree(self):
         g = box_grid()

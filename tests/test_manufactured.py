@@ -86,9 +86,9 @@ class TestTrigFamily:
         assert (src.je is None) == je_none
         assert (src.zb is None) == zb_none
         jb = src.jb(0.2)
-        assert jb.degree == k - 1 and jb.dual
+        assert jb.shape == (mesh.cochain_size(grid, k - 1, True),)
         ze = src.ze(0.2)
-        assert ze.degree == 3 - 1 - k and not ze.dual
+        assert ze.shape == (mesh.cochain_size(grid, 3 - 1 - k, False),)
         assert src.window == (-np.inf, np.inf)
 
     def test_rejects_unsupported_degree(self):

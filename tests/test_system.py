@@ -172,8 +172,7 @@ class TestRhsSources:
         g = box_grid((4, 4))
         src = system.zero_sources(g, 1)
         slot_e, slot_b = system.rhs_sources(src, 0.0, mesh.unit_metric())
-        assert mesh.max_pointwise(slot_e) == 0.0
-        assert mesh.max_pointwise(slot_b) == 0.0
+        assert slot_e is None and slot_b is None
 
     def test_unit_magnetic_current_bump(self):
         # n=3, k=2: a single unit degree of freedom of jb on the extent-(0,)
@@ -182,13 +181,38 @@ class TestRhsSources:
         g = box_grid((4, 5), lengths=(1.2, 1.0))
         jb = mesh.zero_cochain(g, 1, True)
         jb.comps[(0,)][2, 1] = 1.0
-        src = system.SourceData(grid=g, k=2, window=(0.0, 1.0), jb=lambda t: jb)
+        src = system.SourceData(grid=g, k=2, window=(0.0, 1.0), jb=lambda t: mesh.flatten(jb))
         slot_e, slot_b = system.rhs_sources(src, 0.0, mesh.unit_metric())
+        slot_e = mesh.layout(g, 1, False).cochain(slot_e)
         expected = np.zeros((5, 5))
         expected[2, 1] = -(0.2 / 0.3)
         np.testing.assert_allclose(slot_e.comps[(1,)], expected, rtol=1e-15)
         np.testing.assert_array_equal(slot_e.comps[(0,)], 0.0)
-        assert mesh.max_pointwise(slot_b) == 0.0
+        assert slot_b is None
+
+
+class TestContinuityResiduals:
+    def test_charge_rate_includes_the_lapse_rate(self):
+        # je = sin(t) * beta * c: the analytic rate, with its -je*beta_dt/beta^2
+        # term, must match a finite difference of je/beta
+        g = box_grid((6, 5), lengths=(1.0, 1.0))
+        metric = mesh.MetricField(
+            beta=lambda t, *x: 1.0 + 0.3 * t * x[0], beta_dt=lambda t, *x: 0.3 * x[0]
+        )
+        lay = mesh.layout(g, 2, False)
+        c = np.random.default_rng(RNG_SEED).standard_normal(lay.size)
+        je = lambda t: np.sin(t) * mesh.sample_flat(lay, metric.beta, t) * c
+        je_rate = lambda t: (
+            np.cos(t) * mesh.sample_flat(lay, metric.beta, t) + np.sin(t) * mesh.sample_flat(lay, metric.beta_dt, t)
+        ) * c
+        exact = system.SourceData(grid=g, k=2, window=(0.0, 1.0), je=je, je_rate=je_rate)
+        sampled = system.SourceData(grid=g, k=2, window=(0.0, 1.0), je=je)
+        for t in (0.3, 0.7):
+            want = system.continuity_residuals(sampled, metric, t)["charge"]
+            got = system.continuity_residuals(exact, metric, t)["charge"]
+            # (-1)^(n-k) d/dt(je/beta) with n = 3, k = 2, and no jb
+            np.testing.assert_allclose(got, -np.cos(t) * c, rtol=1e-12)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-8)
 
 
 class TestConstraintResiduals:
@@ -247,7 +271,7 @@ class TestConstraintResiduals:
         n, k = 4, 3
         je_val = ((-1) ** (n - k)) * mesh.d_sigma(fe)
         s = system.FieldState(0.0, fe, mesh.zero_cochain(g, 3, True), k)
-        src = system.SourceData(grid=g, k=k, window=(0.0, 1.0), je=lambda t: je_val)
+        src = system.SourceData(grid=g, k=k, window=(0.0, 1.0), je=lambda t: mesh.flatten(je_val))
         r_e, _, _ = system.constraint_residuals(s, src, mesh.unit_metric())
         assert mesh.max_pointwise(r_e) < 1e-13
 
