@@ -183,15 +183,15 @@ def parse_config(path) -> RunConfig:
     if "experiment" not in raw and not errors:
         errors.append(f"experiment is required; expected one of {', '.join(EXPERIMENTS)}")
     cfg = RunConfig(experiment=raw.pop("experiment", "identities"), **raw)
-    errors.extend(_validate(cfg))
-    if errors:
-        raise ConfigError(errors)
     if cfg.dt is None:
         cfg.dt = DEFAULT_DT.get(cfg.experiment, 0.005)
     if cfg.steps is None:
         cfg.steps = DEFAULT_STEPS.get(cfg.experiment, 120)
     if cfg.trials is None:
         cfg.trials = DEFAULT_TRIALS.get(cfg.experiment, 3)
+    errors.extend(_validate(cfg))
+    if errors:
+        raise ConfigError(errors)
     return cfg
 
 
@@ -241,6 +241,16 @@ def _validate(cfg: RunConfig) -> list[str]:
         errors.append(f"green_suite requires 2 <= k <= {cfg.n - 1}")
     if cfg.experiment == "symplectic_suite" and cfg.n == 2:
         errors.append("symplectic_suite requires n >= 3 so bundles span coupled degrees")
+    if cfg.experiment in ("evolve", "green_suite", "symplectic_suite") and not errors:
+        # the grid, and the Courant guard of green._integrate for the history
+        # marches, checked before any work starts
+        try:
+            grid = build_grid(cfg)
+            if cfg.experiment != "evolve":
+                span = (grid.t0, grid.t0 + cfg.steps * cfg.dt)
+                evolution.require_stable_dt(grid, build_metric(cfg), cfg.dt, span)
+        except ValueError as err:
+            errors.append(f"{cfg.experiment}: {err}")
     return errors
 
 

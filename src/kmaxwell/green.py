@@ -7,7 +7,7 @@ D; their difference maps source pairs onto homogeneous solutions.  Dense
 snapshot histories feed the right-inverse and exact-sequence defect suites
 and a pre-symplectic pairing evaluated through a smooth time cutoff.
 
-Histories are time-major float64 arrays of flattened cochains at uniformly
+Histories are time-major float64 arrays of cochain vectors at uniformly
 spaced slice times.  Since the pairing structure couples a degree-k history
 only with histories of degrees k-1 and k+1, the multi-degree phase space is
 realized as bundles: plain dicts (or sequences) of single-degree histories.
@@ -178,15 +178,6 @@ class History:
             raise ValueError("a history needs at least two slices")
         self.dt = _uniform_spacing(self.times)
 
-    def state(self, i: int) -> system.FieldState:
-        n = self.grid.n
-        return system.FieldState(
-            float(self.times[i]),
-            mesh.unflatten(self.grid, n - self.k, False, self.fe[i]),
-            mesh.unflatten(self.grid, self.k, True, self.fb[i]),
-            self.k,
-        )
-
     def maxabs(self) -> float:
         fe = float(np.max(np.abs(self.fe))) if self.fe.size else 0.0
         fb = float(np.max(np.abs(self.fb))) if self.fb.size else 0.0
@@ -327,7 +318,7 @@ class SourcePair(system.SourceData):
             raise ValueError("je_rate is required to certify charge continuity")
         if self.zb is not None and self.zb_rate is None:
             raise ValueError("zb_rate is required to certify flux continuity")
-        for frac in (0.25, 0.5, 0.75):
+        for frac in system.CONTINUITY_PROBES:
             t = wa + (wb - wa) * frac
             defect = self._admissibility_defect(t)
             if defect > SOURCE_COMPAT_TOL:
@@ -354,7 +345,7 @@ class SourcePair(system.SourceData):
         if self.ze is not None:
             ze = mesh.layout(grid, n - 1 - k, False).cochain(self.ze(t))
             for face in mesh.faces(grid):
-                worst = max(worst, _maxabs(mesh.flatten(mesh.trace_pullback(ze, face))))
+                worst = max(worst, _maxabs(mesh.trace_pullback(ze, face).vec))
         return worst
 
 
@@ -633,11 +624,9 @@ def random_compact_history(
         state, _ = manufactured.bump_state(
             grid, k, metric, t=0.0, center=center, radius=radius, seed=int(rng.integers(2**31))
         )
-        fe_flat = mesh.flatten(state.fe)
-        fb_flat = mesh.flatten(state.fb)
         w = profile.value(times)
-        fe_rows += w[:, None] * fe_flat[None, :]
-        fb_rows += w[:, None] * fb_flat[None, :]
+        fe_rows += w[:, None] * state.fe.vec[None, :]
+        fb_rows += w[:, None] * state.fb.vec[None, :]
     return History(grid, k, times, fe_rows, fb_rows)
 
 
@@ -645,8 +634,8 @@ def _constant_cochain(grid: mesh.GridSpec, degree: int, dual: bool, amps) -> mes
     """Cochain of a constant-coefficient form (one amplitude per component)."""
     c = mesh.zero_cochain(grid, degree, dual)
     amps = np.atleast_1d(np.asarray(amps, dtype=float))
-    for i, s in enumerate(sorted(c.comps)):
-        c.comps[s] = float(amps[i % len(amps)]) * mesh.cell_measure(grid, s) * np.ones_like(c.comps[s])
+    for i, (s, view) in enumerate(c.comps.items()):
+        view[...] = float(amps[i % len(amps)]) * mesh.cell_measure(grid, s)
     return c
 
 
@@ -700,11 +689,11 @@ def random_source_pair(
             jb_h = _constant_cochain(grid, k - 1, True, rng.uniform(0.3, 1.0, size=4))
             weighted = mesh.multiply_scalar(mesh.hodge_sigma(jb_h, 0.0, metric), metric.beta, 0.0)
             if weighted.degree < grid.dim:
-                leak = mesh.flatten(mesh.d_sigma(weighted))
-                if _maxabs(leak) > SOURCE_COMPAT_TOL * (1.0 + _maxabs(mesh.flatten(jb_h))):
+                leak = mesh.d_sigma(weighted).vec
+                if _maxabs(leak) > SOURCE_COMPAT_TOL * (1.0 + _maxabs(jb_h.vec)):
                     raise ValueError("harmonic magnetic current requires a spatially uniform lapse")
             jb0 = jb0 + jb_h
-        jb0 = mesh.flatten(jb0)
+        jb0 = jb0.vec
         if k >= 2:
             # charged piece: (-1)^(n-k) d/dt(je/beta) balances d(beta*hodge(jb))
             jb1 = interior_potential(k - 1, True)
@@ -712,8 +701,8 @@ def random_source_pair(
                 mesh.multiply_scalar(mesh.hodge_sigma(jb1, 0.0, metric), metric.beta, 0.0)
             )
             sgn = float((-1) ** (n - k) * system.source_sign(n, k))
-            je0 = mesh.flatten(sgn * mesh.multiply_scalar(curl, metric.beta, 0.0))
-            jb1 = mesh.flatten(jb1)
+            je0 = (sgn * mesh.multiply_scalar(curl, metric.beta, 0.0)).vec
+            jb1 = jb1.vec
             kw["je"] = lambda t: float(q.value(t)) * je0
             kw["je_rate"] = lambda t: float(q.rate(t)) * je0
             kw["jb"] = lambda t: float(p.value(t)) * jb0 + float(q.rate(t)) * jb1
@@ -721,16 +710,16 @@ def random_source_pair(
             kw["jb"] = lambda t: float(p.value(t)) * jb0
     if with_zeta:
         pot = interior_potential(k, True)
-        inv = mesh.flatten(mesh.hodge_inverse_sigma(pot, 0.0, metric))
+        inv = mesh.hodge_inverse_sigma(pot, 0.0, metric).vec
         if with_harmonic:
-            ze_h = mesh.flatten(mesh.hodge_inverse_sigma(
+            ze_h = mesh.hodge_inverse_sigma(
                 _constant_cochain(grid, k, True, rng.uniform(0.3, 1.0, size=4)), 0.0, metric
-            ))
+            ).vec
             kw["ze"] = lambda t: float(p.rate(t)) * inv + float(p.value(t)) * ze_h
         else:
             kw["ze"] = lambda t: float(p.rate(t)) * inv
         if k <= n - 2:
-            dpot = mesh.flatten(mesh.d_sigma(pot))
+            dpot = mesh.d_sigma(pot).vec
             kw["zb"] = lambda t: float(p.value(t)) * dpot
             kw["zb_rate"] = lambda t: float(p.rate(t)) * dpot
     return SourcePair(grid=grid, k=k, window=window, metric=metric, **kw)
@@ -814,8 +803,7 @@ def _smooth_components(c: mesh.Cochain, passes: int) -> mesh.Cochain:
     wrap, bounded axes replicate the end values.
     """
     out = mesh.zero_cochain(c.grid, c.degree, c.dual)
-    for s, arr in c.comps.items():
-        v = np.asarray(arr, dtype=float).copy()
+    for v, target in zip(c.comps.values(), out.comps.values()):
         for _ in range(int(passes)):
             for ax in range(v.ndim):
                 if c.grid.periodic[ax]:
@@ -827,7 +815,7 @@ def _smooth_components(c: mesh.Cochain, passes: int) -> mesh.Cochain:
                     body = v.take(range(1, v.shape[ax]), axis=ax)
                     hi = np.concatenate([body, v.take([-1], axis=ax)], axis=ax)
                 v = 0.5 * v + 0.25 * (lo + hi)
-        out.comps[s] = v
+        target[...] = v
     return out
 
 
@@ -888,7 +876,7 @@ def random_potential(
     )
     star_rows = mesh.hodge_flat(mesh.layout(grid, n - k, False), sol.fe, _conf(metric, sol.times))
     ab_rows = np.empty_like(star_rows)
-    ab_rows[0] = mesh.flatten(pot_b)
+    ab_rows[0] = pot_b.vec
     ab_rows[1:] = ab_rows[0] + np.cumsum(
         0.5 * grid.dt * (star_rows[:-1] + star_rows[1:]), axis=0
     )

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .mesh import Cochain, GridSpec, flatten, unflatten
+from .mesh import Cochain, GridSpec, layout
 
 FORMAT_TAG = "cochain-f64le-v1"
 MONITOR_COLUMNS = ("time", "rE", "rB", "rbdy", "energy", "cone_leak")
@@ -104,7 +104,7 @@ def write_cochain_binary(stem, c: Cochain, time: float) -> tuple[Path, Path]:
         The (json_path, bin_path) pair.
     """
     json_path, bin_path = snapshot_paths(stem)
-    vec = flatten(c).astype("<f8")
+    vec = c.vec.astype("<f8")
     header = {
         "format": FORMAT_TAG,
         "degree": c.degree,
@@ -127,5 +127,5 @@ def read_cochain_binary(stem) -> tuple[Cochain, float]:
     if vec.size != int(header["length"]):
         raise ValueError(f"payload length {vec.size} does not match header {header['length']}")
     grid = _grid_from_header(header["grid"])
-    c = unflatten(grid, int(header["degree"]), bool(header["dual"]), vec.astype(float))
+    c = layout(grid, int(header["degree"]), bool(header["dual"])).cochain(vec.astype(float))
     return c, float(header["time"])

@@ -70,7 +70,7 @@ class ManufacturedField:
         def family(degree, dual, fns):
             if fns is None:
                 return None
-            return lambda t: mesh.flatten(mesh.sample_cochain(grid, degree, dual, fns, t))
+            return lambda t: mesh.sample_cochain(grid, degree, dual, fns, t).vec
 
         return system.SourceData(
             grid=grid,
@@ -226,11 +226,10 @@ def bump_profile(center, radius: float) -> Callable:
 
 def bump_potential(grid: mesh.GridSpec, degree: int, dual: bool, profile, rng, t: float = 0.0) -> mesh.Cochain:
     """Integral cochain of a profile on every component, each scaled by a random amplitude in [0.5, 1)."""
-    comps = {
-        s: rng.uniform(0.5, 1.0) * mesh.sample_scalar(grid, s, dual, profile, t) * mesh.cell_measure(grid, s)
-        for s in mesh.subsets(grid, degree)
-    }
-    return mesh.Cochain(grid, degree, dual, comps)
+    c = mesh.zero_cochain(grid, degree, dual)
+    for s, view in c.comps.items():
+        view[...] = rng.uniform(0.5, 1.0) * mesh.sample_scalar(grid, s, dual, profile, t) * mesh.cell_measure(grid, s)
+    return c
 
 
 def bump_state(

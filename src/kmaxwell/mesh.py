@@ -24,14 +24,17 @@ invertible, with weight ``eps(S) * a(t)^(m-2k) * prod(h_out) / prod(h_in)``.
 Storage is flat.  A :class:`Layout`, cached per (grid, degree, family),
 fixes the component order (lexicographic extents), each component's shape
 and its offset in one float64 vector, plus the per-component Hodge and
-pairing constants.  The operators (``d_flat``, ``hodge_flat``,
-``pair_flat``, ``project_flat``, lapse samples from ``sample_flat``) act on
-such vectors, or on arrays of them stacked along leading axes (a history's
-time slices, an operator's columns): ``d`` differences reshaped component
-views, the Hodge dual rescales and permutes whole component blocks.  The
-:class:`Cochain` functions (``d_sigma``, ``hodge_sigma``, ``pair_sigma``,
-...) are adapters that flatten, apply the flat operator and wrap the result
-as views, so every operator has one implementation.
+pairing constants.  A :class:`Cochain` is a layout plus one such vector
+(``Cochain.vec``); its ``comps`` are read-only-mapped views into that
+vector, and :meth:`Layout.cochain` is its only constructor.  The operators
+(``d_flat``, ``hodge_flat``, ``pair_flat``, ``project_flat``, lapse samples
+from ``sample_flat``) act on such vectors, or on arrays of them stacked
+along leading axes (a history's time slices, an operator's columns): ``d``
+differences reshaped component views, the Hodge dual rescales and permutes
+whole component blocks.  The :class:`Cochain` functions (``d_sigma``,
+``hodge_sigma``, ``pair_sigma``, ...) are adapters that apply the flat
+operator to ``vec`` and wrap the result, so every operator has one
+implementation; none of them changes its input.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -241,16 +245,16 @@ class Layout:
         return x[..., self.offsets[i] : self.offsets[i + 1]].reshape(x.shape[:-1] + self.shapes[i])
 
     def cochain(self, vec: np.ndarray) -> "Cochain":
-        """The cochain whose components are views of the flat vector ``vec``."""
-        return Cochain(
-            self.grid, self.degree, self.dual, {s: self.view(vec, i) for i, s in enumerate(self.subsets)}
-        )
+        """The cochain of this layout holding the flat vector ``vec`` (not copied)."""
+        return Cochain(self, vec)
 
 
 @functools.lru_cache(maxsize=256)
 def layout(grid: GridSpec, degree: int, dual: bool) -> Layout:
     """The cached flat layout of degree-``degree`` cochains of one family."""
     m = grid.dim
+    if not 0 <= degree <= m:
+        raise ValueError(f"degree {degree} out of range [0, {m}]")
     subs = subsets(grid, degree)
     shapes = tuple(component_shape(grid, s, dual) for s in subs)
     sizes = [int(np.prod(shape)) for shape in shapes]
@@ -278,36 +282,45 @@ def layout(grid: GridSpec, degree: int, dual: bool) -> Layout:
     )
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Cochain:
     """Discrete degree-k field: one value per k-cell of one staggered family.
 
+    Build it with :meth:`Layout.cochain`.
+
     Args:
-        grid: the slice grid.
-        degree: form degree k, 0 <= k <= number of spatial axes.
-        dual: False for the primal (electric-type) family, True for the
-            dual (magnetic-type) family.
-        comps: mapping extent-tuple -> ndarray in component_shape order.
+        lay: the layout fixing grid, degree, family and storage order.
+        vec: the float64 values, one flat vector in ``lay`` order.
     """
 
-    grid: GridSpec
-    degree: int
-    dual: bool
-    comps: dict[tuple[int, ...], np.ndarray]
+    lay: Layout
+    vec: np.ndarray
 
     def __post_init__(self):
-        m = self.grid.dim
-        if not 0 <= self.degree <= m:
-            raise ValueError(f"degree {self.degree} out of range [0, {m}]")
-        lay = layout(self.grid, self.degree, self.dual)
-        if tuple(self.comps.keys()) != lay.subsets:
-            self.comps = {s: self.comps[s] for s in lay.subsets}
-        for s, shape in zip(lay.subsets, lay.shapes):
-            if self.comps[s].shape != shape:
-                raise ValueError(f"component {s}: expected shape {shape}, got {self.comps[s].shape}")
+        object.__setattr__(self, "vec", np.ascontiguousarray(self.vec, dtype=float))
+        if self.vec.shape != (self.lay.size,):
+            raise ValueError(f"vector of shape {self.vec.shape} does not match cochain size {self.lay.size}")
+
+    @property
+    def grid(self) -> GridSpec:
+        return self.lay.grid
+
+    @property
+    def degree(self) -> int:
+        return self.lay.degree
+
+    @property
+    def dual(self) -> bool:
+        return self.lay.dual
+
+    @property
+    def comps(self) -> MappingProxyType:
+        """Read-only mapping extent -> component view (writes go to ``vec``)."""
+        lay = self.lay
+        return MappingProxyType({s: lay.view(self.vec, i) for i, s in enumerate(lay.subsets)})
 
     def copy(self) -> "Cochain":
-        return Cochain(self.grid, self.degree, self.dual, {s: a.copy() for s, a in self.comps.items()})
+        return self.lay.cochain(self.vec.copy())
 
     def _check_match(self, other: "Cochain") -> None:
         if (self.grid, self.degree, self.dual) != (other.grid, other.degree, other.dual):
@@ -315,26 +328,19 @@ class Cochain:
 
     def __add__(self, other: "Cochain") -> "Cochain":
         self._check_match(other)
-        return Cochain(
-            self.grid, self.degree, self.dual,
-            {s: self.comps[s] + other.comps[s] for s in self.comps},
-        )
+        return self.lay.cochain(self.vec + other.vec)
 
     def __sub__(self, other: "Cochain") -> "Cochain":
         self._check_match(other)
-        return Cochain(
-            self.grid, self.degree, self.dual,
-            {s: self.comps[s] - other.comps[s] for s in self.comps},
-        )
+        return self.lay.cochain(self.vec - other.vec)
 
     def __mul__(self, scalar: float) -> "Cochain":
-        scalar = float(scalar)
-        return Cochain(self.grid, self.degree, self.dual, {s: a * scalar for s, a in self.comps.items()})
+        return self.lay.cochain(self.vec * float(scalar))
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "Cochain":
-        return Cochain(self.grid, self.degree, self.dual, {s: -a for s, a in self.comps.items()})
+        return self.lay.cochain(-self.vec)
 
 
 def zero_cochain(grid: GridSpec, degree: int, dual: bool) -> Cochain:
@@ -388,13 +394,11 @@ def sample_cochain(grid: GridSpec, degree: int, dual: bool, component_fns, t: fl
     Returns:
         Cochain with de Rham (integral) degrees of freedom.
     """
-    comps = {}
-    for s in subsets(grid, degree):
+    c = zero_cochain(grid, degree, dual)
+    for s, view in c.comps.items():
         if s in component_fns:
-            comps[s] = sample_scalar(grid, s, dual, component_fns[s], t) * cell_measure(grid, s)
-        else:
-            comps[s] = np.zeros(component_shape(grid, s, dual))
-    return Cochain(grid, degree, dual, comps)
+            view[...] = sample_scalar(grid, s, dual, component_fns[s], t) * cell_measure(grid, s)
+    return c
 
 
 def multiply_scalar(c: Cochain, fn, t: float) -> Cochain:
@@ -403,8 +407,7 @@ def multiply_scalar(c: Cochain, fn, t: float) -> Cochain:
     The sites are the component sample locations, so diagonal operators
     (Hodge, lapse weights) commute with this multiplication exactly.
     """
-    lay = layout(c.grid, c.degree, c.dual)
-    return lay.cochain(flatten(c) * sample_flat(lay, fn, t))
+    return c.lay.cochain(c.vec * sample_flat(c.lay, fn, t))
 
 
 def component_values(c: Cochain) -> dict[tuple[int, ...], np.ndarray]:
@@ -420,19 +423,8 @@ def max_pointwise(c: Cochain) -> float:
     )
 
 
-def flatten(c: Cochain) -> np.ndarray:
-    return np.concatenate([c.comps[s].ravel() for s in subsets(c.grid, c.degree)]) if c.comps else np.zeros(0)
-
-
 def cochain_size(grid: GridSpec, degree: int, dual: bool) -> int:
     return layout(grid, degree, dual).size
-
-
-def unflatten(grid: GridSpec, degree: int, dual: bool, vec: np.ndarray) -> Cochain:
-    lay = layout(grid, degree, dual)
-    if vec.size != lay.size:
-        raise ValueError(f"vector length {vec.size} does not match cochain size {lay.size}")
-    return lay.cochain(np.array(vec, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +563,7 @@ def d_sigma(c: Cochain) -> Cochain:
     (see the module docstring); d_sigma∘d_sigma vanishes to rounding on both
     families, and exactly on integer data.
     """
-    vec = d_flat(layout(c.grid, c.degree, c.dual), flatten(c))
+    vec = d_flat(c.lay, c.vec)
     return layout(c.grid, c.degree + 1, c.dual).cochain(vec)
 
 
@@ -582,8 +574,7 @@ def hodge_sigma(c: Cochain, t: float, metric: MetricField, orientation: int = 1)
     prod(h_a, a in S)`` per degree of freedom; ``orientation`` (+1 or -1)
     selects the slice orientation, used for faces with induced orientation.
     """
-    lay = layout(c.grid, c.degree, c.dual)
-    vec = hodge_flat(lay, flatten(c), metric.conf(t), orientation)
+    vec = hodge_flat(c.lay, c.vec, metric.conf(t), orientation)
     return layout(c.grid, c.grid.dim - c.degree, not c.dual).cochain(vec)
 
 
@@ -621,14 +612,13 @@ def pair_sigma(a: Cochain, b: Cochain, t: float, metric: MetricField, weight=Non
         The pairing value as a float.
     """
     a._check_match(b)
-    lay = layout(a.grid, a.degree, a.dual)
-    w = None if weight is None else sample_flat(lay, weight, t)
-    return float(pair_flat(lay, flatten(a), flatten(b), metric.conf(t), w))
+    w = None if weight is None else sample_flat(a.lay, weight, t)
+    return float(pair_flat(a.lay, a.vec, b.vec, metric.conf(t), w))
 
 
 def norm_sigma(c: Cochain, t: float, metric: MetricField) -> float:
     """Slice L2 norm induced by pair_sigma."""
-    return norm_flat(layout(c.grid, c.degree, c.dual), flatten(c), metric.conf(t))
+    return norm_flat(c.lay, c.vec, metric.conf(t))
 
 
 def _face_slice(arr: np.ndarray, axis: int, side: int) -> np.ndarray:
@@ -660,7 +650,7 @@ def trace_pullback(c: Cochain, face: Face) -> Cochain:
     for s, arr in c.comps.items():
         if face.axis in s:
             continue
-        out.comps[_drop_axis(s, face.axis)] = _face_slice(arr, face.axis, face.side).copy()
+        out.comps[_drop_axis(s, face.axis)][...] = _face_slice(arr, face.axis, face.side)
     return out
 
 
@@ -695,7 +685,7 @@ def normal_contract(c: Cochain, face: Face, t: float, metric: MetricField) -> Co
             continue
         pos = s.index(face.axis)
         factor = side_sign * ((-1.0) ** pos) / (scale * h_axis)
-        out.comps[_drop_axis(s, face.axis)] = factor * _face_slice(arr, face.axis, face.side)
+        out.comps[_drop_axis(s, face.axis)][...] = factor * _face_slice(arr, face.axis, face.side)
     return out
 
 
@@ -712,13 +702,12 @@ def project_normal_flux(c: Cochain) -> Cochain:
     the affected degrees of freedom sit exactly on the faces, so the
     projection is idempotent and commutes with the interior dynamics.
     """
-    lay = layout(c.grid, c.degree, c.dual)
-    return lay.cochain(project_flat(lay, flatten(c)))
+    return c.lay.cochain(project_flat(c.lay, c.vec.copy()))
 
 
 def normal_flux_maxabs(c: Cochain) -> float:
     """Largest face-node normal-leg value of a dual cochain (0 when projected)."""
-    return flux_maxabs_flat(layout(c.grid, c.degree, c.dual), flatten(c))
+    return flux_maxabs_flat(c.lay, c.vec)
 
 
 def boundary_pairing(a: Cochain, b: Cochain, t: float, metric: MetricField) -> float:

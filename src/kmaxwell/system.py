@@ -22,7 +22,7 @@ current.
 
 Source families are flat rows: a family is a callable ``t -> ndarray`` whose
 value is one float64 vector in ``mesh.layout(grid, degree, dual)`` order
-(the order of ``mesh.flatten``), and :func:`rhs_sources` and
+(the order of ``Cochain.vec``), and :func:`rhs_sources` and
 :func:`continuity_residuals` return rows in the same order.
 """
 
@@ -218,6 +218,11 @@ def rhs_sources(src: SourceData, t: float, metric: mesh.MetricField):
     if src.ze is not None:
         slot_b = mesh.hodge_flat(mesh.layout(src.grid, n - 1 - k, False), src.ze(t), conf)
     return slot_e, slot_b
+
+
+# Fractions of a finite source window at which the continuity residuals are
+# sampled: the plateau and both ramps of a smooth window profile.
+CONTINUITY_PROBES = (0.25, 0.5, 0.75)
 
 
 def _source_rate(fn, t: float, delta: float = 1e-5):

@@ -165,6 +165,23 @@ class TestParseConfig:
         assert f"config error: {text.split()[2]} keeps dense histories: {fragment}" in printed
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("experiment", ["green_suite", "symplectic_suite"])
+    def test_step_above_the_courant_limit_is_a_config_error(self, tmp_path, capsys, command, experiment):
+        # 16 cells on the unit box: h = 0.0625, limit 0.9 * h / 1 = 0.05625
+        cfg = write_config(tmp_path, f"experiment = {experiment}\ncells = 16\ndt = 0.06\n")
+        out = tmp_path / "out"
+        args = [command, "--config", cfg] + (["--out", out] if command == "run" else [])
+        code, printed = run_cli(args, capsys)
+        assert code == 2
+        assert f"config error: {experiment}: cfl violation: dt=0.06 exceeds" in printed
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", sorted(cli.EXPERIMENTS))
+    def test_demo_configs_are_accepted(self, name):
+        demos = os.path.join(os.path.dirname(__file__), "..", "demos", "configs")
+        assert cli.parse_config(os.path.join(demos, f"{name}.cfg")).experiment == name
+
 
 class TestBuilders:
     def test_grid_from_config(self, tmp_path):

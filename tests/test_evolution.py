@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from kmaxwell import evolution, io, manufactured, mesh, system
+from kmaxwell import evolution, green, io, manufactured, mesh, system
 
 RNG_SEED = 660917
 LINEARITY_TOL = 1e-12
@@ -98,12 +98,12 @@ class TestStep:
         exact = expm(grid.dt * mat) @ v0
         s0 = system.FieldState(
             0.0,
-            mesh.unflatten(grid, 1, False, v0[:nw]),
-            mesh.unflatten(grid, 1, True, v0[nw:]),
+            mesh.layout(grid, 1, False).cochain(v0[:nw]),
+            mesh.layout(grid, 1, True).cochain(v0[nw:]),
             k,
         )
         out = evolution.step(s0, system.zero_sources(grid, k), met, grid.dt, boundary_mode="periodic_test")
-        got = np.concatenate([mesh.flatten(out.fe), mesh.flatten(out.fb)])
+        got = np.concatenate([out.fe.vec, out.fb.vec])
         assert np.abs(got - exact).max() < ORACLE_TOL
 
     def test_projected_operator_matches_projected_exponential(self):
@@ -114,10 +114,10 @@ class TestStep:
         rng = np.random.default_rng(RNG_SEED + 1)
         fb0 = mesh.project_normal_flux(mesh.random_cochain(grid, 2, True, rng))
         s0 = system.FieldState(0.0, mesh.random_cochain(grid, 1, False, rng), fb0, 2)
-        v0 = np.concatenate([mesh.flatten(s0.fe), mesh.flatten(s0.fb)])
+        v0 = np.concatenate([s0.fe.vec, s0.fb.vec])
         exact = expm(grid.dt * mat) @ v0
         out = evolution.step(s0, system.zero_sources(grid, 2), met, grid.dt)
-        got = np.concatenate([mesh.flatten(out.fe), mesh.flatten(out.fb)])
+        got = np.concatenate([out.fe.vec, out.fb.vec])
         assert np.abs(got - exact).max() < ORACLE_TOL
 
 
@@ -153,7 +153,7 @@ def lowest_mode_state(grid):
     fb = mesh.zero_cochain(grid, 2, True)
     x = mesh.component_coords(grid, (0, 1), True)[0][:, None]
     ny = fb.comps[(0, 1)].shape[1]
-    fb.comps[(0, 1)] = (
+    fb.comps[(0, 1)][...] = (
         np.sin(2 * np.pi * x) * np.ones((1, ny)) * mesh.cell_measure(grid, (0, 1))
     )
     return system.FieldState(0.0, mesh.zero_cochain(grid, 1, False), fb, 2)
@@ -424,12 +424,27 @@ class TestValidateProblem:
             grid=grid,
             k=2,
             window=(0.2, 0.4),
-            jb=lambda t: mesh.flatten(jb_unit),
+            jb=lambda t: jb_unit.vec,
         )
         report = evolution.validate_problem(s0, src, grid, met)
         charge = next(c for c in report.checks if c.name == "continuity_charge")
         assert not charge.passed
         assert charge.measure == pytest.approx(1.0, rel=1e-10)
+
+    def test_violation_confined_to_the_ramps_fails(self):
+        # the current vanishes on the plateau of its window, so the charge
+        # identity fails only on the ramps, never at the window midpoint
+        grid, met, s0 = self.make_problem()
+        prof = green.WindowProfile(0.1, 0.4)
+        row = np.random.default_rng(RNG_SEED).standard_normal(mesh.cochain_size(grid, 1, True))
+        src = system.SourceData(
+            grid=grid, k=2, window=(0.1, 0.4), jb=lambda t: float(prof.rate(t)) * row
+        )
+        assert not np.any(src.jb(0.25))
+        report = evolution.validate_problem(s0, src, grid, met)
+        charge = next(c for c in report.checks if c.name == "continuity_charge")
+        assert not charge.passed
+        assert charge.measure > 1.0
 
     def test_report_serializes(self):
         import json

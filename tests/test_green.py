@@ -226,9 +226,9 @@ class TestSourcePair:
         prof = manufactured.bump_profile((0.5, 0.5), 0.2)
         jb0 = mesh.zero_cochain(g, 1, True)
         for s in jb0.comps:
-            jb0.comps[s] = mesh.sample_scalar(g, s, True, prof, 0.0) * mesh.cell_measure(g, s)
+            jb0.comps[s][...] = mesh.sample_scalar(g, s, True, prof, 0.0) * mesh.cell_measure(g, s)
         with pytest.raises(ValueError, match="admissibility"):
-            green.SourcePair(grid=g, k=2, window=(0.1, 0.4), jb=lambda t: mesh.flatten(jb0), metric=METRIC)
+            green.SourcePair(grid=g, k=2, window=(0.1, 0.4), jb=lambda t: jb0.vec, metric=METRIC)
 
     @pytest.mark.parametrize("metric", [METRIC, TILTED], ids=["unit", "tilted"])
     @pytest.mark.parametrize("k", [1, 2])

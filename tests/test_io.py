@@ -35,7 +35,7 @@ class TestCochainBinary:
         c = sample_cochain()
         io.write_cochain_binary(tmp_path / "snap", c, time=0.0)
         raw = (tmp_path / "snap.bin").read_bytes()
-        np.testing.assert_array_equal(np.frombuffer(raw, dtype="<f8"), mesh.flatten(c))
+        np.testing.assert_array_equal(np.frombuffer(raw, dtype="<f8"), c.vec)
 
     def test_format_tag_checked(self, tmp_path):
         c = sample_cochain()

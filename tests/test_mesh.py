@@ -8,6 +8,9 @@ Oracles:
   * incidence examples and boundary slices: frozen by hand below.
 """
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
@@ -21,6 +24,14 @@ RNG_SEED = 481207
 ROUNDING_TOL = 1e-13
 
 
+def cochain_of(g, degree, dual, comps):
+    """A cochain with the given component arrays, the rest zero."""
+    c = mesh.zero_cochain(g, degree, dual)
+    for s, arr in comps.items():
+        c.comps[s][...] = arr
+    return c
+
+
 def box_grid(cells, lengths=None, periodic=None, dt=0.05):
     cells = tuple(cells)
     if lengths is None:
@@ -28,6 +39,24 @@ def box_grid(cells, lengths=None, periodic=None, dt=0.05):
     return mesh.GridSpec(
         n=len(cells) + 1, cells_per_axis=cells, lengths=lengths, dt=dt, periodic=periodic
     )
+
+
+@st.composite
+def grids(draw):
+    """Valid grids with 1 to 3 spatial axes of 4 to 7 cells."""
+    m = draw(st.integers(1, 3))
+    axes = lambda strategy: st.lists(strategy, min_size=m, max_size=m).map(tuple)
+    return mesh.GridSpec(
+        n=m + 1,
+        cells_per_axis=draw(axes(st.integers(4, 7))),
+        lengths=draw(axes(st.floats(0.1, 10.0))),
+        dt=draw(st.floats(1e-4, 1.0)),
+        t0=draw(st.floats(-1.0, 1.0)),
+        periodic=draw(axes(st.booleans())),
+    )
+
+
+NOT_POSITIVE_FINITE = st.one_of(st.floats(max_value=0.0), st.sampled_from([math.inf, -math.inf, math.nan]))
 
 
 class TestGridSpec:
@@ -73,6 +102,38 @@ class TestGridSpec:
         with pytest.raises(ValueError, match="periodic"):
             box_grid((4, 4), periodic=(True,))
 
+    @seed(RNG_SEED)
+    @settings(max_examples=50, deadline=None)
+    @given(grid=grids(), bad=NOT_POSITIVE_FINITE, axis=st.integers(0, 2), field=st.sampled_from(["lengths", "dt"]))
+    def test_rejects_non_positive_or_non_finite_lengths_and_dt(self, grid, bad, axis, field):
+        if field == "dt":
+            change = {"dt": bad}
+        else:
+            lengths = list(grid.lengths)
+            lengths[axis % grid.dim] = bad
+            change = {"lengths": tuple(lengths)}
+        with pytest.raises(ValueError):
+            dataclasses.replace(grid, **change)
+
+    @seed(RNG_SEED)
+    @settings(max_examples=50, deadline=None)
+    @given(grid=grids(), few=st.integers(-2, 3), axis=st.integers(0, 2))
+    def test_rejects_fewer_than_four_cells(self, grid, few, axis):
+        cells = list(grid.cells_per_axis)
+        cells[axis % grid.dim] = few
+        with pytest.raises(ValueError):
+            dataclasses.replace(grid, cells_per_axis=tuple(cells))
+
+    @seed(RNG_SEED)
+    @settings(max_examples=50, deadline=None)
+    @given(a=grids(), b=grids(), dt=st.floats(1e-4, 1.0), t0=st.floats(-1.0, 1.0))
+    def test_compatible_is_reflexive_symmetric_and_ignores_time(self, a, b, dt, t0):
+        retimed = dataclasses.replace(a, dt=dt, t0=t0)
+        assert a.compatible(a)
+        assert a.compatible(retimed) and retimed.compatible(a)
+        assert a.compatible(b) == b.compatible(a)
+        assert a.compatible(b) == retimed.compatible(b)
+
 
 class TestCochainBasics:
     def test_component_shapes_primal_vs_dual(self):
@@ -89,12 +150,13 @@ class TestCochainBasics:
         assert mesh.component_shape(g, (1,), dual=False) == (4, 6)
         assert mesh.component_shape(g, (0,), dual=True) == (4, 6)
 
-    def test_shape_validation(self):
+    def test_length_validation(self):
         g = box_grid((4, 4))
-        comps = {s: np.zeros(mesh.component_shape(g, s, False)) for s in mesh.subsets(g, 1)}
-        comps[(0,)] = np.zeros((4, 4))
-        with pytest.raises(ValueError, match="expected shape"):
-            mesh.Cochain(g, 1, False, comps)
+        lay = mesh.layout(g, 1, False)
+        assert lay.size == 40
+        for bad in (np.zeros(39), np.zeros(41), np.zeros((1, 40))):
+            with pytest.raises(ValueError, match="does not match cochain size"):
+                lay.cochain(bad)
 
     def test_degree_range(self):
         g = box_grid((4, 4))
@@ -119,22 +181,64 @@ class TestCochainBasics:
         with pytest.raises(ValueError, match="different spaces"):
             _ = a + b
 
-    def test_flatten_roundtrip(self):
+    def test_vec_roundtrip(self):
         g = box_grid((4, 5))
         rng = np.random.default_rng(RNG_SEED)
         c = mesh.random_cochain(g, 1, True, rng)
-        vec = mesh.flatten(c)
-        back = mesh.unflatten(g, 1, True, vec)
+        back = mesh.layout(g, 1, True).cochain(c.vec.copy())
         for s in mesh.subsets(g, 1):
             np.testing.assert_array_equal(back.comps[s], c.comps[s])
-        with pytest.raises(ValueError, match="length"):
-            mesh.unflatten(g, 1, True, vec[:-1])
+        # components are views: writing one writes the vector
+        back.comps[(1,)][0, 0] = 42.0
+        assert back.vec[mesh.layout(g, 1, True).offsets[1]] == 42.0
+
+    def test_components_cannot_be_rebound(self):
+        g = box_grid((4, 4))
+        c = mesh.zero_cochain(g, 1, False)
+        with pytest.raises(TypeError):
+            c.comps[(0,)] = np.ones(c.comps[(0,)].shape)
+        with pytest.raises(AttributeError):
+            c.vec = np.ones(c.vec.size)
+        np.testing.assert_array_equal(c.vec, 0.0)
+
+    @pytest.mark.parametrize(
+        "adapter",
+        [
+            mesh.d_sigma,
+            lambda c: mesh.hodge_sigma(c, 0.3, mesh.MetricField(conf=lambda t: 1.5)),
+            lambda c: mesh.multiply_scalar(c, lambda t, *x: 2.0 + x[0], 0.3),
+            mesh.project_normal_flux,
+        ],
+        ids=["d_sigma", "hodge_sigma", "multiply_scalar", "project_normal_flux"],
+    )
+    def test_adapters_leave_their_input_unchanged(self, adapter):
+        g = box_grid((4, 5, 4))
+        rng = np.random.default_rng(RNG_SEED)
+        c = mesh.random_cochain(g, 1, True, rng)
+        before = c.vec.tobytes()
+        out = adapter(c)
+        assert c.vec.tobytes() == before
+        assert not np.shares_memory(out.vec, c.vec)
+
+
+@seed(RNG_SEED)
+@settings(max_examples=50, deadline=None)
+@given(grid=grids(), dual=st.booleans(), data=st.data())
+def test_component_views_concatenate_to_the_vector(grid, dual, data):
+    lay = mesh.layout(grid, data.draw(st.integers(0, grid.dim)), dual)
+    v = data.draw(arrays(np.float64, lay.size))
+    c = lay.cochain(v)
+    assert c.vec is v
+    assert tuple(c.comps) == lay.subsets
+    views = [c.comps[s] for s in lay.subsets]
+    assert all(np.shares_memory(view, v) for view in views if view.size)
+    assert np.concatenate([view.ravel() for view in views]).tobytes() == v.tobytes()
 
 
 class TestCoboundary:
     def test_constant_scalar_has_zero_gradient(self):
         g = box_grid((4, 4))
-        c = mesh.Cochain(g, 0, False, {(): np.full((5, 5), 3.7)})
+        c = cochain_of(g, 0, False, {(): np.full((5, 5), 3.7)})
         dc = mesh.d_sigma(c)
         for arr in dc.comps.values():
             np.testing.assert_array_equal(arr, 0.0)
@@ -142,12 +246,12 @@ class TestCoboundary:
     def test_line_grid_hand_differences(self):
         # node values 0,1,4,9,16 -> edge differences 1,3,5,7
         g = box_grid((4,))
-        c = mesh.Cochain(g, 0, False, {(): np.array([0.0, 1.0, 4.0, 9.0, 16.0])})
+        c = cochain_of(g, 0, False, {(): np.array([0.0, 1.0, 4.0, 9.0, 16.0])})
         np.testing.assert_array_equal(mesh.d_sigma(c).comps[(0,)], [1.0, 3.0, 5.0, 7.0])
 
     def test_line_grid_periodic_wraps(self):
         g = box_grid((4,), periodic=(True,))
-        c = mesh.Cochain(g, 0, False, {(): np.array([0.0, 1.0, 4.0, 9.0])})
+        c = cochain_of(g, 0, False, {(): np.array([0.0, 1.0, 4.0, 9.0])})
         np.testing.assert_array_equal(mesh.d_sigma(c).comps[(0,)], [1.0, 3.0, 5.0, -9.0])
 
     def test_single_edge_curl_signs(self):
@@ -176,8 +280,8 @@ class TestCoboundary:
         g1ant = lambda v: np.sin(v) / 1.0
 
         c = mesh.zero_cochain(g, 1, False)
-        c.comps[(0,)] = (f0ant(x[1:]) - f0ant(x[:-1]))[:, None] * g0(y)[None, :]
-        c.comps[(1,)] = f1(x)[:, None] * (g1ant(y[1:]) - g1ant(y[:-1]))[None, :]
+        c.comps[(0,)][...] = (f0ant(x[1:]) - f0ant(x[:-1]))[:, None] * g0(y)[None, :]
+        c.comps[(1,)][...] = f1(x)[:, None] * (g1ant(y[1:]) - g1ant(y[:-1]))[None, :]
 
         circulation = (
             (f0ant(x[1:]) - f0ant(x[:-1]))[:, None] * (g0(y[:-1]) - g0(y[1:]))[None, :]
@@ -203,7 +307,7 @@ class TestCoboundary:
         for dual in (False, True):
             c = mesh.zero_cochain(g, 1, dual)
             for s in c.comps:
-                c.comps[s] = rng.integers(-50, 50, c.comps[s].shape).astype(float)
+                c.comps[s][...] = rng.integers(-50, 50, c.comps[s].shape).astype(float)
             ddc = mesh.d_sigma(mesh.d_sigma(c))
             for arr in ddc.comps.values():
                 np.testing.assert_array_equal(arr, 0.0)
@@ -226,7 +330,7 @@ class TestCoboundary:
 class TestHodge:
     def test_unit_cells_scalar_to_top(self):
         g = box_grid((4, 4))  # unit cells: lengths default to cell counts
-        ones = mesh.Cochain(g, 0, False, {(): np.ones((5, 5))})
+        ones = cochain_of(g, 0, False, {(): np.ones((5, 5))})
         top = mesh.hodge_sigma(ones, 0.0, mesh.unit_metric())
         assert top.dual and top.degree == 2
         np.testing.assert_array_equal(top.comps[(0, 1)], np.ones((5, 5)))
@@ -261,7 +365,7 @@ class TestHodge:
                 s: np.full(mesh.component_shape(g, s, False), vals[i] * mesh.cell_measure(g, s))
                 for i, s in enumerate(mesh.subsets(g, k))
             }
-            c = mesh.Cochain(g, k, False, comps)
+            c = cochain_of(g, k, False, comps)
             star_vals = mesh.component_values(mesh.hodge_sigma(c, 0.0, metric))
             want = exterior.hodge(form, fiber_g)
             for i, s in enumerate(mesh.subsets(g, m - k)):
@@ -301,7 +405,7 @@ class TestCodifferential:
 
     def test_codiff_of_uniform_top_cochain(self):
         g = box_grid((4, 4))
-        top = mesh.Cochain(
+        top = cochain_of(
             g, 2, False, {(0, 1): np.full(mesh.component_shape(g, (0, 1), False), 2.5)}
         )
         out = mesh.codiff_sigma(top, 0.0, mesh.unit_metric())
@@ -338,13 +442,13 @@ class TestCodifferential:
 class TestPairing:
     def test_unit_scalar_pairing_is_box_volume(self):
         g = box_grid((4, 8), lengths=(1.25, 2.0))
-        ones = mesh.Cochain(g, 0, False, {(): np.ones((5, 9))})
+        ones = cochain_of(g, 0, False, {(): np.ones((5, 9))})
         vol = mesh.pair_sigma(ones, ones, 0.0, mesh.unit_metric())
         assert vol == pytest.approx(2.5, abs=1e-14)
 
     def test_unit_scalar_pairing_periodic(self):
         g = box_grid((4, 8), lengths=(1.25, 2.0), periodic=(True, True))
-        ones = mesh.Cochain(g, 0, False, {(): np.ones((4, 8))})
+        ones = cochain_of(g, 0, False, {(): np.ones((4, 8))})
         assert mesh.pair_sigma(ones, ones, 0.0, mesh.unit_metric()) == pytest.approx(2.5, abs=1e-14)
 
     def test_conformal_scaling_on_scalars(self):
@@ -378,7 +482,7 @@ class TestPairing:
     def test_weight_field(self):
         # weighted scalar pairing = trapezoid sum of w(x) against the values
         g = box_grid((4,), lengths=(2.0,))
-        c = mesh.Cochain(g, 0, False, {(): np.ones(5)})
+        c = cochain_of(g, 0, False, {(): np.ones(5)})
         w = lambda t, x: x + t
         got = mesh.pair_sigma(c, c, 1.0, mesh.unit_metric(), weight=w)
         x = np.arange(5) * 0.5
@@ -429,7 +533,7 @@ class TestBoundaryOperators:
     def test_trace_keeps_tangential_slice(self):
         g = box_grid((4, 4))
         c = mesh.zero_cochain(g, 1, False)
-        c.comps[(1,)] = np.arange(20.0).reshape(5, 4)
+        c.comps[(1,)][...] = np.arange(20.0).reshape(5, 4)
         east = mesh.trace_pullback(c, mesh.Face(0, 1))
         np.testing.assert_array_equal(east.comps[(0,)], np.arange(16.0, 20.0))
         west = mesh.trace_pullback(c, mesh.Face(0, 0))
@@ -526,20 +630,20 @@ class TestFlatRows:
             for dual in (False, True):
                 lay = mesh.layout(g, k, dual)
                 cs = [mesh.random_cochain(g, k, dual, rng) for _ in confs]
-                rows = np.stack([mesh.flatten(c) for c in cs])
+                rows = np.stack([c.vec for c in cs])
                 star = mesh.hodge_flat(lay, rows, confs)
                 pairs = mesh.pair_flat(lay, rows, rows[::-1], confs)
                 d_rows = mesh.d_flat(lay, rows) if k < g.dim else None
                 for i, c in enumerate(cs):
                     metric = mesh.MetricField(conf=lambda t, a=confs[i]: a)
-                    np.testing.assert_array_equal(star[i], mesh.flatten(mesh.hodge_sigma(c, 0.0, metric)))
+                    np.testing.assert_array_equal(star[i], mesh.hodge_sigma(c, 0.0, metric).vec)
                     assert pairs[i] == pytest.approx(mesh.pair_sigma(c, cs[-1 - i], 0.0, metric), rel=ROUNDING_TOL)
                     if d_rows is not None:
-                        np.testing.assert_array_equal(d_rows[i], mesh.flatten(mesh.d_sigma(c)))
+                        np.testing.assert_array_equal(d_rows[i], mesh.d_sigma(c).vec)
                 if dual:
                     projected = mesh.project_flat(lay, rows.copy())
                     for i, c in enumerate(cs):
-                        np.testing.assert_array_equal(projected[i], mesh.flatten(mesh.project_normal_flux(c)))
+                        np.testing.assert_array_equal(projected[i], mesh.project_normal_flux(c).vec)
 
 
 class TestSampling:

@@ -109,7 +109,8 @@ class TestSplitAssemble:
 class TestApplyS:
     def test_static_uniform_state_is_stationary(self):
         g = box_grid((4, 4), periodic=(True, True))
-        fb = mesh.Cochain(g, 2, True, {(0, 1): np.full((4, 4), 2.0)})
+        fb = mesh.zero_cochain(g, 2, True)
+        fb.comps[(0, 1)][...] = 2.0
         s = system.FieldState(0.0, mesh.zero_cochain(g, 1, False), fb, 2)
         slot_e, slot_b = system.apply_S(s, mesh.unit_metric(), system.zero_state(g, 2))
         assert mesh.max_pointwise(slot_e) == 0.0
@@ -181,7 +182,7 @@ class TestRhsSources:
         g = box_grid((4, 5), lengths=(1.2, 1.0))
         jb = mesh.zero_cochain(g, 1, True)
         jb.comps[(0,)][2, 1] = 1.0
-        src = system.SourceData(grid=g, k=2, window=(0.0, 1.0), jb=lambda t: mesh.flatten(jb))
+        src = system.SourceData(grid=g, k=2, window=(0.0, 1.0), jb=lambda t: jb.vec)
         slot_e, slot_b = system.rhs_sources(src, 0.0, mesh.unit_metric())
         slot_e = mesh.layout(g, 1, False).cochain(slot_e)
         expected = np.zeros((5, 5))
@@ -271,7 +272,7 @@ class TestConstraintResiduals:
         n, k = 4, 3
         je_val = ((-1) ** (n - k)) * mesh.d_sigma(fe)
         s = system.FieldState(0.0, fe, mesh.zero_cochain(g, 3, True), k)
-        src = system.SourceData(grid=g, k=k, window=(0.0, 1.0), je=lambda t: mesh.flatten(je_val))
+        src = system.SourceData(grid=g, k=k, window=(0.0, 1.0), je=lambda t: je_val.vec)
         r_e, _, _ = system.constraint_residuals(s, src, mesh.unit_metric())
         assert mesh.max_pointwise(r_e) < 1e-13
 
