@@ -242,11 +242,13 @@ def _validate(cfg: RunConfig) -> list[str]:
     if cfg.experiment == "symplectic_suite" and cfg.n == 2:
         errors.append("symplectic_suite requires n >= 3 so bundles span coupled degrees")
     if cfg.experiment in ("evolve", "green_suite", "symplectic_suite") and not errors:
-        # the grid, and the Courant guard of green._integrate for the history
-        # marches, checked before any work starts
+        # the grid, an evolve run's integration parameters, and the Courant guard
+        # of green._integrate for the history marches, checked before any work starts
         try:
             grid = build_grid(cfg)
-            if cfg.experiment != "evolve":
+            if cfg.experiment == "evolve":
+                _evolve_config(cfg)
+            else:
                 span = (grid.t0, grid.t0 + cfg.steps * cfg.dt)
                 evolution.require_stable_dt(grid, build_metric(cfg), cfg.dt, span)
         except ValueError as err:
@@ -271,6 +273,11 @@ def build_metric(cfg: RunConfig) -> mesh.MetricField:
     return mesh.MetricField(
         beta=BETA_CATALOGUE[cfg.beta](cfg.length), conf=A_CATALOGUE[cfg.a](cfg.length)
     )
+
+
+def _evolve_config(cfg: RunConfig) -> evolution.EvolveConfig:
+    """The integration parameters of an evolve run; ValueError when they break its rules."""
+    return evolution.EvolveConfig(cfg.t_final, cfg.cfl, cfg.boundary, cfg.monitor_stride)
 
 
 def _check(name: str, measure: float, threshold: float, passed=None, detail: str = "") -> CheckResult:
@@ -400,10 +407,7 @@ def _run_evolve(cfg: RunConfig, out: Path):
     metric = build_metric(cfg)
     state0, radius = manufactured.bump_state(grid, cfg.k, metric, seed=cfg.seed)
     src = system.zero_sources(grid, cfg.k)
-    run_cfg = evolution.EvolveConfig(
-        t_final=cfg.t_final, cfl=cfg.cfl, boundary_mode=cfg.boundary,
-        monitor_stride=cfg.monitor_stride,
-    )
+    run_cfg = _evolve_config(cfg)
     checks = list(evolution.validate_problem(state0, src, grid, metric).checks)
     checks.append(evolution.check_cfl(grid, metric, run_cfg))
     files: list[str] = []

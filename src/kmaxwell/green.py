@@ -1,11 +1,13 @@
 """Retarded, advanced, and causal solution operators with spacetime pairings.
 
 The first-order operator D sends a degree-k field to the source pair
-(delta omega, d omega).  Zero-data marches started from a slice on either
-side of a compactly supported source realize the two one-sided inverses of
-D; their difference maps source pairs onto homogeneous solutions.  Dense
-snapshot histories feed the right-inverse and exact-sequence defect suites
-and a pre-symplectic pairing evaluated through a smooth time cutoff.
+(delta omega, d omega); :func:`apply_operator` evaluates it on histories
+through ``system.slots``, the split operator's one home.  Zero-data marches
+started from a slice on either side of a compactly supported source realize
+the two one-sided inverses of D; their difference maps source pairs onto
+homogeneous solutions.  Dense snapshot histories feed the right-inverse and
+exact-sequence defect suites and a pre-symplectic pairing evaluated through a
+smooth time cutoff.
 
 Histories are time-major float64 arrays of cochain vectors at uniformly
 spaced slice times.  Since the pairing structure couples a degree-k history
@@ -155,6 +157,8 @@ class History:
         times: strictly increasing, uniformly spaced slice times.
         fe: electric snapshots, shape (len(times), primal size).
         fb: magnetic snapshots, shape (len(times), dual size).
+
+    ``le``/``lb`` are the layouts of the fe/fb rows, ``dt`` the slice spacing.
     """
 
     grid: mesh.GridSpec
@@ -167,11 +171,12 @@ class History:
         self.times = np.asarray(self.times, dtype=float)
         self.fe = np.asarray(self.fe, dtype=float)
         self.fb = np.asarray(self.fb, dtype=float)
-        n = self.grid.n
-        want = (len(self.times), mesh.cochain_size(self.grid, n - self.k, False))
+        self.le = mesh.layout(self.grid, self.grid.n - self.k, False)
+        self.lb = mesh.layout(self.grid, self.k, True)
+        want = (len(self.times), self.le.size)
         if self.fe.shape != want:
             raise ValueError(f"fe snapshots have shape {self.fe.shape}, want {want}")
-        want = (len(self.times), mesh.cochain_size(self.grid, self.k, True))
+        want = (len(self.times), self.lb.size)
         if self.fb.shape != want:
             raise ValueError(f"fb snapshots have shape {self.fb.shape}, want {want}")
         if len(self.times) < 2:
@@ -185,8 +190,8 @@ class History:
 
     def norm(self, metric: mesh.MetricField) -> float:
         """Spacetime L2 norm: trapezoidal time quadrature of slice pairings."""
-        le, lb, conf = _frame(self, metric)
-        vals = mesh.pair_flat(le, self.fe, self.fe, conf) + mesh.pair_flat(lb, self.fb, self.fb, conf)
+        conf = _conf(metric, self.times)
+        vals = mesh.pair_flat(self.le, self.fe, self.fe, conf) + mesh.pair_flat(self.lb, self.fb, self.fb, conf)
         return float(np.sqrt(max(np.trapezoid(vals, self.times), 0.0)))
 
     def restrict(self, i0: int, i1: int) -> "History":
@@ -463,18 +468,16 @@ def apply_operator(h: History, metric: mesh.MetricField) -> SourceHistory:
     """
     grid, k = h.grid, h.k
     n = grid.n
-    eps = float(system.eps_sign(n, k))
-    ssign = float(system.source_sign(n, k))
-    lw, lb, conf = _frame(h, metric)
+    lw, lb, conf = h.le, h.lb, _conf(metric, h.times)
     beta_w = mesh.sample_lapse(lw, metric, h.times)
     beta_b = mesh.sample_lapse(lb, metric, h.times)
 
     w = h.fe * (1.0 / beta_w)
     w_dot = np.gradient(w, h.dt, axis=0, edge_order=2)
     fb_dot = np.gradient(h.fb, h.dt, axis=0, edge_order=2)
-    curl_b, curl_e = evolution.curls(lw, lb, w, h.fb, beta_w, beta_b, conf)
-    jb = ssign * mesh.hodge_inverse_flat(lw, (w_dot + curl_b * eps) * (1.0 / beta_w), conf)
-    ze = mesh.hodge_inverse_flat(lb, fb_dot - curl_e, conf)
+    slot_e, slot_b = system.slots(lw, lb, w, h.fb, w_dot, fb_dot, beta_w, beta_b, conf)
+    jb = float(system.source_sign(n, k)) * mesh.hodge_inverse_flat(lw, slot_e, conf)
+    ze = mesh.hodge_inverse_flat(lb, slot_b, conf)
     je = None
     if k >= 2:
         beta_j = mesh.sample_lapse(mesh.layout(grid, n + 1 - k, False), metric, h.times)
@@ -483,12 +486,6 @@ def apply_operator(h: History, metric: mesh.MetricField) -> SourceHistory:
 
     window = _support_window(h.times, (je, jb, ze, zb))
     return SourceHistory(grid, k, h.times, window, je, jb, ze, zb)
-
-
-def _frame(h: History, metric: mesh.MetricField):
-    """The electric and magnetic layouts of a history and a(t) at its slices."""
-    n = h.grid.n
-    return mesh.layout(h.grid, n - h.k, False), mesh.layout(h.grid, h.k, True), _conf(metric, h.times)
 
 
 def _support_window(times, families) -> tuple[float, float]:
@@ -531,7 +528,7 @@ def cutoff_sources(h: History, chi: CutoffProfile, metric: mesh.MetricField, com
     if complement:
         values = 1.0 - values
         rates = -rates
-    lw, lb, conf = _frame(h, metric)
+    lw, lb, conf = h.le, h.lb, _conf(metric, h.times)
     beta_w = mesh.sample_lapse(lw, metric, h.times)
     ramp_jb = ssign * mesh.hodge_inverse_flat(lw, h.fe * (1.0 / beta_w**2), conf)
     ramp_ze = mesh.hodge_inverse_flat(lb, h.fb, conf)
@@ -575,7 +572,7 @@ def right_inverse_check(omega: History, grid: mesh.GridSpec, metric: mesh.Metric
     if not omega.grid.compatible(grid):
         raise ValueError("history declared on a different grid")
     scale = 1.0 + omega.maxabs()
-    lw, lb, conf = _frame(omega, metric)
+    lw, lb, conf = omega.le, omega.lb, _conf(metric, omega.times)
     worst = mesh.flux_maxabs_flat(lb, omega.fb)
     if omega.k >= 2:
         star = mesh.hodge_flat(lw, omega.fe, conf)
@@ -1043,7 +1040,7 @@ def _pair_against_history(data: system.SourceData, h: History, metric, kind: str
     volume, the magnetic terms the plain beta weight.
     """
     dual_fn, prim_fn = (data.jb, data.je) if kind == "alpha" else (data.zb, data.ze)
-    le, lb, conf = _frame(h, metric)
+    le, lb, conf = h.le, h.lb, _conf(metric, h.times)
     vals = np.zeros(len(h.times))
     if dual_fn is not None:
         beta_b = mesh.sample_lapse(lb, metric, h.times)
@@ -1089,7 +1086,7 @@ def history_differential(a: History, metric: mesh.MetricField) -> History:
     n = grid.n
     if j + 1 > n - 1:
         raise ValueError("differential would leave the supported field degrees")
-    le, lb, conf = _frame(a, metric)
+    le, lb, conf = a.le, a.lb, _conf(metric, a.times)
     fb_dot = np.gradient(a.fb, a.dt, axis=0, edge_order=2)
     x = fb_dot - mesh.d_flat(mesh.layout(grid, j - 1, True), mesh.hodge_flat(le, a.fe, conf))
     fe_rows = mesh.hodge_inverse_flat(lb, x, conf)

@@ -5,8 +5,9 @@ an electric component fe (degree n-k, primal family) and a magnetic component
 fb (degree k, dual family).  This module provides:
 
 * the split/assemble bijection between the spacetime pair and the state;
-* the split evolution operator and its source right-hand side, with the
-  dimension-dependent sign exponents;
+* the split operator on flat rows, in its one home: :func:`curls` and the
+  evolution slots :func:`slots`, which the RK4 generator, ``green.apply_operator``
+  and :func:`apply_S` share, with the source right-hand side and the sign exponents;
 * the continuity residuals of a source family (the identities a source
   pair must satisfy for the Cauchy problem to be well posed);
 * the interior and boundary constraint residuals;
@@ -162,8 +163,29 @@ def assemble(s: FieldState, metric: mesh.MetricField) -> tuple[mesh.Cochain, mes
     return mesh.hodge_sigma(s.fe, s.t, metric), s.fb.copy()
 
 
-def _beta_inv(metric):
-    return lambda t, *x: 1.0 / np.asarray(metric.beta(t, *x), dtype=float)
+def curls(lw: mesh.Layout, lb: mesh.Layout, w, fb, beta_w, beta_b, conf):
+    """The split system's two curls of flat rows: ``d(*(beta fb))`` and ``d(*(beta w))``.
+
+    ``lw``/``lb`` are the layouts of ``w`` (primal, degree n-k) and ``fb``
+    (dual, degree k); the lapse samples and a(t) are one row or one per row.
+    """
+    grid, k = lb.grid, lb.degree
+    curl_b = mesh.d_flat(mesh.layout(grid, grid.dim - k, False), mesh.hodge_flat(lb, beta_b * fb, conf))
+    curl_e = mesh.d_flat(mesh.layout(grid, k - 1, True), mesh.hodge_flat(lw, beta_w * w, conf))
+    return curl_b, curl_e
+
+
+def slots(lw: mesh.Layout, lb: mesh.Layout, w, fb, w_dot, fb_dot, beta_w, beta_b, conf):
+    """The split evolution slots of flat rows and their time derivatives::
+
+        ((w_dot + eps_sign * d(*(beta fb))) / beta,  fb_dot - d(*(beta w)))
+
+    with ``w = fe/beta``; arguments as for :func:`curls`.  The sources of a
+    solution are ``(source_sign * hodge(jb), hodge(ze))`` in these slots.
+    """
+    curl_b, curl_e = curls(lw, lb, w, fb, beta_w, beta_b, conf)
+    eps = float(eps_sign(lb.grid.n, lb.degree))
+    return (w_dot + curl_b * eps) * (1.0 / beta_w), fb_dot - curl_e
 
 
 def apply_S(s: FieldState, metric: mesh.MetricField, s_dot: FieldState) -> tuple[mesh.Cochain, mesh.Cochain]:
@@ -177,7 +199,8 @@ def apply_S(s: FieldState, metric: mesh.MetricField, s_dot: FieldState) -> tuple
     where the time-derivative terms are expanded analytically using
     ``metric.beta_dt`` (zero when absent) and the supplied state derivative
     ``s_dot``; all Hodge factors are evaluated at ``s.t``.  The integrator
-    owns the time differencing; this function is linear in (s, s_dot).
+    owns the time differencing; this function is linear in (s, s_dot).  A
+    Cochain adapter over :func:`slots`.
 
     Args:
         s: field state.
@@ -189,21 +212,16 @@ def apply_S(s: FieldState, metric: mesh.MetricField, s_dot: FieldState) -> tuple
     """
     if (s_dot.k, s_dot.grid) != (s.k, s.grid):
         raise ValueError("state derivative has mismatched degrees or grid")
-    n, k, t = s.grid.n, s.k, s.t
-    beta = metric.beta
-    binv = _beta_inv(metric)
-
-    curl_b = mesh.d_sigma(mesh.hodge_sigma(mesh.multiply_scalar(s.fb, beta, t), t, metric))
-    slot_e = mesh.multiply_scalar(s_dot.fe, lambda tt, *x: np.asarray(beta(tt, *x)) ** -2.0, t)
+    lw, lb, t = s.fe.lay, s.fb.lay, s.t
+    beta_w, beta_b = mesh.sample_flat(lw, metric.beta, t), mesh.sample_flat(lb, metric.beta, t)
+    inv_beta = 1.0 / beta_w
+    w_dot = s_dot.fe.vec * inv_beta
     if metric.beta_dt is not None:
-        rate = lambda tt, *x: (
-            np.asarray(metric.beta_dt(tt, *x)) / np.asarray(beta(tt, *x), dtype=float) ** 3
-        )
-        slot_e = slot_e - mesh.multiply_scalar(s.fe, rate, t)
-    slot_e = slot_e + eps_sign(n, k) * mesh.multiply_scalar(curl_b, binv, t)
-
-    slot_b = s_dot.fb - mesh.d_sigma(mesh.hodge_sigma(s.fe, t, metric))
-    return slot_e, slot_b
+        w_dot = w_dot - s.fe.vec * mesh.sample_flat(lw, metric.beta_dt, t) * inv_beta**2
+    slot_e, slot_b = slots(
+        lw, lb, s.fe.vec * inv_beta, s.fb.vec, w_dot, s_dot.fb.vec, beta_w, beta_b, float(metric.conf(t))
+    )
+    return lw.cochain(slot_e), lb.cochain(slot_b)
 
 
 def rhs_sources(src: SourceData, t: float, metric: mesh.MetricField):
@@ -291,22 +309,30 @@ def constraint_residuals(s: FieldState, src: SourceData, metric: mesh.MetricFiel
     """
     n, k, t = s.grid.n, s.k, s.t
     m = s.grid.dim
-    r_e = None
-    if s.fe.degree < m:
-        r_e = mesh.d_sigma(mesh.multiply_scalar(s.fe, _beta_inv(metric), t))
+    lw, lb = s.fe.lay, s.fb.lay
+    r_e = r_b = r_bdy = None
+    if lw.degree < m:
+        lay_e = mesh.layout(s.grid, lw.degree + 1, False)
+        r_e = mesh.d_flat(lw, s.fe.vec * (1.0 / mesh.sample_flat(lw, metric.beta, t)))
         if src.je is not None:
-            lay_e = mesh.layout(s.grid, n + 1 - k, False)
-            je = lay_e.cochain(src.je(t) * mesh.sample_flat(lay_e, _beta_inv(metric), t))
-            r_e = r_e - ((-1) ** (n - k)) * je
-    r_b = None
-    if s.fb.degree < m:
-        r_b = mesh.d_sigma(s.fb)
-        if src.zb is not None:
-            r_b = r_b - mesh.layout(s.grid, k + 1, True).cochain(src.zb(t))
-    r_bdy = None
-    if s.fe.degree <= m - 1:
+            je = src.je(t) * (1.0 / mesh.sample_flat(lay_e, metric.beta, t))
+            r_e = r_e - float((-1) ** (n - k)) * je
+        r_e = lay_e.cochain(r_e)
         r_bdy = {face: mesh.trace_pullback(s.fe, face) for face in mesh.faces(s.grid)}
+    if lb.degree < m:
+        r_b = mesh.d_flat(lb, s.fb.vec)
+        if src.zb is not None:
+            r_b = r_b - src.zb(t)
+        r_b = mesh.layout(s.grid, k + 1, True).cochain(r_b)
     return r_e, r_b, r_bdy
+
+
+def constraint_norms(s: FieldState, src: SourceData, metric: mesh.MetricField) -> tuple[float, float, float]:
+    """Slice norms of :func:`constraint_residuals`: r_e, r_b and the largest
+    face trace, each 0.0 where absent."""
+    r_e, r_b, r_bdy = constraint_residuals(s, src, metric)
+    norm = lambda c: mesh.norm_sigma(c, s.t, metric) if c is not None else 0.0
+    return norm(r_e), norm(r_b), max(map(norm, (r_bdy or {}).values()), default=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -637,15 +663,9 @@ def split_system_residuals(
     out = {}
     for key, slot, rhs in zip(("evo_e", "evo_b"), apply_S(s, metric, s_dot), rhs_sources(src, t, metric)):
         if rhs is not None:
-            slot = slot - mesh.layout(slot.grid, slot.degree, slot.dual).cochain(rhs)
+            slot = slot - slot.lay.cochain(rhs)
         out[key] = mesh.norm_sigma(slot, t, metric)
-    r_e, r_b, r_bdy = constraint_residuals(s, src, metric)
-    out["div_e"] = mesh.norm_sigma(r_e, t, metric) if r_e is not None else 0.0
-    out["div_b"] = mesh.norm_sigma(r_b, t, metric) if r_b is not None else 0.0
-    if r_bdy:
-        out["bdy"] = max(mesh.norm_sigma(c, t, metric) for c in r_bdy.values())
-    else:
-        out["bdy"] = 0.0
+    out["div_e"], out["div_b"], out["bdy"] = constraint_norms(s, src, metric)
     return out
 
 

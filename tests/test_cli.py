@@ -177,6 +177,21 @@ class TestParseConfig:
         assert f"config error: {experiment}: cfl violation: dt=0.06 exceeds" in printed
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize(
+        "text,fragment",
+        [("cfl = 0.95\n", "cfl must lie in (0, 0.9]"), ("t_final = inf\n", "t_final must be finite")],
+    )
+    def test_invalid_evolve_parameters_are_config_errors(self, tmp_path, capsys, command, text, fragment):
+        # evolution.EvolveConfig's own rules, checked before any output is written
+        cfg = write_config(tmp_path, "experiment = evolve\n" + text)
+        out = tmp_path / "out"
+        args = [command, "--config", cfg] + (["--out", out] if command == "run" else [])
+        code, printed = run_cli(args, capsys)
+        assert code == 2
+        assert f"config error: evolve: {fragment}" in printed
+        assert not out.exists()
+
     @pytest.mark.parametrize("name", sorted(cli.EXPERIMENTS))
     def test_demo_configs_are_accepted(self, name):
         demos = os.path.join(os.path.dirname(__file__), "..", "demos", "configs")

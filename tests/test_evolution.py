@@ -272,7 +272,7 @@ class TestEvolve:
         cfg = evolution.EvolveConfig(t_final=4 * grid.dt, cfl=0.4)
         _, series = evolution.evolve(s0, system.zero_sources(grid, 2), met, cfg)
         path = tmp_path / "series_run.csv"
-        series.write_csv(path)
+        io.write_monitor_csv(path, series.columns)
         back = io.read_monitor_csv(path)
         np.testing.assert_allclose(back["energy"], series.columns["energy"], rtol=0)
 

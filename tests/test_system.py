@@ -12,7 +12,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from kmaxwell import exterior, mesh, system
+from kmaxwell import evolution, exterior, mesh, system
 from kmaxwell.tolerances import ADMISSIBILITY_TOL, FIBER_MATCH_TOL, LINEARITY_TOL
 
 RNG_SEED = 771541
@@ -275,6 +275,53 @@ class TestConstraintResiduals:
         src = system.SourceData(grid=g, k=k, window=(0.0, 1.0), je=lambda t: je_val.vec)
         r_e, _, _ = system.constraint_residuals(s, src, mesh.unit_metric())
         assert mesh.max_pointwise(r_e) < 1e-13
+
+
+CROSS_PATH_METRICS = {
+    "unit": mesh.unit_metric(),
+    "well_expanding": mesh.MetricField(
+        beta=lambda t, *x: 1.0 + 0.3 * np.sin(3.0 * x[0]) * np.cos(2.0 * x[-1]),
+        conf=lambda t: 1.0 + 0.1 * t,
+    ),
+    "time_dependent": mesh.MetricField(
+        beta=lambda t, *x: 1.5 + 0.2 * np.sin(t) * np.cos(3.0 * x[0]),
+        beta_dt=lambda t, *x: 0.2 * np.cos(t) * np.cos(3.0 * x[0]),
+    ),
+}
+
+
+class TestOneSplitOperator:
+    @pytest.mark.parametrize("name", sorted(CROSS_PATH_METRICS))
+    @pytest.mark.parametrize("cells", [(5, 4), (4, 5, 4)], ids=["n3", "n4"])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_generator_apply_s_and_closedness_agree(self, name, cells, k):
+        # the march's right-hand side solves apply_S's slots (zero sources)
+        # for the time derivative, and validate_problem's closedness checks
+        # measure the source-free constraint residuals
+        metric = CROSS_PATH_METRICS[name]
+        g = box_grid(cells, lengths=(1.0,) * len(cells))
+        t = 0.37
+        src = system.zero_sources(g, k)
+        gen = evolution.Generator(g, k, metric, src, "project_B", t)
+        y = np.random.default_rng(RNG_SEED).standard_normal(gen.nw + gen.lb.size)
+        y_dot = gen.rhs(t, y)
+        s = gen.state(t, y)
+        w, w_dot = y[: gen.nw], y_dot[: gen.nw]
+        fe_dot = mesh.sample_flat(gen.lw, metric.beta, t) * w_dot
+        if metric.beta_dt is not None:
+            fe_dot = fe_dot + mesh.sample_flat(gen.lw, metric.beta_dt, t) * w
+        s_dot = system.FieldState(t, gen.lw.cochain(fe_dot), gen.lb.cochain(y_dot[gen.nw :]), k)
+        slot_e, slot_b = system.apply_S(s, metric, s_dot)
+        scale = max(np.abs(y).max(), np.abs(y_dot).max())
+        assert np.abs(slot_e.vec).max() < 1e-12 * scale
+        assert np.abs(slot_b.vec).max() < 1e-12 * scale
+
+        r_e, r_b, _ = system.constraint_residuals(s, src, metric)
+        checks = {c.name: c.measure for c in evolution.validate_problem(s, src, g, metric).checks}
+        for key, r in (("closed_fe", r_e), ("closed_fb", r_b)):
+            assert checks[key] == (mesh.norm_sigma(r, t, metric) if r is not None else 0.0)
+        assert checks["closed_fe"] > 0.0 or r_e is None
+        assert checks["closed_fb"] > 0.0 or r_b is None
 
 
 class TestPrincipalSymbol:
