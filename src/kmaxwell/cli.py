@@ -7,7 +7,10 @@ configuration echo, code version, timestamps, every check (measured value and
 threshold), and an index of every emitted file.
 
 Exit status contract: 0 when every check passed, 1 when at least one check
-failed, 2 for usage errors (bad arguments, unreadable or invalid config).
+failed, 2 for usage errors (bad arguments, unreadable or invalid config), 3
+when the suite raised at run time (an ``evolution.InstabilityError``, for
+example); the manifest is written in that case too, with ``passed: false``
+and an ``error`` record.
 The only environment variable honoured is ``KMAXWELL_THREADS``; it caps the
 thread count of the numerical backend and must be set before heavy imports,
 which is why it is applied at module import time.
@@ -24,6 +27,7 @@ import argparse
 import datetime
 import itertools
 import math
+import traceback
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -549,8 +553,31 @@ def _timestamp() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
+def _error_record(err: Exception) -> dict:
+    """The manifest's account of a runtime failure.
+
+    ``phase`` is the innermost function of this package on the traceback
+    (``module.function``); an ``InstabilityError`` adds the last stable time.
+    """
+    package = Path(__file__).parent
+    frames = [f for f in traceback.extract_tb(err.__traceback__) if Path(f.filename).parent == package]
+    record = {
+        "type": type(err).__name__,
+        "message": str(err),
+        "phase": f"{Path(frames[-1].filename).stem}.{frames[-1].name}",
+    }
+    if isinstance(err, evolution.InstabilityError):
+        record["t_last"] = float(err.t_last)
+    return record
+
+
 def run(cfg: RunConfig, out_dir) -> dict:
     """Execute the configured suite and write every artifact plus the manifest.
+
+    An exception raised by the suite is not propagated: the manifest then
+    has no checks, ``passed: false``, an ``error`` record (type, message,
+    phase, and ``t_last`` for an ``InstabilityError``) and, as its file
+    index, whatever the suite wrote before it raised.
 
     Args:
         cfg: validated run configuration.
@@ -562,7 +589,12 @@ def run(cfg: RunConfig, out_dir) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     started = _timestamp()
-    checks, files = _SUITES[cfg.experiment](cfg, out)
+    error = None
+    try:
+        checks, files = _SUITES[cfg.experiment](cfg, out)
+    except Exception as err:  # the run boundary: record the failure in the manifest
+        files = [p.name for p in out.iterdir() if p.name != "manifest.json"]
+        checks, error = [], _error_record(err)
     manifest = {
         "config": asdict(cfg),
         "version": _code_version(),
@@ -570,8 +602,10 @@ def run(cfg: RunConfig, out_dir) -> dict:
         "finished": _timestamp(),
         "checks": [c.to_dict() for c in checks],
         "files": sorted(files) + ["manifest.json"],
-        "passed": all(c.passed for c in checks),
+        "passed": error is None and all(c.passed for c in checks),
     }
+    if error is not None:
+        manifest["error"] = error
     io.write_json(out / "manifest.json", manifest)
     return manifest
 
@@ -586,6 +620,9 @@ def _print_manifest(manifest: dict) -> None:
     total = len(manifest["checks"])
     passed = sum(1 for c in manifest["checks"] if c["passed"])
     print(f"{passed}/{total} checks passed")
+    if "error" in manifest:
+        error = manifest["error"]
+        print(f"ERROR {error['type']} in {error['phase']}: {error['message']}")
 
 
 def main(argv=None) -> int:
@@ -627,6 +664,8 @@ def main(argv=None) -> int:
     manifest = run(cfg, out_dir)
     _print_manifest(manifest)
     print(f"manifest: {Path(out_dir) / 'manifest.json'}")
+    if "error" in manifest:
+        return 3
     return 0 if manifest["passed"] else 1
 
 

@@ -4,13 +4,17 @@ The integrator advances the lapse-weighted electric component ``w = fe/beta``
 together with ``fb`` using the classical four-stage Runge-Kutta scheme, on the
 curls of ``system`` (the split operator's one home); after every stage the
 magnetic normal-leg values on the boundary are zeroed, which is an exact
-orthogonal projection onto the admissible subspace.  Constraint norms, an
-energy functional, and an optional causal-support leak are sampled into a
-monitor series.
+orthogonal projection onto the admissible subspace.  A :class:`Generator`
+assembles the curls once per batch shape, as the ``system.curl_ops`` program
+of bound ufunc calls over buffers it owns, and :func:`_rk4_step` runs all four
+stages in those buffers, so a step allocates only the row it returns.
+Constraint norms, an energy functional, and an optional causal-support leak
+are sampled into a monitor series.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -252,16 +256,41 @@ def validate_problem(
     return report
 
 
+class _Stages:
+    """The buffers of one leading batch shape and the curl program on them.
+
+    ``ops`` reads the stage input ``ys`` and writes the slope ``k`` (its
+    parts ``k_w`` and ``k_b``); ``acc``, the slope sum of an RK4 step, is
+    allocated on first use, so a right-hand side alone never holds it.
+    """
+
+    def __init__(self, ys, k, ops, k_w, k_b):
+        self.ys, self.k, self.ops, self.k_w, self.k_b = ys, k, ops, k_w, k_b
+
+    @functools.cached_property
+    def acc(self) -> np.ndarray:
+        return np.empty_like(self.k)
+
+
 class Generator:
     """Semi-discrete generator of the split system on stacked ``[w; fb]`` rows.
 
     ``w = fe / beta`` is the lapse-weighted electric component (primal,
     degree n-k) and ``fb`` the magnetic one (dual, degree k); a row is the
     two flat cochains end to end, and leading axes hold independent rows.
-    When ``metric.beta_dt`` is None the lapse is time independent and is
-    sampled once, at ``t``; otherwise it is sampled at every evaluation.
-    With ``project_B`` on a grid with faces, :meth:`project` zeroes the
-    magnetic normal legs on the boundary.
+
+    The generator assembles its split operator once per leading batch shape
+    (:meth:`stages`): the ``system.curl_ops`` program, kept as a list of
+    bound ``np.multiply``/``np.subtract``/``np.add`` calls from a
+    stage-input buffer into a slope buffer, which :func:`_rk4_step` and
+    :meth:`rhs` run.
+    The program reads the lapse rows and Hodge factors the generator owns:
+    the lapse is sampled once when ``metric.beta_dt`` is None and at every
+    evaluation otherwise, and the factors are recomputed only when a(t)
+    changes value.  The buffers live as long as the generator and reference
+    nothing back, so they are freed with it.  With ``project_B`` on a grid
+    with faces, :meth:`project` zeroes the magnetic normal legs on the
+    boundary.
     """
 
     def __init__(self, grid, k, metric, src, boundary_mode, t):
@@ -272,9 +301,17 @@ class Generator:
         self.nw = self.lw.size
         self.curl_sign = float(-system.eps_sign(n, k))
         self.projects = boundary_mode == "project_B" and not all(grid.periodic)
+        self._faces = self.nw + mesh.normal_face_sites(self.lb) if self.projects else None
         self._lapse = None
         if metric.beta_dt is None:
             self._lapse = self.lapse(t)
+            self._beta = self._lapse
+        else:
+            self._beta = (np.empty(self.nw), np.empty(self.lb.size))
+        self._conf = float(metric.conf(t))
+        # one (1,) view per component, so the program sees the factors refreshed in place
+        self._fac = tuple(np.array(mesh.hodge_factors(lay, self._conf))[:, None] for lay in (self.lw, self.lb))
+        self._stages = {}
 
     def lapse(self, t):
         """Lapse samples at the (w, fb) sites at time t."""
@@ -285,21 +322,57 @@ class Generator:
     def project(self, y: np.ndarray) -> np.ndarray:
         """Zero the boundary normal flux of the fb part of ``y`` in place; returns ``y``."""
         if self.projects:
-            mesh.project_flat(self.lb, y[..., self.nw :])
+            y[..., self._faces] = 0.0
         return y
 
-    def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
-        """Time derivative of the rows ``y`` at time t, sources included."""
-        beta_w, beta_b = self.lapse(t)
+    def stages(self, batch: tuple) -> _Stages:
+        """The buffers and curl program for rows of leading shape ``batch``, built once."""
+        st = self._stages.get(batch)
+        if st is None:
+            size = self.nw + self.lb.size
+            ys, k = np.empty(batch + (size,)), np.empty(batch + (size,))
+            k_w, k_b = k[..., : self.nw], k[..., self.nw :]
+            # x * 1.0 == x bit for bit: a unit lapse and a unit sign add no pass
+            beta = [None if self._lapse is not None and (b == 1.0).all() else b for b in self._beta]
+            w, fb = ys[..., : self.nw], ys[..., self.nw :]
+            ops = list(system.curl_ops(self.lw, self.lb, w, fb, *beta, self._fac, k_w, k_b))
+            if self.curl_sign != 1.0:
+                ops.append((np.multiply, (k_w, self.curl_sign, k_w)))
+            st = self._stages[batch] = _Stages(ys, k, ops, k_w, k_b)
+        return st
+
+    def _sources(self, t):
+        """Bring the lapse and Hodge factors to time t; the source terms at t.
+
+        The terms are ``beta_w * src_e`` and ``src_b`` of
+        ``system.rhs_sources``, None where a source is absent.
+        """
+        if self._lapse is None:
+            for buf, row in zip(self._beta, self.lapse(t)):
+                buf[...] = row
         conf = float(self.metric.conf(t))
+        if conf != self._conf:
+            self._conf = conf
+            for fac, lay in zip(self._fac, (self.lw, self.lb)):
+                fac[:, 0] = mesh.hodge_factors(lay, conf)
         src_e, src_b = system.rhs_sources(self.src, t, self.metric)
-        curl_b, curl_e = system.curls(self.lw, self.lb, y[..., : self.nw], y[..., self.nw :], beta_w, beta_b, conf)
-        dw = curl_b * self.curl_sign
-        if src_e is not None:
-            dw = beta_w * src_e + dw
-        if src_b is not None:
-            curl_e = curl_e + src_b
-        return np.concatenate([dw, curl_e], axis=-1)
+        return None if src_e is None else self._beta[0] * src_e, src_b
+
+    def run(self, t: float, st: _Stages) -> np.ndarray:
+        """Time derivative of the rows ``st.ys`` at time t, written into ``st.k``."""
+        term_e, term_b = self._sources(t)
+        mesh.run_ops(st.ops)
+        if term_e is not None:
+            np.add(st.k_w, term_e, out=st.k_w)
+        if term_b is not None:
+            np.add(st.k_b, term_b, out=st.k_b)
+        return st.k
+
+    def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
+        """Time derivative of the rows ``y`` at time t, sources included (a new array)."""
+        st = self.stages(y.shape[:-1])
+        np.copyto(st.ys, y)
+        return self.run(t, st).copy()
 
     def rows(self, s: system.FieldState) -> np.ndarray:
         """The stacked row of a state."""
@@ -312,12 +385,32 @@ class Generator:
 
 
 def _rk4_step(t, y, gen: Generator, dt):
-    """One classical RK4 step of projected rows, projecting every stage."""
-    k1 = gen.rhs(t, y)
-    k2 = gen.rhs(t + dt / 2, gen.project(y + k1 * (dt / 2)))
-    k3 = gen.rhs(t + dt / 2, gen.project(y + k2 * (dt / 2)))
-    k4 = gen.rhs(t + dt, gen.project(y + k3 * dt))
-    return gen.project(y + (k1 + k2 * 2.0 + k3 * 2.0 + k4) * (dt / 6.0))
+    """One classical RK4 step of projected rows, projecting every stage.
+
+    The stages run in the generator's buffers for ``y``'s batch shape: each
+    stage input ``y + k * h`` is formed in place, the slopes are summed as
+    ``((k1 + 2 k2) + 2 k3) + k4``, and only the returned row is new.
+    """
+    st = gen.stages(y.shape[:-1])
+    ys, k, acc = st.ys, st.k, st.acc
+
+    def stage_input(slope, h):
+        np.multiply(slope, h, out=ys)
+        np.add(y, ys, out=ys)
+        gen.project(ys)
+
+    np.copyto(ys, y)
+    np.copyto(acc, gen.run(t, st))
+    stage_input(acc, dt / 2)
+    gen.run(t + dt / 2, st)
+    stage_input(k, dt / 2)
+    np.add(acc, np.multiply(k, 2.0, out=k), out=acc)
+    gen.run(t + dt / 2, st)
+    stage_input(k, dt)
+    np.add(acc, np.multiply(k, 2.0, out=k), out=acc)
+    np.add(acc, gen.run(t + dt, st), out=acc)
+    np.multiply(acc, dt / 6.0, out=acc)
+    return gen.project(np.add(y, acc))
 
 
 def operator_matrix(
@@ -335,8 +428,11 @@ def operator_matrix(
     as an oracle against the stepped integrator and for reference histories.
     """
     gen = Generator(grid, k, metric, system.zero_sources(grid, k), boundary_mode, t)
-    size = gen.nw + gen.lb.size
-    return gen.project(gen.rhs(t, gen.project(np.eye(size)))).T
+    st = gen.stages((gen.nw + gen.lb.size,))
+    st.ys.fill(0.0)
+    np.fill_diagonal(st.ys, 1.0)
+    gen.project(st.ys)
+    return gen.project(gen.run(t, st)).T
 
 
 def step(

@@ -31,10 +31,17 @@ vector, and :meth:`Layout.cochain` is its only constructor.  The operators
 from ``sample_flat``) act on such vectors, or on arrays of them stacked
 along leading axes (a history's time slices, an operator's columns): ``d``
 differences reshaped component views, the Hodge dual rescales and permutes
-whole component blocks.  The :class:`Cochain` functions (``d_sigma``,
-``hodge_sigma``, ``pair_sigma``, ...) are adapters that apply the flat
-operator to ``vec`` and wrap the result, so every operator has one
-implementation; none of them changes its input.
+whole component blocks.  These two stencils are op builders:
+:func:`d_ops` and :func:`hodge_ops` yield a program, bound
+``np.subtract``/``np.add``/``np.multiply`` calls as ``(function,
+arguments)`` pairs that write into given buffers and read their inputs anew
+on every run (:func:`run_ops`).  A caller that keeps the program as a list
+with its buffers (``evolution.Generator``) pays the slicing once;
+``d_flat`` and ``hodge_flat`` run the program on fresh arrays as it is
+built.  The :class:`Cochain` functions (``d_sigma``, ``hodge_sigma``,
+``pair_sigma``, ...) are adapters that apply the flat operator to ``vec``
+and wrap the result, so every operator has one implementation; none of
+them changes its input.
 """
 
 from __future__ import annotations
@@ -239,6 +246,11 @@ class Layout:
     @property
     def size(self) -> int:
         return self.offsets[-1]
+
+    @functools.cached_property
+    def largest(self) -> int:
+        """Size of the largest component."""
+        return max(b - a for a, b in zip(self.offsets, self.offsets[1:]))
 
     def view(self, x: np.ndarray, i: int) -> np.ndarray:
         """Component i of flat rows ``x`` as a ``(..., *shapes[i])`` view."""
@@ -447,52 +459,101 @@ def _conf_power(conf, p: int):
     return np.array([float(c) ** p for c in np.ravel(conf)]).reshape(np.shape(conf))
 
 
-def d_flat(lay: Layout, x: np.ndarray) -> np.ndarray:
-    """Coboundary of flat rows in ``lay``: signed differences, degree k -> k+1."""
-    grid = lay.grid
-    m = grid.dim
-    if lay.degree >= m:
-        raise ValueError("d_sigma: top-degree input")
+def run_ops(ops) -> None:
+    """Run a program, an iterable of ``(function, arguments)`` calls, in order."""
+    for fn, args in ops:
+        fn(*args)
+
+
+def d_ops(lay: Layout, x: np.ndarray, out: np.ndarray, scratch=None):
+    """The coboundary of flat rows ``x`` in ``lay`` as a program writing ``out``.
+
+    Yields, lazily, ``(function, arguments)`` calls of ufuncs with their
+    output buffer that, run in order, fill ``out`` (degree k+1 rows of the
+    same batch shape, last axis contiguous) with zeros and then add or
+    subtract one signed difference per incidence term.  Each difference is
+    written first into ``scratch`` (flat, at least the batch size times
+    ``lay.largest``; a fresh array per difference when None) and only then
+    meets the zeros, so a zero comes out as ``0 + diff`` or ``0 - diff``
+    would leave it (``0 - (+0)`` is +0, where negating a straight write
+    would give -0); a periodic axis wraps by two slice subtractions.  The
+    calls read ``x`` anew each time they run.
+    """
+    grid, m = lay.grid, lay.grid.dim
     out_lay = layout(grid, lay.degree + 1, lay.dual)
-    out = np.zeros(x.shape[:-1] + (out_lay.size,))
+    yield out.fill, (0.0,)
     for i, b, j, sign in lay.cofaces:
-        arr = lay.view(x, i)
-        target = out_lay.view(out, j)
-        axis = b - m
+        arr, target, axis = lay.view(x, i), out_lay.view(out, j), b - m
+        hi, lo = arr[_along(axis, slice(1, None))], arr[_along(axis, slice(None, -1))]
+        shape = arr.shape if grid.periodic[b] else hi.shape
+        diff = np.empty(shape) if scratch is None else scratch[: math.prod(shape)].reshape(shape)
         if grid.periodic[b]:
-            if lay.dual:
-                diff = arr - np.roll(arr, 1, axis=axis)
-            else:
-                diff = np.roll(arr, -1, axis=axis) - arr
+            # primal: roll(arr, -1) - arr; dual: arr - roll(arr, 1)
+            inner, wrap = (slice(1, None), slice(0, 1)) if lay.dual else (slice(None, -1), slice(-1, None))
+            first, last = arr[_along(axis, slice(0, 1))], arr[_along(axis, slice(-1, None))]
+            yield np.subtract, (hi, lo, diff[_along(axis, inner)])
+            yield np.subtract, (first, last, diff[_along(axis, wrap)])
         else:
-            diff = arr[_along(axis, slice(1, None))] - arr[_along(axis, slice(None, -1))]
+            yield np.subtract, (hi, lo, diff)
             if lay.dual:
                 target = target[_along(axis, slice(1, -1))]
-        if sign > 0:
-            target += diff
-        else:
-            target -= diff
+        yield (np.add if sign > 0 else np.subtract), (target, diff, target)
+
+
+def d_flat(lay: Layout, x: np.ndarray) -> np.ndarray:
+    """Coboundary of flat rows in ``lay``: signed differences, degree k -> k+1.
+
+    The :func:`d_ops` program, run as it is built.
+    """
+    if lay.degree >= lay.grid.dim:
+        raise ValueError("d_sigma: top-degree input")
+    out = np.empty(x.shape[:-1] + (layout(lay.grid, lay.degree + 1, lay.dual).size,))
+    run_ops(d_ops(lay, x, out))
     return out
+
+
+def hodge_factors(lay: Layout, conf, scale: float = 1.0) -> list:
+    """Per-component Hodge weights of ``lay``: ``scale * eps(S) * a^(m-2k) * outer / inner``.
+
+    ``conf`` is a(t), one float or one value per leading row; entry i is a
+    float, or an array of shape ``(*np.shape(conf), 1)``, that broadcasts
+    against component i of flat rows.
+    """
+    power = _conf_power(conf, lay.grid.dim - 2 * lay.degree)
+    if isinstance(power, np.ndarray):
+        power = power[..., None]
+    return [scale * sign * power * outer / inner for sign, (outer, inner) in zip(lay.signs, lay.measures)]
+
+
+def hodge_ops(lay: Layout, x: np.ndarray, out: np.ndarray, fac, weight=None):
+    """The diagonal Hodge dual of flat rows ``x`` as a program writing ``out``.
+
+    Yields, lazily, ``(function, arguments)`` calls of ``np.multiply``:
+    component S of ``x`` (times the matching entries of ``weight``, a lapse
+    row or rows, when given) is scaled by ``fac[i]`` (see
+    :func:`hodge_factors`) into the block of S^c in the other family.  The
+    calls read ``x`` and ``weight`` anew each time they run; an owner that
+    refreshes the factors in place passes each ``fac[i]`` as an array.
+    """
+    out_lay = layout(lay.grid, lay.grid.dim - lay.degree, not lay.dual)
+    for i, j in enumerate(lay.stars):
+        src = x[..., lay.offsets[i] : lay.offsets[i + 1]]
+        dst = out[..., out_lay.offsets[j] : out_lay.offsets[j + 1]]
+        if weight is not None:
+            yield np.multiply, (weight[..., lay.offsets[i] : lay.offsets[i + 1]], src, dst)
+            src = dst
+        yield np.multiply, (fac[i], src, dst)
 
 
 def hodge_flat(lay: Layout, x: np.ndarray, conf, scale: float = 1.0) -> np.ndarray:
     """Diagonal Hodge dual of flat rows: component S -> S^c, family swapped.
 
     ``conf`` is a(t), one float or one value per leading row; ``scale``
-    multiplies every weight (orientation and inverse signs).
+    multiplies every weight (orientation and inverse signs).  The
+    :func:`hodge_ops` program, run as it is built.
     """
-    m = lay.grid.dim
-    power = _conf_power(conf, m - 2 * lay.degree)
-    if np.ndim(power):
-        power = power[..., None]
-    out_lay = layout(lay.grid, m - lay.degree, not lay.dual)
     out = np.empty(x.shape)
-    for i, j in enumerate(lay.stars):
-        outer, inner = lay.measures[i]
-        src = x[..., lay.offsets[i] : lay.offsets[i + 1]]
-        out[..., out_lay.offsets[j] : out_lay.offsets[j + 1]] = (
-            scale * lay.signs[i] * power * outer / inner
-        ) * src
+    run_ops(hodge_ops(lay, x, out, hodge_factors(lay, conf, scale)))
     return out
 
 
@@ -547,6 +608,12 @@ def project_flat(lay: Layout, x: np.ndarray) -> np.ndarray:
     for face in _normal_faces(lay, x):
         face[...] = 0.0
     return x
+
+
+def normal_face_sites(lay: Layout) -> np.ndarray:
+    """Flat positions of the entries :func:`project_flat` zeroes."""
+    faces = [face.ravel() for face in _normal_faces(lay, np.arange(lay.size))]
+    return np.concatenate([np.zeros(0, dtype=np.intp)] + faces)
 
 
 def flux_maxabs_flat(lay: Layout, x: np.ndarray) -> float:

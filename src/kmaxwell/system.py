@@ -5,9 +5,11 @@ an electric component fe (degree n-k, primal family) and a magnetic component
 fb (degree k, dual family).  This module provides:
 
 * the split/assemble bijection between the spacetime pair and the state;
-* the split operator on flat rows, in its one home: :func:`curls` and the
-  evolution slots :func:`slots`, which the RK4 generator, ``green.apply_operator``
-  and :func:`apply_S` share, with the source right-hand side and the sign exponents;
+* the split operator on flat rows, in its one home: the curl program
+  :func:`curl_ops` (kept and rerun by the RK4 generator, run once by
+  :func:`curls`) and the evolution slots :func:`slots`, which
+  ``green.apply_operator`` and :func:`apply_S` share, with the source
+  right-hand side and the sign exponents;
 * the continuity residuals of a source family (the identities a source
   pair must satisfy for the Cauchy problem to be well posed);
 * the interior and boundary constraint residuals;
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, prod
 from typing import Callable
 
 import numpy as np
@@ -163,15 +165,42 @@ def assemble(s: FieldState, metric: mesh.MetricField) -> tuple[mesh.Cochain, mes
     return mesh.hodge_sigma(s.fe, s.t, metric), s.fb.copy()
 
 
+def curl_ops(lw: mesh.Layout, lb: mesh.Layout, w, fb, beta_w, beta_b, fac, curl_b, curl_e):
+    """The split system's two curls as one program of bound ufunc calls.
+
+    Yields, lazily, the ``(function, arguments)`` calls that write
+    ``d(*(beta fb))`` into ``curl_b`` and ``d(*(beta w))`` into ``curl_e``:
+    the lapse product, the per-component Hodge factors
+    ``fac = (hodge_factors(lw, a), hodge_factors(lb, a))`` and the incidence
+    differences of ``d`` (:func:`mesh.hodge_ops`, :func:`mesh.d_ops`); a
+    lapse of None is a unit lapse and adds no product.  The two curls run
+    one after the other, so they share one Hodge image buffer and one
+    difference scratch, allocated when the program is built.  The calls
+    read ``w``, ``fb`` and the lapse rows anew each time they run, and
+    ``fac`` too when its entries are arrays.
+    """
+    grid, k = lb.grid, lb.degree
+    lay_b, lay_e = mesh.layout(grid, grid.dim - k, False), mesh.layout(grid, k - 1, True)
+    rows = prod(w.shape[:-1])
+    h = np.empty(rows * max(lw.size, lb.size))
+    scratch = np.empty(rows * max(lay_b.largest, lay_e.largest))
+    hb, hw = h[: fb.size].reshape(fb.shape), h[: w.size].reshape(w.shape)
+    yield from mesh.hodge_ops(lb, fb, hb, fac[1], beta_b)
+    yield from mesh.d_ops(lay_b, hb, curl_b, scratch)
+    yield from mesh.hodge_ops(lw, w, hw, fac[0], beta_w)
+    yield from mesh.d_ops(lay_e, hw, curl_e, scratch)
+
+
 def curls(lw: mesh.Layout, lb: mesh.Layout, w, fb, beta_w, beta_b, conf):
     """The split system's two curls of flat rows: ``d(*(beta fb))`` and ``d(*(beta w))``.
 
     ``lw``/``lb`` are the layouts of ``w`` (primal, degree n-k) and ``fb``
-    (dual, degree k); the lapse samples and a(t) are one row or one per row.
+    (dual, degree k); the lapse samples and a(t) are one row or one per row
+    of ``w`` and ``fb``.  The :func:`curl_ops` program, run as it is built.
     """
-    grid, k = lb.grid, lb.degree
-    curl_b = mesh.d_flat(mesh.layout(grid, grid.dim - k, False), mesh.hodge_flat(lb, beta_b * fb, conf))
-    curl_e = mesh.d_flat(mesh.layout(grid, k - 1, True), mesh.hodge_flat(lw, beta_w * w, conf))
+    curl_b, curl_e = np.empty(fb.shape[:-1] + (lw.size,)), np.empty(w.shape[:-1] + (lb.size,))
+    fac = (mesh.hodge_factors(lw, conf), mesh.hodge_factors(lb, conf))
+    mesh.run_ops(curl_ops(lw, lb, w, fb, beta_w, beta_b, fac, curl_b, curl_e))
     return curl_b, curl_e
 
 

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from kmaxwell import cli, io, tolerances
+from kmaxwell import cli, evolution, io, tolerances
 
 pytestmark = pytest.mark.filterwarnings("error")
 
@@ -352,6 +352,59 @@ class TestRunSuites:
         for check in manifest["checks"]:
             assert set(check) == {"name", "passed", "measure", "threshold", "detail"}
         assert set(manifest["files"]) == set(os.listdir(out))
+
+
+class TestRuntimeFailure:
+    def test_instability_writes_a_manifest_and_exits_3(self, tmp_path, capsys, monkeypatch):
+        def blow_up(s0, src, metric, cfg, support=None):
+            raise evolution.InstabilityError(0.25, s0, None)
+
+        monkeypatch.setattr(evolution, "evolve", blow_up)
+        cfg = write_config(tmp_path, "experiment = evolve\ndt = 0.01\nt_final = 0.1\n")
+        out = tmp_path / "out"
+        code, stdout = run_cli(["run", "--config", cfg, "--out", out], capsys)
+        assert code == 3
+        manifest = load_manifest(out)
+        assert manifest["passed"] is False
+        assert manifest["checks"] == [] and manifest["files"] == ["manifest.json"]
+        error = manifest["error"]
+        assert error["type"] == "InstabilityError"
+        assert error["message"] == "evolution became non-finite after t=0.25"
+        assert error["phase"] == "cli._run_evolve"
+        assert error["t_last"] == 0.25
+        assert "ERROR InstabilityError in cli._run_evolve" in stdout
+
+    def test_any_suite_exception_exits_3(self, tmp_path, capsys, monkeypatch):
+        def broken(cfg, out):
+            raise RuntimeError("disk on fire")
+
+        monkeypatch.setitem(cli._SUITES, "identities", broken)
+        cfg = write_config(tmp_path, "experiment = identities\ntrials = 2\n")
+        out = tmp_path / "out"
+        assert run_cli(["run", "--config", cfg, "--out", out], capsys)[0] == 3
+        error = load_manifest(out)["error"]
+        assert (error["type"], error["message"], error["phase"]) == ("RuntimeError", "disk on fire", "cli.run")
+        assert "t_last" not in error
+
+    def test_files_written_before_the_failure_are_indexed(self, tmp_path, capsys, monkeypatch):
+        def half_done(cfg, out):
+            io.write_json(out / "partial.json", {"done": False})
+            raise RuntimeError("second phase failed")
+
+        monkeypatch.setitem(cli._SUITES, "identities", half_done)
+        cfg = write_config(tmp_path, "experiment = identities\ntrials = 2\n")
+        out = tmp_path / "out"
+        assert run_cli(["run", "--config", cfg, "--out", out], capsys)[0] == 3
+        manifest = load_manifest(out)
+        assert manifest["files"] == ["partial.json", "manifest.json"]
+        assert set(manifest["files"]) == set(os.listdir(out))
+        assert set(manifest["error"]) == {"type", "message", "phase"}
+
+    def test_passing_manifest_has_no_error_record(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "experiment = identities\ntrials = 2\n")
+        out = tmp_path / "out"
+        assert run_cli(["run", "--config", cfg, "--out", out], capsys)[0] == 0
+        assert set(load_manifest(out)) == {"config", "version", "started", "finished", "checks", "files", "passed"}
 
 
 class TestCliInterface:

@@ -1,8 +1,13 @@
 """Tests for the time integrator, validators, and monitored audits."""
 
+import gc
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from test_system import CROSS_PATH_METRICS
 
 from kmaxwell import evolution, green, io, manufactured, mesh, system
 
@@ -463,3 +468,161 @@ class TestCheckCfl:
         assert not res.passed
         good = box_grid(3, 8, 0.4 / 8)
         assert evolution.check_cfl(good, mesh.unit_metric(), cfg).passed
+
+
+def reference_rhs(gen, t, y):
+    """The allocate-per-op right-hand side, from the one-shot operators."""
+    beta_w, beta_b = gen.lapse(t)
+    src_e, src_b = system.rhs_sources(gen.src, t, gen.metric)
+    w, fb = y[..., : gen.nw], y[..., gen.nw :]
+    curl_b, curl_e = system.curls(gen.lw, gen.lb, w, fb, beta_w, beta_b, float(gen.metric.conf(t)))
+    dw = curl_b * gen.curl_sign
+    if src_e is not None:
+        dw = beta_w * src_e + dw
+    if src_b is not None:
+        curl_e = curl_e + src_b
+    return np.concatenate([dw, curl_e], axis=-1)
+
+
+def reference_step(t, y, gen, dt):
+    """The allocate-per-op RK4 step the assembled one must reproduce bit for bit."""
+    k1 = reference_rhs(gen, t, y)
+    k2 = reference_rhs(gen, t + dt / 2, gen.project(y + k1 * (dt / 2)))
+    k3 = reference_rhs(gen, t + dt / 2, gen.project(y + k2 * (dt / 2)))
+    k4 = reference_rhs(gen, t + dt, gen.project(y + k3 * dt))
+    return gen.project(y + (k1 + k2 * 2.0 + k3 * 2.0 + k4) * (dt / 6.0))
+
+
+def same_bits(a, b):
+    """Equal arrays, signed zeros included."""
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def small_grid(n, periodic):
+    cells = (6, 5) if n == 3 else (4, 5, 4)
+    return mesh.GridSpec(n=n, cells_per_axis=cells, lengths=(1.0,) * (n - 1), dt=0.01,
+                         periodic=(periodic,) * (n - 1))
+
+
+def rows_with_zeros(gen, seed):
+    """Rows that are random on a few sites and +0.0 or -0.0 elsewhere.
+
+    Until the support spreads, slopes vanish on most sites, so the sign of
+    each zero a stage writes shows in the result.
+    """
+    y = np.zeros(gen.nw + gen.lb.size)
+    y[1::2] = -0.0
+    y[:4] = np.random.default_rng(seed).standard_normal(4)
+    return gen.project(y)
+
+
+def chain(gen, t, y, dt, steps, step_fn):
+    out = []
+    for _ in range(steps):
+        y = step_fn(t, y, gen, dt)
+        t = t + dt
+        out.append(y)
+    return out
+
+
+class TestAssembledStep:
+    """The assembled RK4 step against the allocate-per-op one, bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(CROSS_PATH_METRICS))
+    @pytest.mark.parametrize("periodic", [False, True], ids=["box", "torus"])
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_twenty_chained_steps(self, name, periodic, n, k):
+        grid = small_grid(n, periodic)
+        metric = CROSS_PATH_METRICS[name]
+        gen = evolution.Generator(grid, k, metric, system.zero_sources(grid, k), "project_B", 0.37)
+        y0 = rows_with_zeros(gen, RNG_SEED + k)
+        got = chain(gen, 0.37, y0, grid.dt, 20, evolution._rk4_step)
+        want = chain(gen, 0.37, y0, grid.dt, 20, reference_step)
+        assert all(same_bits(a, b) for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("beta", ["unit", "well"])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_random_source_pair(self, beta, k):
+        grid = small_grid(3, False)
+        metric = mesh.MetricField(beta=CROSS_PATH_METRICS["unit" if beta == "unit" else "well_expanding"].beta)
+        src = green.random_source_pair(grid, k, metric, (0.1, 0.3), np.random.default_rng(RNG_SEED))
+        gen = evolution.Generator(grid, k, metric, src, "project_B", 0.1)
+        y0 = rows_with_zeros(gen, RNG_SEED)
+        got = chain(gen, 0.1, y0, grid.dt, 20, evolution._rk4_step)
+        want = chain(gen, 0.1, y0, grid.dt, 20, reference_step)
+        assert np.abs(want[-1]).max() > 0.0
+        assert all(same_bits(a, b) for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("name", sorted(CROSS_PATH_METRICS))
+    def test_evolve_ends_with_a_shortened_step(self, name):
+        grid = small_grid(3, False)
+        metric = CROSS_PATH_METRICS[name]
+        s0 = system.random_state(grid, 2, np.random.default_rng(RNG_SEED))
+        cfg = evolution.EvolveConfig(t_final=7.5 * grid.dt, cfl=0.4, monitor_stride=100)
+        src = system.zero_sources(grid, 2)
+        final, _ = evolution.evolve(s0, src, metric, cfg)
+
+        gen = evolution.Generator(grid, 2, metric, src, "project_B", s0.t)
+        y, t = gen.project(gen.rows(s0)), s0.t
+        for i in range(8):
+            h = min(grid.dt, cfg.t_final - t)
+            y = reference_step(t, y, gen, h)
+            t = cfg.t_final if i == 7 else t + h
+        assert h == pytest.approx(0.5 * grid.dt)
+        want = gen.state(t, y)
+        assert final.t == t
+        assert same_bits(final.fe.vec, want.fe.vec) and same_bits(final.fb.vec, want.fb.vec)
+
+    @pytest.mark.parametrize("name", sorted(CROSS_PATH_METRICS))
+    @pytest.mark.parametrize("mode", ["project_B", "periodic_test"])
+    def test_operator_matrix_columns_are_single_row_rhs(self, name, mode):
+        grid = small_grid(3, mode == "periodic_test")
+        metric = CROSS_PATH_METRICS[name]
+        mat = evolution.operator_matrix(grid, 2, metric, t=0.37, boundary_mode=mode)
+        gen = evolution.Generator(grid, 2, metric, system.zero_sources(grid, 2), mode, 0.37)
+        for j in range(mat.shape[1]):
+            e = gen.project(np.eye(1, mat.shape[1], j)[0])
+            col = gen.project(gen.rhs(0.37, e))
+            assert same_bits(np.ascontiguousarray(mat[:, j]), col)
+            assert same_bits(col, gen.project(reference_rhs(gen, 0.37, e)))
+
+
+class TestMemory:
+    def test_generators_are_freed_by_refcount(self, monkeypatch):
+        # no reference cycle: a finished march's buffers go with its last reference
+        gens = []
+        step = evolution._rk4_step
+
+        def spy(t, y, gen, dt):
+            gens.append(weakref.ref(gen))
+            return step(t, y, gen, dt)
+
+        monkeypatch.setattr(evolution, "_rk4_step", spy)
+        grid = small_grid(3, False)
+        met = mesh.unit_metric()
+        src = green.random_source_pair(grid, 2, met, (0.05, 0.12), np.random.default_rng(RNG_SEED))
+        s0 = system.random_state(grid, 2, np.random.default_rng(RNG_SEED))
+        cfg = evolution.EvolveConfig(t_final=5 * grid.dt, cfl=0.4)
+        gc.collect()
+        gc.disable()
+        try:
+            green.g_plus(src, grid, met)
+            evolution.evolve(s0, system.zero_sources(grid, 2), met, cfg)
+            assert len({id(ref) for ref in gens}) == 2
+            assert all(ref() is None for ref in gens)
+        finally:
+            gc.enable()
+
+    def test_warm_3d_step_allocates_only_its_result(self):
+        grid = mesh.GridSpec(n=4, cells_per_axis=(32,) * 3, lengths=(1.0,) * 3, dt=0.005)
+        gen = evolution.Generator(grid, 2, mesh.unit_metric(), system.zero_sources(grid, 2), "project_B", 0.0)
+        y = gen.project(np.random.default_rng(RNG_SEED).standard_normal(gen.nw + gen.lb.size))
+        y = evolution._rk4_step(0.0, y, gen, grid.dt)
+        tracemalloc.start()
+        try:
+            y = evolution._rk4_step(grid.dt, y, gen, grid.dt)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * y.nbytes

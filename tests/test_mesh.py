@@ -646,6 +646,71 @@ class TestFlatRows:
                         np.testing.assert_array_equal(projected[i], mesh.project_normal_flux(c).vec)
 
 
+def reference_d_flat(lay, x):
+    """Coboundary written with one fresh array per operation (np.roll wraps)."""
+    m = lay.grid.dim
+    out_lay = mesh.layout(lay.grid, lay.degree + 1, lay.dual)
+    out = np.zeros(x.shape[:-1] + (out_lay.size,))
+    for i, b, j, sign in lay.cofaces:
+        arr, target, axis = lay.view(x, i), out_lay.view(out, j), b - m
+        if lay.grid.periodic[b]:
+            diff = arr - np.roll(arr, 1, axis=axis) if lay.dual else np.roll(arr, -1, axis=axis) - arr
+        else:
+            diff = np.diff(arr, axis=axis)
+            if lay.dual:
+                target = np.moveaxis(target, axis, -1)[..., 1:-1]
+                diff = np.moveaxis(diff, axis, -1)
+        if sign > 0:
+            target += diff
+        else:
+            target -= diff
+    return out
+
+
+def reference_hodge_flat(lay, x, conf):
+    m = lay.grid.dim
+    out_lay = mesh.layout(lay.grid, m - lay.degree, not lay.dual)
+    power = np.array([float(c) ** (m - 2 * lay.degree) for c in np.ravel(conf)]).reshape(np.shape(conf) + (1,))
+    out = np.empty(x.shape)
+    for i, j in enumerate(lay.stars):
+        outer, inner = lay.measures[i]
+        src = x[..., lay.offsets[i] : lay.offsets[i + 1]]
+        out[..., out_lay.offsets[j] : out_lay.offsets[j + 1]] = (lay.signs[i] * power * outer / inner) * src
+    return out
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestPrograms:
+    @pytest.mark.parametrize(
+        "periodic", [(False, False, False), (True, False, True), (True, True, True)], ids=["box", "mixed", "torus"]
+    )
+    def test_programs_match_the_allocating_operators(self, periodic):
+        # bit for bit, signed zeros included: the zero fill and +=/-= keep
+        # 0 - (+0) at +0 where a straight write would leave -0
+        g = box_grid((4, 5, 4), periodic=periodic)
+        rng = np.random.default_rng(RNG_SEED)
+        confs = np.array([1.0, 1.3, 0.7])
+        for k in range(g.dim + 1):
+            for dual in (False, True):
+                lay = mesh.layout(g, k, dual)
+                rows = rng.standard_normal((3, lay.size))
+                rows[:, ::3] = 0.0
+                rows[:, 1::5] = -0.0
+                rows[:, 1::2] *= rng.random((3, 1)) < 0.5
+                assert same_bits(mesh.hodge_flat(lay, rows, confs), reference_hodge_flat(lay, rows, confs))
+                assert same_bits(mesh.hodge_flat(lay, rows[0], 1.3), reference_hodge_flat(lay, rows[0], 1.3))
+                if k < g.dim:
+                    assert same_bits(mesh.d_flat(lay, rows), reference_d_flat(lay, rows))
+                    assert same_bits(mesh.d_flat(lay, rows[1]), reference_d_flat(lay, rows[1]))
+                if dual:
+                    projected = np.ones(lay.size)
+                    projected[mesh.normal_face_sites(lay)] = 0.0
+                    assert same_bits(projected, mesh.project_flat(lay, np.ones(lay.size)))
+
+
 class TestSampling:
     def test_sample_scalar_coordinates(self):
         g = box_grid((4, 4), lengths=(1.0, 2.0))

@@ -324,6 +324,29 @@ class TestOneSplitOperator:
         assert checks["closed_fb"] > 0.0 or r_b is None
 
 
+    @pytest.mark.parametrize("periodic", [False, True], ids=["box", "torus"])
+    @pytest.mark.parametrize("cells", [(5, 4), (4, 5, 4)], ids=["n3", "n4"])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_curls_are_d_of_the_weighted_hodge_duals(self, periodic, cells, k):
+        # bit for bit, on one row and on stacked rows with one lapse and a(t)
+        # per row: the curl program shares one Hodge buffer and one
+        # difference scratch between its two curls
+        g = box_grid(cells, lengths=(1.0,) * len(cells), periodic=(periodic,) * len(cells))
+        lw, lb = mesh.layout(g, g.n - k, False), mesh.layout(g, k, True)
+        rng = np.random.default_rng(RNG_SEED + k)
+        w, fb = rng.standard_normal((3, lw.size)), rng.standard_normal((3, lb.size))
+        w[:, ::4], fb[:, 1::4] = 0.0, -0.0
+        beta_w, beta_b = 1.0 + rng.random((3, lw.size)), 1.0 + rng.random((3, lb.size))
+        conf = np.array([1.0, 1.2, 0.9])
+        for rows in (slice(None), 1):
+            curl_b, curl_e = system.curls(lw, lb, w[rows], fb[rows], beta_w[rows], beta_b[rows], conf[rows])
+            lh_b, lh_e = mesh.layout(g, g.dim - k, False), mesh.layout(g, k - 1, True)
+            want_b = mesh.d_flat(lh_b, mesh.hodge_flat(lb, beta_b[rows] * fb[rows], conf[rows]))
+            want_e = mesh.d_flat(lh_e, mesh.hodge_flat(lw, beta_w[rows] * w[rows], conf[rows]))
+            assert np.array_equal(curl_b.view(np.uint64), want_b.view(np.uint64))
+            assert np.array_equal(curl_e.view(np.uint64), want_e.view(np.uint64))
+
+
 class TestPrincipalSymbol:
     def test_dt_covector_gives_identity_blocks(self):
         sig = system.symbol_matrix(1.0, np.zeros(3), 1.0, 1.0, 4, 2)
