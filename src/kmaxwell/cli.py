@@ -10,7 +10,8 @@ Exit status contract: 0 when every check passed, 1 when at least one check
 failed, 2 for usage errors (bad arguments, unreadable or invalid config), 3
 when the suite raised at run time (an ``evolution.InstabilityError``, for
 example); the manifest is written in that case too, with ``passed: false``
-and an ``error`` record.
+and an ``error`` record, and an unstable ``evolve`` run first writes its
+monitor series up to the last stable step.
 The only environment variable honoured is ``KMAXWELL_THREADS``; it caps the
 thread count of the numerical backend and must be set before heavy imports,
 which is why it is applied at module import time.
@@ -422,7 +423,13 @@ def _run_evolve(cfg: RunConfig, out: Path):
     support = evolution.SupportInfo(
         center=tuple(0.5 * length for length in grid.lengths), radius=radius, c_max=c_max
     )
-    final, series = evolution.evolve(state0, src, metric, run_cfg, support=support)
+    try:
+        final, series = evolution.evolve(state0, src, metric, run_cfg, support=support)
+    except evolution.InstabilityError as err:
+        # keep what was monitored up to the last stable step; run() indexes it
+        if err.series is not None:
+            io.write_monitor_csv(out / "series_monitor.csv", err.series.columns)
+        raise
     io.write_monitor_csv(out / "series_monitor.csv", series.columns)
     files.append("series_monitor.csv")
     for name, cochain in (("fe", final.fe), ("fb", final.fb)):

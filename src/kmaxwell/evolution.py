@@ -8,13 +8,16 @@ orthogonal projection onto the admissible subspace.  A :class:`Generator`
 assembles the curls once per batch shape, as the ``system.curl_ops`` program
 of bound ufunc calls over buffers it owns, and :func:`_rk4_step` runs all four
 stages in those buffers, so a step allocates only the row it returns.
-Constraint norms, an energy functional, and an optional causal-support leak
-are sampled into a monitor series.
+Sources are evaluated once per stage, or read from the table a generator
+builds for a chunk of steps (:meth:`Generator.tabulate`).  Constraint norms,
+an energy functional, and an optional causal-support leak are sampled into a
+monitor series.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -237,12 +240,14 @@ def validate_problem(
     if has_sources and np.isfinite(src.window).all():
         k, n = src.k, src.grid.n
         spaces = {"charge": (n + 1 - k, False), "flux": (k + 1, True), "flux_closed": (k + 2, True)}
-        for frac in system.CONTINUITY_PROBES:
-            t = src.window[0] + (src.window[1] - src.window[0]) * frac
-            for name, row in system.continuity_residuals(src, metric, t).items():
-                if row is not None:
-                    norm = mesh.norm_flat(mesh.layout(src.grid, *spaces[name]), row, metric.conf(t))
-                    norms[name] = float(np.maximum(norms[name], norm))
+        wa, wb = src.window
+        probes = np.array([wa + (wb - wa) * frac for frac in system.CONTINUITY_PROBES])
+        conf = mesh.sample_conf(metric, probes)
+        for name, rows in system.continuity_residuals(src, metric, probes).items():
+            if rows is not None:
+                lay = mesh.layout(src.grid, *spaces[name])
+                for row, a in zip(rows, conf):
+                    norms[name] = float(np.maximum(norms[name], mesh.norm_flat(lay, row, a)))
     report.checks.append(
         CheckResult("continuity_charge", norms["charge"] < CONTINUITY_TOL, norms["charge"], CONTINUITY_TOL)
     )
@@ -291,6 +296,12 @@ class Generator:
     nothing back, so they are freed with it.  With ``project_B`` on a grid
     with faces, :meth:`project` zeroes the magnetic normal legs on the
     boundary.
+
+    Sources are evaluated by ``system.rhs_sources`` once per stage, or, for
+    a march that knows its step times, once per chunk of steps:
+    :meth:`tabulate` evaluates them on all distinct stage times of the
+    chunk in one batched call, and :meth:`run` reads each tabulated stage's
+    terms from that table.
     """
 
     def __init__(self, grid, k, metric, src, boundary_mode, t):
@@ -312,6 +323,7 @@ class Generator:
         # one (1,) view per component, so the program sees the factors refreshed in place
         self._fac = tuple(np.array(mesh.hodge_factors(lay, self._conf))[:, None] for lay in (self.lw, self.lb))
         self._stages = {}
+        self._table = None
 
     def lapse(self, t):
         """Lapse samples at the (w, fb) sites at time t."""
@@ -341,11 +353,29 @@ class Generator:
             st = self._stages[batch] = _Stages(ys, k, ops, k_w, k_b)
         return st
 
+    def tabulate(self, steps, dt) -> None:
+        """Tabulate the sources of the RK4 steps of size dt from each time in ``steps``.
+
+        One ``system.rhs_sources`` call on the distinct stage times
+        (:func:`_stage_times`) replaces the previous table, which is dropped
+        first, so a march holds one chunk of rows at a time.  The rows are
+        read only.
+        """
+        self._table = None
+        times = list(dict.fromkeys(s for t in steps for s in _stage_times(t, dt)))
+        slots = system.rhs_sources(self.src, np.array(times), self.metric)
+        for rows in slots:
+            if rows is not None:
+                rows.flags.writeable = False
+        columns = [itertools.repeat(None) if rows is None else rows for rows in slots]
+        self._table = dict(zip(times, zip(*columns)))
+
     def _sources(self, t):
         """Bring the lapse and Hodge factors to time t; the source terms at t.
 
         The terms are ``beta_w * src_e`` and ``src_b`` of
-        ``system.rhs_sources``, None where a source is absent.
+        ``system.rhs_sources``, read from the table when t is tabulated,
+        None where a source is absent.
         """
         if self._lapse is None:
             for buf, row in zip(self._beta, self.lapse(t)):
@@ -355,7 +385,8 @@ class Generator:
             self._conf = conf
             for fac, lay in zip(self._fac, (self.lw, self.lb)):
                 fac[:, 0] = mesh.hodge_factors(lay, conf)
-        src_e, src_b = system.rhs_sources(self.src, t, self.metric)
+        rows = None if self._table is None else self._table.get(t)
+        src_e, src_b = rows if rows is not None else system.rhs_sources(self.src, t, self.metric)
         return None if src_e is None else self._beta[0] * src_e, src_b
 
     def run(self, t: float, st: _Stages) -> np.ndarray:
@@ -384,6 +415,16 @@ class Generator:
         return system.FieldState(t, fe, self.lb.cochain(y[self.nw :]), self.k)
 
 
+def _stage_times(t, dt):
+    """The times at which an RK4 step of size dt from t evaluates its slopes.
+
+    ``t``, ``t + dt/2`` (stages 2 and 3) and ``t + dt``, as the float
+    expressions :func:`_rk4_step` uses, so a table keyed on them is hit
+    exactly, for either sign of dt.
+    """
+    return t, t + dt / 2, t + dt
+
+
 def _rk4_step(t, y, gen: Generator, dt):
     """One classical RK4 step of projected rows, projecting every stage.
 
@@ -393,6 +434,7 @@ def _rk4_step(t, y, gen: Generator, dt):
     """
     st = gen.stages(y.shape[:-1])
     ys, k, acc = st.ys, st.k, st.acc
+    _, t_mid, t_end = _stage_times(t, dt)
 
     def stage_input(slope, h):
         np.multiply(slope, h, out=ys)
@@ -402,13 +444,13 @@ def _rk4_step(t, y, gen: Generator, dt):
     np.copyto(ys, y)
     np.copyto(acc, gen.run(t, st))
     stage_input(acc, dt / 2)
-    gen.run(t + dt / 2, st)
+    gen.run(t_mid, st)
     stage_input(k, dt / 2)
     np.add(acc, np.multiply(k, 2.0, out=k), out=acc)
-    gen.run(t + dt / 2, st)
+    gen.run(t_mid, st)
     stage_input(k, dt)
     np.add(acc, np.multiply(k, 2.0, out=k), out=acc)
-    np.add(acc, gen.run(t + dt, st), out=acc)
+    np.add(acc, gen.run(t_end, st), out=acc)
     np.multiply(acc, dt / 6.0, out=acc)
     return gen.project(np.add(y, acc))
 

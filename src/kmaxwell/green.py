@@ -9,6 +9,13 @@ homogeneous solutions.  Dense snapshot histories feed the right-inverse and
 exact-sequence defect suites and a pre-symplectic pairing evaluated through a
 smooth time cutoff.
 
+A march tabulates its sources once per ``SOURCE_TABLE_STEPS`` steps, with one
+batched ``system.rhs_sources`` call on the distinct RK4 stage times of those
+steps; the source families built here (the linear-in-time interpolants of a
+:class:`SourceHistory` and the window-profile families of
+:func:`random_source_pair`) are ``system.vectorized``, each batched row equal
+bit for bit to its one-time row.
+
 Histories are time-major float64 arrays of cochain vectors at uniformly
 spaced slice times.  Since the pairing structure couples a degree-k history
 only with histories of degrees k-1 and k+1, the multi-degree phase space is
@@ -18,6 +25,7 @@ realized as bundles: plain dicts (or sequences) of single-degree histories.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +40,9 @@ DEFAULT_WIDTH_STEPS = 10.0
 # History budget: dense snapshots only at desk scale.
 MAX_HISTORY_STEPS = 512
 MAX_HISTORY_CELLS = 64
+# Steps per source table of a march: one batched source evaluation per chunk
+# of this many steps, so a march holds at most 3 * 32 stage rows of sources.
+SOURCE_TABLE_STEPS = 32
 
 # Fiber sign of a dt-leg in the spacetime metric, from the exterior algebra's
 # Lorentzian convention (axis 0 carries the negative diagonal entry).
@@ -42,21 +53,29 @@ def _maxabs(x: np.ndarray) -> float:
     return float(np.max(np.abs(x), initial=0.0))
 
 
-def _conf(metric: mesh.MetricField, times: np.ndarray) -> np.ndarray:
-    """The conformal factor a(t) at every slice time."""
-    return np.array([float(metric.conf(float(t))) for t in times])
-
-
 # ---------------------------------------------------------------------------
 # time profiles
 
 
+def _scalar_pow(x, p):
+    """``x ** p`` rounded as a one-time call rounds it (libm ``pow``), elementwise on arrays.
+
+    The array ufunc rounds some powers differently in the last bit, so a
+    source family batched over times takes its profile powers here to give
+    bit for bit the rows of one-time calls.
+    """
+    if not isinstance(x, np.ndarray):
+        return x**p
+    return np.array([v**p for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+# (value, rate) of each smoothstep at the clipped ramp argument s; ``pw`` takes the powers
 _SMOOTHSTEPS = {
-    1: (lambda s: s, lambda s: np.ones_like(s)),
-    3: (lambda s: s * s * (3.0 - 2.0 * s), lambda s: 6.0 * s * (1.0 - s)),
+    1: (lambda s, pw: s, lambda s, pw: np.ones_like(s)),
+    3: (lambda s, pw: s * s * (3.0 - 2.0 * s), lambda s, pw: 6.0 * s * (1.0 - s)),
     5: (
-        lambda s: s**3 * (10.0 + s * (6.0 * s - 15.0)),
-        lambda s: 30.0 * (s * (1.0 - s)) ** 2,
+        lambda s, pw: pw(s, 3) * (10.0 + s * (6.0 * s - 15.0)),
+        lambda s, pw: 30.0 * pw(s * (1.0 - s), 2),
     ),
 }
 
@@ -68,6 +87,10 @@ class CutoffProfile:
     ``exponent`` selects the polynomial smoothstep degree (1, 3, or 5); the
     quintic default has two continuous derivatives at the ramp ends, so the
     cutoff's rate stays smooth enough for finite-difference operators.
+    ``value`` and ``rate`` take one time or an array of times; ``pw``
+    computes the powers: ``operator.pow`` by default, so the array ufunc on
+    arrays, while the source families of :func:`random_source_pair` pass one
+    that rounds each element as a one-time call does.
     """
 
     t_c: float
@@ -83,14 +106,14 @@ class CutoffProfile:
     def _arg(self, t):
         return (np.asarray(t, dtype=float) - self.t_c) / self.width + 0.5
 
-    def value(self, t):
-        return _SMOOTHSTEPS[self.exponent][0](np.clip(self._arg(t), 0.0, 1.0))
+    def value(self, t, pw=operator.pow):
+        return _SMOOTHSTEPS[self.exponent][0](np.clip(self._arg(t), 0.0, 1.0), pw)
 
-    def rate(self, t):
+    def rate(self, t, pw=operator.pow):
         """Time derivative of the cutoff; identically zero off the ramp."""
         u = self._arg(t)
         s = np.clip(u, 0.0, 1.0)
-        base = _SMOOTHSTEPS[self.exponent][1](s) / self.width
+        base = _SMOOTHSTEPS[self.exponent][1](s, pw) / self.width
         return np.where((u > 0.0) & (u < 1.0), base, 0.0)
 
 
@@ -101,6 +124,7 @@ class WindowProfile:
     The profile ramps up over ``ramp`` after t_a, holds 1 on the plateau,
     and ramps down before t_b; ``rate`` is its exact derivative, so sources
     built from a window satisfy their continuity identities analytically.
+    ``pw`` is as for :class:`CutoffProfile`.
     """
 
     t_a: float
@@ -121,13 +145,13 @@ class WindowProfile:
         down = CutoffProfile(self.t_b - self.ramp / 2.0, self.ramp, self.exponent)
         return up, down
 
-    def value(self, t):
+    def value(self, t, pw=operator.pow):
         up, down = self._parts()
-        return up.value(t) * (1.0 - down.value(t))
+        return up.value(t, pw) * (1.0 - down.value(t, pw))
 
-    def rate(self, t):
+    def rate(self, t, pw=operator.pow):
         up, down = self._parts()
-        return up.rate(t) * (1.0 - down.value(t)) - up.value(t) * down.rate(t)
+        return up.rate(t, pw) * (1.0 - down.value(t, pw)) - up.value(t, pw) * down.rate(t, pw)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +214,7 @@ class History:
 
     def norm(self, metric: mesh.MetricField) -> float:
         """Spacetime L2 norm: trapezoidal time quadrature of slice pairings."""
-        conf = _conf(metric, self.times)
+        conf = mesh.sample_conf(metric, self.times)
         vals = mesh.pair_flat(self.le, self.fe, self.fe, conf) + mesh.pair_flat(self.lb, self.fb, self.fb, conf)
         return float(np.sqrt(max(np.trapezoid(vals, self.times), 0.0)))
 
@@ -265,7 +289,7 @@ class SourceHistory:
 
     def norm(self, metric: mesh.MetricField) -> float:
         """Spacetime L2 norm summed over the present families."""
-        conf = _conf(metric, self.times)
+        conf = mesh.sample_conf(metric, self.times)
         vals = np.zeros(len(self.times))
         for _, rows, degree, dual in self._families():
             if rows is not None:
@@ -274,19 +298,32 @@ class SourceHistory:
 
 
 def _row_interpolant(times, rows):
-    """The linear-in-time interpolant ``t -> row`` of rows on uniform times, zero outside."""
+    """The linear-in-time interpolant ``t -> row`` of rows on uniform times, zero outside.
+
+    A :func:`system.vectorized` family: at a 1-D array of times it gathers
+    both neighbours of every time at once and returns ``(T, N)`` rows.
+    """
     t0 = float(times[0])
     dt = float(times[1] - times[0])
     last = len(times) - 1
 
+    @system.vectorized
     def fn(t):
-        x = (float(t) - t0) / dt
-        if x <= -1e-9 or x >= last + 1e-9:
-            return np.zeros(rows.shape[1])
-        x = min(max(x, 0.0), float(last))
-        i = min(int(x), last - 1)
-        u = x - i
-        return (1.0 - u) * rows[i] + u * rows[i + 1]
+        shape = np.shape(t)
+        x = (np.asarray(t, dtype=float).reshape(-1) - t0) / dt
+        outside = (x <= -1e-9) | (x >= last + 1e-9)
+        # clamp to [0, last] as Python's max(x, 0.0) and min(x, last) pick, signed zeros included
+        x = np.where(0.0 > x, 0.0, x)
+        x = np.where(float(last) < x, float(last), x)
+        i = np.minimum(x.astype(np.intp), last - 1)
+        u = (x - i)[..., None]
+        out = rows[i]
+        out *= 1.0 - u
+        upper = rows[i + 1]
+        upper *= u
+        out += upper
+        out[outside] = 0.0
+        return out.reshape(shape + rows.shape[1:])
 
     return fn
 
@@ -323,34 +360,39 @@ class SourcePair(system.SourceData):
             raise ValueError("je_rate is required to certify charge continuity")
         if self.zb is not None and self.zb_rate is None:
             raise ValueError("zb_rate is required to certify flux continuity")
-        for frac in system.CONTINUITY_PROBES:
-            t = wa + (wb - wa) * frac
-            defect = self._admissibility_defect(t)
+        probes = [wa + (wb - wa) * frac for frac in system.CONTINUITY_PROBES]
+        for t, defect in zip(probes, self._admissibility_defects(np.array(probes))):
             if defect > SOURCE_COMPAT_TOL:
                 raise ValueError(
                     f"source admissibility residual {defect:.3e} at t={t:.6g} "
                     f"exceeds {SOURCE_COMPAT_TOL:.1e}"
                 )
 
-    def _admissibility_defect(self, t: float) -> float:
+    def _admissibility_defects(self, times: np.ndarray) -> list:
+        """The worst admissibility residual at each time, the families sampled once on all."""
         grid, n, k = self.grid, self.grid.n, self.k
         metric = self.metric if self.metric is not None else mesh.unit_metric()
+        rows = lambda fn: system.family_rows(fn, times)
         # charge and flux continuity, and d zb = 0
-        rows = system.continuity_residuals(self, metric, t).values()
-        worst = max((_maxabs(r) for r in rows if r is not None), default=0.0)
+        residuals = [r for r in system.continuity_residuals(self, metric, times).values() if r is not None]
+        worst = [max((_maxabs(r[i]) for r in residuals), default=0.0) for i in range(len(times))]
         # no normal flux: both legs of alpha and zb vanish against the boundary
+        checks = []
         if self.jb is not None:
-            worst = max(worst, mesh.flux_maxabs_flat(mesh.layout(grid, k - 1, True), self.jb(t)))
+            checks.append((mesh.layout(grid, k - 1, True), rows(self.jb)))
         if self.je is not None and k >= 3:
-            star = mesh.hodge_flat(mesh.layout(grid, n + 1 - k, False), self.je(t), metric.conf(t))
-            worst = max(worst, mesh.flux_maxabs_flat(mesh.layout(grid, k - 2, True), star))
+            conf = mesh.sample_conf(metric, times)
+            star = mesh.hodge_flat(mesh.layout(grid, n + 1 - k, False), rows(self.je), conf)
+            checks.append((mesh.layout(grid, k - 2, True), star))
         if self.zb is not None:
-            worst = max(worst, mesh.flux_maxabs_flat(mesh.layout(grid, k + 1, True), self.zb(t)))
+            checks.append((mesh.layout(grid, k + 1, True), rows(self.zb)))
+        for lay, flux in checks:
+            worst = [max(w, mesh.flux_maxabs_flat(lay, row)) for w, row in zip(worst, flux)]
         # ze has no tangential trace
         if self.ze is not None:
-            ze = mesh.layout(grid, n - 1 - k, False).cochain(self.ze(t))
+            ze = [mesh.layout(grid, n - 1 - k, False).cochain(row) for row in rows(self.ze)]
             for face in mesh.faces(grid):
-                worst = max(worst, _maxabs(mesh.trace_pullback(ze, face).vec))
+                worst = [max(w, _maxabs(mesh.trace_pullback(c, face).vec)) for w, c in zip(worst, ze)]
         return worst
 
 
@@ -368,7 +410,11 @@ def _as_source_data(src, grid) -> system.SourceData:
 
 
 def _integrate(grid, k, metric, data, t_start, n_steps, dt, state0=None) -> History:
-    """March the split system, storing every slice; dt may be negative."""
+    """March the split system, storing every slice; dt may be negative.
+
+    The sources are tabulated for ``SOURCE_TABLE_STEPS`` steps at a time
+    (``Generator.tabulate``), from the same step times the march takes.
+    """
     if n_steps > MAX_HISTORY_STEPS:
         raise ValueError(f"history of {n_steps} steps exceeds the {MAX_HISTORY_STEPS}-step budget")
     if max(grid.cells_per_axis) > MAX_HISTORY_CELLS:
@@ -386,6 +432,8 @@ def _integrate(grid, k, metric, data, t_start, n_steps, dt, state0=None) -> Hist
         fe_rows[i] = y[:nw] * gen.lapse(t)[0]
         fb_rows[i] = y[nw:]
         if i < n_steps:
+            if i % SOURCE_TABLE_STEPS == 0:
+                gen.tabulate([float(s) for s in times[i : min(i + SOURCE_TABLE_STEPS, n_steps)]], dt)
             y = evolution._rk4_step(t, y, gen, dt)
     if dt < 0:
         times, fe_rows, fb_rows = times[::-1].copy(), fe_rows[::-1].copy(), fb_rows[::-1].copy()
@@ -468,7 +516,7 @@ def apply_operator(h: History, metric: mesh.MetricField) -> SourceHistory:
     """
     grid, k = h.grid, h.k
     n = grid.n
-    lw, lb, conf = h.le, h.lb, _conf(metric, h.times)
+    lw, lb, conf = h.le, h.lb, mesh.sample_conf(metric, h.times)
     beta_w = mesh.sample_lapse(lw, metric, h.times)
     beta_b = mesh.sample_lapse(lb, metric, h.times)
 
@@ -528,7 +576,7 @@ def cutoff_sources(h: History, chi: CutoffProfile, metric: mesh.MetricField, com
     if complement:
         values = 1.0 - values
         rates = -rates
-    lw, lb, conf = h.le, h.lb, _conf(metric, h.times)
+    lw, lb, conf = h.le, h.lb, mesh.sample_conf(metric, h.times)
     beta_w = mesh.sample_lapse(lw, metric, h.times)
     ramp_jb = ssign * mesh.hodge_inverse_flat(lw, h.fe * (1.0 / beta_w**2), conf)
     ramp_ze = mesh.hodge_inverse_flat(lb, h.fb, conf)
@@ -545,13 +593,8 @@ def sample_sources(data: system.SourceData, times: np.ndarray, tag_window=None) 
     times = np.asarray(times, dtype=float)
     families = (data.je, data.jb, data.ze, data.zb)
     return SourceHistory(
-        data.grid, data.k, times, tag_window or data.window, *(_family_rows(fn, times) for fn in families)
+        data.grid, data.k, times, tag_window or data.window, *(system.family_rows(fn, times) for fn in families)
     )
-
-
-def _family_rows(fn, times: np.ndarray):
-    """The rows of a source family at the given times, stacked (None when absent)."""
-    return None if fn is None else np.stack([fn(float(t)) for t in times])
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +615,7 @@ def right_inverse_check(omega: History, grid: mesh.GridSpec, metric: mesh.Metric
     if not omega.grid.compatible(grid):
         raise ValueError("history declared on a different grid")
     scale = 1.0 + omega.maxabs()
-    lw, lb, conf = omega.le, omega.lb, _conf(metric, omega.times)
+    lw, lb, conf = omega.le, omega.lb, mesh.sample_conf(metric, omega.times)
     worst = mesh.flux_maxabs_flat(lb, omega.fb)
     if omega.k >= 2:
         star = mesh.hodge_flat(lw, omega.fe, conf)
@@ -634,6 +677,26 @@ def _constant_cochain(grid: mesh.GridSpec, degree: int, dual: bool, amps) -> mes
     for i, (s, view) in enumerate(c.comps.items()):
         view[...] = float(amps[i % len(amps)]) * mesh.cell_measure(grid, s)
     return c
+
+
+def _riding(*terms):
+    """The source family ``t -> sum of profile(t) * row`` over ``(profile, row)`` terms.
+
+    A :func:`system.vectorized` family: at a 1-D array of times each profile
+    is evaluated once on the array, with one-time powers (``_scalar_pow``),
+    and its term is an outer product, so every row is bit for bit the row
+    of a one-time call.
+    """
+
+    @system.vectorized
+    def fn(t):
+        out = None
+        for profile, row in terms:
+            term = np.multiply.outer(profile(t, _scalar_pow), row)
+            out = term if out is None else np.add(out, term, out=out)
+        return out
+
+    return fn
 
 
 def random_source_pair(
@@ -700,11 +763,11 @@ def random_source_pair(
             sgn = float((-1) ** (n - k) * system.source_sign(n, k))
             je0 = (sgn * mesh.multiply_scalar(curl, metric.beta, 0.0)).vec
             jb1 = jb1.vec
-            kw["je"] = lambda t: float(q.value(t)) * je0
-            kw["je_rate"] = lambda t: float(q.rate(t)) * je0
-            kw["jb"] = lambda t: float(p.value(t)) * jb0 + float(q.rate(t)) * jb1
+            kw["je"] = _riding((q.value, je0))
+            kw["je_rate"] = _riding((q.rate, je0))
+            kw["jb"] = _riding((p.value, jb0), (q.rate, jb1))
         else:
-            kw["jb"] = lambda t: float(p.value(t)) * jb0
+            kw["jb"] = _riding((p.value, jb0))
     if with_zeta:
         pot = interior_potential(k, True)
         inv = mesh.hodge_inverse_sigma(pot, 0.0, metric).vec
@@ -712,13 +775,13 @@ def random_source_pair(
             ze_h = mesh.hodge_inverse_sigma(
                 _constant_cochain(grid, k, True, rng.uniform(0.3, 1.0, size=4)), 0.0, metric
             ).vec
-            kw["ze"] = lambda t: float(p.rate(t)) * inv + float(p.value(t)) * ze_h
+            kw["ze"] = _riding((p.rate, inv), (p.value, ze_h))
         else:
-            kw["ze"] = lambda t: float(p.rate(t)) * inv
+            kw["ze"] = _riding((p.rate, inv))
         if k <= n - 2:
             dpot = mesh.d_sigma(pot).vec
-            kw["zb"] = lambda t: float(p.value(t)) * dpot
-            kw["zb_rate"] = lambda t: float(p.rate(t)) * dpot
+            kw["zb"] = _riding((p.value, dpot))
+            kw["zb_rate"] = _riding((p.rate, dpot))
     return SourcePair(grid=grid, k=k, window=window, metric=metric, **kw)
 
 
@@ -871,7 +934,7 @@ def random_potential(
         grid.dt,
         state0=system.FieldState(t=t0, fe=fe0, fb=fb0, k=k),
     )
-    star_rows = mesh.hodge_flat(mesh.layout(grid, n - k, False), sol.fe, _conf(metric, sol.times))
+    star_rows = mesh.hodge_flat(mesh.layout(grid, n - k, False), sol.fe, mesh.sample_conf(metric, sol.times))
     ab_rows = np.empty_like(star_rows)
     ab_rows[0] = pot_b.vec
     ab_rows[1:] = ab_rows[0] + np.cumsum(
@@ -980,7 +1043,7 @@ def _currents(b1: dict, b2: dict, times: np.ndarray, metric) -> np.ndarray:
     second; the lapse weight is 1/beta because the dt-leg fiber sign
     contributes ``DT_LEG_SIGN / beta^2`` against the lapse-weighted volume.
     """
-    conf = _conf(metric, times)
+    conf = mesh.sample_conf(metric, times)
     total = np.zeros(len(times))
     for k in sorted(b1):
         h1 = b1[k]
@@ -1040,14 +1103,14 @@ def _pair_against_history(data: system.SourceData, h: History, metric, kind: str
     volume, the magnetic terms the plain beta weight.
     """
     dual_fn, prim_fn = (data.jb, data.je) if kind == "alpha" else (data.zb, data.ze)
-    le, lb, conf = h.le, h.lb, _conf(metric, h.times)
+    le, lb, conf = h.le, h.lb, mesh.sample_conf(metric, h.times)
     vals = np.zeros(len(h.times))
     if dual_fn is not None:
         beta_b = mesh.sample_lapse(lb, metric, h.times)
-        vals += mesh.pair_flat(lb, _family_rows(dual_fn, h.times), h.fb, conf, beta_b)
+        vals += mesh.pair_flat(lb, system.family_rows(dual_fn, h.times), h.fb, conf, beta_b)
     if prim_fn is not None:
         inv_beta_e = 1.0 / mesh.sample_lapse(le, metric, h.times)
-        vals += DT_LEG_SIGN * mesh.pair_flat(le, _family_rows(prim_fn, h.times), h.fe, conf, inv_beta_e)
+        vals += DT_LEG_SIGN * mesh.pair_flat(le, system.family_rows(prim_fn, h.times), h.fe, conf, inv_beta_e)
     return float(np.trapezoid(vals, h.times))
 
 
@@ -1086,7 +1149,7 @@ def history_differential(a: History, metric: mesh.MetricField) -> History:
     n = grid.n
     if j + 1 > n - 1:
         raise ValueError("differential would leave the supported field degrees")
-    le, lb, conf = a.le, a.lb, _conf(metric, a.times)
+    le, lb, conf = a.le, a.lb, mesh.sample_conf(metric, a.times)
     fb_dot = np.gradient(a.fb, a.dt, axis=0, edge_order=2)
     x = fb_dot - mesh.d_flat(mesh.layout(grid, j - 1, True), mesh.hodge_flat(le, a.fe, conf))
     fe_rows = mesh.hodge_inverse_flat(lb, x, conf)

@@ -388,6 +388,11 @@ def sample_lapse(lay: Layout, metric: MetricField, times: np.ndarray) -> np.ndar
     return np.stack([sample_flat(lay, metric.beta, float(t)) for t in times])
 
 
+def sample_conf(metric: MetricField, times) -> np.ndarray:
+    """The conformal factor a(t) at every time, one scalar call per time."""
+    return np.array([float(metric.conf(float(t))) for t in times])
+
+
 def sample_cochain(grid: GridSpec, degree: int, dual: bool, component_fns, t: float = 0.0) -> Cochain:
     """Sample pointwise component functions into integral degrees of freedom.
 

@@ -26,7 +26,10 @@ current.
 Source families are flat rows: a family is a callable ``t -> ndarray`` whose
 value is one float64 vector in ``mesh.layout(grid, degree, dual)`` order
 (the order of ``Cochain.vec``), and :func:`rhs_sources` and
-:func:`continuity_residuals` return rows in the same order.
+:func:`continuity_residuals` return rows in the same order.  A family marked
+:func:`vectorized` also takes a 1-D array of times and returns ``(T, N)``
+rows; :func:`family_rows` is the one place families are evaluated on many
+times, so both functions take such an array too.
 """
 
 from __future__ import annotations
@@ -107,7 +110,10 @@ class SourceData:
 
     Each family is a callable ``t -> ndarray`` returning one flat row in
     ``mesh.layout`` order (or None when the degree falls outside the slice
-    complex, or the source vanishes identically):
+    complex, or the source vanishes identically).  A family marked with
+    :func:`vectorized` may also take a 1-D array of times and return
+    ``(T, N)`` rows, each bit for bit its one-time row; an unmarked family
+    is called once per time (:func:`family_rows`).
 
     * ``je``: electric current, primal degree n+1-k (None when k = 1);
     * ``jb``: magnetic current, dual degree k-1;
@@ -133,6 +139,42 @@ class SourceData:
 
 def zero_sources(grid: mesh.GridSpec, k: int) -> SourceData:
     return SourceData(grid=grid, k=k, window=(0.0, 0.0))
+
+
+def vectorized(fn: Callable) -> Callable:
+    """Mark a source family that also takes a 1-D array of times (see :class:`SourceData`)."""
+    fn.vectorized = True
+    return fn
+
+
+def family_rows(fn: Callable | None, times: np.ndarray):
+    """The ``(T, N)`` rows of a source family at a 1-D array of times, None when absent.
+
+    One call on the array for a :func:`vectorized` family, one call per time,
+    stacked, otherwise.
+    """
+    if fn is None:
+        return None
+    if getattr(fn, "vectorized", False):
+        return fn(times)
+    return np.stack([fn(float(t)) for t in times])
+
+
+def _rows(fn: Callable, t):
+    """A family's row at one time t, or its :func:`family_rows` at a 1-D array of times."""
+    return fn(t) if np.ndim(t) == 0 else family_rows(fn, t)
+
+
+def _conf(metric: mesh.MetricField, t):
+    """a(t) at one time, or one value per time of a 1-D array."""
+    return metric.conf(t) if np.ndim(t) == 0 else mesh.sample_conf(metric, t)
+
+
+def _lapse(lay: mesh.Layout, fn, t) -> np.ndarray:
+    """A scalar callback (a lapse or its rate) at a layout's sites: one row, or one per time."""
+    if np.ndim(t) == 0:
+        return mesh.sample_flat(lay, fn, t)
+    return np.stack([mesh.sample_flat(lay, fn, float(s)) for s in t])
 
 
 def split(dt_part: mesh.Cochain, spatial_part: mesh.Cochain, t: float, metric: mesh.MetricField) -> FieldState:
@@ -253,17 +295,20 @@ def apply_S(s: FieldState, metric: mesh.MetricField, s_dot: FieldState) -> tuple
     return lw.cochain(slot_e), lb.cochain(slot_b)
 
 
-def rhs_sources(src: SourceData, t: float, metric: mesh.MetricField):
+def rhs_sources(src: SourceData, t, metric: mesh.MetricField):
     """Source side of the split system as rows: (sign * hodge(jb), hodge(ze)).
 
-    Either slot is None when its family is absent.
+    ``t`` is one time (one row per slot) or a 1-D array of times (``(T, N)``
+    rows, one Hodge map over all of them with one a(t) per row); each row is
+    bit for bit the row of its one-time call.  Either slot is None when its
+    family is absent.
     """
-    n, k, conf = src.grid.n, src.k, metric.conf(t)
+    n, k, conf = src.grid.n, src.k, _conf(metric, t)
     slot_e = slot_b = None
     if src.jb is not None:
-        slot_e = mesh.hodge_flat(mesh.layout(src.grid, k - 1, True), src.jb(t), conf, source_sign(n, k))
+        slot_e = mesh.hodge_flat(mesh.layout(src.grid, k - 1, True), _rows(src.jb, t), conf, source_sign(n, k))
     if src.ze is not None:
-        slot_b = mesh.hodge_flat(mesh.layout(src.grid, n - 1 - k, False), src.ze(t), conf)
+        slot_b = mesh.hodge_flat(mesh.layout(src.grid, n - 1 - k, False), _rows(src.ze, t), conf)
     return slot_e, slot_b
 
 
@@ -272,19 +317,20 @@ def rhs_sources(src: SourceData, t: float, metric: mesh.MetricField):
 CONTINUITY_PROBES = (0.25, 0.5, 0.75)
 
 
-def _source_rate(fn, t: float, delta: float = 1e-5):
-    """Centred finite-difference rate of a row family without an analytic rate."""
+def _source_rate(fn, t, delta: float = 1e-5):
+    """Centred finite-difference rate of rows ``fn(t)`` without an analytic rate."""
     return (fn(t + delta) - fn(t - delta)) * (0.5 / delta)
 
 
-def continuity_residuals(src: SourceData, metric: mesh.MetricField, t: float) -> dict:
+def continuity_residuals(src: SourceData, metric: mesh.MetricField, t) -> dict:
     """Continuity residual rows of the split sources at time t.
 
     The current pair satisfies ``(-1)^(n-k) d/dt (je/beta) = s * d(beta * hodge jb)``
     (the identity that transports the electric constraint), and the flux pair
     satisfies ``d/dt zb = d(hodge ze)`` together with ``d zb = 0``.  The time
     derivatives use ``je_rate``/``zb_rate`` (and ``metric.beta_dt``) when
-    present, a centred finite difference otherwise.
+    present, a centred finite difference otherwise.  ``t`` is one time or a
+    1-D array of times, as for :func:`rhs_sources`.
 
     Returns:
         dict with the rows ``charge`` (primal, degree n+1-k), ``flux`` (dual,
@@ -293,33 +339,36 @@ def continuity_residuals(src: SourceData, metric: mesh.MetricField, t: float) ->
         no ``zb`` family.
     """
     grid, k, n = src.grid, src.k, src.grid.n
-    conf = metric.conf(t)
+    conf = _conf(metric, t)
     out = {"charge": None, "flux": None, "flux_closed": None}
     if k >= 2:
         lay_j, lay_h = mesh.layout(grid, k - 1, True), mesh.layout(grid, n - k, False)
-        jb = src.jb(t) if src.jb is not None else np.zeros(lay_j.size)
-        weighted = mesh.hodge_flat(lay_j, jb, conf) * mesh.sample_flat(lay_h, metric.beta, t)
+        jb = _rows(src.jb, t) if src.jb is not None else np.zeros(np.shape(t) + (lay_j.size,))
+        weighted = mesh.hodge_flat(lay_j, jb, conf) * _lapse(lay_h, metric.beta, t)
         charge = mesh.d_flat(lay_h, weighted) * float(-source_sign(n, k))
         if src.je is not None:
             lay_e = mesh.layout(grid, n + 1 - k, False)
-            inv_beta = 1.0 / mesh.sample_flat(lay_e, metric.beta, t)
+            inv_beta = 1.0 / _lapse(lay_e, metric.beta, t)
             if src.je_rate is None:
-                rate = _source_rate(lambda tt: src.je(tt) / mesh.sample_flat(lay_e, metric.beta, tt), t)
+                rate = _source_rate(lambda tt: _rows(src.je, tt) / _lapse(lay_e, metric.beta, tt), t)
             else:
-                rate = src.je_rate(t) * inv_beta
+                rate = _rows(src.je_rate, t) * inv_beta
                 if metric.beta_dt is not None:
-                    rate = rate - src.je(t) * mesh.sample_flat(lay_e, metric.beta_dt, t) * inv_beta**2
+                    rate = rate - _rows(src.je, t) * _lapse(lay_e, metric.beta_dt, t) * inv_beta**2
             charge = rate * float((-1) ** (n - k)) + charge
         out["charge"] = charge
     if k <= n - 2:
         lay_z = mesh.layout(grid, n - 1 - k, False)
-        ze = src.ze(t) if src.ze is not None else np.zeros(lay_z.size)
+        ze = _rows(src.ze, t) if src.ze is not None else np.zeros(np.shape(t) + (lay_z.size,))
         flux = -mesh.d_flat(mesh.layout(grid, k, True), mesh.hodge_flat(lay_z, ze, conf))
         if src.zb is not None:
-            rate = src.zb_rate(t) if src.zb_rate is not None else _source_rate(src.zb, t)
+            if src.zb_rate is not None:
+                rate = _rows(src.zb_rate, t)
+            else:
+                rate = _source_rate(lambda tt: _rows(src.zb, tt), t)
             flux = rate + flux
             if k + 2 <= grid.dim:
-                out["flux_closed"] = mesh.d_flat(mesh.layout(grid, k + 1, True), src.zb(t))
+                out["flux_closed"] = mesh.d_flat(mesh.layout(grid, k + 1, True), _rows(src.zb, t))
         out["flux"] = flux
     return out
 

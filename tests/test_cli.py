@@ -374,6 +374,29 @@ class TestRuntimeFailure:
         assert error["t_last"] == 0.25
         assert "ERROR InstabilityError in cli._run_evolve" in stdout
 
+    def test_instability_writes_the_partial_monitor_series(self, tmp_path, capsys, monkeypatch):
+        evolve = evolution.evolve
+
+        def blow_up(s0, src, metric, cfg, support=None):
+            short = evolution.EvolveConfig(t_final=s0.t + 2 * s0.grid.dt, cfl=cfg.cfl)
+            _, series = evolve(s0, src, metric, short, support=support)
+            raise evolution.InstabilityError(float(series.times[-1]), s0, series)
+
+        monkeypatch.setattr(evolution, "evolve", blow_up)
+        cfg = write_config(tmp_path, "experiment = evolve\ndt = 0.01\nt_final = 0.1\n")
+        out = tmp_path / "out"
+        code, stdout = run_cli(["run", "--config", cfg, "--out", out], capsys)
+        assert code == 3
+        manifest = load_manifest(out)
+        assert manifest["passed"] is False and manifest["checks"] == []
+        assert manifest["files"] == ["series_monitor.csv", "manifest.json"]
+        assert set(manifest["files"]) == set(os.listdir(out))
+        assert manifest["error"]["phase"] == "cli._run_evolve"
+        assert manifest["error"]["t_last"] == pytest.approx(0.02)
+        series = io.read_monitor_csv(out / "series_monitor.csv")
+        np.testing.assert_allclose(series["time"], [0.0, 0.01, 0.02], rtol=0, atol=1e-15)
+        assert np.all(np.isfinite(series["energy"])) and series["energy"][0] > 0.0
+
     def test_any_suite_exception_exits_3(self, tmp_path, capsys, monkeypatch):
         def broken(cfg, out):
             raise RuntimeError("disk on fire")

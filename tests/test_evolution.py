@@ -626,3 +626,29 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak < 2 * y.nbytes
+
+    def test_sourced_march_holds_one_chunk_of_source_rows(self, monkeypatch):
+        # between steps, a 64^2 march holds its history, the stage buffers and
+        # the source table of one chunk: at most 3 * SOURCE_TABLE_STEPS rows
+        grid = mesh.GridSpec(n=3, cells_per_axis=(64, 64), lengths=(1.0, 1.0), dt=0.005)
+        met = mesh.unit_metric()
+        src = green.random_source_pair(grid, 2, met, (0.02, 0.5), np.random.default_rng(RNG_SEED))
+        green._integrate(grid, 2, met, src, 0.05, 2, grid.dt)  # warm the layout and factor caches
+        held = []
+        step = evolution._rk4_step
+
+        def spy(t, y, gen, dt):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return step(t, y, gen, dt)
+
+        monkeypatch.setattr(evolution, "_rk4_step", spy)
+        tracemalloc.start()
+        try:
+            h = green._integrate(grid, 2, met, src, 0.05, 100, grid.dt)
+        finally:
+            tracemalloc.stop()
+        row = h.fe[0].nbytes + h.fb[0].nbytes
+        chunk = 3 * green.SOURCE_TABLE_STEPS * row
+        beyond = max(held) - (h.fe.nbytes + h.fb.nbytes)
+        assert len(held) == 100
+        assert chunk / 2 < beyond <= chunk + 8 * row

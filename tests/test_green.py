@@ -355,6 +355,78 @@ class TestOneSidedSolves:
         history_equal(a, b)
 
 
+def same_bits(a, b):
+    """Equal arrays, signed zeros included."""
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def histories_same_bits(a, b):
+    return same_bits(a.times, b.times) and same_bits(a.fe, b.fe) and same_bits(a.fb, b.fb)
+
+
+def per_stage(monkeypatch):
+    """March without source tables: one rhs_sources call per RK4 stage."""
+    monkeypatch.setattr(evolution.Generator, "tabulate", lambda self, steps, dt: None)
+
+
+def march_sources(kind, g):
+    """A source pair or a history's sources, nonzero over most of [0, 0.4]."""
+    if kind == "pair":
+        return green.random_source_pair(g, 2, TILTED, (0.02, 0.38), np.random.default_rng(5))
+    times = g.t0 + g.dt * np.arange(81)
+    omega = green.random_compact_history(g, 2, TILTED, times, (0.03, 0.37), np.random.default_rng(5))
+    return green.apply_operator(omega, TILTED)
+
+
+class TestTabulatedMarch:
+    """Marches that read their sources from chunk tables equal per-stage marches, bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["pair", "history"])
+    @pytest.mark.parametrize("direction", [1, -1], ids=["forward", "backward"])
+    @pytest.mark.parametrize("steps", [1, 31, 32, 33, 65])
+    def test_integrate(self, kind, direction, steps, monkeypatch):
+        # the march of g_plus (dt > 0) and g_minus (dt < 0) from a slice inside the window
+        g = box_grid(cells=12)
+        data = green._as_source_data(march_sources(kind, g), g)
+        t0 = 0.03 if direction == 1 else 0.37
+        march = functools.partial(green._integrate, g, 2, TILTED, data, t0, steps, direction * g.dt)
+        tabulated = march()
+        per_stage(monkeypatch)
+        assert histories_same_bits(tabulated, march())
+        assert np.abs(tabulated.fb).max() > 0.0
+
+    @pytest.mark.parametrize("kind", ["pair", "history"])
+    @pytest.mark.parametrize("steps", [31, 32, 33, 65])
+    def test_g_plus_and_g_minus(self, kind, steps, monkeypatch):
+        g = box_grid(cells=12)
+        src = march_sources(kind, g)
+        t0 = src.window[0] - 2 * g.dt if kind == "pair" else 0.0
+        span = dict(t_start=t0, t_final=t0 + steps * g.dt)
+        if kind == "pair":
+            window = (t0 + 2.5 * g.dt, t0 + (steps - 2.5) * g.dt)
+            src = green.random_source_pair(g, 2, TILTED, window, np.random.default_rng(5))
+        else:
+            src = green.sample_sources(src.data(), src.times, tag_window=(t0 + 2 * g.dt, t0 + (steps - 2) * g.dt))
+        tabulated = [solve(src, g, TILTED, **span) for solve in (green.g_plus, green.g_minus)]
+        per_stage(monkeypatch)
+        for want, solve in zip(tabulated, (green.g_plus, green.g_minus)):
+            assert len(want.times) == steps + 1
+            assert histories_same_bits(want, solve(src, g, TILTED, **span))
+
+    def test_one_batched_call_per_chunk(self, monkeypatch):
+        calls = []
+        rhs_sources = system.rhs_sources
+
+        def spy(src, t, metric):
+            calls.append(np.ndim(t))
+            return rhs_sources(src, t, metric)
+
+        monkeypatch.setattr(system, "rhs_sources", spy)
+        g = box_grid(cells=12)
+        green._integrate(g, 2, TILTED, march_sources("pair", g), 0.03, 65, g.dt)
+        assert calls == [1, 1, 1]
+
+
 class TestCausal:
     def test_scaling_is_exact(self):
         g, pair, c = causal_reference()

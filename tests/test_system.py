@@ -12,7 +12,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from kmaxwell import evolution, exterior, mesh, system
+from kmaxwell import evolution, exterior, green, manufactured, mesh, system
 from kmaxwell.tolerances import ADMISSIBILITY_TOL, FIBER_MATCH_TOL, LINEARITY_TOL
 
 RNG_SEED = 771541
@@ -190,6 +190,130 @@ class TestRhsSources:
         np.testing.assert_allclose(slot_e.comps[(1,)], expected, rtol=1e-15)
         np.testing.assert_array_equal(slot_e.comps[(0,)], 0.0)
         assert slot_b is None
+
+
+def same_bits(a, b):
+    """Equal arrays, signed zeros included."""
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+METRIC = mesh.unit_metric()
+WELL = mesh.MetricField(beta=lambda t, *x: 1.0 + 0.3 * np.sin(3.0 * x[0]) * np.cos(2.0 * x[-1]))
+STATIC_A = mesh.MetricField(conf=lambda t: 1.3)
+
+
+def batched_matches_scalar(src, metric, times):
+    """Batched rhs_sources, family rows and continuity residuals against
+    stacked one-time calls, bit for bit; the number of rows compared."""
+    times = np.asarray(times, dtype=float)
+    compared = 0
+    for got, fn in zip(system.rhs_sources(src, times, metric), (0, 1)):
+        want = [system.rhs_sources(src, float(t), metric)[fn] for t in times]
+        assert (got is None) == (want[0] is None)
+        if got is not None:
+            assert same_bits(got, np.stack(want))
+            compared += len(want)
+    for name in ("je", "jb", "ze", "zb", "je_rate", "zb_rate"):
+        fn = getattr(src, name)
+        if fn is not None:
+            assert same_bits(system.family_rows(fn, times), np.stack([fn(float(t)) for t in times]))
+    residuals = system.continuity_residuals(src, metric, times)
+    for name, got in residuals.items():
+        want = [system.continuity_residuals(src, metric, float(t))[name] for t in times]
+        assert (got is None) == (want[0] is None)
+        if got is not None:
+            assert same_bits(got, np.stack(want))
+    return compared
+
+
+class TestBatchedSources:
+    """rhs_sources on an array of times equals its one-time rows, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "case", ["box-unit-1", "box-unit-2", "box-well-1", "box-well-2", "torus-harmonic-1",
+                 "torus-harmonic-2", "box-static_a-2"]
+    )
+    def test_random_source_pair(self, case):
+        domain, lapse, k = case.split("-")
+        periodic = (True, True) if domain == "torus" else None
+        g = box_grid((12, 10), lengths=(1.0, 1.0), periodic=periodic)
+        metric = {"unit": METRIC, "harmonic": METRIC, "well": WELL, "static_a": STATIC_A}[lapse]
+        src = green.random_source_pair(
+            g, int(k), metric, (0.1, 0.4), np.random.default_rng(RNG_SEED), with_harmonic=domain == "torus"
+        )
+        # both ramps, the plateau, the window ends and outside it
+        times = np.concatenate([np.linspace(0.05, 0.45, 97), [0.1, 0.4, 0.1 + 1e-12, 0.4 - 1e-12]])
+        assert batched_matches_scalar(src, metric, times) == 2 * len(times)
+
+    @pytest.mark.parametrize("kind", ["apply_operator", "cutoff_sources"])
+    def test_history_interpolants(self, kind):
+        g = box_grid((10, 10), lengths=(1.0, 1.0))
+        times = g.t0 + 0.01 * np.arange(41)
+        h = green.random_compact_history(g, 2, STATIC_A, times, (0.07, 0.33), np.random.default_rng(RNG_SEED))
+        if kind == "apply_operator":
+            sh = green.apply_operator(h, STATIC_A)
+        else:
+            sh = green.cutoff_sources(h, green.CutoffProfile(0.2, 0.08), STATIC_A)
+        dt = sh.dt
+        ends = [sh.times[0], sh.times[-1], *sh.window]
+        near = [e + s * dt for e in ends for s in (-2e-9, -1e-9, -0.5e-9, 0.0, 0.5e-9, 1e-9, 2e-9)]
+        inside = np.random.default_rng(RNG_SEED).uniform(sh.times[0], sh.times[-1], 20)
+        outside = [sh.times[0] - dt, sh.times[-1] + 3.5 * dt]
+        # the stage times of a march backwards over the history
+        stages = [s for t in sh.times[::-1] for s in evolution._stage_times(float(t), -dt)]
+        times = np.array(ends + near + list(inside) + outside + stages)
+        assert batched_matches_scalar(sh.data(), STATIC_A, times) == 2 * len(times)
+        zero = system.rhs_sources(sh.data(), np.array(outside), STATIC_A)
+        assert not any(np.any(rows) for rows in zero)
+
+    def test_interpolant_matches_the_one_time_formula(self):
+        # the row interpolant against its one-time formula, written out here:
+        # zero outside, clamped inside, signed zeros included (t = -0.0)
+        def one_time(times, rows, t):
+            t0, dt, last = float(times[0]), float(times[1] - times[0]), len(times) - 1
+            x = (float(t) - t0) / dt
+            if x <= -1e-9 or x >= last + 1e-9:
+                return np.zeros(rows.shape[1])
+            x = min(max(x, 0.0), float(last))
+            i = min(int(x), last - 1)
+            u = x - i
+            return (1.0 - u) * rows[i] + u * rows[i + 1]
+
+        g = box_grid((6, 5), lengths=(1.0, 1.0))
+        times = 0.1 * np.arange(6)
+        rows = np.random.default_rng(RNG_SEED).standard_normal((6, mesh.cochain_size(g, 1, True)))
+        rows[0, ::3], rows[0, 1::3] = 0.0, -0.0
+        fn = green.SourceHistory(g, 2, times, (0.0, 0.5), None, rows, None, None).data().jb
+        # dt = 0.1: 1e-10 is the 1e-9-slice tolerance at either end
+        probe = [-0.0, 0.0, 0.5, 0.25, 0.3, -0.1, 0.6, 0.5 + 5e-11, -5e-11, 0.5 + 1e-10, -1e-10, 0.5 + 2e-10, -2e-10]
+        want = np.stack([one_time(times, rows, t) for t in probe])
+        assert same_bits(fn(np.array(probe)), want)
+        assert all(same_bits(fn(t), row) for t, row in zip(probe, want))
+        assert np.all(np.any(want[7:9], axis=1)) and not np.any(want[5:7]) and not np.any(want[-2:])
+
+    def test_scalar_only_families_are_stacked(self):
+        # an unmarked family is called once per time, with a float
+        g = box_grid((6, 5), lengths=(1.0, 1.0))
+        row = np.random.default_rng(RNG_SEED).standard_normal(mesh.cochain_size(g, 1, True))
+        seen = []
+
+        def jb(t):
+            seen.append(type(t))
+            return np.sin(t) * row
+
+        src = system.SourceData(grid=g, k=2, window=(0.0, 1.0), jb=jb)
+        times = np.linspace(0.0, 1.0, 7)
+        assert batched_matches_scalar(src, STATIC_A, times) == len(times)
+        assert set(seen) == {float}
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_manufactured_family(self, k):
+        family = manufactured.trig_family(k)
+        g = mesh.GridSpec(n=3, cells_per_axis=(8, 8), lengths=family.lengths, dt=0.01)
+        src = family.sources(g)
+        assert not getattr(src.jb, "vectorized", False)
+        times = np.array([0.0, 0.13, 0.13 + 0.005, 0.41])
+        assert batched_matches_scalar(src, family.metric, times) == 2 * len(times)
 
 
 class TestContinuityResiduals:
