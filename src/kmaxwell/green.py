@@ -25,8 +25,7 @@ realized as bundles: plain dicts (or sequences) of single-degree histories.
 from __future__ import annotations
 
 import math
-import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -57,25 +56,15 @@ def _maxabs(x: np.ndarray) -> float:
 # time profiles
 
 
-def _scalar_pow(x, p):
-    """``x ** p`` rounded as a one-time call rounds it (libm ``pow``), elementwise on arrays.
-
-    The array ufunc rounds some powers differently in the last bit, so a
-    source family batched over times takes its profile powers here to give
-    bit for bit the rows of one-time calls.
-    """
-    if not isinstance(x, np.ndarray):
-        return x**p
-    return np.array([v**p for v in x.ravel().tolist()]).reshape(x.shape)
-
-
-# (value, rate) of each smoothstep at the clipped ramp argument s; ``pw`` takes the powers
+# (value, rate) of each smoothstep at the clipped ramp argument s, written with
+# products only: a power would round differently as an array ufunc than as a
+# one-time libm ``pow``, and one time must round as an array of times does
 _SMOOTHSTEPS = {
-    1: (lambda s, pw: s, lambda s, pw: np.ones_like(s)),
-    3: (lambda s, pw: s * s * (3.0 - 2.0 * s), lambda s, pw: 6.0 * s * (1.0 - s)),
+    1: (lambda s: s, lambda s: np.ones_like(s)),
+    3: (lambda s: s * s * (3.0 - 2.0 * s), lambda s: 6.0 * s * (1.0 - s)),
     5: (
-        lambda s, pw: pw(s, 3) * (10.0 + s * (6.0 * s - 15.0)),
-        lambda s, pw: 30.0 * pw(s * (1.0 - s), 2),
+        lambda s: s * s * s * (10.0 + s * (6.0 * s - 15.0)),
+        lambda s: 30.0 * ((u := s * (1.0 - s)) * u),
     ),
 }
 
@@ -87,10 +76,8 @@ class CutoffProfile:
     ``exponent`` selects the polynomial smoothstep degree (1, 3, or 5); the
     quintic default has two continuous derivatives at the ramp ends, so the
     cutoff's rate stays smooth enough for finite-difference operators.
-    ``value`` and ``rate`` take one time or an array of times; ``pw``
-    computes the powers: ``operator.pow`` by default, so the array ufunc on
-    arrays, while the source families of :func:`random_source_pair` pass one
-    that rounds each element as a one-time call does.
+    ``value`` and ``rate`` take one time or an array of times, and each
+    entry of an array is bit for bit the value of its one-time call.
     """
 
     t_c: float
@@ -106,14 +93,13 @@ class CutoffProfile:
     def _arg(self, t):
         return (np.asarray(t, dtype=float) - self.t_c) / self.width + 0.5
 
-    def value(self, t, pw=operator.pow):
-        return _SMOOTHSTEPS[self.exponent][0](np.clip(self._arg(t), 0.0, 1.0), pw)
+    def value(self, t):
+        return _SMOOTHSTEPS[self.exponent][0](np.clip(self._arg(t), 0.0, 1.0))
 
-    def rate(self, t, pw=operator.pow):
+    def rate(self, t):
         """Time derivative of the cutoff; identically zero off the ramp."""
         u = self._arg(t)
-        s = np.clip(u, 0.0, 1.0)
-        base = _SMOOTHSTEPS[self.exponent][1](s, pw) / self.width
+        base = _SMOOTHSTEPS[self.exponent][1](np.clip(u, 0.0, 1.0)) / self.width
         return np.where((u > 0.0) & (u < 1.0), base, 0.0)
 
 
@@ -124,13 +110,15 @@ class WindowProfile:
     The profile ramps up over ``ramp`` after t_a, holds 1 on the plateau,
     and ramps down before t_b; ``rate`` is its exact derivative, so sources
     built from a window satisfy their continuity identities analytically.
-    ``pw`` is as for :class:`CutoffProfile`.
+    Its two ramps are :class:`CutoffProfile` objects, built once.
     """
 
     t_a: float
     t_b: float
     ramp: float = 0.0
     exponent: int = 5
+    _up: CutoffProfile = field(init=False, repr=False, compare=False)
+    _down: CutoffProfile = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.t_b > self.t_a:
@@ -139,19 +127,15 @@ class WindowProfile:
             object.__setattr__(self, "ramp", (self.t_b - self.t_a) / 3.0)
         if not 0.0 < self.ramp <= (self.t_b - self.t_a) / 2.0 + 1e-12:
             raise ValueError("ramp must fit inside the window")
+        object.__setattr__(self, "_up", CutoffProfile(self.t_a + self.ramp / 2.0, self.ramp, self.exponent))
+        object.__setattr__(self, "_down", CutoffProfile(self.t_b - self.ramp / 2.0, self.ramp, self.exponent))
 
-    def _parts(self):
-        up = CutoffProfile(self.t_a + self.ramp / 2.0, self.ramp, self.exponent)
-        down = CutoffProfile(self.t_b - self.ramp / 2.0, self.ramp, self.exponent)
-        return up, down
+    def value(self, t):
+        return self._up.value(t) * (1.0 - self._down.value(t))
 
-    def value(self, t, pw=operator.pow):
-        up, down = self._parts()
-        return up.value(t, pw) * (1.0 - down.value(t, pw))
-
-    def rate(self, t, pw=operator.pow):
-        up, down = self._parts()
-        return up.rate(t, pw) * (1.0 - down.value(t, pw)) - up.value(t, pw) * down.rate(t, pw)
+    def rate(self, t):
+        up, down = self._up, self._down
+        return up.rate(t) * (1.0 - down.value(t)) - up.value(t) * down.rate(t)
 
 
 # ---------------------------------------------------------------------------
@@ -683,16 +667,15 @@ def _riding(*terms):
     """The source family ``t -> sum of profile(t) * row`` over ``(profile, row)`` terms.
 
     A :func:`system.vectorized` family: at a 1-D array of times each profile
-    is evaluated once on the array, with one-time powers (``_scalar_pow``),
-    and its term is an outer product, so every row is bit for bit the row
-    of a one-time call.
+    is evaluated once on the array and its term is an outer product, so
+    every row is bit for bit the row of a one-time call.
     """
 
     @system.vectorized
     def fn(t):
         out = None
         for profile, row in terms:
-            term = np.multiply.outer(profile(t, _scalar_pow), row)
+            term = np.multiply.outer(profile(t), row)
             out = term if out is None else np.add(out, term, out=out)
         return out
 

@@ -110,9 +110,6 @@ def trig_family(k: int) -> ManufacturedField:
     conf = 1 + sp.Rational(1, 10) * sp.sin(t)
 
     # slice operators for two spatial axes with metric conf^2 * flat
-    def star_scalar(s):
-        return conf**2 * s
-
     def star_pair(p, q):
         return (-q, p)
 

@@ -470,7 +470,7 @@ def run_ops(ops) -> None:
         fn(*args)
 
 
-def d_ops(lay: Layout, x: np.ndarray, out: np.ndarray, scratch=None):
+def d_ops(lay: Layout, x: np.ndarray, out: np.ndarray, scratch: np.ndarray):
     """The coboundary of flat rows ``x`` in ``lay`` as a program writing ``out``.
 
     Yields, lazily, ``(function, arguments)`` calls of ufuncs with their
@@ -478,11 +478,10 @@ def d_ops(lay: Layout, x: np.ndarray, out: np.ndarray, scratch=None):
     same batch shape, last axis contiguous) with zeros and then add or
     subtract one signed difference per incidence term.  Each difference is
     written first into ``scratch`` (flat, at least the batch size times
-    ``lay.largest``; a fresh array per difference when None) and only then
-    meets the zeros, so a zero comes out as ``0 + diff`` or ``0 - diff``
-    would leave it (``0 - (+0)`` is +0, where negating a straight write
-    would give -0); a periodic axis wraps by two slice subtractions.  The
-    calls read ``x`` anew each time they run.
+    ``lay.largest``) and only then meets the zeros, so a zero comes out as
+    ``0 + diff`` or ``0 - diff`` would leave it (``0 - (+0)`` is +0, where
+    negating a straight write would give -0); a periodic axis wraps by two
+    slice subtractions.  The calls read ``x`` anew each time they run.
     """
     grid, m = lay.grid, lay.grid.dim
     out_lay = layout(grid, lay.degree + 1, lay.dual)
@@ -491,7 +490,7 @@ def d_ops(lay: Layout, x: np.ndarray, out: np.ndarray, scratch=None):
         arr, target, axis = lay.view(x, i), out_lay.view(out, j), b - m
         hi, lo = arr[_along(axis, slice(1, None))], arr[_along(axis, slice(None, -1))]
         shape = arr.shape if grid.periodic[b] else hi.shape
-        diff = np.empty(shape) if scratch is None else scratch[: math.prod(shape)].reshape(shape)
+        diff = scratch[: math.prod(shape)].reshape(shape)
         if grid.periodic[b]:
             # primal: roll(arr, -1) - arr; dual: arr - roll(arr, 1)
             inner, wrap = (slice(1, None), slice(0, 1)) if lay.dual else (slice(None, -1), slice(-1, None))
@@ -513,7 +512,7 @@ def d_flat(lay: Layout, x: np.ndarray) -> np.ndarray:
     if lay.degree >= lay.grid.dim:
         raise ValueError("d_sigma: top-degree input")
     out = np.empty(x.shape[:-1] + (layout(lay.grid, lay.degree + 1, lay.dual).size,))
-    run_ops(d_ops(lay, x, out))
+    run_ops(d_ops(lay, x, out, np.empty(math.prod(x.shape[:-1]) * lay.largest)))
     return out
 
 

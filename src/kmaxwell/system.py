@@ -160,23 +160,6 @@ def family_rows(fn: Callable | None, times: np.ndarray):
     return np.stack([fn(float(t)) for t in times])
 
 
-def _rows(fn: Callable, t):
-    """A family's row at one time t, or its :func:`family_rows` at a 1-D array of times."""
-    return fn(t) if np.ndim(t) == 0 else family_rows(fn, t)
-
-
-def _conf(metric: mesh.MetricField, t):
-    """a(t) at one time, or one value per time of a 1-D array."""
-    return metric.conf(t) if np.ndim(t) == 0 else mesh.sample_conf(metric, t)
-
-
-def _lapse(lay: mesh.Layout, fn, t) -> np.ndarray:
-    """A scalar callback (a lapse or its rate) at a layout's sites: one row, or one per time."""
-    if np.ndim(t) == 0:
-        return mesh.sample_flat(lay, fn, t)
-    return np.stack([mesh.sample_flat(lay, fn, float(s)) for s in t])
-
-
 def split(dt_part: mesh.Cochain, spatial_part: mesh.Cochain, t: float, metric: mesh.MetricField) -> FieldState:
     """Recover the field state from a spacetime form's two spatial pieces.
 
@@ -299,16 +282,20 @@ def rhs_sources(src: SourceData, t, metric: mesh.MetricField):
     """Source side of the split system as rows: (sign * hodge(jb), hodge(ze)).
 
     ``t`` is one time (one row per slot) or a 1-D array of times (``(T, N)``
-    rows, one Hodge map over all of them with one a(t) per row); each row is
-    bit for bit the row of its one-time call.  Either slot is None when its
-    family is absent.
+    rows, one Hodge map over all of them with one a(t) per row); one time is
+    evaluated as an array of one.  Either slot is None when its family is
+    absent.
     """
-    n, k, conf = src.grid.n, src.k, _conf(metric, t)
+    times = np.atleast_1d(t)
+    n, k, conf = src.grid.n, src.k, mesh.sample_conf(metric, times)
+    jb, ze = family_rows(src.jb, times), family_rows(src.ze, times)
     slot_e = slot_b = None
-    if src.jb is not None:
-        slot_e = mesh.hodge_flat(mesh.layout(src.grid, k - 1, True), _rows(src.jb, t), conf, source_sign(n, k))
-    if src.ze is not None:
-        slot_b = mesh.hodge_flat(mesh.layout(src.grid, n - 1 - k, False), _rows(src.ze, t), conf)
+    if jb is not None:
+        slot_e = mesh.hodge_flat(mesh.layout(src.grid, k - 1, True), jb, conf, source_sign(n, k))
+    if ze is not None:
+        slot_b = mesh.hodge_flat(mesh.layout(src.grid, n - 1 - k, False), ze, conf)
+    if np.ndim(t) == 0:
+        return tuple(None if r is None else r[0] for r in (slot_e, slot_b))
     return slot_e, slot_b
 
 
@@ -339,37 +326,41 @@ def continuity_residuals(src: SourceData, metric: mesh.MetricField, t) -> dict:
         no ``zb`` family.
     """
     grid, k, n = src.grid, src.k, src.grid.n
-    conf = _conf(metric, t)
+    times = np.atleast_1d(t)
+    conf = mesh.sample_conf(metric, times)
     out = {"charge": None, "flux": None, "flux_closed": None}
     if k >= 2:
         lay_j, lay_h = mesh.layout(grid, k - 1, True), mesh.layout(grid, n - k, False)
-        jb = _rows(src.jb, t) if src.jb is not None else np.zeros(np.shape(t) + (lay_j.size,))
-        weighted = mesh.hodge_flat(lay_j, jb, conf) * _lapse(lay_h, metric.beta, t)
+        jb = family_rows(src.jb, times) if src.jb is not None else np.zeros((len(times), lay_j.size))
+        weighted = mesh.hodge_flat(lay_j, jb, conf) * mesh.sample_lapse(lay_h, metric, times)
         charge = mesh.d_flat(lay_h, weighted) * float(-source_sign(n, k))
         if src.je is not None:
             lay_e = mesh.layout(grid, n + 1 - k, False)
-            inv_beta = 1.0 / _lapse(lay_e, metric.beta, t)
+            inv_beta = 1.0 / mesh.sample_lapse(lay_e, metric, times)
             if src.je_rate is None:
-                rate = _source_rate(lambda tt: _rows(src.je, tt) / _lapse(lay_e, metric.beta, tt), t)
+                rate = _source_rate(lambda tt: family_rows(src.je, tt) / mesh.sample_lapse(lay_e, metric, tt), times)
             else:
-                rate = _rows(src.je_rate, t) * inv_beta
+                rate = family_rows(src.je_rate, times) * inv_beta
                 if metric.beta_dt is not None:
-                    rate = rate - _rows(src.je, t) * _lapse(lay_e, metric.beta_dt, t) * inv_beta**2
+                    beta_dt = np.stack([mesh.sample_flat(lay_e, metric.beta_dt, float(s)) for s in times])
+                    rate = rate - family_rows(src.je, times) * beta_dt * inv_beta**2
             charge = rate * float((-1) ** (n - k)) + charge
         out["charge"] = charge
     if k <= n - 2:
         lay_z = mesh.layout(grid, n - 1 - k, False)
-        ze = _rows(src.ze, t) if src.ze is not None else np.zeros(np.shape(t) + (lay_z.size,))
+        ze = family_rows(src.ze, times) if src.ze is not None else np.zeros((len(times), lay_z.size))
         flux = -mesh.d_flat(mesh.layout(grid, k, True), mesh.hodge_flat(lay_z, ze, conf))
         if src.zb is not None:
             if src.zb_rate is not None:
-                rate = _rows(src.zb_rate, t)
+                rate = family_rows(src.zb_rate, times)
             else:
-                rate = _source_rate(lambda tt: _rows(src.zb, tt), t)
+                rate = _source_rate(lambda tt: family_rows(src.zb, tt), times)
             flux = rate + flux
             if k + 2 <= grid.dim:
-                out["flux_closed"] = mesh.d_flat(mesh.layout(grid, k + 1, True), _rows(src.zb, t))
+                out["flux_closed"] = mesh.d_flat(mesh.layout(grid, k + 1, True), family_rows(src.zb, times))
         out["flux"] = flux
+    if np.ndim(t) == 0:
+        return {name: None if r is None else r[0] for name, r in out.items()}
     return out
 
 

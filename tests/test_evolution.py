@@ -10,11 +10,10 @@ from scipy.linalg import expm
 from test_system import CROSS_PATH_METRICS
 
 from kmaxwell import evolution, green, io, manufactured, mesh, system
+from kmaxwell.tolerances import ENERGY_DRIFT_TOL, LINEARITY_TOL
 
 RNG_SEED = 660917
-LINEARITY_TOL = 1e-12
 ORACLE_TOL = 1e-8
-DRIFT_TOL = 1e-8
 
 
 def box_grid(n, cells, dt, lengths=1.0, periodic=None):
@@ -179,7 +178,7 @@ class TestEnergyConservation:
     def test_periodic_drift_small_and_vanishing_with_dt(self):
         drift1 = mode_energy_drift(0.1)
         drift2 = mode_energy_drift(0.05)
-        assert drift1 < DRIFT_TOL
+        assert drift1 < ENERGY_DRIFT_TOL
         # fourth-order local error predicts a factor >= 16; the monochromatic
         # mode does even better, so test the conservative one-sided bound
         assert drift1 / drift2 > 12.0
