@@ -27,6 +27,8 @@ from .tolerances import CLOSEDNESS_TOL, CONE_HALO_CELLS, CONE_LEAK_TOL, CONTINUI
 
 BOUNDARY_MODES = ("project_B", "periodic_test")
 MAX_CFL = 0.9
+# Sites next to each boundary face where validate_problem requires zero initial data.
+SUPPORT_MARGIN_CELLS = 2
 
 
 @dataclass(frozen=True)
@@ -133,11 +135,11 @@ def _lapse_probe(grid: mesh.GridSpec, metric: mesh.MetricField, t: float) -> np.
     return np.broadcast_to(np.asarray(metric.beta(t, *pts), dtype=float), (9,) * grid.dim)
 
 
-def wave_speed_bound(grid: mesh.GridSpec, metric: mesh.MetricField, t_span, samples: int = 5) -> float:
-    """Largest coordinate wave speed beta/a over a space-time probe grid."""
+def wave_speed_bound(grid: mesh.GridSpec, metric: mesh.MetricField, t_span) -> float:
+    """Largest coordinate wave speed beta/a over a space-time probe grid of 5 times."""
     t_lo, t_hi = t_span
     c_max = 0.0
-    for t in np.linspace(t_lo, t_hi, samples):
+    for t in np.linspace(t_lo, t_hi, 5):
         c_max = max(c_max, float(np.max(_lapse_probe(grid, metric, t))) / float(metric.conf(t)))
     return c_max
 
@@ -166,8 +168,8 @@ def check_cfl(grid: mesh.GridSpec, metric: mesh.MetricField, cfg: EvolveConfig) 
     )
 
 
-def _boundary_layer_max(c: mesh.Cochain, margin_cells: int) -> float:
-    """Largest |value| within margin_cells sites of any non-periodic face."""
+def _boundary_layer_max(c: mesh.Cochain) -> float:
+    """Largest |value| within ``SUPPORT_MARGIN_CELLS`` sites of any non-periodic face."""
     grid = c.grid
     worst = 0.0
     for s, arr in c.comps.items():
@@ -176,8 +178,8 @@ def _boundary_layer_max(c: mesh.Cochain, margin_cells: int) -> float:
                 continue
             sl_lo = [slice(None)] * grid.dim
             sl_hi = [slice(None)] * grid.dim
-            sl_lo[axis] = slice(0, margin_cells)
-            sl_hi[axis] = slice(arr.shape[axis] - margin_cells, None)
+            sl_lo[axis] = slice(0, SUPPORT_MARGIN_CELLS)
+            sl_hi[axis] = slice(arr.shape[axis] - SUPPORT_MARGIN_CELLS, None)
             worst = max(worst, float(np.abs(arr[tuple(sl_lo)]).max(initial=0.0)))
             worst = max(worst, float(np.abs(arr[tuple(sl_hi)]).max(initial=0.0)))
     return worst
@@ -188,13 +190,12 @@ def validate_problem(
     src: system.SourceData,
     grid: mesh.GridSpec,
     metric: mesh.MetricField | None = None,
-    margin_cells: int = 2,
 ) -> ValidationReport:
     """Check the well-posedness hypotheses on initial data and sources.
 
     Checks (each reported with its measured norm):
-      * ``initial_support``: both components vanish within margin_cells of
-        every boundary face;
+      * ``initial_support``: both components vanish within
+        ``SUPPORT_MARGIN_CELLS`` sites of every boundary face;
       * ``source_window``: the source window starts at least two steps after
         the initial time (trivially satisfied when no sources are given);
       * ``closed_fb`` / ``closed_fe``: the magnetic component and the
@@ -208,7 +209,7 @@ def validate_problem(
     metric = metric if metric is not None else mesh.unit_metric()
     report = ValidationReport()
 
-    sup = max(_boundary_layer_max(s0.fe, margin_cells), _boundary_layer_max(s0.fb, margin_cells))
+    sup = max(_boundary_layer_max(s0.fe), _boundary_layer_max(s0.fb))
     report.checks.append(
         CheckResult(
             "initial_support",
@@ -295,7 +296,8 @@ class Generator:
     changes value.  The buffers live as long as the generator and reference
     nothing back, so they are freed with it.  With ``project_B`` on a grid
     with faces, :meth:`project` zeroes the magnetic normal legs on the
-    boundary.
+    boundary.  A mode outside ``BOUNDARY_MODES``, or ``periodic_test`` on a
+    grid with faces, raises ValueError, so every step and march checks it.
 
     Sources are evaluated by ``system.rhs_sources`` once per stage, or, for
     a march that knows its step times, once per chunk of steps:
@@ -305,6 +307,10 @@ class Generator:
     """
 
     def __init__(self, grid, k, metric, src, boundary_mode, t):
+        if boundary_mode not in BOUNDARY_MODES:
+            raise ValueError(f"boundary_mode must be one of {BOUNDARY_MODES}: {boundary_mode!r}")
+        if boundary_mode == "periodic_test" and not all(grid.periodic):
+            raise ValueError("periodic_test mode requires an all-periodic grid")
         n = grid.n
         self.k, self.metric, self.src = k, metric, src
         self.lw = mesh.layout(grid, n - k, False)
@@ -487,7 +493,8 @@ def step(
     """One Runge-Kutta step with per-stage boundary projection.
 
     Raises:
-        ValueError: when dt exceeds the hard Courant bound 0.9*h_min/c_max.
+        ValueError: when dt exceeds the hard Courant bound 0.9*h_min/c_max,
+            or for a boundary mode the :class:`Generator` rejects.
     """
     require_stable_dt(s.grid, metric, dt, (s.t, s.t + dt))
     gen = Generator(s.grid, s.k, metric, src, boundary_mode, s.t)
@@ -562,14 +569,13 @@ def evolve(
     line driver does.
 
     Raises:
-        ValueError: cfl violation or non-increasing time span.
+        ValueError: cfl violation, non-increasing time span, or
+            ``periodic_test`` on a grid with faces.
         InstabilityError: non-finite values; carries the last stable state.
     """
     grid = s0.grid
     if not cfg.t_final > s0.t:
         raise ValueError("t_final must exceed the initial time")
-    if cfg.boundary_mode == "periodic_test" and not all(grid.periodic):
-        raise ValueError("periodic_test mode requires an all-periodic grid")
     cfl_res = check_cfl(grid, metric, cfg)
     if not cfl_res.passed:
         raise ValueError(f"cfl violation: {cfl_res.detail}")
@@ -580,31 +586,23 @@ def evolve(
     y = gen.project(gen.rows(s0))
     t = s0.t
 
-    rows, radii, maxima = [], [], []
-    row, radius, mx = _monitor_row(gen.state(t, y), src, metric, support, s0.t)
-    rows.append(row)
-    radii.append(radius)
-    maxima.append(mx)
+    samples = [_monitor_row(gen.state(t, y), src, metric, support, s0.t)]
 
     for i in range(n_steps):
         h = min(dt, cfg.t_final - t)
         y_new = _rk4_step(t, y, gen, h)
         t_new = cfg.t_final if i == n_steps - 1 else t + h
         if not np.isfinite(y_new).all():
-            series = _series_from(rows, radii, maxima, support)
-            raise InstabilityError(t, gen.state(t, y), series)
+            raise InstabilityError(t, gen.state(t, y), _series_from(samples, support))
         y, t = y_new, t_new
         if (i + 1) % cfg.monitor_stride == 0 or i == n_steps - 1:
-            row, radius, mx = _monitor_row(gen.state(t, y), src, metric, support, s0.t)
-            rows.append(row)
-            radii.append(radius)
-            maxima.append(mx)
-
-    series = _series_from(rows, radii, maxima, support)
-    return gen.state(t, y), series
+            samples.append(_monitor_row(gen.state(t, y), src, metric, support, s0.t))
+    return gen.state(t, y), _series_from(samples, support)
 
 
-def _series_from(rows, radii, maxima, support) -> MonitorSeries:
+def _series_from(samples, support) -> MonitorSeries:
+    """The series of ``_monitor_row`` samples ``(row, cone radius, state max)``."""
+    rows, radii, maxima = zip(*samples)
     columns = {name: np.array([r[name] for r in rows]) for name in io.MONITOR_COLUMNS}
     return MonitorSeries(
         columns=columns,

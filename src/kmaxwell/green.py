@@ -17,7 +17,9 @@ steps; the source families built here (the linear-in-time interpolants of a
 bit for bit to its one-time row.
 
 Histories are time-major float64 arrays of cochain vectors at uniformly
-spaced slice times.  Since the pairing structure couples a degree-k history
+spaced slice times; fields (:class:`History`) and sources
+(:class:`SourceHistory`) share one row base, which checks every family's rows
+where they enter.  Since the pairing structure couples a degree-k history
 only with histories of degrees k-1 and k+1, the multi-degree phase space is
 realized as bundles: plain dicts (or sequences) of single-degree histories.
 """
@@ -30,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import evolution, exterior, manufactured, mesh, system
-from .tolerances import SOURCE_COMPAT_TOL
+from .tolerances import DEGENERACY_TOL, SOURCE_COMPAT_TOL
 
 # Slices of margin required between a source window and the time-range ends.
 SUPPORT_MARGIN_SLICES = 2
@@ -39,6 +41,9 @@ DEFAULT_WIDTH_STEPS = 10.0
 # History budget: dense snapshots only at desk scale.
 MAX_HISTORY_STEPS = 512
 MAX_HISTORY_CELLS = 64
+# 1-2-1 averaging passes of random_potential's sampled data; each pass spreads
+# the support by one cell per side, so radius + passes * h stays clear of walls.
+SMOOTHING_PASSES = 2
 # Steps per source table of a march: one batched source evaluation per chunk
 # of this many steps, so a march holds at most 3 * 32 stage rows of sources.
 SOURCE_TABLE_STEPS = 32
@@ -56,50 +61,46 @@ def _maxabs(x: np.ndarray) -> float:
 # time profiles
 
 
-# (value, rate) of each smoothstep at the clipped ramp argument s, written with
-# products only: a power would round differently as an array ufunc than as a
-# one-time libm ``pow``, and one time must round as an array of times does
-_SMOOTHSTEPS = {
-    1: (lambda s: s, lambda s: np.ones_like(s)),
-    3: (lambda s: s * s * (3.0 - 2.0 * s), lambda s: 6.0 * s * (1.0 - s)),
-    5: (
-        lambda s: s * s * s * (10.0 + s * (6.0 * s - 15.0)),
-        lambda s: 30.0 * ((u := s * (1.0 - s)) * u),
-    ),
-}
+# The quintic smoothstep and its rate at the clipped ramp argument s, written
+# with products only: a power would round differently as an array ufunc than
+# as a one-time libm ``pow``, and one time must round as an array of times does
+def _smoothstep(s):
+    return s * s * s * (10.0 + s * (6.0 * s - 15.0))
+
+
+def _smoothstep_rate(s):
+    u = s * (1.0 - s)
+    return 30.0 * (u * u)
 
 
 @dataclass(frozen=True)
 class CutoffProfile:
     """Monotone time cutoff: 0 below t_c - width/2, 1 above t_c + width/2.
 
-    ``exponent`` selects the polynomial smoothstep degree (1, 3, or 5); the
-    quintic default has two continuous derivatives at the ramp ends, so the
-    cutoff's rate stays smooth enough for finite-difference operators.
-    ``value`` and ``rate`` take one time or an array of times, and each
-    entry of an array is bit for bit the value of its one-time call.
+    The ramp is the quintic smoothstep, which has two continuous derivatives
+    at the ramp ends, so the cutoff's rate stays smooth enough for
+    finite-difference operators.  ``value`` and ``rate`` take one time or an
+    array of times, and each entry of an array is bit for bit the value of
+    its one-time call.
     """
 
     t_c: float
     width: float
-    exponent: int = 5
 
     def __post_init__(self):
-        if not self.width > 0:
-            raise ValueError("cutoff width must be positive")
-        if self.exponent not in _SMOOTHSTEPS:
-            raise ValueError("smoothstep exponent must be 1, 3, or 5")
+        if not (math.isfinite(self.t_c) and math.isfinite(self.width) and self.width > 0):
+            raise ValueError("cutoff centre must be finite, and width positive and finite")
 
     def _arg(self, t):
         return (np.asarray(t, dtype=float) - self.t_c) / self.width + 0.5
 
     def value(self, t):
-        return _SMOOTHSTEPS[self.exponent][0](np.clip(self._arg(t), 0.0, 1.0))
+        return _smoothstep(np.clip(self._arg(t), 0.0, 1.0))
 
     def rate(self, t):
         """Time derivative of the cutoff; identically zero off the ramp."""
         u = self._arg(t)
-        base = _SMOOTHSTEPS[self.exponent][1](np.clip(u, 0.0, 1.0)) / self.width
+        base = _smoothstep_rate(np.clip(u, 0.0, 1.0)) / self.width
         return np.where((u > 0.0) & (u < 1.0), base, 0.0)
 
 
@@ -116,19 +117,18 @@ class WindowProfile:
     t_a: float
     t_b: float
     ramp: float = 0.0
-    exponent: int = 5
     _up: CutoffProfile = field(init=False, repr=False, compare=False)
     _down: CutoffProfile = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.t_b > self.t_a:
-            raise ValueError("window must have positive length")
+        if not (math.isfinite(self.t_a) and math.isfinite(self.t_b) and self.t_b > self.t_a):
+            raise ValueError("window must be a finite interval of positive length")
         if self.ramp == 0.0:
             object.__setattr__(self, "ramp", (self.t_b - self.t_a) / 3.0)
         if not 0.0 < self.ramp <= (self.t_b - self.t_a) / 2.0 + 1e-12:
             raise ValueError("ramp must fit inside the window")
-        object.__setattr__(self, "_up", CutoffProfile(self.t_a + self.ramp / 2.0, self.ramp, self.exponent))
-        object.__setattr__(self, "_down", CutoffProfile(self.t_b - self.ramp / 2.0, self.ramp, self.exponent))
+        object.__setattr__(self, "_up", CutoffProfile(self.t_a + self.ramp / 2.0, self.ramp))
+        object.__setattr__(self, "_down", CutoffProfile(self.t_b - self.ramp / 2.0, self.ramp))
 
     def value(self, t):
         return self._up.value(t) * (1.0 - self._down.value(t))
@@ -142,13 +142,6 @@ class WindowProfile:
 # histories
 
 
-def _uniform_spacing(times: np.ndarray) -> float:
-    steps = np.diff(times)
-    if len(steps) == 0 or not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
-        raise ValueError("history times must be uniformly spaced")
-    return float(steps[0])
-
-
 def _same_times(a: np.ndarray, b: np.ndarray) -> bool:
     """Whether two uniform time samplings agree: rtol 1e-12, atol 1e-12 * max(dt, 1)."""
     dt = float(a[1] - a[0]) if len(a) > 1 else 0.0
@@ -156,51 +149,86 @@ def _same_times(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 @dataclass
-class History:
+class _Rows:
+    """Time-major row families of one degree-k object on uniform slice times.
+
+    A subclass names its families in :meth:`_spaces`, with the slice degree
+    and duality of their rows.  On construction every present family is
+    converted to float64 (without a copy when it already is) and must hold
+    one row per slice time in its layout; a family whose degree leaves the
+    slice complex must be None, and only families of an ``_optional``
+    subclass may be None otherwise.  There must be at least two uniformly
+    spaced times; ``dt`` is their spacing.
+    """
+
+    grid: mesh.GridSpec
+    k: int
+    times: np.ndarray
+
+    _optional = False
+
+    def __post_init__(self):
+        self.times = np.asarray(self.times, dtype=float)
+        self._lays = {}
+        for name, degree, dual in self._spaces():
+            rows = getattr(self, name)
+            if not 0 <= degree <= self.grid.dim:
+                if rows is not None:
+                    raise ValueError(f"{name} must be None at k={self.k}: its degree {degree} is not a slice degree")
+            elif rows is not None or not self._optional:
+                lay = self._lays[name] = mesh.layout(self.grid, degree, dual)
+                rows = np.asarray(rows, dtype=float)
+                want = (len(self.times), lay.size)
+                if rows.shape != want:
+                    raise ValueError(f"{name} rows have shape {rows.shape}, want {want}")
+                setattr(self, name, rows)
+        steps = np.diff(self.times)
+        if len(steps) == 0:
+            raise ValueError("a history needs at least two slices")
+        if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
+            raise ValueError("history times must be uniformly spaced")
+        self.dt = float(steps[0])
+
+    def _families(self) -> list:
+        """``(name, rows, layout)`` of each present family, in the order of :meth:`_spaces`."""
+        return [(name, getattr(self, name), lay) for name, lay in self._lays.items()]
+
+    def maxabs(self) -> float:
+        return max((_maxabs(rows) for _, rows, _ in self._families()), default=0.0)
+
+    def norm(self, metric: mesh.MetricField) -> float:
+        """Spacetime L2 norm: trapezoidal time quadrature of the slice pairings of every family."""
+        conf = mesh.sample_conf(metric, self.times)
+        vals = np.zeros(len(self.times))
+        for _, rows, lay in self._families():
+            vals += mesh.pair_flat(lay, rows, rows, conf)
+        return float(np.sqrt(max(np.trapezoid(vals, self.times), 0.0)))
+
+
+@dataclass
+class History(_Rows):
     """Dense time-major snapshots of one degree-k field on a fixed grid.
 
     Args:
         grid: spatial grid shared by every slice.
         k: spacetime field degree.
-        times: strictly increasing, uniformly spaced slice times.
+        times: at least two uniformly spaced, increasing slice times.
         fe: electric snapshots, shape (len(times), primal size).
         fb: magnetic snapshots, shape (len(times), dual size).
 
     ``le``/``lb`` are the layouts of the fe/fb rows, ``dt`` the slice spacing.
     """
 
-    grid: mesh.GridSpec
-    k: int
-    times: np.ndarray
     fe: np.ndarray
     fb: np.ndarray
 
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        self.fe = np.asarray(self.fe, dtype=float)
-        self.fb = np.asarray(self.fb, dtype=float)
-        self.le = mesh.layout(self.grid, self.grid.n - self.k, False)
-        self.lb = mesh.layout(self.grid, self.k, True)
-        want = (len(self.times), self.le.size)
-        if self.fe.shape != want:
-            raise ValueError(f"fe snapshots have shape {self.fe.shape}, want {want}")
-        want = (len(self.times), self.lb.size)
-        if self.fb.shape != want:
-            raise ValueError(f"fb snapshots have shape {self.fb.shape}, want {want}")
-        if len(self.times) < 2:
-            raise ValueError("a history needs at least two slices")
-        self.dt = _uniform_spacing(self.times)
+    def _spaces(self):
+        return (("fe", self.grid.n - self.k, False), ("fb", self.k, True))
 
-    def maxabs(self) -> float:
-        fe = float(np.max(np.abs(self.fe))) if self.fe.size else 0.0
-        fb = float(np.max(np.abs(self.fb))) if self.fb.size else 0.0
-        return max(fe, fb)
-
-    def norm(self, metric: mesh.MetricField) -> float:
-        """Spacetime L2 norm: trapezoidal time quadrature of slice pairings."""
-        conf = mesh.sample_conf(metric, self.times)
-        vals = mesh.pair_flat(self.le, self.fe, self.fe, conf) + mesh.pair_flat(self.lb, self.fb, self.fb, conf)
-        return float(np.sqrt(max(np.trapezoid(vals, self.times), 0.0)))
+    le = property(lambda self: self._lays["fe"])
+    lb = property(lambda self: self._lays["fb"])
+    # an attribute of its own, so it can be wrapped without touching SourceHistory
+    norm = _Rows.norm
 
     def restrict(self, i0: int, i1: int) -> "History":
         return History(self.grid, self.k, self.times[i0:i1], self.fe[i0:i1], self.fb[i0:i1])
@@ -231,54 +259,28 @@ class History:
 
 
 @dataclass
-class SourceHistory:
+class SourceHistory(_Rows):
     """Snapshots of a source pair on history times; absent families are None.
 
     ``window`` is the temporal support of the linear-in-time interpolants
     that :meth:`data` exposes to the evolution loop.
     """
 
-    grid: mesh.GridSpec
-    k: int
-    times: np.ndarray
     window: tuple[float, float]
     je: np.ndarray | None
     jb: np.ndarray | None
     ze: np.ndarray | None
     zb: np.ndarray | None
 
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        self.dt = _uniform_spacing(self.times)
+    _optional = True
 
-    def _families(self):
-        n = self.grid.n
-        return (
-            ("je", self.je, n + 1 - self.k, False),
-            ("jb", self.jb, self.k - 1, True),
-            ("ze", self.ze, n - 1 - self.k, False),
-            ("zb", self.zb, self.k + 1, True),
-        )
+    def _spaces(self):
+        n, k = self.grid.n, self.k
+        return (("je", n + 1 - k, False), ("jb", k - 1, True), ("ze", n - 1 - k, False), ("zb", k + 1, True))
 
     def data(self) -> system.SourceData:
-        kw = {}
-        for name, rows, _, _ in self._families():
-            if rows is not None:
-                kw[name] = _row_interpolant(self.times, rows)
+        kw = {name: _row_interpolant(self.times, rows) for name, rows, _ in self._families()}
         return system.SourceData(grid=self.grid, k=self.k, window=self.window, **kw)
-
-    def maxabs(self) -> float:
-        vals = [np.max(np.abs(rows)) for _, rows, _, _ in self._families() if rows is not None and rows.size]
-        return float(max(vals)) if vals else 0.0
-
-    def norm(self, metric: mesh.MetricField) -> float:
-        """Spacetime L2 norm summed over the present families."""
-        conf = mesh.sample_conf(metric, self.times)
-        vals = np.zeros(len(self.times))
-        for _, rows, degree, dual in self._families():
-            if rows is not None:
-                vals += mesh.pair_flat(mesh.layout(self.grid, degree, dual), rows, rows, conf)
-        return float(np.sqrt(max(np.trapezoid(vals, self.times), 0.0)))
 
 
 def _row_interpolant(times, rows):
@@ -688,7 +690,6 @@ def random_source_pair(
     metric: mesh.MetricField,
     window: tuple[float, float],
     rng: np.random.Generator,
-    with_alpha: bool = True,
     with_zeta: bool = True,
     with_harmonic: bool = False,
 ) -> SourcePair:
@@ -724,33 +725,32 @@ def random_source_pair(
         return manufactured.bump_potential(grid, degree, dual, manufactured.bump_profile(center, radius), rng)
 
     kw = {}
-    if with_alpha:
-        # divergence-free piece: beta * hodge(jb) is an exact coboundary
-        x = mesh.d_sigma(interior_potential(n - k - 1, False))
-        jb0 = mesh.hodge_inverse_sigma(mesh.multiply_scalar(x, inv_beta, 0.0), 0.0, metric)
-        if with_harmonic:
-            jb_h = _constant_cochain(grid, k - 1, True, rng.uniform(0.3, 1.0, size=4))
-            weighted = mesh.multiply_scalar(mesh.hodge_sigma(jb_h, 0.0, metric), metric.beta, 0.0)
-            if weighted.degree < grid.dim:
-                leak = mesh.d_sigma(weighted).vec
-                if _maxabs(leak) > SOURCE_COMPAT_TOL * (1.0 + _maxabs(jb_h.vec)):
-                    raise ValueError("harmonic magnetic current requires a spatially uniform lapse")
-            jb0 = jb0 + jb_h
-        jb0 = jb0.vec
-        if k >= 2:
-            # charged piece: (-1)^(n-k) d/dt(je/beta) balances d(beta*hodge(jb))
-            jb1 = interior_potential(k - 1, True)
-            curl = mesh.d_sigma(
-                mesh.multiply_scalar(mesh.hodge_sigma(jb1, 0.0, metric), metric.beta, 0.0)
-            )
-            sgn = float((-1) ** (n - k) * system.source_sign(n, k))
-            je0 = (sgn * mesh.multiply_scalar(curl, metric.beta, 0.0)).vec
-            jb1 = jb1.vec
-            kw["je"] = _riding((q.value, je0))
-            kw["je_rate"] = _riding((q.rate, je0))
-            kw["jb"] = _riding((p.value, jb0), (q.rate, jb1))
-        else:
-            kw["jb"] = _riding((p.value, jb0))
+    # divergence-free piece: beta * hodge(jb) is an exact coboundary
+    x = mesh.d_sigma(interior_potential(n - k - 1, False))
+    jb0 = mesh.hodge_inverse_sigma(mesh.multiply_scalar(x, inv_beta, 0.0), 0.0, metric)
+    if with_harmonic:
+        jb_h = _constant_cochain(grid, k - 1, True, rng.uniform(0.3, 1.0, size=4))
+        weighted = mesh.multiply_scalar(mesh.hodge_sigma(jb_h, 0.0, metric), metric.beta, 0.0)
+        if weighted.degree < grid.dim:
+            leak = mesh.d_sigma(weighted).vec
+            if _maxabs(leak) > SOURCE_COMPAT_TOL * (1.0 + _maxabs(jb_h.vec)):
+                raise ValueError("harmonic magnetic current requires a spatially uniform lapse")
+        jb0 = jb0 + jb_h
+    jb0 = jb0.vec
+    if k >= 2:
+        # charged piece: (-1)^(n-k) d/dt(je/beta) balances d(beta*hodge(jb))
+        jb1 = interior_potential(k - 1, True)
+        curl = mesh.d_sigma(
+            mesh.multiply_scalar(mesh.hodge_sigma(jb1, 0.0, metric), metric.beta, 0.0)
+        )
+        sgn = float((-1) ** (n - k) * system.source_sign(n, k))
+        je0 = (sgn * mesh.multiply_scalar(curl, metric.beta, 0.0)).vec
+        jb1 = jb1.vec
+        kw["je"] = _riding((q.value, je0))
+        kw["je_rate"] = _riding((q.rate, je0))
+        kw["jb"] = _riding((p.value, jb0), (q.rate, jb1))
+    else:
+        kw["jb"] = _riding((p.value, jb0))
     if with_zeta:
         pot = interior_potential(k, True)
         inv = mesh.hodge_inverse_sigma(pot, 0.0, metric).vec
@@ -774,16 +774,14 @@ def solution_history(
     metric: mesh.MetricField,
     n_steps: int,
     seed: int = 0,
-    t_start: float | None = None,
 ) -> History:
-    """Homogeneous solution history from compatible random bump data."""
+    """Homogeneous solution history from compatible random bump data, from ``grid.t0``."""
     rng = np.random.default_rng(seed)
     center = np.asarray(grid.lengths) * rng.uniform(0.42, 0.58, size=grid.dim)
     radius = float(rng.uniform(0.15, 0.22) * min(grid.lengths))
-    t0 = grid.t0 if t_start is None else float(t_start)
-    state, _ = manufactured.bump_state(grid, k, metric, t=t0, center=center, radius=radius, seed=seed)
+    state, _ = manufactured.bump_state(grid, k, metric, t=grid.t0, center=center, radius=radius, seed=seed)
     data = system.zero_sources(grid, k)
-    return _integrate(grid, k, metric, data, t0, n_steps, grid.dt, state0=state)
+    return _integrate(grid, k, metric, data, grid.t0, n_steps, grid.dt, state0=state)
 
 
 def random_solution_bundle(
@@ -792,7 +790,6 @@ def random_solution_bundle(
     n_steps: int,
     seed: int = 0,
     degrees=None,
-    t_start: float | None = None,
 ) -> dict:
     """Random homogeneous solution bundle {degree: history} for pairings.
 
@@ -805,10 +802,9 @@ def random_solution_bundle(
     Args:
         grid: spatial grid.
         metric: lapse and conformal factor.
-        n_steps: history length in steps.
+        n_steps: history length in steps, from ``grid.t0``.
         seed: reproducible data seed.
         degrees: iterable of field degrees (default: all of 1..n-1).
-        t_start: first slice time (default grid.t0).
 
     Returns:
         dict mapping each degree to its History.
@@ -817,7 +813,7 @@ def random_solution_bundle(
     if degrees is None:
         degrees = range(1, n)
     rng = np.random.default_rng(seed)
-    t0 = grid.t0 if t_start is None else float(t_start)
+    t0 = grid.t0
     data_free = all(grid.periodic)
     out = {}
     for k in sorted(set(int(d) for d in degrees)):
@@ -868,8 +864,6 @@ def random_potential(
     metric: mesh.MetricField,
     n_steps: int,
     seed: int = 0,
-    t_start: float | None = None,
-    smoothing: int = 2,
 ) -> History:
     """Potential history with vanishing dt-leg whose differential solves the system.
 
@@ -885,12 +879,8 @@ def random_potential(
             has degree k - 1, which must stay inside the supported sector,
             so 2 <= k <= n - 1).
         metric: lapse and conformal factor.
-        n_steps: history length in steps.
+        n_steps: history length in steps, from ``grid.t0``.
         seed: reproducible amplitude seed.
-        t_start: first slice time (default grid.t0).
-        smoothing: 1-2-1 averaging passes applied to the sampled data.
-            Each pass spreads the support by one cell per side, so on
-            bounded grids keep ``radius + passes * h`` clear of the walls.
 
     Returns:
         History of degree k - 1.
@@ -899,12 +889,12 @@ def random_potential(
     if not 2 <= k <= n - 1:
         raise ValueError(f"generated field degree {k} outside the supported range [2, {n - 1}]")
     rng = np.random.default_rng(seed)
-    t0 = grid.t0 if t_start is None else float(t_start)
+    t0 = grid.t0
     center = 0.5 * np.asarray(grid.lengths)
     radius = 0.3 * float(min(grid.lengths))
     prof = manufactured.bump_profile(tuple(center), radius)
-    pot_b = _smooth_components(manufactured.bump_potential(grid, k - 1, True, prof, rng, t0), smoothing)
-    pot_e = _smooth_components(manufactured.bump_potential(grid, n - k - 1, False, prof, rng, t0), smoothing)
+    pot_b = _smooth_components(manufactured.bump_potential(grid, k - 1, True, prof, rng, t0), SMOOTHING_PASSES)
+    pot_e = _smooth_components(manufactured.bump_potential(grid, n - k - 1, False, prof, rng, t0), SMOOTHING_PASSES)
     fb0 = mesh.d_sigma(pot_b)
     fe0 = mesh.multiply_scalar(mesh.d_sigma(pot_e), metric.beta, t0)
     sol = _integrate(
@@ -1160,14 +1150,14 @@ def degeneracy_forward_check(
     grid: mesh.GridSpec,
     metric: mesh.MetricField,
     probes,
-    chi: CutoffProfile | None = None,
-    solution_tol: float = 5e-3,
+    solution_tol: float = DEGENERACY_TOL,
 ) -> dict:
     """Forward degeneracy of the pairing: exact fields pair to zero.
 
     Differentiates the potential bundle into a field bundle F, verifies F
     solves the homogeneous system to ``solution_tol``, and evaluates the
-    pre-symplectic pairing of every probe solution against F.  The first
+    pre-symplectic pairing of every probe solution against F through a
+    cutoff at mid-range, ``DEFAULT_WIDTH_STEPS`` time steps wide.  The first
     and last two slices of the differentiated bundle are dropped before
     gating and pairing: the centred reconstruction is second-order clean
     only away from the one-sided end stencils.  Probes are restricted to
@@ -1178,7 +1168,6 @@ def degeneracy_forward_check(
             potentials produce degree j+1 fields).
         probes: iterable of History/bundles of homogeneous solutions; a
             probe sees F only through adjacent degrees.
-        chi: time cutoff (defaults to mid-range with the standard width).
         solution_tol: relative residual allowed for D(dA).
 
     Returns:
@@ -1206,8 +1195,7 @@ def degeneracy_forward_check(
         raise ValueError(
             f"potential field fails the solution tolerance: residual {residual:.3e}"
         )
-    if chi is None:
-        chi = CutoffProfile(float(0.5 * (times[0] + times[-1])), DEFAULT_WIDTH_STEPS * grid.dt)
+    chi = CutoffProfile(float(0.5 * (times[0] + times[-1])), DEFAULT_WIDTH_STEPS * grid.dt)
     values, rels = [], []
     for probe in probes:
         p_bundle = {k: _restrict_to(p, times) for k, p in _by_degree(probe).items()}

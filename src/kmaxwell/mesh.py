@@ -66,7 +66,7 @@ class GridSpec:
         cells_per_axis: cells along each spatial axis (each >= 4).
         lengths: physical box size along each spatial axis.
         dt: time step used by the integrator and history containers.
-        t0: initial time.
+        t0: initial time (finite).
         periodic: per-axis periodicity; periodic axes have no boundary faces
             (testing mode — the physical setup is the box with boundary).
     """
@@ -92,6 +92,8 @@ class GridSpec:
             raise ValueError("axis lengths must be positive and finite")
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError("dt must be positive and finite")
+        if not math.isfinite(self.t0):
+            raise ValueError("t0 must be finite")
         if self.periodic is None:
             object.__setattr__(self, "periodic", (False,) * m)
         else:

@@ -90,6 +90,17 @@ class TestStep:
         with pytest.raises(ValueError, match="cfl"):
             evolution.step(s0, system.zero_sources(grid, 1), mesh.unit_metric(), 1.0)
 
+    @pytest.mark.parametrize(
+        "mode, match", [("project_b", "boundary_mode"), ("periodic_test", "periodic")], ids=["unknown", "periodic-on-box"]
+    )
+    def test_step_and_operator_matrix_check_the_boundary_mode(self, mode, match):
+        grid = box_grid(3, 8, 0.01)
+        s0 = system.zero_state(grid, 1)
+        with pytest.raises(ValueError, match=match):
+            evolution.step(s0, system.zero_sources(grid, 1), mesh.unit_metric(), grid.dt, boundary_mode=mode)
+        with pytest.raises(ValueError, match=match):
+            evolution.operator_matrix(grid, 1, mesh.unit_metric(), boundary_mode=mode)
+
     def test_one_step_matches_matrix_exponential(self):
         # dense semi-discrete generator on a periodic 8-cell line (n=2)
         grid = periodic_grid(2, 8, 2e-3)

@@ -61,7 +61,7 @@ def assert_one_time_bits(profile, ts):
 
 
 def source_rows(sh):
-    return {name: rows for name, rows, _, _ in sh._families() if rows is not None}
+    return {name: rows for name, rows, _ in sh._families()}
 
 
 @functools.lru_cache(maxsize=None)
@@ -113,34 +113,31 @@ class TestCutoffProfile:
         assert chi.rate(0.4) == 0.0
 
     def test_rate_matches_value_derivative(self):
-        chi = green.CutoffProfile(0.3, 0.1, exponent=5)
+        chi = green.CutoffProfile(0.3, 0.1)
         ts = np.linspace(0.26, 0.34, 17)
         h = 1e-6
         fd = (chi.value(ts + h) - chi.value(ts - h)) / (2 * h)
         np.testing.assert_allclose(chi.rate(ts), fd, rtol=0.0, atol=1e-6)
 
     def test_exponent_catalogue(self):
-        for expo in (1, 3, 5):
-            green.CutoffProfile(0.0, 1.0, exponent=expo)
-        with pytest.raises(ValueError, match="exponent"):
-            green.CutoffProfile(0.0, 1.0, exponent=2)
         with pytest.raises(ValueError, match="width"):
             green.CutoffProfile(0.0, 0.0)
+        for t_c, width in ((np.nan, 0.1), (np.inf, 0.1), (0.3, np.inf), (0.3, np.nan)):
+            with pytest.raises(ValueError, match="finite"):
+                green.CutoffProfile(t_c, width)
 
-    @pytest.mark.parametrize("expo", [1, 3, 5])
-    def test_array_of_times_rounds_as_one_time_calls(self, expo):
+    def test_array_of_times_rounds_as_one_time_calls(self):
         # both plateaus, both ramp ends and the ramp between them
-        assert_one_time_bits(green.CutoffProfile(0.3, 0.1, exponent=expo), np.linspace(0.2, 0.4, 2001))
+        assert_one_time_bits(green.CutoffProfile(0.3, 0.1), np.linspace(0.2, 0.4, 2001))
 
     @settings(max_examples=40, deadline=None)
     @seed(2024)
     @given(
         t1=st.floats(-2.0, 2.0, allow_nan=False),
         t2=st.floats(-2.0, 2.0, allow_nan=False),
-        expo=st.sampled_from([1, 3, 5]),
     )
-    def test_monotone(self, t1, t2, expo):
-        chi = green.CutoffProfile(0.0, 0.5, exponent=expo)
+    def test_monotone(self, t1, t2):
+        chi = green.CutoffProfile(0.0, 0.5)
         lo, hi = min(t1, t2), max(t1, t2)
         assert chi.value(lo) <= chi.value(hi) + 1e-15
 
@@ -172,6 +169,9 @@ class TestWindowProfile:
             green.WindowProfile(0.4, 0.1)
         with pytest.raises(ValueError, match="ramp"):
             green.WindowProfile(0.0, 0.2, ramp=0.3)
+        for t_a, t_b in ((0.0, np.inf), (-np.inf, 0.2), (np.nan, 0.2), (0.0, np.nan)):
+            with pytest.raises(ValueError, match="finite"):
+                green.WindowProfile(t_a, t_b)
 
 
 class TestHistory:
@@ -219,6 +219,34 @@ class TestHistory:
         )
         assert h.norm(METRIC) == 0.0
         assert h.maxabs() == 0.0
+
+
+class TestSourceHistory:
+    def rows(self, g, degree, dual, times):
+        return np.ones((len(times), mesh.cochain_size(g, degree, dual)))
+
+    def test_rows_checked_like_history_rows(self):
+        g = box_grid(cells=4)
+        times = DT * np.arange(3)
+        jb, ze = self.rows(g, 0, True, times), self.rows(g, 1, False, times)
+        sh = green.SourceHistory(g, 1, times, (0.0, 0.01), None, jb, ze, None)
+        assert sh.dt == pytest.approx(DT)
+        assert sorted(source_rows(sh)) == ["jb", "ze"]
+        with pytest.raises(ValueError, match="shape"):
+            green.SourceHistory(g, 1, times, (0.0, 0.01), None, np.pad(jb, ((0, 0), (0, 5))), ze, None)
+        with pytest.raises(ValueError, match="shape"):
+            green.SourceHistory(g, 1, times, (0.0, 0.01), None, jb[:2], ze, None)
+        with pytest.raises(ValueError, match="two slices"):
+            green.SourceHistory(g, 1, times[:1], (0.0, 0.01), None, jb[:1], ze[:1], None)
+
+    def test_families_outside_the_slice_complex_must_be_none(self):
+        g = box_grid(cells=4)
+        times = DT * np.arange(3)
+        jb = self.rows(g, 0, True, times)
+        with pytest.raises(ValueError, match="je must be None"):
+            green.SourceHistory(g, 1, times, (0.0, 0.01), self.rows(g, 2, False, times), jb, None, None)
+        with pytest.raises(ValueError, match="zb must be None"):
+            green.SourceHistory(g, 2, times, (0.0, 0.01), None, None, None, self.rows(g, 2, True, times))
 
 
 class TestSourcePair:

@@ -56,7 +56,8 @@ def grids(draw):
     )
 
 
-NOT_POSITIVE_FINITE = st.one_of(st.floats(max_value=0.0), st.sampled_from([math.inf, -math.inf, math.nan]))
+NON_FINITE = st.sampled_from([math.inf, -math.inf, math.nan])
+NOT_POSITIVE_FINITE = st.one_of(st.floats(max_value=0.0), NON_FINITE)
 
 
 class TestGridSpec:
@@ -104,9 +105,18 @@ class TestGridSpec:
 
     @seed(RNG_SEED)
     @settings(max_examples=50, deadline=None)
-    @given(grid=grids(), bad=NOT_POSITIVE_FINITE, axis=st.integers(0, 2), field=st.sampled_from(["lengths", "dt"]))
-    def test_rejects_non_positive_or_non_finite_lengths_and_dt(self, grid, bad, axis, field):
-        if field == "dt":
+    @given(
+        grid=grids(),
+        bad=NOT_POSITIVE_FINITE,
+        non_finite=NON_FINITE,
+        axis=st.integers(0, 2),
+        field=st.sampled_from(["lengths", "dt", "t0"]),
+    )
+    def test_rejects_non_positive_or_non_finite_lengths_and_dt(self, grid, bad, non_finite, axis, field):
+        # any finite t0 is valid, so t0 draws from the non-finite values only
+        if field == "t0":
+            change = {"t0": non_finite}
+        elif field == "dt":
             change = {"dt": bad}
         else:
             lengths = list(grid.lengths)
