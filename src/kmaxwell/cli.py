@@ -27,7 +27,6 @@ if _threads.isdigit() and int(_threads) > 0:
 import argparse
 import datetime
 import itertools
-import math
 import traceback
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -35,15 +34,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, evolution, exterior, green, io, manufactured, mesh, system
-from .evolution import CheckResult
+from .system import CheckResult
 from .tolerances import (
-    ADMISSIBILITY_TOL,
     BOUNDARY_RESIDUAL_TOL,
     CONSTRAINT_DRIFT_TOL,
     GREEN_DEFECT_TOL,
     IDENTITY_TOL,
     PRESYMPLECTIC_REL_TOL,
-    SYMBOL_SYMMETRY_TOL,
 )
 
 EXPERIMENTS = ("identities", "symbol_audit", "evolve", "green_suite", "symplectic_suite")
@@ -253,6 +250,7 @@ def _validate(cfg: RunConfig) -> list[str]:
             grid = build_grid(cfg)
             if cfg.experiment == "evolve":
                 _evolve_config(cfg)
+                evolution.require_boundary_mode(grid, cfg.boundary)
             else:
                 span = (grid.t0, grid.t0 + cfg.steps * cfg.dt)
                 evolution.require_stable_dt(grid, build_metric(cfg), cfg.dt, span)
@@ -285,9 +283,8 @@ def _evolve_config(cfg: RunConfig) -> evolution.EvolveConfig:
     return evolution.EvolveConfig(cfg.t_final, cfg.cfl, cfg.boundary, cfg.monitor_stride)
 
 
-def _check(name: str, measure: float, threshold: float, passed=None, detail: str = "") -> CheckResult:
-    ok = measure < threshold if passed is None else bool(passed)
-    return CheckResult(name=name, passed=ok, measure=float(measure), threshold=float(threshold), detail=detail)
+def _check(name: str, measure: float, threshold: float, detail: str = "") -> CheckResult:
+    return CheckResult(name, measure < threshold, float(measure), float(threshold), detail)
 
 
 # ---------------------------------------------------------------------------
@@ -321,86 +318,20 @@ def _run_identities(cfg: RunConfig, out: Path):
 
 def _run_symbol_audit(cfg: RunConfig, out: Path):
     """Principal-symbol audit: symmetry, spectra, boundary admissibility."""
-    trials = cfg.trials
     checks, files = [], []
-    columns: dict[str, list] = {
-        "n": [], "k": [], "symmetry_defect": [], "min_timelike_eig": [],
-        "count_mismatches": [], "admissibility_worst": [],
-    }
+    measures = ("symmetry_defect", "min_timelike_eig", "count_mismatches", "admissibility_worst")
+    columns: dict[str, list] = {name: [] for name in ("n", "k") + measures}
     audit_metric = mesh.MetricField(
         beta=lambda t, *x: 1.3 + 0.2 * float(np.sin(x[0] + t)), conf=lambda t: 1.7
     )
     for n, k in SYMBOL_TABLE:
         rng = np.random.default_rng(cfg.seed + 10 * n + k)
-        symmetry = 0.0
-        min_eig = np.inf
-        mismatches = 0
-        for _ in range(trials):
-            sig = system.symbol_matrix(
-                rng.standard_normal(),
-                rng.standard_normal(n - 1),
-                rng.uniform(0.5, 2.0),
-                rng.uniform(0.5, 2.0),
-                n,
-                k,
-            )
-            symmetry = max(symmetry, float(np.max(np.abs(sig - sig.T))))
-
-            xi0 = rng.uniform(0.1, 2.0)
-            beta = rng.uniform(0.5, 2.0)
-            conf = rng.uniform(0.5, 2.0)
-            direction = rng.standard_normal(n - 1)
-            direction /= np.linalg.norm(direction)
-            radius = rng.uniform(0.0, 0.99) * xi0 / beta
-            timelike = system.symbol_matrix(xi0, conf * radius * direction, beta, conf, n, k)
-            min_eig = min(min_eig, float(np.min(np.linalg.eigvalsh(timelike))))
-
-            conormal = system.symbol_matrix(0.0, conf * direction, beta, conf, n, k)
-            kernel, plus, minus = system.classify_eigenvalues(np.linalg.eigvalsh(conormal))
-            expected_kernel = math.comb(n - 2, n - k) + math.comb(n - 2, k)
-            expected_pm = math.comb(n - 2, k - 1)
-            if (kernel, plus, minus) != (expected_kernel, expected_pm, expected_pm):
-                mismatches += 1
-
-        admissibility_worst = 0.0
-        admissibility_ok = True
-        for axis, side in itertools.product(range(n - 1), (0, 1)):
-            for _ in range(3):
-                point = tuple(rng.uniform(0.0, 1.0, n - 1))
-                report = system.admissibility_audit(
-                    mesh.Face(axis, side), rng.uniform(0.0, 2.0), point,
-                    audit_metric, n, k, tol=ADMISSIBILITY_TOL,
-                )
-                admissibility_ok = admissibility_ok and report.passed()
-                worst = max(item["measure"] for item in report.admissibility.values())
-                admissibility_worst = max(admissibility_worst, worst)
-
-        checks.append(_check(f"symbol_symmetry_n{n}k{k}", symmetry, SYMBOL_SYMMETRY_TOL))
-        checks.append(
-            _check(
-                f"symbol_positivity_n{n}k{k}", min_eig, 0.0, passed=min_eig > 0.0,
-                detail="least eigenvalue over timelike-future covectors must be positive",
-            )
-        )
-        checks.append(
-            _check(
-                f"symbol_counts_n{n}k{k}", float(mismatches), 1.0,
-                detail="trials whose kernel/plus/minus dimensions missed the closed form",
-            )
-        )
-        checks.append(
-            _check(
-                f"symbol_admissibility_n{n}k{k}", admissibility_worst, ADMISSIBILITY_TOL,
-                passed=admissibility_ok,
-                detail="boundary subbundle conditions at sampled wall points",
-            )
-        )
+        entry = system.symbol_audit(n, k, cfg.trials, rng, audit_metric)
+        checks.extend(entry)
         columns["n"].append(float(n))
         columns["k"].append(float(k))
-        columns["symmetry_defect"].append(symmetry)
-        columns["min_timelike_eig"].append(min_eig)
-        columns["count_mismatches"].append(float(mismatches))
-        columns["admissibility_worst"].append(admissibility_worst)
+        for name, check in zip(measures, entry):
+            columns[name].append(check.measure)
     io.write_table_csv(out / "series_symbol.csv", columns)
     files.append("series_symbol.csv")
     return checks, files
@@ -564,14 +495,17 @@ def _error_record(err: Exception) -> dict:
     """The manifest's account of a runtime failure.
 
     ``phase`` is the innermost function of this package on the traceback
-    (``module.function``); an ``InstabilityError`` adds the last stable time.
+    (``module.qualified_name``, e.g. ``evolution.Generator.__init__``; the
+    bare function name before Python 3.11); an ``InstabilityError`` adds the
+    last stable time.
     """
     package = Path(__file__).parent
-    frames = [f for f in traceback.extract_tb(err.__traceback__) if Path(f.filename).parent == package]
+    codes = [f.f_code for f, _ in traceback.walk_tb(err.__traceback__)]
+    code = [c for c in codes if Path(c.co_filename).parent == package][-1]
     record = {
         "type": type(err).__name__,
         "message": str(err),
-        "phase": f"{Path(frames[-1].filename).stem}.{frames[-1].name}",
+        "phase": f"{Path(code.co_filename).stem}.{getattr(code, 'co_qualname', code.co_name)}",
     }
     if isinstance(err, evolution.InstabilityError):
         record["t_last"] = float(err.t_last)

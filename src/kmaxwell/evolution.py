@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import io, mesh, system
+from .system import CheckResult
 from .tolerances import CLOSEDNESS_TOL, CONE_HALO_CELLS, CONE_LEAK_TOL, CONTINUITY_TOL, SUPPORT_TOL
 
 BOUNDARY_MODES = ("project_B", "periodic_test")
@@ -94,26 +95,6 @@ class MonitorSeries:
 
 
 @dataclass
-class CheckResult:
-    """One named validation check with its measured value and threshold."""
-
-    name: str
-    passed: bool
-    measure: float
-    threshold: float
-    detail: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": bool(self.passed),
-            "measure": float(self.measure),
-            "threshold": float(self.threshold),
-            "detail": self.detail,
-        }
-
-
-@dataclass
 class ValidationReport:
     checks: list = field(default_factory=list)
 
@@ -154,6 +135,14 @@ def require_stable_dt(grid: mesh.GridSpec, metric: mesh.MetricField, dt: float, 
     limit = stable_dt(grid, metric, MAX_CFL, t_span)
     if abs(dt) > limit * (1 + 1e-12):
         raise ValueError(f"cfl violation: dt={abs(dt)!r} exceeds {limit!r}")
+
+
+def require_boundary_mode(grid: mesh.GridSpec, boundary_mode: str) -> None:
+    """Raise ValueError for a mode outside BOUNDARY_MODES, or ``periodic_test`` on a grid with faces."""
+    if boundary_mode not in BOUNDARY_MODES:
+        raise ValueError(f"boundary_mode must be one of {BOUNDARY_MODES}: {boundary_mode!r}")
+    if boundary_mode == "periodic_test" and not all(grid.periodic):
+        raise ValueError("periodic_test mode requires an all-periodic grid")
 
 
 def check_cfl(grid: mesh.GridSpec, metric: mesh.MetricField, cfg: EvolveConfig) -> CheckResult:
@@ -296,8 +285,8 @@ class Generator:
     changes value.  The buffers live as long as the generator and reference
     nothing back, so they are freed with it.  With ``project_B`` on a grid
     with faces, :meth:`project` zeroes the magnetic normal legs on the
-    boundary.  A mode outside ``BOUNDARY_MODES``, or ``periodic_test`` on a
-    grid with faces, raises ValueError, so every step and march checks it.
+    boundary.  The mode passes :func:`require_boundary_mode` first, so every
+    step and march checks it.
 
     Sources are evaluated by ``system.rhs_sources`` once per stage, or, for
     a march that knows its step times, once per chunk of steps:
@@ -307,10 +296,7 @@ class Generator:
     """
 
     def __init__(self, grid, k, metric, src, boundary_mode, t):
-        if boundary_mode not in BOUNDARY_MODES:
-            raise ValueError(f"boundary_mode must be one of {BOUNDARY_MODES}: {boundary_mode!r}")
-        if boundary_mode == "periodic_test" and not all(grid.periodic):
-            raise ValueError("periodic_test mode requires an all-periodic grid")
+        require_boundary_mode(grid, boundary_mode)
         n = grid.n
         self.k, self.metric, self.src = k, metric, src
         self.lw = mesh.layout(grid, n - k, False)

@@ -795,9 +795,10 @@ def random_solution_bundle(
 
     Each degree is evolved from coboundary bump data.  On fully periodic
     grids the data additionally carries random constant modes in both
-    components; those are the only field content a box without handles
-    leaves visible to the pre-symplectic pairing, so bundles built here
-    pair to machine zero unless every axis is periodic.
+    components, the electric one times the lapse so that the electric
+    constraint d(fe / beta) = 0 holds; those are the only field content a
+    box without handles leaves visible to the pre-symplectic pairing, so
+    bundles built here pair to machine zero unless every axis is periodic.
 
     Args:
         grid: spatial grid.
@@ -824,7 +825,8 @@ def random_solution_bundle(
         )
         fe, fb = state.fe, state.fb
         if data_free:
-            fe = fe + _constant_cochain(grid, n - k, False, rng.uniform(-1.0, 1.0, size=4))
+            constant = _constant_cochain(grid, n - k, False, rng.uniform(-1.0, 1.0, size=4))
+            fe = fe + mesh.multiply_scalar(constant, metric.beta, t0)
             fb = fb + _constant_cochain(grid, k, True, rng.uniform(-1.0, 1.0, size=4))
         st = system.FieldState(t=t0, fe=fe, fb=fb, k=k)
         out[k] = _integrate(

@@ -34,6 +34,7 @@ times, so both functions take such an array too.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, prod
@@ -42,7 +43,27 @@ from typing import Callable
 import numpy as np
 
 from . import exterior, mesh
-from .tolerances import ADMISSIBILITY_TOL, EIGEN_TOL
+from .tolerances import ADMISSIBILITY_TOL, EIGEN_TOL, SYMBOL_SYMMETRY_TOL
+
+
+@dataclass
+class CheckResult:
+    """One named validation check with its measured value and threshold."""
+
+    name: str
+    passed: bool
+    measure: float
+    threshold: float
+    detail: str = ""
+
+    def to_dict(self) -> dict:
+        return {
+            "name": self.name,
+            "passed": bool(self.passed),
+            "measure": float(self.measure),
+            "threshold": float(self.threshold),
+            "detail": self.detail,
+        }
 
 
 def eps_sign(n: int, k: int) -> int:
@@ -422,17 +443,20 @@ def _wedge_star_matrix(m: int, degree: int, axis: int):
 
 def _symbol_blocks(xi_hat: np.ndarray, n: int, k: int):
     m = n - 1
-    mb = sum(xi_hat[a] * _wedge_star_matrix(m, k, a) for a in range(m))
-    me = sum(xi_hat[a] * _wedge_star_matrix(m, n - k, a) for a in range(m))
+    mb = sum(xi_hat[..., a, None, None] * _wedge_star_matrix(m, k, a) for a in range(m))
+    me = sum(xi_hat[..., a, None, None] * _wedge_star_matrix(m, n - k, a) for a in range(m))
     return mb, me
 
 
-def symbol_matrix(xi0: float, xi_spatial: np.ndarray, beta: float, conf: float, n: int, k: int) -> np.ndarray:
+def symbol_matrix(xi0, xi_spatial: np.ndarray, beta, conf, n: int, k: int) -> np.ndarray:
     """Principal symbol at a fiber, in h-orthonormal frame components.
 
     The state fiber is R^C(n-1,n-k) (+) R^C(n-1,k); the off-diagonal blocks
     are the wedge-with-xi of the slice Hodge, the diagonal blocks are
-    ``beta^-2 xi0`` and ``xi0`` identities.
+    ``beta^-2 xi0`` and ``xi0`` identities.  The arguments may carry the
+    same leading batch axes (``xi_spatial`` before its last axis), giving a
+    stack of symbols; each is bit for bit the symbol of a one-point call,
+    with ``beta**2`` taken per element as a Python float.
 
     Args:
         xi0: dt-component of the covector, xi(d/dt).
@@ -444,18 +468,20 @@ def symbol_matrix(xi0: float, xi_spatial: np.ndarray, beta: float, conf: float, 
         k: field degree.
 
     Returns:
-        Symmetric matrix of size C(n-1,n-k)+C(n-1,k).
+        Symmetric matrix of size C(n-1,n-k)+C(n-1,k) (after the batch axes).
     """
     m = n - 1
-    xi_hat = np.asarray(xi_spatial, dtype=float) / conf
+    xi0 = np.asarray(xi0, dtype=float)[..., None, None]
+    xi_hat = np.asarray(xi_spatial, dtype=float) / np.asarray(conf, dtype=float)[..., None]
+    beta_sq = np.reshape([b**2 for b in np.ravel(beta).tolist()], np.shape(beta))
     mb, me = _symbol_blocks(xi_hat, n, k)
     de = comb(m, n - k)
     db = comb(m, k)
-    out = np.zeros((de + db, de + db))
-    out[:de, :de] = (xi0 / beta**2) * np.eye(de)
-    out[de:, de:] = xi0 * np.eye(db)
-    out[:de, de:] = eps_sign(n, k) * mb
-    out[de:, :de] = -me
+    out = np.zeros(xi_hat.shape[:-1] + (de + db, de + db))
+    out[..., :de, :de] = (xi0 / beta_sq[..., None, None]) * np.eye(de)
+    out[..., de:, de:] = xi0 * np.eye(db)
+    out[..., :de, de:] = eps_sign(n, k) * mb
+    out[..., de:, :de] = -me
     return out
 
 
@@ -476,12 +502,88 @@ def principal_symbol(xi: np.ndarray, t: float, x: tuple, metric: mesh.MetricFiel
     return symbol_matrix(xi[0], xi[1:], beta, conf, n, k)
 
 
-def classify_eigenvalues(eigs: np.ndarray, tol: float = EIGEN_TOL) -> tuple[int, int, int]:
-    """Counts of (kernel, positive, negative) eigenvalues with a +-tol band."""
-    kernel = int(np.sum(np.abs(eigs) <= tol))
-    plus = int(np.sum(eigs > tol))
-    minus = int(np.sum(eigs < -tol))
+def classify_eigenvalues(eigs: np.ndarray, tol: float = EIGEN_TOL):
+    """Counts of (kernel, positive, negative) eigenvalues with a +-tol band, along the last axis."""
+    kernel = np.count_nonzero(np.abs(eigs) <= tol, axis=-1)
+    plus = np.count_nonzero(eigs > tol, axis=-1)
+    minus = np.count_nonzero(eigs < -tol, axis=-1)
     return kernel, plus, minus
+
+
+# trials per (T, d, d) symbol stack of symbol_audit; bounds the stacks' memory
+_SYMBOL_BLOCK = 250
+
+
+def symbol_audit(
+    n: int, k: int, trials: int, rng: np.random.Generator, metric: mesh.MetricField
+) -> list[CheckResult]:
+    """Principal-symbol audit of one (n, k) on random covectors: four checks.
+
+    Each trial draws, in this order, a covector with its lapse and conformal
+    factor (the symbol must be symmetric), then a timelike-future covector
+    (its symbol must be positive definite), whose direction also gives a
+    conormal symbol with closed-form kernel/plus/minus counts.  The trials
+    are evaluated as ``(T, d, d)`` stacks of at most ``_SYMBOL_BLOCK``
+    trials, one ``eigvalsh`` per stack.  After them come three
+    :func:`admissibility_audit` points on each face (axis and side).
+
+    Returns:
+        The symmetry, positivity, counts and admissibility checks.
+    """
+    m = n - 1
+    symmetry, min_eig, mismatches = 0.0, np.inf, 0
+    counts = (comb(n - 2, n - k) + comb(n - 2, k), comb(n - 2, k - 1), comb(n - 2, k - 1))
+    for start in range(0, trials, _SYMBOL_BLOCK):
+        size = min(_SYMBOL_BLOCK, trials - start)
+        # rows: xi0, beta, conf of the first covector, then of the timelike one, then its radius fraction
+        scalars = np.empty((7, size))
+        xi = np.empty((size, m))
+        direction = np.empty((size, m))
+        for i in range(size):
+            scalars[0, i] = rng.standard_normal()
+            xi[i] = rng.standard_normal(m)
+            scalars[1, i] = rng.uniform(0.5, 2.0)
+            scalars[2, i] = rng.uniform(0.5, 2.0)
+            scalars[3, i] = rng.uniform(0.1, 2.0)
+            scalars[4, i] = rng.uniform(0.5, 2.0)
+            scalars[5, i] = rng.uniform(0.5, 2.0)
+            direction[i] = rng.standard_normal(m)
+            direction[i] /= np.linalg.norm(direction[i])
+            scalars[6, i] = rng.uniform(0.0, 0.99)
+        xi0_any, beta_any, conf_any, xi0, beta, conf, fraction = scalars
+        sig = symbol_matrix(xi0_any, xi, beta_any, conf_any, n, k)
+        symmetry = max(symmetry, float(np.max(np.abs(sig - np.swapaxes(sig, -1, -2)))))
+        radius = fraction * xi0 / beta
+        timelike = symbol_matrix(xi0, (conf * radius)[:, None] * direction, beta, conf, n, k)
+        min_eig = min(min_eig, float(np.min(np.linalg.eigvalsh(timelike))))
+        conormal = symbol_matrix(0.0, conf[:, None] * direction, beta, conf, n, k)
+        found = np.stack(classify_eigenvalues(np.linalg.eigvalsh(conormal)), axis=-1)
+        mismatches += int(np.count_nonzero(np.any(found != counts, axis=-1)))
+
+    worst, admissible = 0.0, True
+    for axis, side in itertools.product(range(m), (0, 1)):
+        for _ in range(3):
+            point = tuple(rng.uniform(0.0, 1.0, m))
+            report = admissibility_audit(mesh.Face(axis, side), rng.uniform(0.0, 2.0), point, metric, n, k)
+            admissible = admissible and report.passed()
+            worst = max(worst, max(c.measure for c in report.admissibility))
+    return [
+        CheckResult(
+            f"symbol_symmetry_n{n}k{k}", symmetry < SYMBOL_SYMMETRY_TOL, symmetry, SYMBOL_SYMMETRY_TOL
+        ),
+        CheckResult(
+            f"symbol_positivity_n{n}k{k}", min_eig > 0.0, min_eig, 0.0,
+            "least eigenvalue over timelike-future covectors must be positive",
+        ),
+        CheckResult(
+            f"symbol_counts_n{n}k{k}", mismatches < 1, float(mismatches), 1.0,
+            "trials whose kernel/plus/minus dimensions missed the closed form",
+        ),
+        CheckResult(
+            f"symbol_admissibility_n{n}k{k}", admissible, worst, ADMISSIBILITY_TOL,
+            "boundary subbundle conditions at sampled wall points",
+        ),
+    ]
 
 
 def boundary_basis(n: int, k: int, axis: int) -> np.ndarray:
@@ -520,10 +622,10 @@ class SymbolReport:
     kernel_dim: int
     plus_dim: int
     minus_dim: int
-    admissibility: dict
+    admissibility: tuple
 
     def passed(self) -> bool:
-        return all(v["pass"] for v in self.admissibility.values())
+        return all(c.passed for c in self.admissibility)
 
     def to_dict(self) -> dict:
         return {
@@ -534,7 +636,7 @@ class SymbolReport:
             "kernel_dim": self.kernel_dim,
             "plus_dim": self.plus_dim,
             "minus_dim": self.minus_dim,
-            "admissibility": self.admissibility,
+            "admissibility": [c.to_dict() for c in self.admissibility],
         }
 
 
@@ -566,7 +668,8 @@ def admissibility_audit(
         tol: verdict tolerance.
 
     Returns:
-        SymbolReport with eigenvalue classification and verdicts.
+        SymbolReport with eigenvalue classification and the verdicts as
+        checks named ``i``, ``ii`` and ``iii``.
     """
     from scipy.linalg import null_space, subspace_angles
 
@@ -579,7 +682,7 @@ def admissibility_audit(
 
     symmetry_defect = float(np.max(np.abs(sigma - sigma.T)))
     eigs = np.linalg.eigvalsh(sigma)
-    kernel, plus, minus = classify_eigenvalues(eigs, tol)
+    kernel, plus, minus = (int(c) for c in classify_eigenvalues(eigs, tol))
 
     basis = boundary_basis(n, k, face.axis)
     rank = basis.shape[1]
@@ -597,11 +700,11 @@ def admissibility_audit(
     else:
         angle_measure = float(np.max(subspace_angles(basis, complement)))
 
-    admissibility = {
-        "i": {"pass": bool(form_measure < tol), "measure": form_measure},
-        "ii": {"pass": bool(nonneg == rank), "measure": float(nonneg - rank)},
-        "iii": {"pass": bool(angle_measure < tol), "measure": angle_measure},
-    }
+    admissibility = (
+        CheckResult("i", form_measure < tol, form_measure, tol),
+        CheckResult("ii", nonneg == rank, float(nonneg - rank), 0.0),
+        CheckResult("iii", angle_measure < tol, angle_measure, tol),
+    )
     return SymbolReport(
         point_id=f"axis{face.axis}_side{face.side}",
         xi=np.concatenate([[0.0], xi_spatial]),

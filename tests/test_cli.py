@@ -180,10 +180,14 @@ class TestParseConfig:
     @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize(
         "text,fragment",
-        [("cfl = 0.95\n", "cfl must lie in (0, 0.9]"), ("t_final = inf\n", "t_final must be finite")],
+        [
+            ("cfl = 0.95\n", "cfl must lie in (0, 0.9]"),
+            ("t_final = inf\n", "t_final must be finite"),
+            ("boundary = periodic_test\n", "periodic_test mode requires an all-periodic grid"),
+        ],
     )
     def test_invalid_evolve_parameters_are_config_errors(self, tmp_path, capsys, command, text, fragment):
-        # evolution.EvolveConfig's own rules, checked before any output is written
+        # evolution.EvolveConfig's rules and the boundary-mode rule, checked before any output is written
         cfg = write_config(tmp_path, "experiment = evolve\n" + text)
         out = tmp_path / "out"
         args = [command, "--config", cfg] + (["--out", out] if command == "run" else [])
@@ -339,6 +343,13 @@ class TestRunSuites:
         assert len(table["sigma"]) == 10
         assert np.max(np.abs(table["sigma"])) > 0.0
 
+    def test_symplectic_suite_with_well_lapse(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "experiment = symplectic_suite\nperiodic = true\nbeta = well\n")
+        out = tmp_path / "out"
+        code, text = run_cli(["run", "--config", cfg, "--out", out], capsys)
+        assert code == 0, text
+        assert checks_by_name(load_manifest(out))["cutoff_independence"]["measure"] < 1e-15
+
     def test_manifest_structure(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "experiment = identities\ntrials = 2\nseed = 4\n")
         out = tmp_path / "out"
@@ -396,6 +407,17 @@ class TestRuntimeFailure:
         series = io.read_monitor_csv(out / "series_monitor.csv")
         np.testing.assert_allclose(series["time"], [0.0, 0.01, 0.02], rtol=0, atol=1e-15)
         assert np.all(np.isfinite(series["energy"])) and series["energy"][0] > 0.0
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="code objects carry co_qualname from 3.11")
+    def test_phase_names_the_class_of_a_method(self, tmp_path, capsys, monkeypatch):
+        def bad_config(s0, src, metric, cfg, support=None):
+            evolution.EvolveConfig(t_final=1.0, cfl=2.0)
+
+        monkeypatch.setattr(evolution, "evolve", bad_config)
+        cfg = write_config(tmp_path, "experiment = evolve\ndt = 0.01\nt_final = 0.1\n")
+        out = tmp_path / "out"
+        assert run_cli(["run", "--config", cfg, "--out", out], capsys)[0] == 3
+        assert load_manifest(out)["error"]["phase"] == "evolution.EvolveConfig.__post_init__"
 
     def test_any_suite_exception_exits_3(self, tmp_path, capsys, monkeypatch):
         def broken(cfg, out):

@@ -205,3 +205,109 @@ def test_identity_audit_all_signatures():
 def test_identity_audit_requires_trials():
     with pytest.raises(ValueError):
         ext.identity_audit(ext.euclidean(2), trials=0)
+
+
+def same_bits(a, b):
+    """Equal float arrays, signed zeros included."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@seed(RNG_SEED)
+@settings(max_examples=80, deadline=None)
+@given(
+    m=st.integers(1, ext.MAX_DIM),
+    ka=st.integers(0, ext.MAX_DIM),
+    kb=st.integers(0, ext.MAX_DIM),
+    rows=st.integers(1, 5),
+    sigma=st.integers(0, ext.MAX_DIM),
+    data_seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_kernels_match_row_by_row_form_calls(m, ka, kb, rows, sigma, data_seed):
+    ka, kb = ka % (m + 1), kb % (m + 1)
+    rng = np.random.default_rng(data_seed)
+    g = ext.Metric(tuple(rng.uniform(0.5, 2.0, m) * np.where(np.arange(m) < sigma, -1.0, 1.0)))
+    a = rng.standard_normal((rows, ext.space_dim(m, ka)))
+    b = rng.standard_normal((rows, ext.space_dim(m, ka)))
+    c = rng.standard_normal((rows, ext.space_dim(m, kb)))
+    x = rng.standard_normal((rows, m))
+    forms = [(ext.Form(m, ka, a[t]), ext.Form(m, ka, b[t]), ext.Form(m, kb, c[t])) for t in range(rows)]
+
+    def stacked(results):
+        return np.stack([r.comps if isinstance(r, ext.Form) else np.asarray(r) for r in results])
+
+    assert same_bits(ext._hodge(ka, a, g), stacked(ext.hodge(fa, g) for fa, _, _ in forms))
+    assert same_bits(ext._inner(ka, a, b, g), stacked(ext.inner(fa, fb, g) for fa, fb, _ in forms))
+    assert same_bits(ext._flat(x, g), stacked(ext.flat(v, g) for v in x))
+    if ka == 1:
+        assert same_bits(ext._sharp(a, g), stacked(ext.sharp(fa, g) for fa, _, _ in forms))
+    if ka >= 1:
+        assert same_bits(
+            ext._interior(m, ka, x, a), stacked(ext.interior(v, f[0]) for v, f in zip(x, forms))
+        )
+    if ka + kb <= m:
+        assert same_bits(ext._wedge(m, ka, kb, a, c), stacked(ext.wedge(fa, fc) for fa, _, fc in forms))
+
+
+def identity_audit_reference(g, trials, seed):
+    """The identity audit as a per-sample loop over the public ``Form`` functions."""
+    rng = np.random.default_rng(seed)
+    m, sigma = g.dim, g.sigma
+    vol = ext.volume_form(g)
+    defects = {}
+
+    def record(name, value):
+        defects[name] = max(defects.get(name, 0.0), value)
+
+    def maxabs(values):
+        return float(np.max(np.abs(values), initial=0.0))
+
+    hodge, inner, wedge, flat, interior = ext.hodge, ext.inner, ext.wedge, ext.flat, ext.interior
+    for k in range(m + 1):
+        for _ in range(trials):
+            w = ext.Form(m, k, rng.standard_normal(ext.space_dim(m, k)))
+            v = ext.Form(m, k, rng.standard_normal(ext.space_dim(m, k)))
+            r = ext.Form(m, m - k, rng.standard_normal(ext.space_dim(m, m - k)))
+            x = rng.standard_normal(m)
+            dd = hodge(hodge(w, g), g) - ((-1) ** (k * (m - k) + sigma)) * w
+            record("double_hodge", maxabs(dd.comps))
+            record(
+                "hodge_transpose",
+                abs(inner(hodge(w, g), r, g) - ((-1) ** (k * (m - k))) * inner(w, hodge(r, g), g)),
+            )
+            wp = wedge(w, hodge(v, g))
+            record("wedge_pairing", maxabs(wp.comps - inner(w, v, g) * vol.comps))
+            record("inner_via_hodge", abs(inner(w, v, g) - ((-1) ** sigma) * hodge(wp, g).comps[0]))
+            if k >= 1:
+                lhs = wedge(flat(x, g), hodge(w, g))
+                rhs = ((-1) ** (k + 1)) * hodge(interior(x, w), g)
+                record("flat_wedge_hodge", maxabs((lhs - rhs).comps))
+            if k <= m - 1:
+                lhs = hodge(wedge(flat(x, g), w), g)
+                rhs = ((-1) ** k) * interior(x, hodge(w, g))
+                record("hodge_flat_wedge", maxabs((lhs - rhs).comps))
+                eta = ext.Form(m, k + 1, rng.standard_normal(ext.space_dim(m, k + 1)))
+                record(
+                    "wedge_interior_adjoint",
+                    abs(inner(wedge(flat(x, g), w), eta, g) - inner(w, interior(x, eta), g)),
+                )
+            if 1 <= k <= m - 1:
+                b = ext.Form(m, 1, rng.standard_normal(m))
+                lhs = interior(x, wedge(w, b))
+                rhs = wedge(interior(x, w), b) + ((-1) ** k) * wedge(w, interior(x, b))
+                record("interior_antiderivation", maxabs((lhs - rhs).comps))
+                record("graded_commutativity", maxabs((wedge(w, b) - ((-1) ** k) * wedge(b, w)).comps))
+        alpha = ext.Form(m, 1, rng.standard_normal(m))
+        record("flat_sharp_roundtrip", maxabs(flat(ext.sharp(alpha, g), g).comps - alpha.comps))
+        y = rng.standard_normal(m)
+        record("sharp_flat_roundtrip", maxabs(ext.sharp(flat(y, g), g) - y))
+    return defects
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+@pytest.mark.parametrize("signature", [ext.euclidean, ext.lorentzian])
+def test_identity_audit_matches_per_sample_reference(m, signature):
+    g = signature(m)
+    for trials, seed_ in ((1, 0), (7, 3)):
+        audit = ext.identity_audit(g, trials=trials, seed=seed_)
+        assert list(audit.items()) == list(identity_audit_reference(g, trials, seed_).items())

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from kmaxwell import evolution, green, manufactured, mesh, system
+from kmaxwell import cli, evolution, green, manufactured, mesh, system
 from kmaxwell.tolerances import CONTINUITY_TOL, GREEN_DEFECT_TOL, PRESYMPLECTIC_REL_TOL, SKEW_TOL
 
 DT = 0.005
@@ -660,6 +660,17 @@ class TestPresymplectic:
         chi = green.CutoffProfile(0.3, 10 * DT)
         v = green.presymplectic(b0, b1, chi, g, METRIC)
         assert abs(v) <= 1e-10 * bundle_norm(b0) * bundle_norm(b1)
+
+    @pytest.mark.parametrize("beta", ["unit", "well"])
+    def test_torus_bundles_meet_the_constraints_on_every_slice(self, beta):
+        # the constant electric mode carries the lapse, so d(fe / beta) = 0 for any lapse
+        g = torus_grid()
+        metric = mesh.MetricField(beta=cli.BETA_CATALOGUE[beta](1.0))
+        for k, h in green.random_solution_bundle(g, metric, 40, seed=1).items():
+            zero = system.zero_sources(g, k)
+            for t, fe, fb in zip(h.times, h.fe, h.fb):
+                state = system.FieldState(float(t), h.le.cochain(fe), h.lb.cochain(fb), k)
+                assert max(system.constraint_norms(state, zero, metric)) <= 1e-12 * h.maxabs(), (k, t)
 
     def test_cutoff_ramp_must_fit(self):
         g, bundles = torus_bundles()

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from kmaxwell import evolution, exterior, green, manufactured, mesh, system
-from kmaxwell.tolerances import ADMISSIBILITY_TOL, FIBER_MATCH_TOL, LINEARITY_TOL
+from kmaxwell.tolerances import ADMISSIBILITY_TOL, FIBER_MATCH_TOL, LINEARITY_TOL, SYMBOL_SYMMETRY_TOL
 
 RNG_SEED = 771541
 
@@ -528,6 +528,84 @@ class TestPrincipalSymbol:
             radius = rng.uniform(0.0, 0.99) * xi0 / beta
             sig = system.symbol_matrix(xi0, conf * radius * direction, beta, conf, n, k)
             assert np.min(np.linalg.eigvalsh(sig)) > 0.0
+
+
+AUDIT_METRIC = mesh.MetricField(
+    beta=lambda t, *x: 1.3 + 0.2 * float(np.sin(x[0] + t)), conf=lambda t: 1.7
+)
+
+
+def symbol_audit_reference(n, k, trials, rng, metric):
+    """The symbol audit's measures as a loop of one-point symbols and one-matrix ``eigvalsh`` calls."""
+    symmetry, min_eig, mismatches = 0.0, np.inf, 0
+    for _ in range(trials):
+        sig = system.symbol_matrix(
+            rng.standard_normal(), rng.standard_normal(n - 1),
+            rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0), n, k,
+        )
+        symmetry = max(symmetry, float(np.max(np.abs(sig - sig.T))))
+        xi0 = rng.uniform(0.1, 2.0)
+        beta = rng.uniform(0.5, 2.0)
+        conf = rng.uniform(0.5, 2.0)
+        direction = rng.standard_normal(n - 1)
+        direction /= np.linalg.norm(direction)
+        radius = rng.uniform(0.0, 0.99) * xi0 / beta
+        timelike = system.symbol_matrix(xi0, conf * radius * direction, beta, conf, n, k)
+        min_eig = min(min_eig, float(np.min(np.linalg.eigvalsh(timelike))))
+        conormal = system.symbol_matrix(0.0, conf * direction, beta, conf, n, k)
+        counts = system.classify_eigenvalues(np.linalg.eigvalsh(conormal))
+        if counts != (comb(n - 2, n - k) + comb(n - 2, k), comb(n - 2, k - 1), comb(n - 2, k - 1)):
+            mismatches += 1
+    worst, passed = 0.0, True
+    for axis in range(n - 1):
+        for side in (0, 1):
+            for _ in range(3):
+                point = tuple(rng.uniform(0.0, 1.0, n - 1))
+                t = rng.uniform(0.0, 2.0)
+                report = system.admissibility_audit(mesh.Face(axis, side), t, point, metric, n, k)
+                passed = passed and report.passed()
+                worst = max(worst, max(c.measure for c in report.admissibility))
+    return [symmetry, min_eig, float(mismatches), worst], passed
+
+
+class TestBatchedSymbols:
+    @pytest.mark.parametrize("n,k", SUPPORTED_PAIRS)
+    def test_stacked_symbols_match_one_point_calls(self, n, k):
+        rng = np.random.default_rng(RNG_SEED + 10 * n + k)
+        rows = 40
+        xi0 = rng.standard_normal(rows)
+        xi = rng.standard_normal((rows, n - 1))
+        beta = rng.uniform(0.5, 2.0, rows)
+        beta[0] = 1.8903560604397107  # beta**2 as a float rounds unlike the array square here
+        conf = rng.uniform(0.5, 2.0, rows)
+        stack = system.symbol_matrix(xi0, xi, beta, conf, n, k)
+        one_point = [
+            system.symbol_matrix(float(a), x, float(b), float(c), n, k)
+            for a, x, b, c in zip(xi0, xi, beta, conf)
+        ]
+        assert same_bits(stack, np.stack(one_point))
+        # the electric block is xi0 / beta**2 in Python floats, as the one-point symbol always was
+        lapse_weighted = np.array([a / b**2 for a, b in zip(xi0.tolist(), beta.tolist())])
+        assert same_bits(stack[:, 0, 0], lapse_weighted)
+        conormal = system.symbol_matrix(0.0, xi, beta, conf, n, k)
+        assert same_bits(conormal[0], system.symbol_matrix(0.0, xi[0], float(beta[0]), float(conf[0]), n, k))
+
+    @pytest.mark.parametrize("n,k", SUPPORTED_PAIRS)
+    def test_symbol_audit_matches_the_one_point_loop(self, n, k):
+        trials = system._SYMBOL_BLOCK + 10
+        checks = system.symbol_audit(n, k, trials, np.random.default_rng(n + k), AUDIT_METRIC)
+        measures, admissible = symbol_audit_reference(
+            n, k, trials, np.random.default_rng(n + k), AUDIT_METRIC
+        )
+        assert [c.measure for c in checks] == measures
+        symmetric, positive, counted = measures[0] < SYMBOL_SYMMETRY_TOL, measures[1] > 0.0, measures[2] == 0.0
+        assert [c.passed for c in checks] == [symmetric, positive, counted, admissible]
+        assert all(c.passed for c in checks)
+
+    def test_classify_counts_along_the_last_axis(self):
+        eigs = np.array([[-1.0, 0.0, 1e-12, 2.0], [-3.0, -2.0, 0.5, 1.0]])
+        assert [c.tolist() for c in system.classify_eigenvalues(eigs)] == [[2, 0], [1, 2], [1, 2]]
+        assert system.classify_eigenvalues(eigs[0]) == (2, 1, 1)
 
 
 class TestAdmissibility:
