@@ -61,16 +61,16 @@ def _maxabs(x: np.ndarray) -> float:
 # time profiles
 
 
-# The quintic smoothstep and its rate at the clipped ramp argument s, written
-# with products only: a power would round differently as an array ufunc than
-# as a one-time libm ``pow``, and one time must round as an array of times does
+# The quintic smoothstep and its rate (zero unless 0 < u < 1) at the ramp
+# argument u clipped to s, with products only: a power would round differently
+# as an array ufunc than as a one-time libm ``pow``; one time must round as an array of times does
 def _smoothstep(s):
     return s * s * s * (10.0 + s * (6.0 * s - 15.0))
 
 
-def _smoothstep_rate(s):
-    u = s * (1.0 - s)
-    return 30.0 * (u * u)
+def _smoothstep_rate(u, s):
+    v = s * (1.0 - s)
+    return np.where((u > 0.0) & (u < 1.0), 30.0 * (v * v), 0.0)
 
 
 @dataclass(frozen=True)
@@ -91,17 +91,16 @@ class CutoffProfile:
         if not (math.isfinite(self.t_c) and math.isfinite(self.width) and self.width > 0):
             raise ValueError("cutoff centre must be finite, and width positive and finite")
 
-    def _arg(self, t):
-        return (np.asarray(t, dtype=float) - self.t_c) / self.width + 0.5
+    def _ramp(self, t):
+        u = (np.asarray(t, dtype=float) - self.t_c) / self.width + 0.5
+        return u, np.clip(u, 0.0, 1.0)
 
     def value(self, t):
-        return _smoothstep(np.clip(self._arg(t), 0.0, 1.0))
+        return _smoothstep(self._ramp(t)[1])
 
     def rate(self, t):
         """Time derivative of the cutoff; identically zero off the ramp."""
-        u = self._arg(t)
-        base = _smoothstep_rate(np.clip(u, 0.0, 1.0)) / self.width
-        return np.where((u > 0.0) & (u < 1.0), base, 0.0)
+        return _smoothstep_rate(*self._ramp(t)) / self.width
 
 
 @dataclass(frozen=True)
@@ -111,7 +110,7 @@ class WindowProfile:
     The profile ramps up over ``ramp`` after t_a, holds 1 on the plateau,
     and ramps down before t_b; ``rate`` is its exact derivative, so sources
     built from a window satisfy their continuity identities analytically.
-    Its two ramps are :class:`CutoffProfile` objects, built once.
+    Its two ramps are :class:`CutoffProfile` objects of width ``ramp``, built once.
     """
 
     t_a: float
@@ -134,8 +133,9 @@ class WindowProfile:
         return self._up.value(t) * (1.0 - self._down.value(t))
 
     def rate(self, t):
-        up, down = self._up, self._down
-        return up.rate(t) * (1.0 - down.value(t)) - up.value(t) * down.rate(t)
+        (u, s), (v, r) = self._up._ramp(t), self._down._ramp(t)
+        up, down = _smoothstep_rate(u, s) / self.ramp, _smoothstep_rate(v, r) / self.ramp
+        return up * (1.0 - _smoothstep(r)) - _smoothstep(s) * down
 
 
 # ---------------------------------------------------------------------------

@@ -509,6 +509,25 @@ class TestCliInterface:
         assert proc.returncode == 0, proc.stderr
         assert "checks passed" in proc.stdout
 
+    def test_fiber_suites_load_no_scipy(self, tmp_path):
+        # the fiber audits are numpy only; importing scipy.linalg costs a fresh interpreter about 0.3 s
+        configs = [
+            str(write_config(tmp_path, f"experiment = {name}\ntrials = 2\n", name=f"{name}.cfg"))
+            for name in ("identities", "symbol_audit")
+        ]
+        script = (
+            "import sys\n"
+            "from kmaxwell import cli\n"
+            f"for i, path in enumerate({configs!r}):\n"
+            f"    assert cli.run(cli.parse_config(path), {str(tmp_path)!r} + f'/out{{i}}')['passed']\n"
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+        )
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
 
 class TestDeterminism:
     def test_byte_identical_outputs(self, tmp_path, capsys):

@@ -11,6 +11,7 @@ from math import comb
 
 import numpy as np
 import pytest
+from scipy.linalg import null_space, subspace_angles
 
 from kmaxwell import evolution, exterior, green, manufactured, mesh, system
 from kmaxwell.tolerances import ADMISSIBILITY_TOL, FIBER_MATCH_TOL, LINEARITY_TOL, SYMBOL_SYMMETRY_TOL
@@ -643,6 +644,54 @@ class TestAdmissibility:
         )
         assert rep.plus_dim + rep.kernel_dim == 4
         assert rep.plus_dim == 2 and rep.kernel_dim == 2
+
+    @pytest.mark.parametrize("rank", range(2, 8))
+    def test_complement_angle_matches_scipy(self, rank):
+        # arcsin amplifies an error of the largest sine by 1/cos(theta), so the
+        # bound is 64 eps in |theta - theta_scipy| * cos(theta_scipy); over
+        # 20,000 random subspaces of rank 2-7 the largest reading was 6 eps
+        rng = np.random.default_rng(RNG_SEED + rank)
+        dim = 2 * rank
+        for trial in range(40):
+            basis = np.linalg.qr(rng.standard_normal((dim, rank)))[0]
+            image = rng.standard_normal((dim, rank))
+            if trial % 2:  # near the admissible case: image close to the complement of the basis
+                scale = 10.0 ** rng.uniform(-14.0, -2.0)
+                image = null_space(basis.T) @ image[:rank] + scale * rng.standard_normal((dim, rank))
+            angle = system._complement_angle(basis, image)
+            reference = float(np.max(subspace_angles(basis, null_space(image.T))))
+            assert abs(angle - reference) * np.cos(reference) <= 64 * np.finfo(float).eps, (trial, angle, reference)
+
+    @pytest.mark.parametrize("rank", range(2, 8))
+    def test_complement_of_another_dimension_reads_a_right_angle(self, rank):
+        rng = np.random.default_rng(RNG_SEED + rank)
+        for dim, image_rank in ((2 * rank + 1, rank), (2 * rank, rank - 1), (2 * rank - 1, rank)):
+            basis = np.linalg.qr(rng.standard_normal((dim, rank)))[0]
+            image = rng.standard_normal((dim, image_rank)) @ rng.standard_normal((image_rank, rank))
+            assert null_space(image.T).shape[1] != rank
+            assert system._complement_angle(basis, image) == np.pi / 2
+
+    @pytest.mark.parametrize("n,k", SUPPORTED_PAIRS)
+    def test_a_flux_carrying_column_fails_the_audit(self, n, k, monkeypatch):
+        flux_free = system.boundary_basis
+
+        def with_flux(n, k, axis):
+            # add the first magnetic direction with a leg along the face normal
+            basis = flux_free(n, k, axis)
+            de = comb(n - 1, n - k)
+            i = next(i for i, s in enumerate(exterior.basis_tuples(n - 1, k)) if axis in s)
+            column = np.zeros((basis.shape[0], 1))
+            column[de + i] = 1.0
+            return np.hstack([basis, column])
+
+        monkeypatch.setattr(system, "boundary_basis", with_flux)
+        for axis in range(n - 1):
+            for side in (0, 1):
+                rep = system.admissibility_audit(mesh.Face(axis, side), 0.4, (0.3,) * (n - 1), AUDIT_METRIC, n, k)
+                form, _, angle = rep.admissibility
+                assert not (form.passed and angle.passed), rep.admissibility
+        checks = system.symbol_audit(n, k, 2, np.random.default_rng(n + k), AUDIT_METRIC)
+        assert checks[3].name == f"symbol_admissibility_n{n}k{k}" and not checks[3].passed
 
     def test_report_serializes(self):
         import json
