@@ -28,7 +28,8 @@ import argparse
 import datetime
 import itertools
 import traceback
-from dataclasses import asdict, dataclass
+import typing
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -43,21 +44,19 @@ from .tolerances import (
     PRESYMPLECTIC_REL_TOL,
 )
 
-EXPERIMENTS = ("identities", "symbol_audit", "evolve", "green_suite", "symplectic_suite")
-
 # spacetime dimensions the discrete machinery is audited for
 SUPPORTED_N = (2, 3, 4, 5)
 
 # (n, k) pairs covered by the principal-symbol audit
 SYMBOL_TABLE = ((2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3))
 
-# default random-trial counts per suite when the config leaves `trials` unset
-DEFAULT_TRIALS = {"identities": 100, "symbol_audit": 1000, "green_suite": 3}
-
-# per-suite step-size defaults: the one-sided solve audits need the finer
-# step for the differential/codifferential round trip to clear its tolerance
-DEFAULT_DT = {"green_suite": 0.0025}
-DEFAULT_STEPS = {"green_suite": 240}
+# per-suite overrides of RunConfig's defaults; the one-sided solve audits need the
+# finer step for the differential/codifferential round trip to clear its tolerance
+SUITE_DEFAULTS = {
+    "identities": {"trials": 100},
+    "symbol_audit": {"trials": 1000},
+    "green_suite": {"dt": 0.0025, "steps": 240},
+}
 
 
 def _beta_unit(length: float):
@@ -85,14 +84,14 @@ A_CATALOGUE = {"unit": _a_unit, "expanding": _a_expanding}
 
 @dataclass
 class RunConfig:
-    """Fully resolved run configuration (defaults filled, values validated)."""
+    """Fully resolved run configuration: the config keys, their types and defaults."""
 
     experiment: str
     n: int = 3
     k: int = 2
     cells: int = 16
     length: float = 1.0
-    dt: float | None = None
+    dt: float = 0.005
     periodic: bool = False
     beta: str = "unit"
     a: str = "unit"
@@ -100,8 +99,8 @@ class RunConfig:
     cfl: float = 0.4
     boundary: str = "project_B"
     monitor_stride: int = 1
-    steps: int | None = None
-    trials: int | None = None
+    steps: int = 120
+    trials: int = 3
     bundles: int = 5
     seed: int = 0
     out: str | None = None
@@ -123,26 +122,18 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(text)
 
 
-# key -> (converter, malformed-value description)
+# field type -> (converter, malformed-value description)
+_CONVERTERS = {
+    int: (int, "integer"),
+    float: (float, "number"),
+    bool: (_parse_bool, "boolean (true/false)"),
+    str: (str, "text"),
+}
+_HINTS = typing.get_type_hints(RunConfig)
+# config key -> (converter, malformed-value description); an ``X | None`` field converts as X
 _SCHEMA = {
-    "experiment": (str, "text"),
-    "n": (int, "integer"),
-    "k": (int, "integer"),
-    "cells": (int, "integer"),
-    "length": (float, "number"),
-    "dt": (float, "number"),
-    "periodic": (_parse_bool, "boolean (true/false)"),
-    "beta": (str, "text"),
-    "a": (str, "text"),
-    "t_final": (float, "number"),
-    "cfl": (float, "number"),
-    "boundary": (str, "text"),
-    "monitor_stride": (int, "integer"),
-    "steps": (int, "integer"),
-    "trials": (int, "integer"),
-    "bundles": (int, "integer"),
-    "seed": (int, "integer"),
-    "out": (str, "text"),
+    f.name: _CONVERTERS[(typing.get_args(_HINTS[f.name]) or (_HINTS[f.name],))[0]]
+    for f in fields(RunConfig)
 }
 
 
@@ -184,13 +175,8 @@ def parse_config(path) -> RunConfig:
 
     if "experiment" not in raw and not errors:
         errors.append(f"experiment is required; expected one of {', '.join(EXPERIMENTS)}")
-    cfg = RunConfig(experiment=raw.pop("experiment", "identities"), **raw)
-    if cfg.dt is None:
-        cfg.dt = DEFAULT_DT.get(cfg.experiment, 0.005)
-    if cfg.steps is None:
-        cfg.steps = DEFAULT_STEPS.get(cfg.experiment, 120)
-    if cfg.trials is None:
-        cfg.trials = DEFAULT_TRIALS.get(cfg.experiment, 3)
+    experiment = raw.pop("experiment", "identities")
+    cfg = RunConfig(experiment, **{**SUITE_DEFAULTS.get(experiment, {}), **raw})
     errors.extend(_validate(cfg))
     if errors:
         raise ConfigError(errors)
@@ -221,12 +207,11 @@ def _validate(cfg: RunConfig) -> list[str]:
         if getattr(cfg, key) < 1:
             errors.append(f"{key} must be a positive integer")
     for key in ("length", "dt", "t_final", "cfl"):
-        value = getattr(cfg, key)
-        if value is not None and not value > 0:
+        if not getattr(cfg, key) > 0:
             errors.append(f"{key} must be positive")
-    if cfg.steps is not None and cfg.steps < 8:
+    if cfg.steps < 8:
         errors.append("steps must be at least 8")
-    if cfg.trials is not None and cfg.trials < 1:
+    if cfg.trials < 1:
         errors.append("trials must be a positive integer")
     if cfg.seed < 0:
         errors.append("seed must be non-negative")
@@ -237,7 +222,7 @@ def _validate(cfg: RunConfig) -> list[str]:
         budget = f"{cfg.experiment} keeps dense histories"
         if cfg.cells > green.MAX_HISTORY_CELLS:
             errors.append(f"{budget}: cells must not exceed {green.MAX_HISTORY_CELLS}")
-        if cfg.steps is not None and cfg.steps > green.MAX_HISTORY_STEPS:
+        if cfg.steps > green.MAX_HISTORY_STEPS:
             errors.append(f"{budget}: steps must not exceed {green.MAX_HISTORY_STEPS}")
     if cfg.experiment == "green_suite" and cfg.n in SUPPORTED_N and not 2 <= cfg.k <= cfg.n - 1:
         errors.append(f"green_suite requires 2 <= k <= {cfg.n - 1}")
@@ -293,18 +278,17 @@ def _check(name: str, measure: float, threshold: float, detail: str = "") -> Che
 
 def _run_identities(cfg: RunConfig, out: Path):
     """Pointwise exterior-algebra identity audit over both signatures."""
-    trials = cfg.trials
-    checks, files = [], []
+    checks = []
     columns: dict[str, list] = {"m": [], "lorentzian": []}
     for m in SUPPORTED_N:
         for label, metric in (("euclidean", exterior.euclidean(m)), ("lorentzian", exterior.lorentzian(m))):
-            defects = exterior.identity_audit(metric, trials=trials, seed=cfg.seed)
+            defects = exterior.identity_audit(metric, trials=cfg.trials, seed=cfg.seed)
             checks.append(
                 _check(
                     f"identities_m{m}_{label}",
                     max(defects.values()),
                     IDENTITY_TOL,
-                    detail=f"worst of {len(defects)} identities over {trials} trials",
+                    detail=f"worst of {len(defects)} identities over {cfg.trials} trials",
                 )
             )
             columns["m"].append(float(m))
@@ -312,13 +296,12 @@ def _run_identities(cfg: RunConfig, out: Path):
             for key, value in defects.items():
                 columns.setdefault(key, []).append(value)
     io.write_table_csv(out / "series_identities.csv", columns)
-    files.append("series_identities.csv")
-    return checks, files
+    return checks, ["series_identities.csv"]
 
 
 def _run_symbol_audit(cfg: RunConfig, out: Path):
     """Principal-symbol audit: symmetry, spectra, boundary admissibility."""
-    checks, files = [], []
+    checks = []
     measures = ("symmetry_defect", "min_timelike_eig", "count_mismatches", "admissibility_worst")
     columns: dict[str, list] = {name: [] for name in ("n", "k") + measures}
     audit_metric = mesh.MetricField(
@@ -333,8 +316,7 @@ def _run_symbol_audit(cfg: RunConfig, out: Path):
         for name, check in zip(measures, entry):
             columns[name].append(check.measure)
     io.write_table_csv(out / "series_symbol.csv", columns)
-    files.append("series_symbol.csv")
-    return checks, files
+    return checks, ["series_symbol.csv"]
 
 
 def _run_evolve(cfg: RunConfig, out: Path):
@@ -346,9 +328,8 @@ def _run_evolve(cfg: RunConfig, out: Path):
     run_cfg = _evolve_config(cfg)
     checks = list(evolution.validate_problem(state0, src, grid, metric).checks)
     checks.append(evolution.check_cfl(grid, metric, run_cfg))
-    files: list[str] = []
     if not all(c.passed for c in checks):
-        return checks, files
+        return checks, []
 
     c_max = evolution.wave_speed_bound(grid, metric, (grid.t0, cfg.t_final))
     support = evolution.SupportInfo(
@@ -362,23 +343,19 @@ def _run_evolve(cfg: RunConfig, out: Path):
             io.write_monitor_csv(out / "series_monitor.csv", err.series.columns)
         raise
     io.write_monitor_csv(out / "series_monitor.csv", series.columns)
-    files.append("series_monitor.csv")
+    files = ["series_monitor.csv"]
     for name, cochain in (("fe", final.fe), ("fb", final.fb)):
         json_path, bin_path = io.write_cochain_binary(out / f"snapshot_final_{name}", cochain, final.t)
         files.extend([json_path.name, bin_path.name])
 
-    scale = max(float(series.state_max.max()), 1e-300)
     for key in ("rE", "rB"):
-        values = series.columns[key]
-        first, last = float(values[0]), float(values[-1])
-        drift = abs(last - first) / max(first, scale)
         checks.append(
             _check(
-                f"constraint_drift_{key}", drift, CONSTRAINT_DRIFT_TOL,
+                f"constraint_drift_{key}", series.relative_drift(key), CONSTRAINT_DRIFT_TOL,
                 detail="relative drift of the constraint norm over the run",
             )
         )
-    boundary_residual = float(np.max(series.columns["rbdy"])) / scale
+    boundary_residual = float(np.max(series.columns["rbdy"])) / series.scale
     checks.append(
         _check(
             "boundary_residual", boundary_residual, BOUNDARY_RESIDUAL_TOL,
@@ -477,14 +454,11 @@ _SUITES = {
     "green_suite": _run_green,
     "symplectic_suite": _run_symplectic,
 }
+EXPERIMENTS = tuple(_SUITES)
 
 
 # ---------------------------------------------------------------------------
 # run driver and manifest
-
-
-def _code_version() -> str:
-    return __version__
 
 
 def _timestamp() -> str:
@@ -518,7 +492,8 @@ def run(cfg: RunConfig, out_dir) -> dict:
     An exception raised by the suite is not propagated: the manifest then
     has no checks, ``passed: false``, an ``error`` record (type, message,
     phase, and ``t_last`` for an ``InstabilityError``) and, as its file
-    index, whatever the suite wrote before it raised.
+    index, the files the suite created or rewrote (by modification time)
+    before it raised.
 
     Args:
         cfg: validated run configuration.
@@ -529,16 +504,17 @@ def run(cfg: RunConfig, out_dir) -> dict:
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    before = {p.name: p.stat().st_mtime_ns for p in out.iterdir()}
     started = _timestamp()
     error = None
     try:
         checks, files = _SUITES[cfg.experiment](cfg, out)
     except Exception as err:  # the run boundary: record the failure in the manifest
-        files = [p.name for p in out.iterdir() if p.name != "manifest.json"]
+        files = [p.name for p in out.iterdir() if before.get(p.name) != p.stat().st_mtime_ns]
         checks, error = [], _error_record(err)
     manifest = {
         "config": asdict(cfg),
-        "version": _code_version(),
+        "version": __version__,
         "started": started,
         "finished": _timestamp(),
         "checks": [c.to_dict() for c in checks],

@@ -93,6 +93,16 @@ class MonitorSeries:
     def times(self) -> np.ndarray:
         return np.asarray(self.columns["time"])
 
+    @property
+    def scale(self) -> float:
+        """The largest sampled state magnitude, floored at 1e-300."""
+        return max(float(self.state_max.max()), 1e-300)
+
+    def relative_drift(self, key: str) -> float:
+        """|last - first| of a column over the larger of its first value and the scale."""
+        first, last = float(self.columns[key][0]), float(self.columns[key][-1])
+        return abs(last - first) / max(first, self.scale)
+
 
 @dataclass
 class ValidationReport:
@@ -516,8 +526,7 @@ def _cone_leak(s: system.FieldState, support: SupportInfo, t0: float) -> tuple[f
     leak = 0.0
     for c in (s.fe, s.fb):
         for comp, arr in c.comps.items():
-            coords = mesh.component_coords(grid, comp, c.dual)
-            pts = np.meshgrid(*coords, indexing="ij", sparse=True)
+            pts = mesh.site_mesh(grid, comp, c.dual)
             dist2 = sum((p - center[i]) ** 2 for i, p in enumerate(pts))
             outside = np.broadcast_to(dist2, arr.shape) > radius**2
             if np.any(outside):
@@ -625,21 +634,18 @@ def constraint_propagation_audit(
 
     Theory predicts the residuals are advected, not amplified: their norms
     stay at the initial value up to integrator error.  The report carries the
-    initial, final, and extremal norms plus relative drifts (relative to the
-    initial norm when nonzero, else to the state scale).
+    initial, final, and extremal norms plus relative drifts (over the larger
+    of the initial norm and the state scale, :meth:`MonitorSeries.relative_drift`).
     """
     final, series = evolve(s0, src, metric, cfg)
     out = {"t_final": final.t}
-    scale = max(float(series.state_max.max()), 1e-300)
     for key in ("rE", "rB", "rbdy"):
         vals = series.columns[key]
-        first, last = float(vals[0]), float(vals[-1])
-        ref = max(first, scale)
         out[key] = {
-            "initial": first,
-            "final": last,
+            "initial": float(vals[0]),
+            "final": float(vals[-1]),
             "max": float(vals.max()),
-            "relative_drift": abs(last - first) / ref,
+            "relative_drift": series.relative_drift(key),
         }
-    out["state_scale"] = scale
+    out["state_scale"] = series.scale
     return out

@@ -1131,13 +1131,6 @@ def history_differential(a: History, metric: mesh.MetricField) -> History:
     return History(grid, j + 1, a.times, fe_rows, mesh.d_flat(lb, a.fb))
 
 
-def _drop_end_slices(h: History, pad: int) -> History:
-    """The history restricted away from ``pad`` slices at each end."""
-    if len(h.times) < 2 * pad + 2:
-        raise ValueError("history too short to trim")
-    return h.restrict(pad, len(h.times) - pad)
-
-
 def _restrict_to(h: History, times: np.ndarray) -> History:
     """The history restricted to a contiguous sub-range of its times."""
     i0 = int(np.searchsorted(h.times, times[0] - 0.5 * h.dt))
@@ -1186,7 +1179,7 @@ def degeneracy_forward_check(
         f = history_differential(a, metric)
         if f.k in f_bundle:
             raise ValueError("duplicate degree in the differentiated bundle")
-        f_bundle[f.k] = _drop_end_slices(f, 2)
+        f_bundle[f.k] = f.restrict(2, len(f.times) - 2)
     times = _bundle_times(f_bundle, grid)
     f_norm = math.sqrt(sum(f.norm(metric) ** 2 for f in f_bundle.values()))
     residual = 0.0

@@ -1,5 +1,6 @@
 """Command-line runner: config parsing, suite dispatch, artifacts, exit codes."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -32,6 +33,22 @@ def checks_by_name(manifest):
     return {c["name"]: c for c in manifest["checks"]}
 
 
+DEMO_CONFIGS = os.path.join(os.path.dirname(__file__), "..", "demos", "configs")
+
+# every config key with its default, in RunConfig field order
+GENERAL_DEFAULTS = {
+    "experiment": None, "n": 3, "k": 2, "cells": 16, "length": 1.0, "dt": 0.005,
+    "periodic": False, "beta": "unit", "a": "unit", "t_final": 0.5, "cfl": 0.4,
+    "boundary": "project_B", "monitor_stride": 1, "steps": 120, "trials": 3,
+    "bundles": 5, "seed": 0, "out": None,
+}
+IDENTITIES = {**GENERAL_DEFAULTS, "experiment": "identities", "trials": 100}
+SYMBOL_AUDIT = {**GENERAL_DEFAULTS, "experiment": "symbol_audit", "trials": 1000}
+EVOLVE = {**GENERAL_DEFAULTS, "experiment": "evolve"}
+GREEN_SUITE = {**GENERAL_DEFAULTS, "experiment": "green_suite", "dt": 0.0025, "steps": 240}
+SYMPLECTIC_SUITE = {**GENERAL_DEFAULTS, "experiment": "symplectic_suite"}
+
+
 class TestParseConfig:
     def test_minimal_config_fills_defaults(self, tmp_path):
         cfg = cli.parse_config(write_config(tmp_path, "experiment = identities\n"))
@@ -48,6 +65,33 @@ class TestParseConfig:
         assert cfg.dt == 0.0025 and cfg.steps == 240 and cfg.trials == 3
         cfg = cli.parse_config(write_config(tmp_path, "experiment = symbol_audit\n"))
         assert cfg.trials == 1000
+
+    @pytest.mark.parametrize(
+        "name,expected",
+        [
+            ("identities", IDENTITIES),
+            ("symbol_audit", SYMBOL_AUDIT),
+            ("evolve", {**EVOLVE, "cells": 32, "dt": 0.0125, "t_final": 1.25, "monitor_stride": 5}),
+            ("green_suite", GREEN_SUITE),
+            ("symplectic_suite", {**SYMPLECTIC_SUITE, "periodic": True}),
+        ],
+    )
+    def test_demo_config_resolves_every_key(self, name, expected):
+        cfg = cli.parse_config(os.path.join(DEMO_CONFIGS, f"{name}.cfg"))
+        assert list(dataclasses.asdict(cfg).items()) == list(expected.items())
+
+    @pytest.mark.parametrize(
+        "expected", [IDENTITIES, SYMBOL_AUDIT, EVOLVE, GREEN_SUITE, SYMPLECTIC_SUITE],
+        ids=lambda e: e["experiment"],
+    )
+    def test_bare_config_resolves_every_key(self, tmp_path, expected):
+        cfg = cli.parse_config(write_config(tmp_path, f"experiment = {expected['experiment']}\n"))
+        assert list(dataclasses.asdict(cfg).items()) == list(expected.items())
+
+    @pytest.mark.parametrize("text,value", [("true", True), ("1", True), ("false", False), ("0", False)])
+    def test_boolean_spellings(self, tmp_path, text, value):
+        cfg = cli.parse_config(write_config(tmp_path, f"experiment = evolve\nperiodic = {text}\n"))
+        assert cfg.periodic is value
 
     def test_comments_blanks_and_whitespace(self, tmp_path):
         text = "# full line comment\n\n  experiment=evolve  # trailing comment\n\tseed =  7\n"
@@ -198,8 +242,7 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("name", sorted(cli.EXPERIMENTS))
     def test_demo_configs_are_accepted(self, name):
-        demos = os.path.join(os.path.dirname(__file__), "..", "demos", "configs")
-        assert cli.parse_config(os.path.join(demos, f"{name}.cfg")).experiment == name
+        assert cli.parse_config(os.path.join(DEMO_CONFIGS, f"{name}.cfg")).experiment == name
 
 
 class TestBuilders:
@@ -444,6 +487,23 @@ class TestRuntimeFailure:
         assert manifest["files"] == ["partial.json", "manifest.json"]
         assert set(manifest["files"]) == set(os.listdir(out))
         assert set(manifest["error"]) == {"type", "message", "phase"}
+
+    def test_files_left_from_an_earlier_run_are_not_indexed(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "out"
+        out.mkdir()
+        for name in ("stale.txt", "series_monitor.csv", "manifest.json"):
+            (out / name).write_text("from an earlier run\n")
+            os.utime(out / name, ns=(10**18, 10**18))
+
+        def rewrites_then_fails(cfg, out):
+            io.write_json(out / "partial.json", {"done": False})
+            (out / "series_monitor.csv").write_text("time\n0.0\n")
+            raise RuntimeError("second phase failed")
+
+        monkeypatch.setitem(cli._SUITES, "identities", rewrites_then_fails)
+        cfg = write_config(tmp_path, "experiment = identities\ntrials = 2\n")
+        assert run_cli(["run", "--config", cfg, "--out", out], capsys)[0] == 3
+        assert load_manifest(out)["files"] == ["partial.json", "series_monitor.csv", "manifest.json"]
 
     def test_passing_manifest_has_no_error_record(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "experiment = identities\ntrials = 2\n")

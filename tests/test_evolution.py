@@ -414,6 +414,16 @@ class TestValidateProblem:
         check = next(c for c in report.checks if c.name == "initial_support")
         assert "boundary" in check.detail
 
+    def test_initial_support_skips_periodic_axes(self):
+        # a bump across the x = 0 seam touches a face of the box but none of the torus
+        met = mesh.unit_metric()
+        for periodic, passed in (((True, False), True), ((False, False), False)):
+            grid = box_grid(3, 16, 0.4 / 32, periodic=periodic)
+            s0, _ = manufactured.bump_state(grid, 2, met, radius=0.2, center=(0.05, 0.5), seed=2)
+            report = evolution.validate_problem(s0, system.zero_sources(grid, 2), grid, met)
+            check = next(c for c in report.checks if c.name == "initial_support")
+            assert check.passed is passed, periodic
+
     def test_source_window_must_start_after_t0(self):
         grid, met, s0 = self.make_problem()
         src = system.SourceData(

@@ -1,5 +1,6 @@
 """Tests for one-sided/causal solution operators and the cutoff pairing."""
 
+import dataclasses
 import functools
 import itertools
 
@@ -9,7 +10,14 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from kmaxwell import cli, evolution, green, manufactured, mesh, system
-from kmaxwell.tolerances import CONTINUITY_TOL, GREEN_DEFECT_TOL, PRESYMPLECTIC_REL_TOL, SKEW_TOL
+from kmaxwell.tolerances import (
+    CONTINUITY_TOL,
+    GREEN_DEFECT_TOL,
+    PRESYMPLECTIC_REL_TOL,
+    SKEW_TOL,
+    SOURCE_COMPAT_TOL,
+    SOURCE_FORM_AGREEMENT_TOL,
+)
 
 DT = 0.005
 FINE_DT = 0.0025
@@ -26,6 +34,7 @@ SIGMA_01 = 5.579560890932e-1
 SIGMA_23 = -7.374913405715e-1
 SIGMA_CAUSAL_TORUS = 1.884290913e-2
 VARSIGMA_TORUS = 1.884313544e-2
+VARSIGMA_TORUS_SWAPPED = -1.884231152e-2
 FALSIFICATION_MAX = 2.789996494794e-2
 
 METRIC = mesh.unit_metric()
@@ -34,6 +43,10 @@ TILTED = mesh.MetricField(beta=lambda t, *x: 1.0 + 0.2 * x[0] * x[1])
 
 def box_grid(cells=16, dt=DT):
     return mesh.GridSpec(n=3, cells_per_axis=(cells, cells), lengths=(1.0, 1.0), dt=dt)
+
+
+def box4_grid(cells=8, dt=DT):
+    return mesh.GridSpec(n=4, cells_per_axis=(cells,) * 3, lengths=(1.0,) * 3, dt=dt)
 
 
 def torus_grid(cells=16, dt=DT):
@@ -85,6 +98,20 @@ def forward_setup():
     )
     report = green.degeneracy_forward_check(a, g, METRIC, probes)
     return g, a, probes, report
+
+
+@functools.lru_cache(maxsize=None)
+def torus_sources():
+    """The causal-pairing demo setup: a degree-2 and a degree-1 pair and their causal fields."""
+    g = torus_grid()
+    src2 = green.random_source_pair(
+        g, 2, METRIC, (0.1, 0.35), np.random.default_rng(31), with_harmonic=True
+    )
+    src1 = green.random_source_pair(
+        g, 1, METRIC, (0.15, 0.4), np.random.default_rng(32), with_harmonic=True
+    )
+    causal = {k: green.causal(src, g, METRIC, t_final=0.6) for k, src in ((2, src2), (1, src1))}
+    return g, src2, src1, causal
 
 
 @functools.lru_cache(maxsize=None)
@@ -319,6 +346,31 @@ class TestSourcePair:
         breathing = mesh.MetricField(beta=lambda t, *x: 1.0, conf=lambda t: 1.0 + 0.1 * t)
         with pytest.raises(ValueError, match="conformal"):
             green.random_source_pair(g, 1, breathing, (0.1, 0.4), np.random.default_rng(0))
+
+    def test_electric_current_normal_flux_is_checked_for_k3(self):
+        # from k = 3 on, the Hodge dual of je is a dual form with normal legs on the faces
+        g = box4_grid()
+        pair = green.random_source_pair(g, 3, METRIC, (0.1, 0.4), np.random.default_rng(3))
+        assert pair.je is not None
+        lay = mesh.layout(g, 1, True)
+        face = np.zeros(lay.size)
+        face[mesh.normal_face_sites(lay)[0]] = 1e-3
+        leak = mesh.hodge_inverse_flat(lay, face, 1.0)
+        with pytest.raises(ValueError, match="source admissibility residual 1.000e-03"):
+            dataclasses.replace(pair, je=lambda t: pair.je(t) + leak)
+
+    def test_magnetic_defect_must_be_closed(self):
+        # on a 3-D slice the closedness row of a k = 1 zb lives in the dual degree-3 layout
+        g = box4_grid()
+        pair = green.random_source_pair(g, 1, METRIC, (0.1, 0.4), np.random.default_rng(1))
+        closed = system.continuity_residuals(pair, METRIC, 0.25)["flux_closed"]
+        assert closed.shape == (mesh.layout(g, 3, True).size,)
+        assert np.max(np.abs(closed)) <= SOURCE_COMPAT_TOL
+        lay = mesh.layout(g, 2, True)
+        kink = np.zeros(lay.size)
+        lay.view(kink, 0)[4, 4, 4] = 1e-3
+        with pytest.raises(ValueError, match="source admissibility residual 1.000e-03"):
+            dataclasses.replace(pair, zb=lambda t: pair.zb(t) + kink)
 
     def test_harmonic_requires_torus(self):
         g = box_grid()
@@ -768,6 +820,23 @@ class TestSourceForm:
         assert abs(sig) <= 1e-12 * scale
         assert abs(sig - varsigma) <= GREEN_DEFECT_TOL * scale
 
+    def test_zeta_leg_with_the_bundles_swapped(self):
+        # the degree-1 pair meets the degree-2 causal field through its zeta leg only
+        g, src2, src1, causal = torus_sources()
+        chi = green.CutoffProfile(0.3, 10 * DT)
+        sig = green.presymplectic({1: causal[1]}, {2: causal[2]}, chi, g, METRIC)
+        varsigma = green.presymplectic_source_form(src1, src2, g, METRIC, t_final=0.6)
+        forward = green.presymplectic_source_form(src2, src1, g, METRIC, t_final=0.6)
+        assert varsigma == pytest.approx(VARSIGMA_TORUS_SWAPPED, rel=1e-8)
+        assert abs(sig - varsigma) <= SOURCE_FORM_AGREEMENT_TOL * abs(sig)
+        assert abs(forward + varsigma) <= SOURCE_FORM_AGREEMENT_TOL * abs(forward)
+
+    def test_default_t_final_ends_two_steps_after_the_last_window(self):
+        g, src2, src1, _ = torus_sources()
+        ends = max(src1.window[1], src2.window[1])
+        default = green.presymplectic_source_form(src1, src2, g, METRIC)
+        assert default == green.presymplectic_source_form(src1, src2, g, METRIC, t_final=ends + 2 * DT)
+
     def test_bilinearity_is_exact(self):
         g = torus_grid()
         src1 = green.random_source_pair(
@@ -781,6 +850,18 @@ class TestSourceForm:
         v2 = green.presymplectic_source_form(src1, scaled_pair(src2, 2.0), g, METRIC, t_final=0.6)
         assert v1 == pytest.approx(2.0 * v, rel=EXACT_TOL)
         assert v2 == pytest.approx(2.0 * v, rel=EXACT_TOL)
+
+
+class TestSmoothing:
+    def test_periodic_axes_wrap(self):
+        g = torus_grid()
+        c = mesh.random_cochain(g, 1, True, np.random.default_rng(0))
+        smooth = green._smooth_components(c, green.SMOOTHING_PASSES)
+        assert not np.array_equal(smooth.vec, c.vec)
+        for s, v in c.comps.items():
+            assert abs(smooth.comps[s].sum() - v.sum()) <= 1e-13 * np.abs(v).sum()
+        constant = green._constant_cochain(g, 1, True, [0.5, -0.7])
+        np.testing.assert_array_equal(green._smooth_components(constant, 3).vec, constant.vec)
 
 
 class TestDegeneracy:

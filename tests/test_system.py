@@ -481,6 +481,17 @@ class TestPrincipalSymbol:
         sig = system.symbol_matrix(1.0, np.zeros(2), 2.0, 1.0, 3, 1)
         np.testing.assert_array_equal(sig, np.diag([0.25, 1.0, 1.0]))
 
+    @pytest.mark.parametrize("n,k", SUPPORTED_PAIRS)
+    def test_principal_symbol_samples_the_metric(self, n, k):
+        metric = mesh.MetricField(
+            beta=lambda t, *x: 1.3 + 0.2 * np.sin(x[0] + t), conf=lambda t: 1.7 + 0.1 * t
+        )
+        rng = np.random.default_rng(RNG_SEED + 10 * n + k)
+        xi, x, t = rng.standard_normal(n), tuple(rng.uniform(0.0, 1.0, n - 1)), 0.37
+        want = system.symbol_matrix(xi[0], xi[1:], metric.beta(t, *x), metric.conf(t), n, k)
+        got = system.principal_symbol(xi, t, x, metric, n, k)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_covector_length_checked(self):
         with pytest.raises(ValueError, match="components"):
             system.principal_symbol(np.ones(3), 0.0, (0.5, 0.5, 0.5), mesh.unit_metric(), 4, 2)
