@@ -148,7 +148,7 @@ def parse_config(path) -> RunConfig:
 
     Raises:
         ConfigError: listing every syntax and validation problem at once.
-        OSError: when the file cannot be read.
+        OSError, UnicodeDecodeError: when the file cannot be read as UTF-8 text.
     """
     text = Path(path).read_text(encoding="utf-8")
     errors: list[str] = []
@@ -228,6 +228,8 @@ def _validate(cfg: RunConfig) -> list[str]:
         errors.append(f"green_suite requires 2 <= k <= {cfg.n - 1}")
     if cfg.experiment == "symplectic_suite" and cfg.n == 2:
         errors.append("symplectic_suite requires n >= 3 so bundles span coupled degrees")
+    if cfg.experiment == "symplectic_suite" and cfg.bundles == 1:
+        errors.append("symplectic_suite requires at least two bundles to pair")
     if cfg.experiment in ("evolve", "green_suite", "symplectic_suite") and not errors:
         # the grid, an evolve run's integration parameters, and the Courant guard
         # of green._integrate for the history marches, checked before any work starts
@@ -562,7 +564,7 @@ def main(argv=None) -> int:
         for problem in err.errors:
             print(f"config error: {problem}")
         return 2
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         print(f"cannot read config: {err}")
         return 2
 
@@ -578,7 +580,11 @@ def main(argv=None) -> int:
             return 2
         cfg.seed = args.seed
     out_dir = args.out or cfg.out or f"out_{cfg.experiment}"
-    manifest = run(cfg, out_dir)
+    try:
+        manifest = run(cfg, out_dir)
+    except OSError as err:  # run records every suite failure, so this is the directory itself
+        print(f"cannot write to output directory: {err}")
+        return 2
     _print_manifest(manifest)
     print(f"manifest: {Path(out_dir) / 'manifest.json'}")
     if "error" in manifest:

@@ -75,12 +75,10 @@ class MonitorSeries:
     """Sampled diagnostics along an evolution.
 
     ``columns`` holds the canonical CSV table (time, rE, rB, rbdy, energy,
-    cone_leak); ``cone_radius`` and ``state_max`` are retained for audits but
-    not serialized.
+    cone_leak); ``state_max`` is retained for audits but not serialized.
     """
 
     columns: dict
-    cone_radius: np.ndarray
     state_max: np.ndarray
     support: SupportInfo | None = None
 
@@ -519,7 +517,7 @@ def energy(s: system.FieldState, metric: mesh.MetricField) -> float:
     )
 
 
-def _cone_leak(s: system.FieldState, support: SupportInfo, t0: float) -> tuple[float, float]:
+def _cone_leak(s: system.FieldState, support: SupportInfo, t0: float) -> float:
     grid = s.grid
     radius = support.radius + support.c_max * (s.t - t0) + CONE_HALO_CELLS * max(grid.spacings)
     center = np.asarray(support.center, dtype=float)
@@ -531,7 +529,7 @@ def _cone_leak(s: system.FieldState, support: SupportInfo, t0: float) -> tuple[f
             outside = np.broadcast_to(dist2, arr.shape) > radius**2
             if np.any(outside):
                 leak = max(leak, float(np.abs(arr[outside]).max()))
-    return leak, radius
+    return leak
 
 
 def _state_maxabs(s: system.FieldState) -> float:
@@ -541,12 +539,8 @@ def _state_maxabs(s: system.FieldState) -> float:
 def _monitor_row(s, src, metric, support, t0):
     r_e, r_b, r_bdy = system.constraint_norms(s, src, metric)
     row = {"time": s.t, "rE": r_e, "rB": r_b, "rbdy": r_bdy, "energy": energy(s, metric)}
-    if support is not None:
-        leak, radius = _cone_leak(s, support, t0)
-    else:
-        leak, radius = 0.0, np.inf
-    row["cone_leak"] = leak
-    return row, radius, _state_maxabs(s)
+    row["cone_leak"] = _cone_leak(s, support, t0) if support is not None else 0.0
+    return row, _state_maxabs(s)
 
 
 def evolve(
@@ -596,12 +590,11 @@ def evolve(
 
 
 def _series_from(samples, support) -> MonitorSeries:
-    """The series of ``_monitor_row`` samples ``(row, cone radius, state max)``."""
-    rows, radii, maxima = zip(*samples)
+    """The series of ``_monitor_row`` samples ``(row, state max)``."""
+    rows, maxima = zip(*samples)
     columns = {name: np.array([r[name] for r in rows]) for name in io.MONITOR_COLUMNS}
     return MonitorSeries(
         columns=columns,
-        cone_radius=np.asarray(radii, dtype=float),
         state_max=np.asarray(maxima, dtype=float),
         support=support,
     )

@@ -123,9 +123,6 @@ class Form:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "Form":
-        return Form(self.dim, self.degree, -self.comps)
-
 
 def zero(dim: int, degree: int) -> Form:
     return Form(dim, degree, np.zeros(space_dim(dim, degree)))

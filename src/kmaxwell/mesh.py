@@ -230,7 +230,9 @@ class Layout:
     * ``stars[i]``: the position of S^c in the Hodge image;
     * ``node_axes[i]``: the bounded axes sampled at nodes (trapezoid ends;
       on the dual family exactly the normal legs);
-    * ``cofaces``: the incidence terms (i, axis, target, sign) of ``d``.
+    * ``cofaces``: the incidence terms (i, axis, target, sign) of ``d``;
+    * ``star`` and ``up``: the layouts of the Hodge image (degree m-k, the
+      other family) and of the coboundary (degree k+1, the same family).
     """
 
     grid: GridSpec
@@ -253,6 +255,14 @@ class Layout:
     def largest(self) -> int:
         """Size of the largest component."""
         return max(b - a for a, b in zip(self.offsets, self.offsets[1:]))
+
+    @property
+    def star(self) -> "Layout":
+        return layout(self.grid, self.grid.dim - self.degree, not self.dual)
+
+    @property
+    def up(self) -> "Layout":
+        return layout(self.grid, self.degree + 1, self.dual)
 
     def view(self, x: np.ndarray, i: int) -> np.ndarray:
         """Component i of flat rows ``x`` as a ``(..., *shapes[i])`` view."""
@@ -486,7 +496,7 @@ def d_ops(lay: Layout, x: np.ndarray, out: np.ndarray, scratch: np.ndarray):
     slice subtractions.  The calls read ``x`` anew each time they run.
     """
     grid, m = lay.grid, lay.grid.dim
-    out_lay = layout(grid, lay.degree + 1, lay.dual)
+    out_lay = lay.up
     yield out.fill, (0.0,)
     for i, b, j, sign in lay.cofaces:
         arr, target, axis = lay.view(x, i), out_lay.view(out, j), b - m
@@ -513,7 +523,7 @@ def d_flat(lay: Layout, x: np.ndarray) -> np.ndarray:
     """
     if lay.degree >= lay.grid.dim:
         raise ValueError("d_sigma: top-degree input")
-    out = np.empty(x.shape[:-1] + (layout(lay.grid, lay.degree + 1, lay.dual).size,))
+    out = np.empty(x.shape[:-1] + (lay.up.size,))
     run_ops(d_ops(lay, x, out, np.empty(math.prod(x.shape[:-1]) * lay.largest)))
     return out
 
@@ -541,7 +551,7 @@ def hodge_ops(lay: Layout, x: np.ndarray, out: np.ndarray, fac, weight=None):
     calls read ``x`` and ``weight`` anew each time they run; an owner that
     refreshes the factors in place passes each ``fac[i]`` as an array.
     """
-    out_lay = layout(lay.grid, lay.grid.dim - lay.degree, not lay.dual)
+    out_lay = lay.star
     for i, j in enumerate(lay.stars):
         src = x[..., lay.offsets[i] : lay.offsets[i + 1]]
         dst = out[..., out_lay.offsets[j] : out_lay.offsets[j + 1]]
@@ -597,34 +607,27 @@ def norm_flat(lay: Layout, x: np.ndarray, conf) -> float:
     return float(np.sqrt(max(float(pair_flat(lay, x, x, conf)), 0.0)))
 
 
-def _normal_faces(lay: Layout, x: np.ndarray):
-    """Face-node views of the normal-leg components of dual-family rows."""
+def normal_face_sites(lay: Layout) -> np.ndarray:
+    """Flat positions of the normal flux: both face-node layers of each normal leg (dual family)."""
     if not lay.dual:
         raise ValueError("normal flux: dual-family cochain required")
-    m = lay.grid.dim
-    for i, axes in enumerate(lay.node_axes):
-        arr = lay.view(x, i)
-        for axis in axes:
-            yield arr[_along(axis - m, 0)]
-            yield arr[_along(axis - m, -1)]
+    m, sites = lay.grid.dim, np.arange(lay.size)
+    faces = [
+        lay.view(sites, i)[_along(axis - m, end)].ravel()
+        for i, axes in enumerate(lay.node_axes) for axis in axes for end in (0, -1)
+    ]
+    return np.concatenate([np.zeros(0, dtype=np.intp)] + faces)
 
 
 def project_flat(lay: Layout, x: np.ndarray) -> np.ndarray:
     """Zero the normal flux of dual-family rows in place; returns ``x``."""
-    for face in _normal_faces(lay, x):
-        face[...] = 0.0
+    x[..., normal_face_sites(lay)] = 0.0
     return x
-
-
-def normal_face_sites(lay: Layout) -> np.ndarray:
-    """Flat positions of the entries :func:`project_flat` zeroes."""
-    faces = [face.ravel() for face in _normal_faces(lay, np.arange(lay.size))]
-    return np.concatenate([np.zeros(0, dtype=np.intp)] + faces)
 
 
 def flux_maxabs_flat(lay: Layout, x: np.ndarray) -> float:
     """Largest face-node normal-leg value over all dual-family rows."""
-    return max((float(np.max(np.abs(face), initial=0.0)) for face in _normal_faces(lay, x)), default=0.0)
+    return float(np.max(np.abs(x[..., normal_face_sites(lay)]), initial=0.0))
 
 
 def d_sigma(c: Cochain) -> Cochain:
@@ -637,7 +640,7 @@ def d_sigma(c: Cochain) -> Cochain:
     families, and exactly on integer data.
     """
     vec = d_flat(c.lay, c.vec)
-    return layout(c.grid, c.degree + 1, c.dual).cochain(vec)
+    return c.lay.up.cochain(vec)
 
 
 def hodge_sigma(c: Cochain, t: float, metric: MetricField, orientation: int = 1) -> Cochain:
@@ -648,7 +651,7 @@ def hodge_sigma(c: Cochain, t: float, metric: MetricField, orientation: int = 1)
     selects the slice orientation, used for faces with induced orientation.
     """
     vec = hodge_flat(c.lay, c.vec, metric.conf(t), orientation)
-    return layout(c.grid, c.grid.dim - c.degree, not c.dual).cochain(vec)
+    return c.lay.star.cochain(vec)
 
 
 def hodge_inverse_sigma(c: Cochain, t: float, metric: MetricField, orientation: int = 1) -> Cochain:

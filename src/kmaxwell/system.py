@@ -108,9 +108,6 @@ class FieldState:
     def grid(self) -> mesh.GridSpec:
         return self.fe.grid
 
-    def copy(self) -> "FieldState":
-        return FieldState(self.t, self.fe.copy(), self.fb.copy(), self.k)
-
 
 def zero_state(grid: mesh.GridSpec, k: int, t: float = 0.0) -> FieldState:
     return FieldState(
@@ -225,16 +222,14 @@ def curl_ops(lw: mesh.Layout, lb: mesh.Layout, w, fb, beta_w, beta_b, fac, curl_
     read ``w``, ``fb`` and the lapse rows anew each time they run, and
     ``fac`` too when its entries are arrays.
     """
-    grid, k = lb.grid, lb.degree
-    lay_b, lay_e = mesh.layout(grid, grid.dim - k, False), mesh.layout(grid, k - 1, True)
     rows = prod(w.shape[:-1])
     h = np.empty(rows * max(lw.size, lb.size))
-    scratch = np.empty(rows * max(lay_b.largest, lay_e.largest))
+    scratch = np.empty(rows * max(lb.star.largest, lw.star.largest))
     hb, hw = h[: fb.size].reshape(fb.shape), h[: w.size].reshape(w.shape)
     yield from mesh.hodge_ops(lb, fb, hb, fac[1], beta_b)
-    yield from mesh.d_ops(lay_b, hb, curl_b, scratch)
+    yield from mesh.d_ops(lb.star, hb, curl_b, scratch)
     yield from mesh.hodge_ops(lw, w, hw, fac[0], beta_w)
-    yield from mesh.d_ops(lay_e, hw, curl_e, scratch)
+    yield from mesh.d_ops(lw.star, hw, curl_e, scratch)
 
 
 def curls(lw: mesh.Layout, lb: mesh.Layout, w, fb, beta_w, beta_b, conf):
@@ -351,10 +346,10 @@ def continuity_residuals(src: SourceData, metric: mesh.MetricField, t) -> dict:
     conf = mesh.sample_conf(metric, times)
     out = {"charge": None, "flux": None, "flux_closed": None}
     if k >= 2:
-        lay_j, lay_h = mesh.layout(grid, k - 1, True), mesh.layout(grid, n - k, False)
+        lay_j = mesh.layout(grid, k - 1, True)
         jb = family_rows(src.jb, times) if src.jb is not None else np.zeros((len(times), lay_j.size))
-        weighted = mesh.hodge_flat(lay_j, jb, conf) * mesh.sample_lapse(lay_h, metric, times)
-        charge = mesh.d_flat(lay_h, weighted) * float(-source_sign(n, k))
+        weighted = mesh.hodge_flat(lay_j, jb, conf) * mesh.sample_lapse(lay_j.star, metric, times)
+        charge = mesh.d_flat(lay_j.star, weighted) * float(-source_sign(n, k))
         if src.je is not None:
             lay_e = mesh.layout(grid, n + 1 - k, False)
             inv_beta = 1.0 / mesh.sample_lapse(lay_e, metric, times)
@@ -370,7 +365,7 @@ def continuity_residuals(src: SourceData, metric: mesh.MetricField, t) -> dict:
     if k <= n - 2:
         lay_z = mesh.layout(grid, n - 1 - k, False)
         ze = family_rows(src.ze, times) if src.ze is not None else np.zeros((len(times), lay_z.size))
-        flux = -mesh.d_flat(mesh.layout(grid, k, True), mesh.hodge_flat(lay_z, ze, conf))
+        flux = -mesh.d_flat(lay_z.star, mesh.hodge_flat(lay_z, ze, conf))
         if src.zb is not None:
             if src.zb_rate is not None:
                 rate = family_rows(src.zb_rate, times)
@@ -402,18 +397,17 @@ def constraint_residuals(s: FieldState, src: SourceData, metric: mesh.MetricFiel
     lw, lb = s.fe.lay, s.fb.lay
     r_e = r_b = r_bdy = None
     if lw.degree < m:
-        lay_e = mesh.layout(s.grid, lw.degree + 1, False)
         r_e = mesh.d_flat(lw, s.fe.vec * (1.0 / mesh.sample_flat(lw, metric.beta, t)))
         if src.je is not None:
-            je = src.je(t) * (1.0 / mesh.sample_flat(lay_e, metric.beta, t))
+            je = src.je(t) * (1.0 / mesh.sample_flat(lw.up, metric.beta, t))
             r_e = r_e - float((-1) ** (n - k)) * je
-        r_e = lay_e.cochain(r_e)
+        r_e = lw.up.cochain(r_e)
         r_bdy = {face: mesh.trace_pullback(s.fe, face) for face in mesh.faces(s.grid)}
     if lb.degree < m:
         r_b = mesh.d_flat(lb, s.fb.vec)
         if src.zb is not None:
             r_b = r_b - src.zb(t)
-        r_b = mesh.layout(s.grid, k + 1, True).cochain(r_b)
+        r_b = lb.up.cochain(r_b)
     return r_e, r_b, r_bdy
 
 
@@ -755,8 +749,6 @@ def _spatial_d_from_jet(jet_parts: list, m: int):
     """Exterior derivative of a spatial fiber form from its spatial jet."""
     out = None
     for i, part in enumerate(jet_parts):
-        if part is None:
-            return None
         if part.degree >= m:
             return None
         term = exterior.wedge(exterior.unit(m, (i,)), part)

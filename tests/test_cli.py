@@ -192,6 +192,15 @@ class TestParseConfig:
             cli.parse_config(write_config(tmp_path, "experiment = symplectic_suite\nn = 2\nk = 1\n"))
         assert any("symplectic_suite requires n >= 3" in e for e in err.value.errors)
 
+    def test_symplectic_suite_needs_two_bundles(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "experiment = symplectic_suite\nbundles = 1\n")
+        code, text = run_cli(["validate", "--config", cfg], capsys)
+        assert code == 2
+        assert "config error: symplectic_suite requires at least two bundles to pair" in text
+        with pytest.raises(cli.ConfigError) as err:
+            cli.parse_config(write_config(tmp_path, "experiment = symplectic_suite\nbundles = 0\n"))
+        assert err.value.errors == ["bundles must be a positive integer"]
+
     @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize(
         "text,fragment",
@@ -549,6 +558,23 @@ class TestCliInterface:
     def test_missing_config_file(self, tmp_path, capsys):
         code, text = run_cli(["run", "--config", tmp_path / "absent.cfg"], capsys)
         assert code == 2 and "cannot read config" in text
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_config_that_is_not_utf8(self, tmp_path, capsys, command):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(b"experiment = identities\n# caf\xe9\n")
+        args = [command, "--config", cfg] + (["--out", tmp_path / "out"] if command == "run" else [])
+        code, text = run_cli(args, capsys)
+        assert code == 2 and "cannot read config" in text and "utf-8" in text
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("out", ["taken", "taken/sub"])
+    def test_output_directory_that_cannot_be_written(self, tmp_path, capsys, out):
+        cfg = write_config(tmp_path, "experiment = identities\ntrials = 2\n")
+        (tmp_path / "taken").write_text("a file, not a directory\n")
+        code, text = run_cli(["run", "--config", cfg, "--out", tmp_path / out], capsys)
+        assert code == 2 and "cannot write to output directory" in text
+        assert (tmp_path / "taken").read_text() == "a file, not a directory\n"
 
     def test_usage_errors_exit_2(self):
         with pytest.raises(SystemExit) as err:

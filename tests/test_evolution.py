@@ -295,7 +295,7 @@ class TestEvolve:
         cols = {name: np.array([0.0, 1.0]) for name in io.MONITOR_COLUMNS}
         cols["time"] = np.array([1.0, 0.5])
         with pytest.raises(ValueError, match="time"):
-            evolution.MonitorSeries(columns=cols, cone_radius=np.zeros(2), state_max=np.zeros(2))
+            evolution.MonitorSeries(columns=cols, state_max=np.zeros(2))
 
 
 class TestConstraintPreservation:
@@ -377,7 +377,6 @@ class TestSupportAudit:
             evolution.support_audit(series, r0, 2.0)
         plain = evolution.MonitorSeries(
             columns={name: np.array([0.0]) for name in io.MONITOR_COLUMNS},
-            cone_radius=np.array([np.inf]),
             state_max=np.array([0.0]),
         )
         with pytest.raises(ValueError, match="support"):

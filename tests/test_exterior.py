@@ -128,6 +128,25 @@ class TestErrors:
         with pytest.raises(ValueError):
             ext.Form(2, 3, np.zeros(0))
 
+    @pytest.mark.parametrize(
+        "call,message",
+        [
+            (lambda: ext.Form(0, 0, np.ones(1)), r"fiber dimension must be in \[1, 6\], got 0"),
+            (lambda: ext.Form(3, 1, np.ones(2)), "expected 3 components for degree 1 in dimension 3"),
+            (lambda: ext.unit(2, (0,)) + ext.unit(3, (0,)), "cannot add forms of different dimension or degree"),
+            (lambda: ext.unit(2, (0,)) - ext.unit(2, (0, 1)), "cannot subtract forms of different dimension or degree"),
+            (lambda: ext.interior(np.ones(3), ext.unit(2, (0,))), "interior: vector must have 2 components"),
+            (lambda: ext.hodge(ext.unit(2, (0,)), ext.euclidean(3)), "hodge: metric dimension mismatch"),
+            (lambda: ext.inner(ext.unit(2, (0,)), ext.unit(3, (0,)), ext.euclidean(2)), "inner: dimension mismatch"),
+            (lambda: ext.flat(np.ones(2), ext.euclidean(3)), "flat: vector must have 3 components"),
+            (lambda: ext.sharp(ext.unit(2, (0, 1)), ext.euclidean(2)), "sharp: degree-1 input required"),
+        ],
+        ids=["dimension", "shape", "add", "subtract", "interior", "hodge", "inner", "flat", "sharp"],
+    )
+    def test_input_checks(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
 
 @seed(RNG_SEED)
 @settings(max_examples=60, deadline=None)

@@ -233,6 +233,25 @@ class TestHistory:
         shifted = green.History(g, 1, c.times + 1.0, c.fe, c.fb)
         with pytest.raises(ValueError, match="time samples"):
             c + shifted
+        g12 = box_grid(cells=12)
+        elsewhere = green.History(
+            g12, 1, c.times, np.zeros((len(c.times), mesh.cochain_size(g12, 2, False))),
+            np.zeros((len(c.times), mesh.cochain_size(g12, 1, True))),
+        )
+        with pytest.raises(ValueError, match="histories on mismatched grids"):
+            c - elsewhere
+
+    @pytest.mark.parametrize("times", [[0.3, 0.2, 0.1], [0.1, 0.1, 0.1]], ids=["falling", "constant"])
+    @pytest.mark.parametrize("kind", ["History", "SourceHistory"])
+    def test_times_must_increase(self, times, kind):
+        g = box_grid(cells=8)
+        rng = np.random.default_rng(3)
+        rows = lambda degree, dual: rng.standard_normal((3, mesh.cochain_size(g, degree, dual)))
+        with pytest.raises(ValueError, match="history times must increase"):
+            if kind == "History":
+                green.History(g, 2, np.array(times), rows(1, False), rows(2, True))
+            else:
+                green.SourceHistory(g, 2, np.array(times), (0.1, 0.3), rows(2, False), rows(1, True), None, None)
 
     def test_norm_and_maxabs_zero(self):
         g = box_grid(cells=4)
@@ -437,6 +456,10 @@ class TestOneSidedSolves:
         with pytest.raises(ValueError, match="different grid"):
             green.g_plus(sp, other, METRIC, t_start=0.0, t_final=0.5)
 
+    def test_unsupported_source_rejected(self):
+        with pytest.raises(TypeError, match="unsupported source object dict"):
+            green.g_plus({}, box_grid(), METRIC, t_start=0.0, t_final=0.5)
+
     def test_source_on_torus_rejected_on_box(self):
         g = box_grid()
         sp = green.SourcePair(grid=torus_grid(), k=1, window=(0.1, 0.4), metric=METRIC)
@@ -613,6 +636,8 @@ class TestRightInverse:
         )
         with pytest.raises(ValueError, match="boundary condition"):
             green.right_inverse_check(omega, g, METRIC)
+        with pytest.raises(ValueError, match="history declared on a different grid"):
+            green.right_inverse_check(omega, box_grid(cells=12), METRIC)
 
 
 class TestExactSequence:
@@ -774,6 +799,11 @@ class TestPresymplectic:
         short = {k: h.restrict(0, 100) for k, h in bundles[0].items()}
         with pytest.raises(ValueError, match="time samples"):
             green.presymplectic(short, bundles[1], chi, g, METRIC)
+        ragged = {1: bundles[0][1].restrict(0, 100), 2: h2}
+        with pytest.raises(ValueError, match="histories on mismatched time samples"):
+            green.presymplectic(ragged, bundles[1], chi, g, METRIC)
+        with pytest.raises(ValueError, match="empty solution bundle"):
+            green.presymplectic({}, bundles[1], chi, g, METRIC)
         other = box_grid(cells=12)
         b = green.random_solution_bundle(other, METRIC, 120, seed=0)
         with pytest.raises(ValueError, match="grids"):

@@ -86,6 +86,13 @@ class TestMonitorCsv:
         with pytest.raises(ValueError, match="columns"):
             io.write_monitor_csv(tmp_path / "bad.csv", series)
 
+    def test_read_rejects_wrong_columns(self, tmp_path):
+        series = self.sample_series()
+        series.pop("cone_leak")
+        io.write_table_csv(tmp_path / "bad.csv", series)
+        with pytest.raises(ValueError, match=r"monitor series must have columns \('time',"):
+            io.read_monitor_csv(tmp_path / "bad.csv")
+
 
 class TestTableCsv:
     def test_roundtrip_and_order(self, tmp_path):

@@ -564,6 +564,8 @@ class TestBoundaryOperators:
             mesh.trace_pullback(mesh.zero_cochain(g, 1, True), mesh.Face(1, 0))
         with pytest.raises(ValueError, match="periodic"):
             mesh.trace_pullback(mesh.zero_cochain(g, 1, False), mesh.Face(0, 0))
+        with pytest.raises(ValueError, match="degree exceeds the face dimension"):
+            mesh.trace_pullback(mesh.zero_cochain(g, 2, False), mesh.Face(1, 0))
 
     def test_normal_contract_kills_tangential(self):
         g = box_grid((4, 4))
@@ -585,6 +587,11 @@ class TestBoundaryOperators:
         g = box_grid((4, 4))
         with pytest.raises(ValueError, match="degree-0"):
             mesh.normal_contract(mesh.zero_cochain(g, 0, True), mesh.Face(0, 0), 0.0, mesh.unit_metric())
+
+    def test_normal_contract_periodic_axis_raises(self):
+        g = box_grid((4, 4), periodic=(True, False))
+        with pytest.raises(ValueError, match="normal_contract: periodic axis has no face"):
+            mesh.normal_contract(mesh.zero_cochain(g, 1, True), mesh.Face(0, 0), 0.0, mesh.unit_metric())
 
     @pytest.mark.parametrize("cells,lengths", [((4, 5), (1.2, 0.7)), ((4, 4, 5), (1.0, 1.4, 0.6))])
     def test_duality_with_hodge_trace(self, cells, lengths):
@@ -689,6 +696,16 @@ def reference_hodge_flat(lay, x, conf):
     return out
 
 
+def reference_normal_faces(lay, x):
+    """Face-node views of the normal-leg components of dual-family rows."""
+    m = lay.grid.dim
+    for i, axes in enumerate(lay.node_axes):
+        arr = lay.view(x, i)
+        for axis in axes:
+            yield np.moveaxis(arr, axis - m, -1)[..., 0]
+            yield np.moveaxis(arr, axis - m, -1)[..., -1]
+
+
 def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
@@ -716,9 +733,12 @@ class TestPrograms:
                     assert same_bits(mesh.d_flat(lay, rows), reference_d_flat(lay, rows))
                     assert same_bits(mesh.d_flat(lay, rows[1]), reference_d_flat(lay, rows[1]))
                 if dual:
-                    projected = np.ones(lay.size)
-                    projected[mesh.normal_face_sites(lay)] = 0.0
-                    assert same_bits(projected, mesh.project_flat(lay, np.ones(lay.size)))
+                    projected = rows.copy()
+                    for face in reference_normal_faces(lay, projected):
+                        face[...] = 0.0
+                    assert same_bits(mesh.project_flat(lay, rows.copy()), projected)
+                    faces = [np.max(np.abs(f), initial=0.0) for f in reference_normal_faces(lay, rows)]
+                    assert same_bits(np.float64(mesh.flux_maxabs_flat(lay, rows)), np.float64(max(faces, default=0.0)))
 
 
 class TestSampling:

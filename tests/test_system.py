@@ -46,6 +46,11 @@ class TestSignExponents:
         # codifferential of a random jet, the four split equations must hold
         assert system.fiber_equivalence_audit(n, k, trials=30, seed=RNG_SEED) < 1e-13
 
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_fiber_equivalence_degree_range(self, k):
+        with pytest.raises(ValueError, match=rf"field degree {k} out of range \[1, 2\]"):
+            system.fiber_equivalence_audit(3, k, trials=1)
+
 
 class TestFieldState:
     def test_degree_validation(self):
@@ -64,6 +69,12 @@ class TestFieldState:
         fe = mesh.zero_cochain(g, 1, True)
         fb = mesh.zero_cochain(g, 1, True)
         with pytest.raises(ValueError, match="primal"):
+            system.FieldState(0.0, fe, fb, 2)
+
+    def test_grid_validation(self):
+        fe = mesh.zero_cochain(box_grid((4, 4)), 1, False)
+        fb = mesh.zero_cochain(box_grid((4, 5)), 2, True)
+        with pytest.raises(ValueError, match="fe and fb live on different grids"):
             system.FieldState(0.0, fe, fb, 2)
 
 
@@ -104,6 +115,13 @@ class TestSplitAssemble:
         with pytest.raises(ValueError, match="degree"):
             system.split(
                 mesh.zero_cochain(g, 1, True), mesh.zero_cochain(g, 1, True), 0.0, mesh.unit_metric()
+            )
+
+    def test_primal_pieces_rejected(self):
+        g = box_grid((4, 4))
+        with pytest.raises(ValueError, match="spacetime form pieces must be dual-family cochains"):
+            system.split(
+                mesh.zero_cochain(g, 1, False), mesh.zero_cochain(g, 2, True), 0.0, mesh.unit_metric()
             )
 
 
