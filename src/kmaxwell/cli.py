@@ -51,11 +51,13 @@ SUPPORTED_N = (2, 3, 4, 5)
 SYMBOL_TABLE = ((2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3))
 
 # per-suite overrides of RunConfig's defaults; the one-sided solve audits need the
-# finer step for the differential/codifferential round trip to clear its tolerance
+# finer step for the differential/codifferential round trip to clear its tolerance,
+# and the pairing audit needs the torus (bundles on a box pair to zero)
 SUITE_DEFAULTS = {
     "identities": {"trials": 100},
     "symbol_audit": {"trials": 1000},
     "green_suite": {"dt": 0.0025, "steps": 240},
+    "symplectic_suite": {"periodic": True},
 }
 
 
@@ -215,6 +217,8 @@ def _validate(cfg: RunConfig) -> list[str]:
         errors.append("trials must be a positive integer")
     if cfg.seed < 0:
         errors.append("seed must be non-negative")
+    if cfg.out == "":
+        errors.append("out must not be empty")
     if cfg.experiment in ("green_suite", "symplectic_suite"):
         if cfg.a != "unit":
             errors.append(f"{cfg.experiment} requires the static scale factor a=unit")
@@ -230,6 +234,8 @@ def _validate(cfg: RunConfig) -> list[str]:
         errors.append("symplectic_suite requires n >= 3 so bundles span coupled degrees")
     if cfg.experiment == "symplectic_suite" and cfg.bundles == 1:
         errors.append("symplectic_suite requires at least two bundles to pair")
+    if cfg.experiment == "symplectic_suite" and not cfg.periodic:
+        errors.append("symplectic_suite pairs solution bundles on the torus; a box pairs them to zero")
     if cfg.experiment in ("evolve", "green_suite", "symplectic_suite") and not errors:
         # the grid, an evolve run's integration parameters, and the Courant guard
         # of green._integrate for the history marches, checked before any work starts
@@ -579,6 +585,9 @@ def main(argv=None) -> int:
             print("config error: seed must be non-negative")
             return 2
         cfg.seed = args.seed
+    if args.out == "":
+        print("config error: --out must not be empty")
+        return 2
     out_dir = args.out or cfg.out or f"out_{cfg.experiment}"
     try:
         manifest = run(cfg, out_dir)

@@ -615,30 +615,3 @@ def support_audit(series: MonitorSeries, radius: float, c_max: float) -> CheckRe
         return CheckResult("cone_leak", True, 0.0, CONE_LEAK_TOL, "zero state")
     worst = float(np.max(series.columns["cone_leak"])) / scale
     return CheckResult("cone_leak", worst < CONE_LEAK_TOL, worst, CONE_LEAK_TOL)
-
-
-def constraint_propagation_audit(
-    s0: system.FieldState,
-    src: system.SourceData,
-    metric: mesh.MetricField,
-    cfg: EvolveConfig,
-) -> dict:
-    """Evolve and report how the constraint-violation norms transport.
-
-    Theory predicts the residuals are advected, not amplified: their norms
-    stay at the initial value up to integrator error.  The report carries the
-    initial, final, and extremal norms plus relative drifts (over the larger
-    of the initial norm and the state scale, :meth:`MonitorSeries.relative_drift`).
-    """
-    final, series = evolve(s0, src, metric, cfg)
-    out = {"t_final": final.t}
-    for key in ("rE", "rB", "rbdy"):
-        vals = series.columns[key]
-        out[key] = {
-            "initial": float(vals[0]),
-            "final": float(vals[-1]),
-            "max": float(vals.max()),
-            "relative_drift": series.relative_drift(key),
-        }
-    out["state_scale"] = series.scale
-    return out

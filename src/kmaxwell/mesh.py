@@ -661,14 +661,6 @@ def hodge_inverse_sigma(c: Cochain, t: float, metric: MetricField, orientation: 
     return hodge_sigma(c, t, metric, sign * orientation)
 
 
-def codiff_sigma(c: Cochain, t: float, metric: MetricField) -> Cochain:
-    """Codifferential ``(-1)^k * hodge^{-1} d hodge``, degree k -> k-1."""
-    if c.degree < 1:
-        raise ValueError("codiff_sigma: degree-0 input")
-    inner = d_sigma(hodge_sigma(c, t, metric))
-    return ((-1) ** c.degree) * hodge_inverse_sigma(inner, t, metric)
-
-
 def pair_sigma(a: Cochain, b: Cochain, t: float, metric: MetricField, weight=None) -> float:
     """Slice inner product sum over cells: symmetric, positive definite.
 
@@ -730,47 +722,6 @@ def trace_pullback(c: Cochain, face: Face) -> Cochain:
     return out
 
 
-def normal_contract(c: Cochain, face: Face, t: float, metric: MetricField) -> Cochain:
-    """Interior product with the outward unit normal, restricted to a face.
-
-    Only components whose extent contains the face axis contribute.  For the
-    dual family those components carry exact face-node values; for the
-    primal family the nearest center layer is used (first-layer proxy, one
-    half cell inside).
-
-    Args:
-        c: cochain of degree >= 1.
-        face: boundary face.
-        t: time (the unit normal carries 1/a(t)).
-        metric: slice metric data.
-
-    Returns:
-        Face cochain of degree k-1 in the same family as ``c``.
-    """
-    if c.degree < 1:
-        raise ValueError("normal_contract: degree-0 input")
-    if c.grid.periodic[face.axis]:
-        raise ValueError("normal_contract: periodic axis has no face")
-    side_sign = 1.0 if face.side == 1 else -1.0
-    h_axis = c.grid.spacings[face.axis]
-    scale = float(metric.conf(t))
-    fg = face_grid(c.grid, face)
-    out = zero_cochain(fg, c.degree - 1, dual=c.dual)
-    for s, arr in c.comps.items():
-        if face.axis not in s:
-            continue
-        pos = s.index(face.axis)
-        factor = side_sign * ((-1.0) ** pos) / (scale * h_axis)
-        out.comps[_drop_axis(s, face.axis)][...] = factor * _face_slice(arr, face.axis, face.side)
-    return out
-
-
-def induced_orientation(face: Face) -> int:
-    """Orientation sign of a face under the outward-normal-first convention."""
-    sign = (-1) ** face.axis
-    return sign if face.side == 1 else -sign
-
-
 def project_normal_flux(c: Cochain) -> Cochain:
     """Zero the face-node values of every normal-leg component (dual family).
 
@@ -779,23 +730,3 @@ def project_normal_flux(c: Cochain) -> Cochain:
     projection is idempotent and commutes with the interior dynamics.
     """
     return c.lay.cochain(project_flat(c.lay, c.vec.copy()))
-
-
-def normal_flux_maxabs(c: Cochain) -> float:
-    """Largest face-node normal-leg value of a dual cochain (0 when projected)."""
-    return flux_maxabs_flat(c.lay, c.vec)
-
-
-def boundary_pairing(a: Cochain, b: Cochain, t: float, metric: MetricField) -> float:
-    """Sum over faces of <trace_pullback(a), normal_contract(b)> on the face.
-
-    This is the boundary term of the discrete summation-by-parts identity
-    ``<d a, b> - <a, codiff b> = boundary_pairing(a, b)`` for primal a of
-    degree k-1 and primal b of degree k.
-    """
-    total = 0.0
-    for face in faces(a.grid):
-        ta = trace_pullback(a, face)
-        nb = normal_contract(b, face, t, metric)
-        total += pair_sigma(ta, nb, t, metric)
-    return total

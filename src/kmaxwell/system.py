@@ -4,7 +4,6 @@ A degree-k spacetime field strength F on R x Sigma decomposes against dt into
 an electric component fe (degree n-k, primal family) and a magnetic component
 fb (degree k, dual family).  This module provides:
 
-* the split/assemble bijection between the spacetime pair and the state;
 * the split operator on flat rows, in its one home: the curl program
   :func:`curl_ops` (kept and rerun by the RK4 generator, run once by
   :func:`curls`) and the evolution slots :func:`slots`, which
@@ -15,8 +14,8 @@ fb (degree k, dual family).  This module provides:
 * the interior and boundary constraint residuals;
 * the principal symbol with its symmetry/positivity structure, and the full
   boundary admissibility audit of the flux-free subbundle;
-* fiber-level and mesh-level equivalence checks between the split system and
-  the covariant exterior-calculus form of the equations.
+* mesh-level equivalence checks between the split system and the covariant
+  exterior-calculus form of the equations.
 
 Sign exponents used throughout (n spacetime dimension, k field degree):
 ``eps_sign = (-1)^((n-k+1)(k+1)+1)`` on the magnetic curl in the electric
@@ -176,36 +175,6 @@ def family_rows(fn: Callable | None, times: np.ndarray):
     if getattr(fn, "vectorized", False):
         return fn(times)
     return np.stack([fn(float(t)) for t in times])
-
-
-def split(dt_part: mesh.Cochain, spatial_part: mesh.Cochain, t: float, metric: mesh.MetricField) -> FieldState:
-    """Recover the field state from a spacetime form's two spatial pieces.
-
-    A degree-k spacetime form is ``dt ^ X + Y`` with X of degree k-1 and Y of
-    degree k, both dual-family cochains; X equals the slice Hodge of the
-    electric component, so ``fe = hodge_inverse(X)`` and ``fb = Y``.
-
-    Args:
-        dt_part: X above (dual, degree k-1).
-        spatial_part: Y above (dual, degree k).
-        t: slice time for the Hodge inversion.
-        metric: slice metric data.
-
-    Returns:
-        FieldState with ``assemble`` as exact inverse.
-    """
-    k = spatial_part.degree
-    if dt_part.degree != k - 1:
-        raise ValueError("dt part must have degree one below the spatial part")
-    if not (dt_part.dual and spatial_part.dual):
-        raise ValueError("spacetime form pieces must be dual-family cochains")
-    fe = mesh.hodge_inverse_sigma(dt_part, t, metric)
-    return FieldState(t, fe, spatial_part.copy(), k)
-
-
-def assemble(s: FieldState, metric: mesh.MetricField) -> tuple[mesh.Cochain, mesh.Cochain]:
-    """Inverse of split: the (dt-part, spatial-part) pair of the field."""
-    return mesh.hodge_sigma(s.fe, s.t, metric), s.fb.copy()
 
 
 def curl_ops(lw: mesh.Layout, lb: mesh.Layout, w, fb, beta_w, beta_b, fac, curl_b, curl_e):
@@ -479,23 +448,6 @@ def symbol_matrix(xi0, xi_spatial: np.ndarray, beta, conf, n: int, k: int) -> np
     return out
 
 
-def principal_symbol(xi: np.ndarray, t: float, x: tuple, metric: mesh.MetricField, n: int, k: int) -> np.ndarray:
-    """Principal symbol for a spacetime covector at a point.
-
-    Args:
-        xi: length-n array (dt component first, then spatial components).
-        t: time of evaluation.
-        x: spatial point (length n-1).
-        metric: metric data supplying beta(t,x) and a(t).
-    """
-    xi = np.asarray(xi, dtype=float)
-    if xi.size != n:
-        raise ValueError(f"covector must have {n} components")
-    beta = float(np.asarray(metric.beta(t, *x)))
-    conf = float(metric.conf(t))
-    return symbol_matrix(xi[0], xi[1:], beta, conf, n, k)
-
-
 def classify_eigenvalues(eigs: np.ndarray, tol: float = EIGEN_TOL):
     """Counts of (kernel, positive, negative) eigenvalues with a +-tol band, along the last axis."""
     kernel = np.count_nonzero(np.abs(eigs) <= tol, axis=-1)
@@ -602,11 +554,6 @@ def boundary_basis(n: int, k: int, axis: int) -> np.ndarray:
     for j, c in enumerate(cols):
         basis[c, j] = 1.0
     return basis
-
-
-def boundary_rank(n: int, k: int) -> int:
-    """Dimension of the flux-free subbundle fiber: C(n-1,k-1)+C(n-2,k)."""
-    return comb(n - 1, k - 1) + comb(n - 2, k)
 
 
 def _complement_angle(basis: np.ndarray, image: np.ndarray) -> float:
@@ -727,104 +674,6 @@ def admissibility_audit(
 
 # ---------------------------------------------------------------------------
 # equivalence of the split system with the covariant equations
-
-
-def _spacetime_split(w: exterior.Form):
-    """Decompose a spacetime fiber form as dt ^ X + Y with spatial X, Y."""
-    m = w.dim - 1
-    j = w.degree
-    dt_part = exterior.zero(m, j - 1) if 1 <= j <= m + 1 else None
-    spatial = exterior.zero(m, j) if j <= m else None
-    for idx, s in enumerate(exterior.basis_tuples(w.dim, j)):
-        if 0 in s:
-            tail = tuple(a - 1 for a in s if a != 0)
-            dt_part.comps[exterior.basis_index(m, j - 1)[tail]] = w.comps[idx]
-        else:
-            tail = tuple(a - 1 for a in s)
-            spatial.comps[exterior.basis_index(m, j)[tail]] = w.comps[idx]
-    return dt_part, spatial
-
-
-def _spatial_d_from_jet(jet_parts: list, m: int):
-    """Exterior derivative of a spatial fiber form from its spatial jet."""
-    out = None
-    for i, part in enumerate(jet_parts):
-        if part.degree >= m:
-            return None
-        term = exterior.wedge(exterior.unit(m, (i,)), part)
-        out = term if out is None else out + term
-    return out
-
-
-def fiber_equivalence_audit(n: int, k: int, trials: int = 50, seed: int = 0) -> float:
-    """Check the split system against covariant d/codifferential at a fiber.
-
-    A random constant-coefficient first jet of the field is drawn on flat
-    spacetime (beta = 1, a = 1); the defect and current are *defined* as the
-    spacetime exterior derivative and codifferential of that jet, and the
-    four split equations are then evaluated exactly as algebra.  Any sign
-    error in the split system shows up as an O(1) residual.
-
-    Returns:
-        The maximum relative residual over all trials and equations.
-    """
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"field degree {k} out of range [1, {n - 1}]")
-    rng = np.random.default_rng(seed)
-    m = n - 1
-    g_spacetime = exterior.lorentzian(n)
-    g_slice = exterior.euclidean(m)
-    worst = 0.0
-
-    for _ in range(trials):
-        jet = [
-            exterior.Form(n, k, rng.standard_normal(exterior.space_dim(n, k)))
-            for _ in range(n)
-        ]
-        # defect and current from the covariant operations
-        zeta = None
-        for mu in range(n):
-            term = exterior.wedge(exterior.unit(n, (mu,)), jet[mu])
-            zeta = term if zeta is None else zeta + term
-        star_jet_d = None
-        for mu in range(n):
-            term = exterior.wedge(exterior.unit(n, (mu,)), exterior.hodge(jet[mu], g_spacetime))
-            star_jet_d = term if star_jet_d is None else star_jet_d + term
-        current = ((-1) ** k) * exterior.hodge_inverse(star_jet_d, g_spacetime)
-
-        jet_x, jet_y = zip(*(_spacetime_split(j) for j in jet))
-        ze_star, zb = _spacetime_split(zeta)
-        je_star, jb = _spacetime_split(current)
-
-        scale = max(np.max(np.abs(j.comps)) for j in jet) + 1.0
-
-        # electric evolution: d/dt F_E + eps d(*F_B) = sign *(j_B)
-        fe_dot = exterior.hodge_inverse(jet_x[0], g_slice)
-        curl_b = _spatial_d_from_jet([exterior.hodge(y, g_slice) for y in jet_y[1:]], m)
-        rhs_e = source_sign(n, k) * exterior.hodge(jb, g_slice)
-        res = fe_dot + eps_sign(n, k) * curl_b - rhs_e
-        worst = max(worst, np.max(np.abs(res.comps)) / scale)
-
-        # magnetic evolution: d/dt F_B - d(*F_E) = *(zeta_E)
-        curl_e = _spatial_d_from_jet(list(jet_x[1:]), m)
-        res = jet_y[0] - curl_e - ze_star
-        worst = max(worst, np.max(np.abs(res.comps)) / scale)
-
-        # electric constraint: d F_E = (-1)^(n-k) j_E
-        fe_jet = [exterior.hodge_inverse(x, g_slice) for x in jet_x[1:]]
-        div_e = _spatial_d_from_jet(fe_jet, m)
-        if div_e is not None:
-            je = exterior.hodge_inverse(je_star, g_slice)
-            res = div_e - ((-1) ** (n - k)) * je
-            worst = max(worst, np.max(np.abs(res.comps)) / scale)
-
-        # magnetic constraint: d F_B = zeta_B
-        div_b = _spatial_d_from_jet(list(jet_y[1:]), m)
-        if div_b is not None:
-            res = div_b - zb
-            worst = max(worst, np.max(np.abs(res.comps)) / scale)
-
-    return worst
 
 
 def split_system_residuals(

@@ -46,7 +46,7 @@ IDENTITIES = {**GENERAL_DEFAULTS, "experiment": "identities", "trials": 100}
 SYMBOL_AUDIT = {**GENERAL_DEFAULTS, "experiment": "symbol_audit", "trials": 1000}
 EVOLVE = {**GENERAL_DEFAULTS, "experiment": "evolve"}
 GREEN_SUITE = {**GENERAL_DEFAULTS, "experiment": "green_suite", "dt": 0.0025, "steps": 240}
-SYMPLECTIC_SUITE = {**GENERAL_DEFAULTS, "experiment": "symplectic_suite"}
+SYMPLECTIC_SUITE = {**GENERAL_DEFAULTS, "experiment": "symplectic_suite", "periodic": True}
 
 
 class TestParseConfig:
@@ -73,7 +73,7 @@ class TestParseConfig:
             ("symbol_audit", SYMBOL_AUDIT),
             ("evolve", {**EVOLVE, "cells": 32, "dt": 0.0125, "t_final": 1.25, "monitor_stride": 5}),
             ("green_suite", GREEN_SUITE),
-            ("symplectic_suite", {**SYMPLECTIC_SUITE, "periodic": True}),
+            ("symplectic_suite", SYMPLECTIC_SUITE),
         ],
     )
     def test_demo_config_resolves_every_key(self, name, expected):
@@ -200,6 +200,19 @@ class TestParseConfig:
         with pytest.raises(cli.ConfigError) as err:
             cli.parse_config(write_config(tmp_path, "experiment = symplectic_suite\nbundles = 0\n"))
         assert err.value.errors == ["bundles must be a positive integer"]
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_symplectic_suite_on_a_box_is_a_config_error(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, "experiment = symplectic_suite\nperiodic = false\n")
+        out = tmp_path / "out"
+        args = [command, "--config", cfg] + (["--out", out] if command == "run" else [])
+        code, printed = run_cli(args, capsys)
+        assert code == 2
+        assert (
+            "config error: symplectic_suite pairs solution bundles on the torus; a box pairs them to zero"
+            in printed
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize(
@@ -541,6 +554,21 @@ class TestCliInterface:
         assert code == 0 and (tmp_path / "from_config" / "manifest.json").exists()
         code, _ = run_cli(["run", "--config", cfg, "--out", "from_flag"], capsys)
         assert code == 0 and (tmp_path / "from_flag" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_empty_out_in_the_config_is_a_usage_error(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, "experiment = identities\ntrials = 2\nout =\n")
+        code, printed = run_cli([command, "--config", cfg], capsys)
+        assert code == 2 and "config error: out must not be empty" in printed
+        assert not (tmp_path / "out_identities").exists()
+
+    def test_empty_out_flag_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, "experiment = identities\ntrials = 2\n")
+        code, printed = run_cli(["run", "--config", cfg, "--out", ""], capsys)
+        assert code == 2 and "config error: --out must not be empty" in printed
+        assert not (tmp_path / "out_identities").exists()
 
     def test_validate_success_echoes_config(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "experiment = evolve\nseed = 5\n")

@@ -9,8 +9,8 @@ import pytest
 from scipy.linalg import expm
 from test_system import CROSS_PATH_METRICS
 
-from kmaxwell import evolution, green, io, manufactured, mesh, system
-from kmaxwell.tolerances import ENERGY_DRIFT_TOL, LINEARITY_TOL
+from kmaxwell import cli, evolution, green, io, manufactured, mesh, system
+from kmaxwell.tolerances import CONSTRAINT_DRIFT_TOL, ENERGY_DRIFT_TOL, LINEARITY_TOL
 
 RNG_SEED = 660917
 ORACLE_TOL = 1e-8
@@ -195,6 +195,44 @@ class TestEnergyConservation:
         assert drift1 / drift2 > 12.0
 
 
+def energy_skew_defect(grid, k, metric, boundary_mode):
+    """max|HA + A^T H| / max|HA| of the projected generator A in the energy form H.
+
+    A is ``operator_matrix`` on the entries the boundary projection leaves
+    free; H is diagonal, the ``pair_flat`` weight of each entry times the
+    lapse there, on both the w and the fb entries (``fe^2/beta + beta fb^2``).
+    """
+    gen = evolution.Generator(grid, k, metric, system.zero_sources(grid, k), boundary_mode, 0.0)
+    lapse = gen.lapse(0.0)
+    weights = np.concatenate([
+        mesh.pair_flat(lay, np.eye(lay.size), np.eye(lay.size), 1.0, beta)
+        for lay, beta in zip((gen.lw, gen.lb), lapse)
+    ])
+    free = gen.project(np.ones(weights.size)) != 0.0
+    a = evolution.operator_matrix(grid, k, metric, 0.0, boundary_mode)[np.ix_(free, free)]
+    ha = weights[free, None] * a
+    return np.abs(ha + ha.T).max() / np.abs(ha).max()
+
+
+# (n, cells per axis, torus, k): the 8^2 box and torus at every k of n = 3, the 6^3 box at every k of n = 4
+ENERGY_IDENTITY_CASES = [(3, 8, p, k) for p in (False, True) for k in (1, 2)] + [(4, 6, False, k) for k in (1, 2, 3)]
+
+
+class TestEnergyIdentity:
+    """The projected generator is skew-adjoint in the energy form H (static metric)."""
+
+    @pytest.mark.parametrize("beta", sorted(cli.BETA_CATALOGUE))
+    @pytest.mark.parametrize(
+        "n,cells,periodic,k", ENERGY_IDENTITY_CASES,
+        ids=[f"n{n}-{'torus' if p else 'box'}-k{k}" for n, _, p, k in ENERGY_IDENTITY_CASES],
+    )
+    def test_skew_adjoint_in_energy_form(self, n, cells, periodic, k, beta):
+        grid = box_grid(n, cells, 0.01, periodic=(True,) * (n - 1) if periodic else None)
+        metric = mesh.MetricField(beta=cli.BETA_CATALOGUE[beta](1.0))
+        mode = "periodic_test" if periodic else "project_B"
+        assert energy_skew_defect(grid, k, metric, mode) <= LINEARITY_TOL
+
+
 class TestEvolve:
     def test_bitwise_determinism(self):
         grid = box_grid(3, 12, 0.4 / 24)
@@ -260,7 +298,7 @@ class TestEvolve:
         s0 = system.random_state(grid, 2, rng)  # flux NOT zero initially
         cfg = evolution.EvolveConfig(t_final=5 * grid.dt, cfl=0.4)
         final, _ = evolution.evolve(s0, system.zero_sources(grid, 2), met, cfg)
-        assert mesh.normal_flux_maxabs(final.fb) == 0.0
+        assert mesh.flux_maxabs_flat(final.fb.lay, final.fb.vec) == 0.0
 
     @pytest.mark.filterwarnings("ignore:overflow|invalid value:RuntimeWarning")
     def test_instability_reports_last_stable_state(self):
@@ -308,10 +346,10 @@ class TestConstraintPreservation:
         src = system.zero_sources(grid, 2)
         assert evolution.validate_problem(s0, src, grid, met).passed
         cfg = evolution.EvolveConfig(t_final=100 * dt, cfl=0.4, monitor_stride=10)
-        report = evolution.constraint_propagation_audit(s0, src, met, cfg)
-        assert report["rE"]["relative_drift"] < 1e-6
-        assert report["rB"]["relative_drift"] < 1e-6
-        assert report["rbdy"]["max"] == 0.0
+        _, series = evolution.evolve(s0, src, met, cfg)
+        assert series.relative_drift("rE") < 1e-6
+        assert series.relative_drift("rB") < 1e-6
+        assert series.columns["rbdy"].max() == 0.0
 
     def test_injected_violation_is_transported_not_amplified(self):
         grid = periodic_grid(3, 16, 0.4 / 16)
@@ -322,9 +360,21 @@ class TestConstraintPreservation:
         cfg = evolution.EvolveConfig(
             t_final=100 * grid.dt, cfl=0.4, boundary_mode="periodic_test", monitor_stride=20
         )
-        report = evolution.constraint_propagation_audit(s0, system.zero_sources(grid, 1), met, cfg)
-        assert report["rB"]["initial"] > 0.1
-        assert report["rB"]["relative_drift"] < 1e-3
+        _, series = evolution.evolve(s0, system.zero_sources(grid, 1), met, cfg)
+        assert series.columns["rB"][0] > 0.1
+        assert series.relative_drift("rB") < 1e-3
+
+    @pytest.mark.parametrize("mode", ["periodic_test", "project_B"])
+    def test_current_without_charge_drifts(self, mode):
+        # a constant magnetic current with no electric one breaks continuity, so
+        # validate_problem would reject it; the electric constraint grows from zero
+        grid = box_grid(3, 16, 0.4 / 32, periodic=(True, True) if mode == "periodic_test" else None)
+        row = np.random.default_rng(RNG_SEED).standard_normal(mesh.cochain_size(grid, 1, True))
+        src = system.SourceData(grid, 2, (0.0, 1.0), jb=lambda t: row)
+        cfg = evolution.EvolveConfig(t_final=20 * grid.dt, cfl=0.4, boundary_mode=mode, monitor_stride=5)
+        _, series = evolution.evolve(system.zero_state(grid, 2), src, mesh.unit_metric(), cfg)
+        assert series.columns["rE"][0] == 0.0
+        assert series.relative_drift("rE") > CONSTRAINT_DRIFT_TOL
 
     def test_injected_boundary_violation_keeps_flux_enforced(self):
         grid = box_grid(3, 16, 0.4 / 32)
@@ -334,7 +384,7 @@ class TestConstraintPreservation:
         cfg = evolution.EvolveConfig(t_final=10 * grid.dt, cfl=0.4, monitor_stride=2)
         final, series = evolution.evolve(s0, system.zero_sources(grid, 2), met, cfg)
         assert np.all(series.columns["rbdy"] > 0.0)
-        assert mesh.normal_flux_maxabs(final.fb) == 0.0
+        assert mesh.flux_maxabs_flat(final.fb.lay, final.fb.vec) == 0.0
 
 
 class TestSupportAudit:

@@ -29,6 +29,104 @@ def box_grid(cells, lengths=None, periodic=None):
                          periodic=periodic)
 
 
+def _spacetime_split(w: exterior.Form):
+    """Decompose a spacetime fiber form as dt ^ X + Y with spatial X, Y."""
+    m = w.dim - 1
+    j = w.degree
+    dt_part = exterior.zero(m, j - 1) if 1 <= j <= m + 1 else None
+    spatial = exterior.zero(m, j) if j <= m else None
+    for idx, s in enumerate(exterior.basis_tuples(w.dim, j)):
+        if 0 in s:
+            tail = tuple(a - 1 for a in s if a != 0)
+            dt_part.comps[exterior.basis_index(m, j - 1)[tail]] = w.comps[idx]
+        else:
+            tail = tuple(a - 1 for a in s)
+            spatial.comps[exterior.basis_index(m, j)[tail]] = w.comps[idx]
+    return dt_part, spatial
+
+
+def _spatial_d_from_jet(jet_parts: list, m: int):
+    """Exterior derivative of a spatial fiber form from its spatial jet."""
+    out = None
+    for i, part in enumerate(jet_parts):
+        if part.degree >= m:
+            return None
+        term = exterior.wedge(exterior.unit(m, (i,)), part)
+        out = term if out is None else out + term
+    return out
+
+
+def fiber_equivalence_audit(n: int, k: int, trials: int = 50, seed: int = 0) -> float:
+    """Check the split system against covariant d/codifferential at a fiber.
+
+    A random constant-coefficient first jet of the field is drawn on flat
+    spacetime (beta = 1, a = 1); the defect and current are *defined* as the
+    spacetime exterior derivative and codifferential of that jet, and the
+    four split equations are then evaluated exactly as algebra.  Any sign
+    error in the split system shows up as an O(1) residual.
+
+    Returns:
+        The maximum relative residual over all trials and equations.
+    """
+    if not 1 <= k <= n - 1:
+        raise ValueError(f"field degree {k} out of range [1, {n - 1}]")
+    rng = np.random.default_rng(seed)
+    m = n - 1
+    g_spacetime = exterior.lorentzian(n)
+    g_slice = exterior.euclidean(m)
+    worst = 0.0
+
+    for _ in range(trials):
+        jet = [
+            exterior.Form(n, k, rng.standard_normal(exterior.space_dim(n, k)))
+            for _ in range(n)
+        ]
+        # defect and current from the covariant operations
+        zeta = None
+        for mu in range(n):
+            term = exterior.wedge(exterior.unit(n, (mu,)), jet[mu])
+            zeta = term if zeta is None else zeta + term
+        star_jet_d = None
+        for mu in range(n):
+            term = exterior.wedge(exterior.unit(n, (mu,)), exterior.hodge(jet[mu], g_spacetime))
+            star_jet_d = term if star_jet_d is None else star_jet_d + term
+        current = ((-1) ** k) * exterior.hodge_inverse(star_jet_d, g_spacetime)
+
+        jet_x, jet_y = zip(*(_spacetime_split(j) for j in jet))
+        ze_star, zb = _spacetime_split(zeta)
+        je_star, jb = _spacetime_split(current)
+
+        scale = max(np.max(np.abs(j.comps)) for j in jet) + 1.0
+
+        # electric evolution: d/dt F_E + eps d(*F_B) = sign *(j_B)
+        fe_dot = exterior.hodge_inverse(jet_x[0], g_slice)
+        curl_b = _spatial_d_from_jet([exterior.hodge(y, g_slice) for y in jet_y[1:]], m)
+        rhs_e = system.source_sign(n, k) * exterior.hodge(jb, g_slice)
+        res = fe_dot + system.eps_sign(n, k) * curl_b - rhs_e
+        worst = max(worst, np.max(np.abs(res.comps)) / scale)
+
+        # magnetic evolution: d/dt F_B - d(*F_E) = *(zeta_E)
+        curl_e = _spatial_d_from_jet(list(jet_x[1:]), m)
+        res = jet_y[0] - curl_e - ze_star
+        worst = max(worst, np.max(np.abs(res.comps)) / scale)
+
+        # electric constraint: d F_E = (-1)^(n-k) j_E
+        fe_jet = [exterior.hodge_inverse(x, g_slice) for x in jet_x[1:]]
+        div_e = _spatial_d_from_jet(fe_jet, m)
+        if div_e is not None:
+            je = exterior.hodge_inverse(je_star, g_slice)
+            res = div_e - ((-1) ** (n - k)) * je
+            worst = max(worst, np.max(np.abs(res.comps)) / scale)
+
+        # magnetic constraint: d F_B = zeta_B
+        div_b = _spatial_d_from_jet(list(jet_y[1:]), m)
+        if div_b is not None:
+            res = div_b - zb
+            worst = max(worst, np.max(np.abs(res.comps)) / scale)
+
+    return worst
+
+
 class TestSignExponents:
     def test_frozen_exponent_values(self):
         # hand evaluation of the two exponents at n=4, k=2
@@ -44,12 +142,12 @@ class TestSignExponents:
     def test_split_system_matches_covariant_equations(self, n, k):
         # defining the current/defect through the covariant derivative and
         # codifferential of a random jet, the four split equations must hold
-        assert system.fiber_equivalence_audit(n, k, trials=30, seed=RNG_SEED) < 1e-13
+        assert fiber_equivalence_audit(n, k, trials=30, seed=RNG_SEED) < 1e-13
 
     @pytest.mark.parametrize("k", [0, 3])
     def test_fiber_equivalence_degree_range(self, k):
         with pytest.raises(ValueError, match=rf"field degree {k} out of range \[1, 2\]"):
-            system.fiber_equivalence_audit(3, k, trials=1)
+            fiber_equivalence_audit(3, k, trials=1)
 
 
 class TestFieldState:
@@ -76,53 +174,6 @@ class TestFieldState:
         fb = mesh.zero_cochain(box_grid((4, 5)), 2, True)
         with pytest.raises(ValueError, match="fe and fb live on different grids"):
             system.FieldState(0.0, fe, fb, 2)
-
-
-class TestSplitAssemble:
-    def test_purely_spatial_gives_zero_electric(self):
-        g = box_grid((4, 5))
-        rng = np.random.default_rng(RNG_SEED)
-        fb = mesh.random_cochain(g, 2, True, rng)
-        s = system.split(mesh.zero_cochain(g, 1, True), fb, 0.0, mesh.unit_metric())
-        assert mesh.max_pointwise(s.fe) == 0.0
-        np.testing.assert_array_equal(s.fb.comps[(0, 1)], fb.comps[(0, 1)])
-
-    def test_pure_dt_part_inverts_hodge(self):
-        g = box_grid((4, 5), lengths=(0.9, 1.7))
-        rng = np.random.default_rng(RNG_SEED)
-        metric = mesh.MetricField(conf=lambda t: 1.2)
-        eta = mesh.random_cochain(g, 1, False, rng)
-        s = system.split(
-            mesh.hodge_sigma(eta, 0.3, metric), mesh.zero_cochain(g, 2, True), 0.3, metric
-        )
-        for comp in s.fe.comps:
-            np.testing.assert_allclose(s.fe.comps[comp], eta.comps[comp], rtol=1e-14)
-
-    def test_roundtrip(self):
-        g = box_grid((4, 4, 4), lengths=(1.0, 1.3, 0.7))
-        rng = np.random.default_rng(RNG_SEED)
-        metric = mesh.MetricField(conf=lambda t: 0.8)
-        s = system.random_state(g, 2, rng, t=0.1)
-        dt_part, spatial = system.assemble(s, metric)
-        back = system.split(dt_part, spatial, s.t, metric)
-        for comp in s.fe.comps:
-            np.testing.assert_allclose(back.fe.comps[comp], s.fe.comps[comp], rtol=1e-14)
-        for comp in s.fb.comps:
-            np.testing.assert_array_equal(back.fb.comps[comp], s.fb.comps[comp])
-
-    def test_degree_mismatch(self):
-        g = box_grid((4, 4))
-        with pytest.raises(ValueError, match="degree"):
-            system.split(
-                mesh.zero_cochain(g, 1, True), mesh.zero_cochain(g, 1, True), 0.0, mesh.unit_metric()
-            )
-
-    def test_primal_pieces_rejected(self):
-        g = box_grid((4, 4))
-        with pytest.raises(ValueError, match="spacetime form pieces must be dual-family cochains"):
-            system.split(
-                mesh.zero_cochain(g, 1, False), mesh.zero_cochain(g, 2, True), 0.0, mesh.unit_metric()
-            )
 
 
 class TestApplyS:
@@ -500,21 +551,6 @@ class TestPrincipalSymbol:
         np.testing.assert_array_equal(sig, np.diag([0.25, 1.0, 1.0]))
 
     @pytest.mark.parametrize("n,k", SUPPORTED_PAIRS)
-    def test_principal_symbol_samples_the_metric(self, n, k):
-        metric = mesh.MetricField(
-            beta=lambda t, *x: 1.3 + 0.2 * np.sin(x[0] + t), conf=lambda t: 1.7 + 0.1 * t
-        )
-        rng = np.random.default_rng(RNG_SEED + 10 * n + k)
-        xi, x, t = rng.standard_normal(n), tuple(rng.uniform(0.0, 1.0, n - 1)), 0.37
-        want = system.symbol_matrix(xi[0], xi[1:], metric.beta(t, *x), metric.conf(t), n, k)
-        got = system.principal_symbol(xi, t, x, metric, n, k)
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-
-    def test_covector_length_checked(self):
-        with pytest.raises(ValueError, match="components"):
-            system.principal_symbol(np.ones(3), 0.0, (0.5, 0.5, 0.5), mesh.unit_metric(), 4, 2)
-
-    @pytest.mark.parametrize("n,k", SUPPORTED_PAIRS)
     def test_symmetry_defect(self, n, k):
         rng = np.random.default_rng(RNG_SEED + n * 10 + k)
         for _ in range(100):
@@ -644,11 +680,10 @@ class TestAdmissibility:
         for n, k in SUPPORTED_PAIRS:
             for axis in range(n - 1):
                 basis = system.boundary_basis(n, k, axis)
-                assert basis.shape[1] == system.boundary_rank(n, k)
                 assert basis.shape[1] == comb(n - 1, k - 1) + comb(n - 2, k)
 
     def test_frozen_rank_example(self):
-        assert system.boundary_rank(4, 2) == comb(3, 1) + comb(2, 2) == 4
+        assert system.boundary_basis(4, 2, 0).shape[1] == comb(3, 1) + comb(2, 2) == 4
 
     @pytest.mark.parametrize("n,k", SUPPORTED_PAIRS)
     def test_all_faces_pass(self, n, k):

@@ -1,0 +1,147 @@
+"""Mutation probe: does tier-1 catch each of a fixed table of single-line mutants?
+
+For every mutant in ``MUTANTS`` the probe copies the repository into a
+temporary directory, applies the mutant's one exact-string replacement to a
+file under ``src/``, runs the tier-1 suite there with ``-x``, and prints
+``caught`` (the suite failed) or ``survived`` (it passed).  A replacement
+whose text is not found exactly once in the current source aborts the probe
+before anything runs, so the table cannot silently go stale, and so does a
+failure of the suite on an unmutated copy, which would count every mutant
+as caught.
+
+Standard library only; pytest does not collect this file.  Run from the
+repository root::
+
+    python3 tools/mutants.py
+
+It runs the unmutated copy, then every mutant one after another.  The exit
+status is 0 when every mutant was caught and 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# name -> (file under the repository root, exact original text, replacement)
+MUTANTS = {
+    "source_lapse": (
+        "src/kmaxwell/evolution.py",
+        "return None if src_e is None else self._beta[0] * src_e, src_b",
+        "return src_e, src_b",
+    ),
+    "current_lapse": (
+        "src/kmaxwell/green.py",
+        "weight = 1.0 / mesh.sample_lapse(lb, metric, times)",
+        "weight = mesh.sample_lapse(lb, metric, times)",
+    ),
+    "trapezoid_end": (
+        "src/kmaxwell/mesh.py",
+        "prod[_along(axis - m, -1)] *= 0.5",
+        "prod[_along(axis - m, -1)] *= 1.0",
+    ),
+    "rk4_third_stage": (
+        "src/kmaxwell/evolution.py",
+        "    stage_input(k, dt)\n",
+        "    stage_input(k, dt / 2)\n",
+    ),
+    "stage_projection": (
+        "src/kmaxwell/evolution.py",
+        "        np.add(y, ys, out=ys)\n        gen.project(ys)\n",
+        "        np.add(y, ys, out=ys)\n",
+    ),
+    "conformal_power": (
+        "src/kmaxwell/mesh.py",
+        "power = _conf_power(conf, m - 2 * lay.degree)",
+        "power = _conf_power(conf, m - lay.degree)",
+    ),
+    "boundary_residual": (
+        "src/kmaxwell/system.py",
+        "max(map(norm, (r_bdy or {}).values()), default=0.0)",
+        "0.0",
+    ),
+    "magnetic_energy": (
+        "src/kmaxwell/evolution.py",
+        "weight=inv_b2) + mesh.pair_sigma(",
+        "weight=inv_b2) + 0.0 * mesh.pair_sigma(",
+    ),
+    "cone_halo": (
+        "src/kmaxwell/evolution.py",
+        "+ CONE_HALO_CELLS * max(grid.spacings)",
+        "+ 2 * CONE_HALO_CELLS * max(grid.spacings)",
+    ),
+    "ramp_ze_sign": (
+        "src/kmaxwell/green.py",
+        "ze = values[:, None] * base.ze + rates[:, None] * ramp_ze",
+        "ze = values[:, None] * base.ze - rates[:, None] * ramp_ze",
+    ),
+    "courant_bound": (
+        "src/kmaxwell/evolution.py",
+        "limit = stable_dt(grid, metric, MAX_CFL, t_span)",
+        "limit = 2 * stable_dt(grid, metric, MAX_CFL, t_span)",
+    ),
+    "drift": (
+        "src/kmaxwell/evolution.py",
+        "return abs(last - first) / max(first, self.scale)",
+        "return 0.0",
+    ),
+}
+
+# a mutant that makes tier-1 hang (tier-1 takes well under a minute) counts as caught
+TIMEOUT_S = 600
+TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
+SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", ".perfbench", "out_*", "*.egg-info")
+
+
+def check_table() -> None:
+    """Raise SystemExit unless every mutant's text occurs exactly once."""
+    for name, (path, old, _) in MUTANTS.items():
+        count = (ROOT / path).read_text(encoding="utf-8").count(old)
+        if count != 1:
+            raise SystemExit(f"mutant {name}: expected one match in {path}, found {count}")
+
+
+def run_mutant(name: str | None) -> tuple[bool, float, str]:
+    """Tier-1 on a copy with the named mutant (None: unmutated): (failed, seconds, first failing test or '')."""
+    with tempfile.TemporaryDirectory(prefix=f"mutant-{name}-") as tmp:
+        tree = Path(tmp) / "tree"
+        shutil.copytree(ROOT, tree, ignore=SKIP)
+        if name is not None:
+            path, old, new = MUTANTS[name]
+            target = tree / path
+            target.write_text(target.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
+        env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+        start = time.perf_counter()
+        try:
+            proc = subprocess.run(TIER1, cwd=tree, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return True, time.perf_counter() - start, f"timed out after {TIMEOUT_S} s"
+        seconds = time.perf_counter() - start
+    failed = [line.split()[1] for line in proc.stdout.splitlines() if line.startswith(("FAILED ", "ERROR "))]
+    return proc.returncode != 0, seconds, failed[0] if failed else ""
+
+
+def main() -> int:
+    check_table()
+    failed, seconds, first = run_mutant(None)
+    print(f"{'unmutated':<18} {'FAILED' if failed else 'passed':<9} {seconds:6.1f} s  {first}", flush=True)
+    if failed:
+        return 1
+    caught = 0
+    for name in MUTANTS:
+        hit, seconds, first = run_mutant(name)
+        caught += hit
+        print(f"{name:<18} {'caught' if hit else 'SURVIVED':<9} {seconds:6.1f} s  {first}", flush=True)
+    print(f"{caught} of {len(MUTANTS)} mutants caught")
+    return 0 if caught == len(MUTANTS) else 1
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
