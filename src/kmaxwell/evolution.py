@@ -88,10 +88,6 @@ class MonitorSeries:
             raise ValueError("monitor time stamps must increase")
 
     @property
-    def times(self) -> np.ndarray:
-        return np.asarray(self.columns["time"])
-
-    @property
     def scale(self) -> float:
         """The largest sampled state magnitude, floored at 1e-300."""
         return max(float(self.state_max.max()), 1e-300)
@@ -109,12 +105,6 @@ class ValidationReport:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def failures(self) -> list:
-        return [c for c in self.checks if not c.passed]
-
-    def to_dict(self) -> dict:
-        return {"passed": self.passed, "checks": [c.to_dict() for c in self.checks]}
 
 
 def _lapse_probe(grid: mesh.GridSpec, metric: mesh.MetricField, t: float) -> np.ndarray:

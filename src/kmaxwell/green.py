@@ -14,7 +14,17 @@ batched ``system.rhs_sources`` call on the distinct RK4 stage times of those
 steps; the source families built here (the linear-in-time interpolants of a
 :class:`SourceHistory` and the window-profile families of
 :func:`random_source_pair`) are ``system.vectorized``, each batched row equal
-bit for bit to its one-time row.
+bit for bit to its one-time row.  Every march is a block of initial states
+sharing one source family and one generator, marched as one ``(B, N)``
+array; a single solve is a block of one, and
+:func:`random_solution_bundles` marches each degree of many bundles as one
+block, every row bit for bit its own march.
+
+The pairing of two bundles is a Stieltjes sum of a slice current against
+d(chi).  The current does not depend on the cutoff, so
+:func:`pairing_currents` computes it once per ordered pair, from one Hodge
+image per history, and :func:`cutoff_pairing` integrates it against any
+cutoff; :func:`presymplectic` is the two composed for one pair.
 
 Histories are time-major float64 arrays of cochain vectors at uniformly
 spaced slice times; fields (:class:`History`) and sources
@@ -26,6 +36,7 @@ realized as bundles: plain dicts (or sequences) of single-degree histories.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -397,11 +408,15 @@ def _as_source_data(src, grid) -> system.SourceData:
 # one-sided and causal solution operators
 
 
-def _integrate(grid, k, metric, data, t_start, n_steps, dt, state0=None) -> History:
-    """March the split system, storing every slice; dt may be negative.
+def _march_block(grid, k, metric, data, t_start, n_steps, dt, states) -> list:
+    """March a block of initial states as one ``(B, N)`` array; one History per state.
 
-    The sources are tabulated for ``SOURCE_TABLE_STEPS`` steps at a time
-    (``Generator.tabulate``), from the same step times the march takes.
+    ``states`` holds a ``system.FieldState`` or None (zero data) per row;
+    every row shares the sources ``data`` and is bit for bit the march of
+    its state alone, since the RK4 step acts on each row elementwise.  dt
+    may be negative.  The sources are tabulated for ``SOURCE_TABLE_STEPS``
+    steps at a time (``Generator.tabulate``), from the same step times the
+    march takes.
     """
     if n_steps > MAX_HISTORY_STEPS:
         raise ValueError(f"history of {n_steps} steps exceeds the {MAX_HISTORY_STEPS}-step budget")
@@ -411,21 +426,27 @@ def _integrate(grid, k, metric, data, t_start, n_steps, dt, state0=None) -> Hist
     evolution.require_stable_dt(grid, metric, dt, (min(t_start, t_end), max(t_start, t_end)))
     gen = evolution.Generator(grid, k, metric, data, "project_B", t_start)
     nw = gen.nw
-    y = gen.project(np.zeros(nw + gen.lb.size) if state0 is None else gen.rows(state0))
-    fe_rows = np.empty((n_steps + 1, nw))
-    fb_rows = np.empty((n_steps + 1, gen.lb.size))
+    zero = np.zeros(nw + gen.lb.size)
+    y = gen.project(np.stack([zero if s is None else gen.rows(s) for s in states]))
+    fe_rows = np.empty((len(y), n_steps + 1, nw))
+    fb_rows = np.empty((len(y), n_steps + 1, gen.lb.size))
     times = t_start + dt * np.arange(n_steps + 1)
     for i in range(n_steps + 1):
         t = float(times[i])
-        fe_rows[i] = y[:nw] * gen.lapse(t)[0]
-        fb_rows[i] = y[nw:]
+        fe_rows[:, i] = y[:, :nw] * gen.lapse(t)[0]
+        fb_rows[:, i] = y[:, nw:]
         if i < n_steps:
             if i % SOURCE_TABLE_STEPS == 0:
                 gen.tabulate([float(s) for s in times[i : min(i + SOURCE_TABLE_STEPS, n_steps)]], dt)
             y = evolution._rk4_step(t, y, gen, dt)
     if dt < 0:
-        times, fe_rows, fb_rows = times[::-1].copy(), fe_rows[::-1].copy(), fb_rows[::-1].copy()
-    return History(grid, k, times, fe_rows, fb_rows)
+        times, fe_rows, fb_rows = times[::-1].copy(), fe_rows[:, ::-1].copy(), fb_rows[:, ::-1].copy()
+    return [History(grid, k, times, fe, fb) for fe, fb in zip(fe_rows, fb_rows)]
+
+
+def _integrate(grid, k, metric, data, t_start, n_steps, dt, state0=None) -> History:
+    """March the split system from one state (zero data when None), storing every slice."""
+    return _march_block(grid, k, metric, data, t_start, n_steps, dt, [state0])[0]
 
 
 def _solve_plan(grid, data, t_start, t_final):
@@ -782,14 +803,14 @@ def solution_history(
     return _integrate(grid, k, metric, data, grid.t0, n_steps, grid.dt, state0=state)
 
 
-def random_solution_bundle(
+def random_solution_bundles(
     grid: mesh.GridSpec,
     metric: mesh.MetricField,
     n_steps: int,
-    seed: int = 0,
+    seeds,
     degrees=None,
-) -> dict:
-    """Random homogeneous solution bundle {degree: history} for pairings.
+) -> list:
+    """Random homogeneous solution bundles {degree: history} for pairings, one per seed.
 
     Each degree is evolved from coboundary bump data.  On fully periodic
     grids the data additionally carries random constant modes in both
@@ -798,39 +819,58 @@ def random_solution_bundle(
     box without handles leaves visible to the pre-symplectic pairing, so
     bundles built here pair to machine zero unless every axis is periodic.
 
+    Every bundle's data is drawn first, each seed's in ascending degree
+    order, and then each degree of all bundles is marched as one block, so
+    every history is bit for bit the one-seed bundle's.
+
     Args:
         grid: spatial grid.
         metric: lapse and conformal factor.
         n_steps: history length in steps, from ``grid.t0``.
-        seed: reproducible data seed.
+        seeds: reproducible data seeds, one bundle each.
         degrees: iterable of field degrees (default: all of 1..n-1).
 
     Returns:
-        dict mapping each degree to its History.
+        list of dicts mapping each degree to its History, in seed order.
     """
     n = grid.n
     if degrees is None:
         degrees = range(1, n)
-    rng = np.random.default_rng(seed)
+    degrees = sorted(set(int(d) for d in degrees))
+    seeds = list(seeds)
     t0 = grid.t0
     data_free = all(grid.periodic)
-    out = {}
-    for k in sorted(set(int(d) for d in degrees)):
-        center = np.asarray(grid.lengths) * rng.uniform(0.42, 0.58, size=grid.dim)
-        radius = float(rng.uniform(0.15, 0.22) * min(grid.lengths))
-        state, _ = manufactured.bump_state(
-            grid, k, metric, t=t0, center=center, radius=radius, seed=int(rng.integers(2**31))
-        )
-        fe, fb = state.fe, state.fb
-        if data_free:
-            constant = _constant_cochain(grid, n - k, False, rng.uniform(-1.0, 1.0, size=4))
-            fe = fe + mesh.multiply_scalar(constant, metric.beta, t0)
-            fb = fb + _constant_cochain(grid, k, True, rng.uniform(-1.0, 1.0, size=4))
-        st = system.FieldState(t=t0, fe=fe, fb=fb, k=k)
-        out[k] = _integrate(
-            grid, k, metric, system.zero_sources(grid, k), t0, n_steps, grid.dt, state0=st
-        )
-    return out
+    states = {k: [] for k in degrees}
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        for k in degrees:
+            center = np.asarray(grid.lengths) * rng.uniform(0.42, 0.58, size=grid.dim)
+            radius = float(rng.uniform(0.15, 0.22) * min(grid.lengths))
+            state, _ = manufactured.bump_state(
+                grid, k, metric, t=t0, center=center, radius=radius, seed=int(rng.integers(2**31))
+            )
+            fe, fb = state.fe, state.fb
+            if data_free:
+                constant = _constant_cochain(grid, n - k, False, rng.uniform(-1.0, 1.0, size=4))
+                fe = fe + mesh.multiply_scalar(constant, metric.beta, t0)
+                fb = fb + _constant_cochain(grid, k, True, rng.uniform(-1.0, 1.0, size=4))
+            states[k].append(system.FieldState(t=t0, fe=fe, fb=fb, k=k))
+    marched = {
+        k: _march_block(grid, k, metric, system.zero_sources(grid, k), t0, n_steps, grid.dt, rows)
+        for k, rows in states.items()
+    }
+    return [{k: marched[k][b] for k in degrees} for b in range(len(seeds))]
+
+
+def random_solution_bundle(
+    grid: mesh.GridSpec,
+    metric: mesh.MetricField,
+    n_steps: int,
+    seed: int = 0,
+    degrees=None,
+) -> dict:
+    """One random homogeneous solution bundle: :func:`random_solution_bundles` of one seed."""
+    return random_solution_bundles(grid, metric, n_steps, [seed], degrees)[0]
 
 
 def _smooth_components(c: mesh.Cochain, passes: int) -> mesh.Cochain:
@@ -947,30 +987,47 @@ def exact_sequence_suite(
     times = t0 + dt * np.arange(steps + 1)
     window = (t0 + span / 6.0, t0 + 5.0 * span / 6.0)
     out = {"defect_a": [], "defect_b": [], "defect_c": []}
+    # one helper per statement, so each statement's histories are freed before the next is drawn
     for _ in range(max(1, trials)):
-        omega = random_compact_history(grid, k, metric, times, window, rng)
-        src = apply_operator(omega, metric)
-        spread = causal(src, grid, metric, t_start=t0, t_final=float(times[-1]))
-        out["defect_a"].append(spread.norm(metric) / omega.norm(metric))
-
-        pair = random_source_pair(grid, k, metric, window, rng)
-        h = causal(pair, grid, metric, t_start=t0, t_final=float(times[-1]))
-        resid = apply_operator(h, metric)
-        src_norm = sample_sources(pair, h.times).norm(metric)
-        out["defect_b"].append(resid.norm(metric) / src_norm)
-
-        sol = solution_history(grid, k, metric, steps, seed=int(rng.integers(2**31)))
-        chi = CutoffProfile(t0 + span / 2.0, span / 4.0)
-        fut = cutoff_sources(sol, chi, metric)
-        past = cutoff_sources(sol, chi, metric, complement=True)
-        lead = g_plus(fut, grid, metric, t_start=t0, t_final=float(times[-1]) + 2 * dt)
-        trail = g_minus(past, grid, metric, t_start=t0 - 2 * dt, t_final=float(times[-1]))
-        recon = lead.restrict(0, steps + 1) + trail.restrict(2, steps + 3)
-        out["defect_c"].append((recon - sol).norm(metric) / sol.norm(metric))
+        out["defect_a"].append(_causal_of_image_defect(grid, k, metric, times, window, rng))
+        out["defect_b"].append(_image_of_causal_defect(grid, k, metric, times, window, rng))
+        out["defect_c"].append(_cutoff_split_defect(grid, k, metric, times, rng))
     report = {key: float(np.max(vals)) for key, vals in out.items()}
     report["per_trial"] = {key: [float(v) for v in vals] for key, vals in out.items()}
     report["trials"] = int(max(1, trials))
     return report
+
+
+def _causal_of_image_defect(grid, k, metric, times, window, rng) -> float:
+    """Statement (a): |causal(D omega)| / |omega| for a random compact omega."""
+    omega = random_compact_history(grid, k, metric, times, window, rng)
+    src = apply_operator(omega, metric)
+    spread = causal(src, grid, metric, t_start=float(times[0]), t_final=float(times[-1]))
+    return spread.norm(metric) / omega.norm(metric)
+
+
+def _image_of_causal_defect(grid, k, metric, times, window, rng) -> float:
+    """Statement (b): |D causal(src)| / |src| for a random admissible source pair."""
+    pair = random_source_pair(grid, k, metric, window, rng)
+    h = causal(pair, grid, metric, t_start=float(times[0]), t_final=float(times[-1]))
+    resid = apply_operator(h, metric)
+    return resid.norm(metric) / sample_sources(pair, h.times).norm(metric)
+
+
+def _cutoff_split_defect(grid, k, metric, times, rng) -> float:
+    """Statement (c): the one-sided reconstructions of a solution's cutoff split, against it."""
+    dt, t0, steps = grid.dt, float(times[0]), len(times) - 1
+    span = steps * dt
+    sol = solution_history(grid, k, metric, steps, seed=int(rng.integers(2**31)))
+    chi = CutoffProfile(t0 + span / 2.0, span / 4.0)
+    # each part's sources are freed once its march returns
+    lead = g_plus(cutoff_sources(sol, chi, metric), grid, metric, t_start=t0, t_final=float(times[-1]) + 2 * dt)
+    trail = g_minus(
+        cutoff_sources(sol, chi, metric, complement=True), grid, metric,
+        t_start=t0 - 2 * dt, t_final=float(times[-1]),
+    )
+    recon = lead.restrict(0, steps + 1) + trail.restrict(2, steps + 3)
+    return (recon - sol).norm(metric) / sol.norm(metric)
 
 
 # ---------------------------------------------------------------------------
@@ -1008,27 +1065,66 @@ def _bundle_times(bundle: dict, grid) -> np.ndarray:
     return times
 
 
-def _currents(b1: dict, b2: dict, times: np.ndarray, metric) -> np.ndarray:
-    """Boundary current of the cutoff pairing at every slice.
+def pairing_currents(bundles, pairs, grid: mesh.GridSpec, metric: mesh.MetricField) -> tuple:
+    """The slice current C_ij(t) of the cutoff pairing for each ordered pair (i, j) of bundles.
 
-    Couples degree k of the first bundle against degrees k-1 and k+1 of the
-    second; the lapse weight is 1/beta because the dt-leg fiber sign
-    contributes ``DT_LEG_SIGN / beta^2`` against the lapse-weighted volume.
+    C_ij couples degree k of bundle i against degrees k-1 and k+1 of bundle
+    j; the lapse weight is 1/beta because the dt-leg fiber sign contributes
+    ``DT_LEG_SIGN / beta^2`` against the lapse-weighted volume.  Each
+    history's Hodge image star(fe), and the weight at its sites, is computed
+    once, however many pairs it enters.  The current does not depend on the
+    cutoff: :func:`cutoff_pairing` integrates it against any d(chi).
+
+    Args:
+        bundles: sequence of bundles, each a History, a sequence of History,
+            or a {degree: History} dict, all on the same times.
+        pairs: ordered index pairs (i, j) into ``bundles``.
+        grid: common spatial grid.
+        metric: lapse and conformal factor.
+
+    Returns:
+        ``(times, currents)``: the common slice times and a dict mapping each
+        pair to its current, one value per slice.
     """
+    bundles = [_by_degree(b) for b in bundles]
+    times = _bundle_times(bundles[0], grid)
+    for b in bundles[1:]:
+        if not _same_times(times, _bundle_times(b, grid)):
+            raise ValueError("histories on mismatched time samples")
     conf = mesh.sample_conf(metric, times)
-    total = np.zeros(len(times))
-    for k in sorted(b1):
-        h1 = b1[k]
-        if k - 1 in b2:
-            lb = h1.le.star
-            star_fe1 = mesh.hodge_flat(h1.le, h1.fe, conf)
-            weight = 1.0 / mesh.sample_lapse(lb, metric, times)
-            total += mesh.pair_flat(lb, star_fe1, b2[k - 1].fb, conf, weight)
-        if k + 1 in b2:
-            star_fe2 = mesh.hodge_flat(b2[k + 1].le, b2[k + 1].fe, conf)
-            weight = 1.0 / mesh.sample_lapse(h1.lb, metric, times)
-            total -= mesh.pair_flat(h1.lb, h1.fb, star_fe2, conf, weight)
-    return total
+
+    @functools.cache
+    def image(i, k):
+        h = bundles[i][k]
+        return mesh.hodge_flat(h.le, h.fe, conf), 1.0 / mesh.sample_lapse(h.le.star, metric, times)
+
+    currents = {}
+    for i, j in pairs:
+        b1, b2 = bundles[i], bundles[j]
+        total = np.zeros(len(times))
+        for k in sorted(b1):
+            h1 = b1[k]
+            if k - 1 in b2:
+                star, weight = image(i, k)
+                total += mesh.pair_flat(h1.le.star, star, b2[k - 1].fb, conf, weight)
+            if k + 1 in b2:
+                star, weight = image(j, k + 1)
+                total -= mesh.pair_flat(h1.lb, h1.fb, star, conf, weight)
+        currents[i, j] = total
+    return times, currents
+
+
+def cutoff_pairing(current: np.ndarray, times: np.ndarray, chi: CutoffProfile) -> float:
+    """The pairing through cutoff ``chi``: the Stieltjes sum of a slice current against d(chi).
+
+    Raises:
+        ValueError: when the ramp of ``chi`` leaves the time range.
+    """
+    lo, hi = chi.t_c - chi.width / 2.0, chi.t_c + chi.width / 2.0
+    if lo < times[0] - 1e-9 or hi > times[-1] + 1e-9:
+        raise ValueError("cutoff ramp leaves the history time range")
+    steps = np.diff(chi.value(times))
+    return float(np.sum(steps * 0.5 * (current[1:] + current[:-1])))
 
 
 def presymplectic(f1, f2, chi: CutoffProfile, grid: mesh.GridSpec, metric: mesh.MetricField) -> float:
@@ -1037,11 +1133,12 @@ def presymplectic(f1, f2, chi: CutoffProfile, grid: mesh.GridSpec, metric: mesh.
     Splits the first bundle into past/future parts with ``chi``, applies
     the first-order operator to the future part, and pairs the result with
     the second bundle over spacetime.  With a cutoff depending on t alone
-    this collapses to a Stieltjes integral of a slice current against
-    d(chi); the current couples each degree k only with degrees k-1 and
-    k+1, so single-degree bundles pair to zero identically.  Along
-    homogeneous solutions the current is conserved, which is what makes
-    the value independent of the cutoff.
+    this collapses to a Stieltjes integral of a slice current
+    (:func:`pairing_currents`) against d(chi) (:func:`cutoff_pairing`); the
+    current couples each degree k only with degrees k-1 and k+1, so
+    single-degree bundles pair to zero identically.  Along homogeneous
+    solutions the current is conserved, which is what makes the value
+    independent of the cutoff.
 
     Args:
         f1, f2: History, sequence of History, or {degree: History} dict.
@@ -1052,16 +1149,8 @@ def presymplectic(f1, f2, chi: CutoffProfile, grid: mesh.GridSpec, metric: mesh.
     Returns:
         The pairing value (skew-symmetric in the two bundles).
     """
-    b1, b2 = _by_degree(f1), _by_degree(f2)
-    times = _bundle_times(b1, grid)
-    if not _same_times(times, _bundle_times(b2, grid)):
-        raise ValueError("histories on mismatched time samples")
-    lo, hi = chi.t_c - chi.width / 2.0, chi.t_c + chi.width / 2.0
-    if lo < times[0] - 1e-9 or hi > times[-1] + 1e-9:
-        raise ValueError("cutoff ramp leaves the history time range")
-    current = _currents(b1, b2, times, metric)
-    steps = np.diff(chi.value(times))
-    return float(np.sum(steps * 0.5 * (current[1:] + current[:-1])))
+    times, currents = pairing_currents([f1, f2], [(0, 1)], grid, metric)
+    return cutoff_pairing(currents[0, 1], times, chi)
 
 
 def _pair_against_history(data: system.SourceData, h: History, metric, kind: str) -> float:

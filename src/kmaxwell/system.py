@@ -583,18 +583,6 @@ class SymbolReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.admissibility)
 
-    def to_dict(self) -> dict:
-        return {
-            "point_id": self.point_id,
-            "xi": [float(v) for v in self.xi],
-            "symmetry_defect": self.symmetry_defect,
-            "eigenvalues": [float(v) for v in self.eigenvalues],
-            "kernel_dim": self.kernel_dim,
-            "plus_dim": self.plus_dim,
-            "minus_dim": self.minus_dim,
-            "admissibility": [c.to_dict() for c in self.admissibility],
-        }
-
 
 def admissibility_audit(
     face: mesh.Face,

@@ -76,7 +76,7 @@ def bump_cone_run(n, c_factor=1.0):
 @functools.lru_cache(maxsize=None)
 def torus_bundles():
     g = box_grid(periodic=True)
-    return g, tuple(green.random_solution_bundle(g, METRIC, 120, seed=i) for i in range(5))
+    return g, tuple(green.random_solution_bundles(g, METRIC, 120, range(5)))
 
 
 def bundle_norm(bundle):

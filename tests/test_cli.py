@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from kmaxwell import cli, evolution, io, tolerances
+from kmaxwell import cli, evolution, green, io, tolerances
 
 pytestmark = pytest.mark.filterwarnings("error")
 
@@ -413,7 +413,40 @@ class TestRunSuites:
         out = tmp_path / "out"
         code, text = run_cli(["run", "--config", cfg, "--out", out], capsys)
         assert code == 0, text
-        assert checks_by_name(load_manifest(out))["cutoff_independence"]["measure"] < 1e-15
+        names = checks_by_name(load_manifest(out))
+        assert names["cutoff_independence"]["measure"] < 1e-15
+        assert names["cutoff_shift"]["measure"] < 1e-15
+
+    def test_cutoff_shift_fails_on_a_drifting_current(self, tmp_path, capsys, monkeypatch):
+        # a current linear in t over every ramp: two widths about one centre both
+        # read C(mid), so only the shifted cutoffs see the drift
+        def drifting(bundles, pairs, grid, metric):
+            times, _ = pairing_currents(bundles, pairs, grid, metric)
+            return times, {(i, j): (1.0 if i < j else -1.0) * (times - times[0]) for i, j in pairs}
+
+        pairing_currents = green.pairing_currents
+        monkeypatch.setattr(green, "pairing_currents", drifting)
+        cfg = write_config(tmp_path, "experiment = symplectic_suite\nperiodic = true\nsteps = 40\nbundles = 2\n")
+        out = tmp_path / "out"
+        code, _ = run_cli(["run", "--config", cfg, "--out", out], capsys)
+        assert code == 1
+        names = checks_by_name(load_manifest(out))
+        assert names["skew"]["measure"] == 0.0
+        assert names["cutoff_independence"]["measure"] < 1e-15
+        assert names["cutoff_shift"]["passed"] is False
+        assert names["cutoff_shift"]["measure"] > 1e-3
+
+    def test_sigma_equals_presymplectic_on_the_same_bundles(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "experiment = symplectic_suite\nperiodic = true\nsteps = 40\nbundles = 3\nseed = 4\n")
+        out = tmp_path / "out"
+        run_cli(["run", "--config", cfg, "--out", out], capsys)
+        table = io.read_table_csv(out / "series_symplectic.csv")
+        rc = cli.parse_config(cfg)
+        grid, metric = cli.build_grid(rc), cli.build_metric(rc)
+        bundles = [green.random_solution_bundle(grid, metric, 40, seed=4 + i) for i in range(3)]
+        chi = green.CutoffProfile(grid.t0 + 20 * grid.dt, 10 * grid.dt)
+        for i, j, sigma in zip(table["first"], table["second"], table["sigma"]):
+            assert sigma == green.presymplectic(bundles[int(i)], bundles[int(j)], chi, grid, metric)
 
     def test_manifest_structure(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "experiment = identities\ntrials = 2\nseed = 4\n")
@@ -456,7 +489,7 @@ class TestRuntimeFailure:
         def blow_up(s0, src, metric, cfg, support=None):
             short = evolution.EvolveConfig(t_final=s0.t + 2 * s0.grid.dt, cfl=cfg.cfl)
             _, series = evolve(s0, src, metric, short, support=support)
-            raise evolution.InstabilityError(float(series.times[-1]), s0, series)
+            raise evolution.InstabilityError(float(series.columns["time"][-1]), s0, series)
 
         monkeypatch.setattr(evolution, "evolve", blow_up)
         cfg = write_config(tmp_path, "experiment = evolve\ndt = 0.01\nt_final = 0.1\n")

@@ -757,15 +757,6 @@ class TestAdmissibility:
         checks = system.symbol_audit(n, k, 2, np.random.default_rng(n + k), AUDIT_METRIC)
         assert checks[3].name == f"symbol_admissibility_n{n}k{k}" and not checks[3].passed
 
-    def test_report_serializes(self):
-        import json
-
-        rep = system.admissibility_audit(
-            mesh.Face(1, 0), 0.1, (0.2, 0.9), mesh.unit_metric(), 3, 2
-        )
-        text = json.dumps(rep.to_dict())
-        assert "eigenvalues" in text
-
 
 class TestSplitSystemResiduals:
     def test_zero_state_zero_residuals(self):

@@ -39,8 +39,8 @@ MUTANTS = {
     ),
     "current_lapse": (
         "src/kmaxwell/green.py",
-        "weight = 1.0 / mesh.sample_lapse(lb, metric, times)",
-        "weight = mesh.sample_lapse(lb, metric, times)",
+        "1.0 / mesh.sample_lapse(h.le.star, metric, times)",
+        "mesh.sample_lapse(h.le.star, metric, times)",
     ),
     "trapezoid_end": (
         "src/kmaxwell/mesh.py",
