@@ -236,6 +236,12 @@ def _validate(cfg: RunConfig) -> list[str]:
         errors.append("symplectic_suite requires at least two bundles to pair")
     if cfg.experiment == "symplectic_suite" and not cfg.periodic:
         errors.append("symplectic_suite pairs solution bundles on the torus; a box pairs them to zero")
+    if cfg.experiment == "symplectic_suite" and cfg.steps < 20:
+        # the cutoffs of _run_symplectic: a 20 dt ramp at mid-range, 10 dt ramps at mid -/+ span/4
+        errors.append(
+            "symplectic_suite requires steps >= 20: the widest cutoff ramp (20 dt at mid-range) and "
+            "the shifted ramps (mid -/+ span/4, width 10 dt) must lie inside the history"
+        )
     if cfg.experiment in ("evolve", "green_suite", "symplectic_suite") and not errors:
         # the grid, an evolve run's integration parameters, and the Courant guard
         # of green._integrate for the history marches, checked before any work starts

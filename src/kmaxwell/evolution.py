@@ -16,7 +16,6 @@ monitor series.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -253,16 +252,23 @@ class _Stages:
     """The buffers of one leading batch shape and the curl program on them.
 
     ``ops`` reads the stage input ``ys`` and writes the slope ``k`` (its
-    parts ``k_w`` and ``k_b``); ``acc``, the slope sum of an RK4 step, is
-    allocated on first use, so a right-hand side alone never holds it.
+    parts ``k_w`` and ``k_b``).  An RK4 step sums its slopes in the row it
+    returns, so the stages hold no slope sum of their own.
     """
 
     def __init__(self, ys, k, ops, k_w, k_b):
         self.ys, self.k, self.ops, self.k_w, self.k_b = ys, k, ops, k_w, k_b
 
-    @functools.cached_property
-    def acc(self) -> np.ndarray:
-        return np.empty_like(self.k)
+
+def _uniform(row: np.ndarray) -> np.ndarray:
+    """``row`` as a read-only zero-stride view of its one value when every site holds it.
+
+    The view is of the value, not of ``row``, so the sampled row is freed;
+    ``x * view`` rounds as ``x * row`` does.
+    """
+    if row.size and (row == row[0]).all():
+        return np.broadcast_to(row[0], row.shape)
+    return row
 
 
 class Generator:
@@ -280,11 +286,14 @@ class Generator:
     The program reads the lapse rows and Hodge factors the generator owns:
     the lapse is sampled once when ``metric.beta_dt`` is None and at every
     evaluation otherwise, and the factors are recomputed only when a(t)
-    changes value.  The buffers live as long as the generator and reference
-    nothing back, so they are freed with it.  With ``project_B`` on a grid
-    with faces, :meth:`project` zeroes the magnetic normal legs on the
-    boundary.  The mode passes :func:`require_boundary_mode` first, so every
-    step and march checks it.
+    changes value.  A static lapse row whose sites all hold one value is
+    kept as a zero-stride view of that value (:func:`_uniform`), and at a
+    unit lapse :meth:`state` hands out the w part of the row itself as fe,
+    since ``w * 1.0 == w`` bit for bit.  The buffers live as long as the
+    generator and reference nothing back, so they are freed with it.  With
+    ``project_B`` on a grid with faces, :meth:`project` zeroes the magnetic
+    normal legs on the boundary.  The mode passes
+    :func:`require_boundary_mode` first, so every step and march checks it.
 
     Sources are evaluated by ``system.rhs_sources`` once per stage, or, for
     a march that knows its step times, once per chunk of steps:
@@ -305,7 +314,7 @@ class Generator:
         self._faces = self.nw + mesh.normal_face_sites(self.lb) if self.projects else None
         self._lapse = None
         if metric.beta_dt is None:
-            self._lapse = self.lapse(t)
+            self._lapse = tuple(_uniform(row) for row in self.lapse(t))
             self._beta = self._lapse
         else:
             self._beta = (np.empty(self.nw), np.empty(self.lb.size))
@@ -314,6 +323,8 @@ class Generator:
         self._fac = tuple(np.array(mesh.hodge_factors(lay, self._conf))[:, None] for lay in (self.lw, self.lb))
         self._stages = {}
         self._table = None
+        w_lapse = self._lapse[0] if self._lapse is not None else None
+        self._unit_w = w_lapse is not None and w_lapse.strides == (0,) and w_lapse[0] == 1.0
 
     def lapse(self, t):
         """Lapse samples at the (w, fb) sites at time t."""
@@ -400,8 +411,9 @@ class Generator:
         return np.concatenate([s.fe.vec * (1.0 / self.lapse(s.t)[0]), s.fb.vec])
 
     def state(self, t: float, y: np.ndarray) -> system.FieldState:
-        """The field state of a stacked row."""
-        fe = self.lw.cochain(y[: self.nw] * self.lapse(t)[0])
+        """The field state of a stacked row; at a unit lapse its fe is a view of ``y``, as fb is."""
+        w = y[: self.nw]
+        fe = self.lw.cochain(w if self._unit_w else w * self.lapse(t)[0])
         return system.FieldState(t, fe, self.lb.cochain(y[self.nw :]), self.k)
 
 
@@ -419,11 +431,13 @@ def _rk4_step(t, y, gen: Generator, dt):
     """One classical RK4 step of projected rows, projecting every stage.
 
     The stages run in the generator's buffers for ``y``'s batch shape: each
-    stage input ``y + k * h`` is formed in place, the slopes are summed as
-    ``((k1 + 2 k2) + 2 k3) + k4``, and only the returned row is new.
+    stage input ``y + k * h`` is formed in place, and the slopes are summed
+    as ``((k1 + 2 k2) + 2 k3) + k4`` in the row the step returns, its only
+    new array.  A step thus holds ``y``, its result, the stage input and the
+    slope (and the curl program's scratch).
     """
     st = gen.stages(y.shape[:-1])
-    ys, k, acc = st.ys, st.k, st.acc
+    ys, k = st.ys, st.k
     _, t_mid, t_end = _stage_times(t, dt)
 
     def stage_input(slope, h):
@@ -432,7 +446,7 @@ def _rk4_step(t, y, gen: Generator, dt):
         gen.project(ys)
 
     np.copyto(ys, y)
-    np.copyto(acc, gen.run(t, st))
+    acc = gen.run(t, st).copy()
     stage_input(acc, dt / 2)
     gen.run(t_mid, st)
     stage_input(k, dt / 2)
@@ -442,7 +456,7 @@ def _rk4_step(t, y, gen: Generator, dt):
     np.add(acc, np.multiply(k, 2.0, out=k), out=acc)
     np.add(acc, gen.run(t_end, st), out=acc)
     np.multiply(acc, dt / 6.0, out=acc)
-    return gen.project(np.add(y, acc))
+    return gen.project(np.add(y, acc, out=acc))
 
 
 def operator_matrix(

@@ -36,7 +36,6 @@ realized as bundles: plain dicts (or sequences) of single-degree histories.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -58,6 +57,9 @@ SMOOTHING_PASSES = 2
 # Steps per source table of a march: one batched source evaluation per chunk
 # of this many steps, so a march holds at most 3 * 32 stage rows of sources.
 SOURCE_TABLE_STEPS = 32
+# Slices per slab of apply_operator: its temporaries span one slab and a
+# one-slice halo each side, not the whole history.
+_SLAB_SLICES = 64
 
 # Fiber sign of a dt-leg in the spacetime metric, from the exterior algebra's
 # Lorentzian convention (axis 0 carries the negative diagonal entry).
@@ -262,6 +264,18 @@ class History(_Rows):
         self._compat(other)
         return History(self.grid, self.k, self.times, self.fe - other.fe, self.fb - other.fb)
 
+    def __iadd__(self, other: "History") -> "History":
+        self._compat(other)
+        np.add(self.fe, other.fe, out=self.fe)
+        np.add(self.fb, other.fb, out=self.fb)
+        return self
+
+    def __isub__(self, other: "History") -> "History":
+        self._compat(other)
+        np.subtract(self.fe, other.fe, out=self.fe)
+        np.subtract(self.fb, other.fb, out=self.fb)
+        return self
+
     def __mul__(self, factor: float) -> "History":
         return History(self.grid, self.k, self.times, self.fe * factor, self.fb * factor)
 
@@ -416,7 +430,8 @@ def _march_block(grid, k, metric, data, t_start, n_steps, dt, states) -> list:
     its state alone, since the RK4 step acts on each row elementwise.  dt
     may be negative.  The sources are tabulated for ``SOURCE_TABLE_STEPS``
     steps at a time (``Generator.tabulate``), from the same step times the
-    march takes.
+    march takes.  A backward march (dt < 0) writes slice i at index
+    ``n_steps - i``, so its rows come out in ascending time without a copy.
     """
     if n_steps > MAX_HISTORY_STEPS:
         raise ValueError(f"history of {n_steps} steps exceeds the {MAX_HISTORY_STEPS}-step budget")
@@ -433,14 +448,15 @@ def _march_block(grid, k, metric, data, t_start, n_steps, dt, states) -> list:
     times = t_start + dt * np.arange(n_steps + 1)
     for i in range(n_steps + 1):
         t = float(times[i])
-        fe_rows[:, i] = y[:, :nw] * gen.lapse(t)[0]
-        fb_rows[:, i] = y[:, nw:]
+        at = i if dt > 0 else n_steps - i
+        fe_rows[:, at] = y[:, :nw] * gen.lapse(t)[0]
+        fb_rows[:, at] = y[:, nw:]
         if i < n_steps:
             if i % SOURCE_TABLE_STEPS == 0:
                 gen.tabulate([float(s) for s in times[i : min(i + SOURCE_TABLE_STEPS, n_steps)]], dt)
             y = evolution._rk4_step(t, y, gen, dt)
     if dt < 0:
-        times, fe_rows, fb_rows = times[::-1].copy(), fe_rows[:, ::-1].copy(), fb_rows[:, ::-1].copy()
+        times = times[::-1].copy()
     return [History(grid, k, times, fe, fb) for fe, fb in zip(fe_rows, fb_rows)]
 
 
@@ -500,10 +516,13 @@ def g_minus(src, grid: mesh.GridSpec, metric: mesh.MetricField, t_start=None, t_
 
 
 def causal(src, grid: mesh.GridSpec, metric: mesh.MetricField, t_start=None, t_final=None) -> History:
-    """Causal propagator: forward minus backward solve, a homogeneous solution."""
+    """Causal propagator: forward minus backward solve, a homogeneous solution.
+
+    The difference is formed in the forward solve's rows.
+    """
     plus = g_plus(src, grid, metric, t_start, t_final)
-    minus = g_minus(src, grid, metric, t_start, t_final)
-    return plus - minus
+    plus -= g_minus(src, grid, metric, t_start, t_final)
+    return plus
 
 
 # ---------------------------------------------------------------------------
@@ -513,46 +532,77 @@ def causal(src, grid: mesh.GridSpec, metric: mesh.MetricField, t_start=None, t_f
 def apply_operator(h: History, metric: mesh.MetricField) -> SourceHistory:
     """Discrete first-order operator on a history: the source pair it solves.
 
-    Reassembles (delta omega, d omega) from the split equations, on all
-    slices at once, taking time derivatives by centered differences (one-sided
-    second-order stencils at the ends).  Rows where the input is bit-zero
-    through the difference stencil come out exactly zero, so compact
-    temporal support survives with one slice of smearing per side.
+    Reassembles (delta omega, d omega) from the split equations, taking time
+    derivatives by centered differences (one-sided second-order stencils at
+    the ends).  Rows where the input is bit-zero through the difference
+    stencil come out exactly zero, so compact temporal support survives
+    with one slice of smearing per side.
+
+    The operator runs over slabs of ``_SLAB_SLICES`` slices and writes each
+    slab into the preallocated source rows, so its temporaries span one slab
+    and not the history.  A slab's time differences read a one-slice halo on
+    each side (three slices at least, for the end stencils): every slice is
+    differenced as ``np.gradient`` differences the whole history, and every
+    other operation acts per slice, so the rows are bit for bit those of the
+    whole-history expressions.  A static lapse is sampled once.
 
     Returns:
         SourceHistory on the same times, with the support window inferred
         from the nonzero rows (one slice of interpolation pad each side).
     """
-    grid, k = h.grid, h.k
+    grid, k, T = h.grid, h.k, len(h.times)
     n = grid.n
     lw, lb, conf = h.le, h.lb, mesh.sample_conf(metric, h.times)
-    beta_w = mesh.sample_lapse(lw, metric, h.times)
-    beta_b = mesh.sample_lapse(lb, metric, h.times)
+    ssign, esign = float(system.source_sign(n, k)), float((-1) ** (n - k))
+    static = {}
 
-    w = h.fe * (1.0 / beta_w)
-    w_dot = np.gradient(w, h.dt, axis=0, edge_order=2)
-    fb_dot = np.gradient(h.fb, h.dt, axis=0, edge_order=2)
-    slot_e, slot_b = system.slots(lw, lb, w, h.fb, w_dot, fb_dot, beta_w, beta_b, conf)
-    jb = float(system.source_sign(n, k)) * mesh.hodge_inverse_flat(lw, slot_e, conf)
-    ze = mesh.hodge_inverse_flat(lb, slot_b, conf)
-    je = None
-    if k >= 2:
-        beta_j = mesh.sample_lapse(lw.up, metric, h.times)
-        je = float((-1) ** (n - k)) * (mesh.d_flat(lw, w) * beta_j)
-    zb = mesh.d_flat(lb, h.fb) if k <= n - 2 else None
+    def lapse(lay, lo, hi):
+        """The lapse at the sites of ``lay``: one row when static, else the rows of slices lo:hi."""
+        if metric.beta_dt is not None:
+            return mesh.sample_lapse(lay, metric, h.times[lo:hi])
+        if lay not in static:
+            static[lay] = mesh.sample_lapse(lay, metric, h.times)
+        return static[lay]
+
+    jb, ze = np.empty((T, lw.size)), np.empty((T, lb.size))
+    je = np.empty((T, lw.up.size)) if k >= 2 else None
+    zb = np.empty((T, lb.up.size)) if k <= n - 2 else None
+    for a in range(0, T, _SLAB_SLICES):
+        b = min(a + _SLAB_SLICES, T)
+        lo, hi = max(a - 1, 0), min(b + 1, T)
+        lo = max(min(lo, hi - 3), 0)  # a last slab of one slice still reads the three of the end stencil
+        core, c = slice(a - lo, b - lo), conf[a:b]
+        beta_w = lapse(lw, lo, hi)
+        w = h.fe[lo:hi] * (1.0 / beta_w)
+        w_dot = np.gradient(w, h.dt, axis=0, edge_order=2)[core]
+        fb_dot = np.gradient(h.fb[lo:hi], h.dt, axis=0, edge_order=2)[core]
+        w, fb = w[core], h.fb[a:b]
+        beta_w = beta_w if beta_w.ndim == 1 else beta_w[core]
+        slot_e, slot_b = system.slots(lw, lb, w, fb, w_dot, fb_dot, beta_w, lapse(lb, a, b), c)
+        np.multiply(mesh.hodge_inverse_flat(lw, slot_e, c), ssign, out=jb[a:b])
+        ze[a:b] = mesh.hodge_inverse_flat(lb, slot_b, c)
+        if je is not None:
+            dw = mesh.d_flat(lw, w)
+            np.multiply(np.multiply(dw, lapse(lw.up, a, b), out=dw), esign, out=je[a:b])
+        if zb is not None:
+            zb[a:b] = mesh.d_flat(lb, fb)
 
     window = _support_window(h.times, (je, jb, ze, zb))
     return SourceHistory(grid, k, h.times, window, je, jb, ze, zb)
 
 
 def _support_window(times, families) -> tuple[float, float]:
-    """Temporal support of row families, padded by one interpolation slice."""
+    """Temporal support of row families, padded by one interpolation slice.
+
+    A slice is in the support when a row holds a nonzero (or NaN) entry,
+    found from the row maxima and minima, so no array of the rows' size is made.
+    """
     T = len(times)
-    mags = np.zeros(T)
+    held = np.zeros(T, dtype=bool)
     for rows in families:
         if rows is not None and rows.shape[1]:
-            mags = np.maximum(mags, np.max(np.abs(rows), axis=1))
-    nz = np.nonzero(mags)[0]
+            held |= (rows.max(axis=1) != 0.0) | (rows.min(axis=1) != 0.0)
+    nz = np.flatnonzero(held)
     if not len(nz):
         # empty support: report a degenerate mid-range window so the
         # slice-margin requirement stays vacuously satisfiable
@@ -568,7 +618,9 @@ def cutoff_sources(h: History, chi: CutoffProfile, metric: mesh.MetricField, com
     the electric part into the magnetic current slot and the magnetic part
     into the electric defect slot.  Using the analytic cutoff rate here
     avoids differencing through the ramp, which would otherwise dominate
-    every defect budget.
+    every defect budget.  The rows of the :func:`apply_operator` result are
+    scaled, and gain their ramp terms, in place: ``values * x`` rounds as
+    ``x * values`` does.
 
     Args:
         h: the history to split.
@@ -578,21 +630,24 @@ def cutoff_sources(h: History, chi: CutoffProfile, metric: mesh.MetricField, com
     """
     base = apply_operator(h, metric)
     grid, k = h.grid, h.k
-    n = grid.n
-    ssign = float(system.source_sign(n, k))
+    ssign = float(system.source_sign(grid.n, k))
     values = np.asarray(chi.value(h.times), dtype=float)
     rates = np.asarray(chi.rate(h.times), dtype=float)
     if complement:
         values = 1.0 - values
         rates = -rates
+    je, jb, ze, zb = base.je, base.jb, base.ze, base.zb
+    for rows in (je, jb, ze, zb):
+        if rows is not None:
+            np.multiply(rows, values[:, None], out=rows)
     lw, lb, conf = h.le, h.lb, mesh.sample_conf(metric, h.times)
     beta_w = mesh.sample_lapse(lw, metric, h.times)
-    ramp_jb = ssign * mesh.hodge_inverse_flat(lw, h.fe * (1.0 / beta_w**2), conf)
+    ramp_jb = mesh.hodge_inverse_flat(lw, h.fe * (1.0 / beta_w**2), conf)
+    np.multiply(ramp_jb, ssign, out=ramp_jb)
+    np.add(jb, np.multiply(ramp_jb, rates[:, None], out=ramp_jb), out=jb)
+    del ramp_jb
     ramp_ze = mesh.hodge_inverse_flat(lb, h.fb, conf)
-    je = None if base.je is None else values[:, None] * base.je
-    jb = values[:, None] * base.jb + rates[:, None] * ramp_jb
-    ze = values[:, None] * base.ze + rates[:, None] * ramp_ze
-    zb = None if base.zb is None else values[:, None] * base.zb
+    np.add(ze, np.multiply(ramp_ze, rates[:, None], out=ramp_ze), out=ze)
     window = _support_window(h.times, (je, jb, ze, zb))
     return SourceHistory(grid, k, h.times, window, je, jb, ze, zb)
 
@@ -635,8 +690,10 @@ def right_inverse_check(omega: History, grid: mesh.GridSpec, metric: mesh.Metric
         )
     src = apply_operator(omega, metric)
     recon = g_plus(src, grid, metric, t_start=float(omega.times[0]), t_final=float(omega.times[-1]))
+    del src
     nr = omega.norm(metric)
-    defect = (recon - omega).norm(metric)
+    recon -= omega
+    defect = recon.norm(metric)
     return {"defect": defect / nr if nr > 0 else defect}
 
 
@@ -1026,8 +1083,12 @@ def _cutoff_split_defect(grid, k, metric, times, rng) -> float:
         cutoff_sources(sol, chi, metric, complement=True), grid, metric,
         t_start=t0 - 2 * dt, t_final=float(times[-1]),
     )
-    recon = lead.restrict(0, steps + 1) + trail.restrict(2, steps + 3)
-    return (recon - sol).norm(metric) / sol.norm(metric)
+    # the differences are formed in lead's rows, and trail is freed before the norms
+    recon = lead.restrict(0, steps + 1)
+    recon += trail.restrict(2, steps + 3)
+    del lead, trail
+    recon -= sol
+    return recon.norm(metric) / sol.norm(metric)
 
 
 # ---------------------------------------------------------------------------
@@ -1072,8 +1133,10 @@ def pairing_currents(bundles, pairs, grid: mesh.GridSpec, metric: mesh.MetricFie
     j; the lapse weight is 1/beta because the dt-leg fiber sign contributes
     ``DT_LEG_SIGN / beta^2`` against the lapse-weighted volume.  Each
     history's Hodge image star(fe), and the weight at its sites, is computed
-    once, however many pairs it enters.  The current does not depend on the
-    cutoff: :func:`cutoff_pairing` integrates it against any d(chi).
+    once and held only while every pair term that reads it is evaluated;
+    each pair's terms are then summed in degree order.  The current does not
+    depend on the cutoff: :func:`cutoff_pairing` integrates it against any
+    d(chi).
 
     Args:
         bundles: sequence of bundles, each a History, a sequence of History,
@@ -1093,23 +1156,35 @@ def pairing_currents(bundles, pairs, grid: mesh.GridSpec, metric: mesh.MetricFie
             raise ValueError("histories on mismatched time samples")
     conf = mesh.sample_conf(metric, times)
 
-    @functools.cache
-    def image(i, k):
-        h = bundles[i][k]
-        return mesh.hodge_flat(h.le, h.fe, conf), 1.0 / mesh.sample_lapse(h.le.star, metric, times)
+    # the terms of C_ij: (i, j, k, +1) reads the image of history (i, k), (i, j, k, -1) that of (j, k + 1)
+    readers = {}
+    for i, j in pairs:
+        for k in sorted(bundles[i]):
+            if k - 1 in bundles[j]:
+                readers.setdefault((i, k), []).append((i, j, k, 1))
+            if k + 1 in bundles[j]:
+                readers.setdefault((j, k + 1), []).append((i, j, k, -1))
+    terms = {}
+    for (b, degree), keys in readers.items():
+        h = bundles[b][degree]
+        star = mesh.hodge_flat(h.le, h.fe, conf)
+        weight = 1.0 / mesh.sample_lapse(h.le.star, metric, times)
+        for i, j, k, sign in keys:
+            if sign > 0:
+                terms[i, j, k, sign] = mesh.pair_flat(h.le.star, star, bundles[j][k - 1].fb, conf, weight)
+            else:
+                h1 = bundles[i][k]
+                terms[i, j, k, sign] = mesh.pair_flat(h1.lb, h1.fb, star, conf, weight)
+        del star, weight
 
     currents = {}
     for i, j in pairs:
-        b1, b2 = bundles[i], bundles[j]
         total = np.zeros(len(times))
-        for k in sorted(b1):
-            h1 = b1[k]
-            if k - 1 in b2:
-                star, weight = image(i, k)
-                total += mesh.pair_flat(h1.le.star, star, b2[k - 1].fb, conf, weight)
-            if k + 1 in b2:
-                star, weight = image(j, k + 1)
-                total -= mesh.pair_flat(h1.lb, h1.fb, star, conf, weight)
+        for k in sorted(bundles[i]):
+            if k - 1 in bundles[j]:
+                total += terms[i, j, k, 1]
+            if k + 1 in bundles[j]:
+                total -= terms[i, j, k, -1]
         currents[i, j] = total
     return times, currents
 

@@ -221,10 +221,13 @@ def slots(lw: mesh.Layout, lb: mesh.Layout, w, fb, w_dot, fb_dot, beta_w, beta_b
 
     with ``w = fe/beta``; arguments as for :func:`curls`.  The sources of a
     solution are ``(source_sign * hodge(jb), hodge(ze))`` in these slots.
+    Each slot is built in the curl buffer it starts from.
     """
     curl_b, curl_e = curls(lw, lb, w, fb, beta_w, beta_b, conf)
     eps = float(eps_sign(lb.grid.n, lb.degree))
-    return (w_dot + curl_b * eps) * (1.0 / beta_w), fb_dot - curl_e
+    np.add(w_dot, np.multiply(curl_b, eps, out=curl_b), out=curl_b)
+    np.multiply(curl_b, 1.0 / beta_w, out=curl_b)
+    return curl_b, np.subtract(fb_dot, curl_e, out=curl_e)
 
 
 def apply_S(s: FieldState, metric: mesh.MetricField, s_dot: FieldState) -> tuple[mesh.Cochain, mesh.Cochain]:

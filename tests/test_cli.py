@@ -202,6 +202,21 @@ class TestParseConfig:
         assert err.value.errors == ["bundles must be a positive integer"]
 
     @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_symplectic_suite_needs_twenty_steps(self, tmp_path, capsys, command):
+        # at 19 steps the shifted cutoff ramps would leave the history, and the run would exit 3
+        text = "experiment = symplectic_suite\nperiodic = true\nbundles = 2\nsteps = {}\n"
+        out = tmp_path / "out"
+        extra = ["--out", out] if command == "run" else []
+        code, printed = run_cli([command, "--config", write_config(tmp_path, text.format(19))] + extra, capsys)
+        assert code == 2
+        assert "config error: symplectic_suite requires steps >= 20" in printed
+        assert not out.exists()
+        code, printed = run_cli([command, "--config", write_config(tmp_path, text.format(20))] + extra, capsys)
+        assert code == 0, printed
+        if command == "run":
+            assert load_manifest(out)["passed"] is True
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
     def test_symplectic_suite_on_a_box_is_a_config_error(self, tmp_path, capsys, command):
         cfg = write_config(tmp_path, "experiment = symplectic_suite\nperiodic = false\n")
         out = tmp_path / "out"

@@ -690,6 +690,36 @@ class TestMemory:
             tracemalloc.stop()
         assert peak < 2 * y.nbytes
 
+    @pytest.mark.parametrize("beta", [1.0, 2.0])
+    def test_constant_lapse_generator_holds_no_lapse_row(self, beta):
+        # a static lapse that is one value is kept as a zero-stride view of it
+        grid = periodic_grid(3, 32, 0.01)  # no faces, so no face index either
+        metric = mesh.MetricField(beta=lambda t, *x: beta)
+        make = lambda: evolution.Generator(grid, 2, metric, system.zero_sources(grid, 2), "periodic_test", 0.0)
+        make()  # warm the layout caches
+        tracemalloc.start()
+        try:
+            gen = make()
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 0.25 * 8 * (gen.nw + gen.lb.size)
+
+    def test_constant_lapse_march_equals_a_march_on_the_sampled_row(self, monkeypatch):
+        # at beta = 2 the state's fe is w * 2, not the view of w a unit lapse hands out
+        grid = box_grid(3, 12, 0.01)
+        metric = mesh.MetricField(beta=lambda t, *x: 2.0)
+        s0, _ = manufactured.bump_state(grid, 2, metric, radius=0.2, seed=3)
+        cfg = evolution.EvolveConfig(t_final=6 * grid.dt, cfl=0.4, monitor_stride=2)
+        src = system.zero_sources(grid, 2)
+        final, series = evolution.evolve(s0, src, metric, cfg)
+        monkeypatch.setattr(evolution, "_uniform", lambda row: row)
+        want, want_series = evolution.evolve(s0, src, metric, cfg)
+        assert same_bits(final.fe.vec, want.fe.vec) and same_bits(final.fb.vec, want.fb.vec)
+        for name, column in want_series.columns.items():
+            assert same_bits(series.columns[name], column), name
+        assert mesh.max_pointwise(final.fe) > 0.0
+
     def test_sourced_march_holds_one_chunk_of_source_rows(self, monkeypatch):
         # between steps, a 64^2 march holds its history, the stage buffers and
         # the source table of one chunk: at most 3 * SOURCE_TABLE_STEPS rows

@@ -590,6 +590,146 @@ class TestBlockMarch:
             assert histories_same_bits(bundle[k], green.random_solution_bundle(g, metric, 30, seed=s, degrees=(k,))[k])
 
 
+def reference_apply_operator(h, metric):
+    """The whole-history operator: every expression on all slices at once."""
+    grid, k = h.grid, h.k
+    n = grid.n
+    lw, lb, conf = h.le, h.lb, mesh.sample_conf(metric, h.times)
+    beta_w = mesh.sample_lapse(lw, metric, h.times)
+    beta_b = mesh.sample_lapse(lb, metric, h.times)
+    w = h.fe * (1.0 / beta_w)
+    w_dot = np.gradient(w, h.dt, axis=0, edge_order=2)
+    fb_dot = np.gradient(h.fb, h.dt, axis=0, edge_order=2)
+    slot_e, slot_b = system.slots(lw, lb, w, h.fb, w_dot, fb_dot, beta_w, beta_b, conf)
+    jb = float(system.source_sign(n, k)) * mesh.hodge_inverse_flat(lw, slot_e, conf)
+    ze = mesh.hodge_inverse_flat(lb, slot_b, conf)
+    je = None
+    if k >= 2:
+        beta_j = mesh.sample_lapse(lw.up, metric, h.times)
+        je = float((-1) ** (n - k)) * (mesh.d_flat(lw, w) * beta_j)
+    zb = mesh.d_flat(lb, h.fb) if k <= n - 2 else None
+    window = green._support_window(h.times, (je, jb, ze, zb))
+    return green.SourceHistory(grid, k, h.times, window, je, jb, ze, zb)
+
+
+def random_history(g, k, slices, seed=0):
+    """A history of random rows on ``slices`` times DT apart (not a solution)."""
+    rng = np.random.default_rng(seed)
+    n = g.n
+    fe = rng.standard_normal((slices, mesh.cochain_size(g, n - k, False)))
+    fb = rng.standard_normal((slices, mesh.cochain_size(g, k, True)))
+    return green.History(g, k, DT * np.arange(slices), fe, fb)
+
+
+def assert_sources_same_bits(got, want):
+    assert got.window == want.window
+    got_rows, want_rows = source_rows(got), source_rows(want)
+    assert got_rows.keys() == want_rows.keys()
+    for name, rows in want_rows.items():
+        assert same_bits(got_rows[name], rows), name
+
+
+SLAB = green._SLAB_SLICES
+# a lapse that changes in time, sampled per slab
+MOVING = mesh.MetricField(
+    beta=lambda t, *x: 1.0 + 0.3 * t + 0.1 * x[0], beta_dt=lambda t, *x: 0.3 + 0.0 * x[0]
+)
+
+
+class TestSlabOperator:
+    """apply_operator runs over slabs of slices and equals the whole-history operator bit for bit."""
+
+    @pytest.mark.parametrize("slices", [3, SLAB - 1, SLAB, SLAB + 1, 241])
+    @pytest.mark.parametrize("periodic", [False, True], ids=["box", "torus"])
+    @pytest.mark.parametrize("beta", ["unit", "well"])
+    @pytest.mark.parametrize("n,k", [(3, 2), (4, 2), (4, 3)])
+    def test_equals_whole_history_operator(self, n, k, beta, periodic, slices):
+        cells = 8 if n == 3 else 5
+        g = mesh.GridSpec(n=n, cells_per_axis=(cells,) * (n - 1), lengths=(1.0,) * (n - 1), dt=DT,
+                          periodic=(periodic,) * (n - 1))
+        metric = mesh.MetricField(beta=cli.BETA_CATALOGUE[beta](1.0))
+        h = random_history(g, k, slices)
+        assert_sources_same_bits(green.apply_operator(h, metric), reference_apply_operator(h, metric))
+
+    @pytest.mark.parametrize("slices", [SLAB + 1, 2 * SLAB + 2])
+    def test_time_dependent_lapse(self, slices):
+        h = random_history(box_grid(cells=8), 2, slices, seed=1)
+        assert_sources_same_bits(green.apply_operator(h, MOVING), reference_apply_operator(h, MOVING))
+
+    def test_support_window_of_compact_history(self):
+        # bit-zero slices outside the support stay zero, one slice of smearing per side
+        g = box_grid(cells=8)
+        h = random_history(g, 2, 2 * SLAB + 5, seed=2)
+        h.fe[:70] = 0.0
+        h.fb[:70] = 0.0
+        h.fe[100:] = 0.0
+        h.fb[100:] = 0.0
+        src = green.apply_operator(h, METRIC)
+        assert_sources_same_bits(src, reference_apply_operator(h, METRIC))
+        assert src.window == (float(h.times[68]), float(h.times[101]))
+
+    def test_peak_does_not_grow_with_history_length(self):
+        # beyond its input and output the operator holds one slab's temporaries;
+        # the whole-history expressions held several history-sized arrays
+        g = box_grid()
+        beyond = []
+        for slices in (241, 481):
+            h = random_history(g, 2, slices)
+            green.apply_operator(h, METRIC)  # warm the layout caches
+            gc.collect()
+            tracemalloc.start()
+            try:
+                out = green.apply_operator(h, METRIC)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            beyond.append(peak - sum(rows.nbytes for rows in source_rows(out).values()))
+        assert beyond[1] <= 1.08 * beyond[0], beyond
+
+
+def reversed_march(g, k, metric, data, t_end, steps):
+    """The rows of a zero-data march backward from t_end, stored in march order, then reversed."""
+    gen = evolution.Generator(g, k, metric, data, "project_B", t_end)
+    times = t_end + (-g.dt) * np.arange(steps + 1)
+    y = np.zeros((1, gen.nw + gen.lb.size))
+    fe, fb = [], []
+    for i in range(steps + 1):
+        fe.append(y[0, : gen.nw] * gen.lapse(float(times[i]))[0])
+        fb.append(y[0, gen.nw :].copy())
+        if i < steps:
+            y = evolution._rk4_step(float(times[i]), y, gen, -g.dt)
+    return times[::-1], np.array(fe[::-1]), np.array(fb[::-1])
+
+
+class TestInPlaceDifferences:
+    def test_g_minus_rows_are_the_reversed_march(self):
+        g = box_grid(cells=12)
+        src = march_sources("pair", g)
+        h = green.g_minus(src, g, TILTED, t_start=0.0, t_final=0.4)
+        times, fe, fb = reversed_march(g, 2, TILTED, src, 0.0 + 80 * g.dt, 80)
+        assert same_bits(h.times, times) and same_bits(h.fe, fe) and same_bits(h.fb, fb)
+        assert np.abs(h.fb).max() > 0.0
+
+    def test_causal_is_the_difference_of_the_solves(self):
+        g, pair, c = causal_reference()
+        span = dict(t_start=0.0, t_final=0.5)
+        want = green.g_plus(pair, g, METRIC, **span) - green.g_minus(pair, g, METRIC, **span)
+        assert histories_same_bits(c, want)
+
+    def test_in_place_operators_match_the_binary_ones(self):
+        g = box_grid(cells=8)
+        a, b = random_history(g, 2, 9, seed=3), random_history(g, 2, 9, seed=4)
+        total, diff = a + b, a - b
+        a_fe = a.fe
+        a += b
+        assert a.fe is a_fe and histories_same_bits(a, total)
+        a = random_history(g, 2, 9, seed=3)
+        a -= b
+        assert histories_same_bits(a, diff)
+        with pytest.raises(ValueError, match="mismatched degrees"):
+            a -= random_history(g, 1, 9)
+
+
 class TestCausal:
     def test_scaling_is_exact(self):
         g, pair, c = causal_reference()
@@ -760,6 +900,21 @@ class TestPresymplectic:
                 assert abs(vo - v) <= PRESYMPLECTIC_REL_TOL * abs(v)
             rels.append(abs(v) / (bundle_norm(bundles[i]) * bundle_norm(bundles[j])))
         assert min(rels) > 1e-3
+
+    def test_pairing_currents_hold_one_hodge_image(self):
+        # one image, plus pair_flat's per-component products (about one more);
+        # caching the image of every degree-2 history read 6.4 images here
+        g, bundles = torus_bundles()
+        pairs = list(itertools.permutations(range(5), 2))
+        green.pairing_currents(bundles, pairs, g, METRIC)  # warm the layout caches
+        gc.collect()
+        tracemalloc.start()
+        try:
+            green.pairing_currents(bundles, pairs, g, METRIC)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * bundles[0][2].fe.nbytes
 
     def test_frozen_values(self):
         g, bundles = torus_bundles()

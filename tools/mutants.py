@@ -79,8 +79,8 @@ MUTANTS = {
     ),
     "ramp_ze_sign": (
         "src/kmaxwell/green.py",
-        "ze = values[:, None] * base.ze + rates[:, None] * ramp_ze",
-        "ze = values[:, None] * base.ze - rates[:, None] * ramp_ze",
+        "np.add(ze, np.multiply(ramp_ze, rates[:, None], out=ramp_ze), out=ze)",
+        "np.subtract(ze, np.multiply(ramp_ze, rates[:, None], out=ramp_ze), out=ze)",
     ),
     "courant_bound": (
         "src/kmaxwell/evolution.py",
@@ -91,6 +91,16 @@ MUTANTS = {
         "src/kmaxwell/evolution.py",
         "return abs(last - first) / max(first, self.scale)",
         "return 0.0",
+    ),
+    "slab_halo": (
+        "src/kmaxwell/green.py",
+        "lo, hi = max(a - 1, 0), min(b + 1, T)",
+        "lo, hi = a, b",
+    ),
+    "unit_view": (
+        "src/kmaxwell/evolution.py",
+        "w_lapse.strides == (0,) and w_lapse[0] == 1.0",
+        "w_lapse.strides == (0,)",
     ),
 }
 
