@@ -525,14 +525,18 @@ def _cone_leak(s: system.FieldState, support: SupportInfo, t0: float) -> float:
     grid = s.grid
     radius = support.radius + support.c_max * (s.t - t0) + CONE_HALO_CELLS * max(grid.spacings)
     center = np.asarray(support.center, dtype=float)
+    sites = [(arr, mesh.site_mesh(grid, comp, c.dual)) for c in (s.fe, s.fb) for comp, arr in c.comps.items()]
+    # the per-axis farthest squared distances, summed as a site's are: rounded addition is
+    # monotone, so no site is outside the cone when this sum is not
+    far = [max(float(np.max((pts[i] - center[i]) ** 2)) for _, pts in sites) for i in range(grid.dim)]
+    if sum(far) <= radius**2:
+        return 0.0
     leak = 0.0
-    for c in (s.fe, s.fb):
-        for comp, arr in c.comps.items():
-            pts = mesh.site_mesh(grid, comp, c.dual)
-            dist2 = sum((p - center[i]) ** 2 for i, p in enumerate(pts))
-            outside = np.broadcast_to(dist2, arr.shape) > radius**2
-            if np.any(outside):
-                leak = max(leak, float(np.abs(arr[outside]).max()))
+    for arr, pts in sites:
+        dist2 = sum((p - center[i]) ** 2 for i, p in enumerate(pts))
+        outside = np.broadcast_to(dist2, arr.shape) > radius**2
+        if np.any(outside):
+            leak = max(leak, float(np.abs(arr[outside]).max()))
     return leak
 
 
@@ -559,27 +563,29 @@ def evolve(
     The grid's dt is used as the step (the final step is shortened to land
     exactly on t_final) and must satisfy the configured Courant bound.
     Callers are responsible for running validate_problem first; the command
-    line driver does.
+    line driver does.  ``s0`` is dropped once the first row is formed, so a
+    caller that hands over its only reference frees the initial state then.
 
     Raises:
         ValueError: cfl violation, non-increasing time span, or
             ``periodic_test`` on a grid with faces.
         InstabilityError: non-finite values; carries the last stable state.
     """
-    grid = s0.grid
-    if not cfg.t_final > s0.t:
+    grid, t0 = s0.grid, s0.t
+    if not cfg.t_final > t0:
         raise ValueError("t_final must exceed the initial time")
     cfl_res = check_cfl(grid, metric, cfg)
     if not cfl_res.passed:
         raise ValueError(f"cfl violation: {cfl_res.detail}")
 
     dt = grid.dt
-    n_steps = int(np.ceil((cfg.t_final - s0.t) / dt - 1e-9))
-    gen = Generator(grid, s0.k, metric, src, cfg.boundary_mode, s0.t)
+    n_steps = int(np.ceil((cfg.t_final - t0) / dt - 1e-9))
+    gen = Generator(grid, s0.k, metric, src, cfg.boundary_mode, t0)
     y = gen.project(gen.rows(s0))
-    t = s0.t
+    del s0
+    t = t0
 
-    samples = [_monitor_row(gen.state(t, y), src, metric, support, s0.t)]
+    samples = [_monitor_row(gen.state(t, y), src, metric, support, t0)]
 
     for i in range(n_steps):
         h = min(dt, cfg.t_final - t)
@@ -589,7 +595,7 @@ def evolve(
             raise InstabilityError(t, gen.state(t, y), _series_from(samples, support))
         y, t = y_new, t_new
         if (i + 1) % cfg.monitor_stride == 0 or i == n_steps - 1:
-            samples.append(_monitor_row(gen.state(t, y), src, metric, support, s0.t))
+            samples.append(_monitor_row(gen.state(t, y), src, metric, support, t0))
     return gen.state(t, y), _series_from(samples, support)
 
 

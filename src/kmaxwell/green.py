@@ -18,13 +18,18 @@ bit for bit to its one-time row.  Every march is a block of initial states
 sharing one source family and one generator, marched as one ``(B, N)``
 array; a single solve is a block of one, and
 :func:`random_solution_bundles` marches each degree of many bundles as one
-block, every row bit for bit its own march.
+block, every row bit for bit its own march.  A march yields its slices as
+it reaches them (``_march``); storing them as histories is one consumer,
+and :func:`causal`, the cutoff split of the exact-sequence suite and
+:func:`bundle_currents` fold one march into what they keep, slice by slice.
 
 The pairing of two bundles is a Stieltjes sum of a slice current against
 d(chi).  The current does not depend on the cutoff, so
 :func:`pairing_currents` computes it once per ordered pair, from one Hodge
-image per history, and :func:`cutoff_pairing` integrates it against any
-cutoff; :func:`presymplectic` is the two composed for one pair.
+image per history and run of slices, and :func:`cutoff_pairing` integrates
+it against any cutoff; :func:`presymplectic` is the two composed for one
+pair.  :func:`bundle_currents` streams random bundles into their currents
+and norms without storing them.
 
 Histories are time-major float64 arrays of cochain vectors at uniformly
 spaced slice times; fields (:class:`History`) and sources
@@ -60,6 +65,9 @@ SOURCE_TABLE_STEPS = 32
 # Slices per slab of apply_operator: its temporaries span one slab and a
 # one-slice halo each side, not the whole history.
 _SLAB_SLICES = 64
+# Rows held by bundle_currents: a chunk of SOURCE_TABLE_STEPS slices of every
+# bundle and degree, or fewer slices where that would exceed this many bytes.
+_CHUNK_BYTES = 16 * 2**20
 
 # Fiber sign of a dt-leg in the spacetime metric, from the exterior algebra's
 # Lorentzian convention (axis 0 carries the negative diagonal entry).
@@ -214,10 +222,20 @@ class _Rows:
     def norm(self, metric: mesh.MetricField) -> float:
         """Spacetime L2 norm: trapezoidal time quadrature of the slice pairings of every family."""
         conf = mesh.sample_conf(metric, self.times)
-        vals = np.zeros(len(self.times))
-        for _, rows, lay in self._families():
-            vals += mesh.pair_flat(lay, rows, rows, conf)
-        return float(np.sqrt(max(np.trapezoid(vals, self.times), 0.0)))
+        return _norm_of(_norm_density([(lay, rows) for _, rows, lay in self._families()], conf), self.times)
+
+
+def _norm_density(families, conf) -> np.ndarray:
+    """The slice pairing of each row with itself, summed over ``(layout, rows)`` families."""
+    vals = np.zeros(len(conf))
+    for lay, rows in families:
+        vals += mesh.pair_flat(lay, rows, rows, conf)
+    return vals
+
+
+def _norm_of(density: np.ndarray, times: np.ndarray) -> float:
+    """The spacetime L2 norm of a slice density: the root of its trapezoidal time integral."""
+    return float(np.sqrt(max(np.trapezoid(density, times), 0.0)))
 
 
 @dataclass
@@ -263,12 +281,6 @@ class History(_Rows):
     def __sub__(self, other: "History") -> "History":
         self._compat(other)
         return History(self.grid, self.k, self.times, self.fe - other.fe, self.fb - other.fb)
-
-    def __iadd__(self, other: "History") -> "History":
-        self._compat(other)
-        np.add(self.fe, other.fe, out=self.fe)
-        np.add(self.fb, other.fb, out=self.fb)
-        return self
 
     def __isub__(self, other: "History") -> "History":
         self._compat(other)
@@ -422,39 +434,60 @@ def _as_source_data(src, grid) -> system.SourceData:
 # one-sided and causal solution operators
 
 
-def _march_block(grid, k, metric, data, t_start, n_steps, dt, states) -> list:
-    """March a block of initial states as one ``(B, N)`` array; one History per state.
+def _march(grid, k, metric, data, t_start, n_steps, dt, states):
+    """March a block of initial states as one ``(B, N)`` array, yielding each slice as it is reached.
 
     ``states`` holds a ``system.FieldState`` or None (zero data) per row;
     every row shares the sources ``data`` and is bit for bit the march of
     its state alone, since the RK4 step acts on each row elementwise.  dt
     may be negative.  The sources are tabulated for ``SOURCE_TABLE_STEPS``
     steps at a time (``Generator.tabulate``), from the same step times the
-    march takes.  A backward march (dt < 0) writes slice i at index
-    ``n_steps - i``, so its rows come out in ascending time without a copy.
+    march takes.
+
+    Yields ``(at, fe, fb)`` for every slice in march order: ``at`` is the
+    slice's index on ascending times (``n_steps - i`` for the i-th slice of
+    a backward march), and ``fe``/``fb`` are its ``(B, N)`` rows, which the
+    march never writes again.  Nothing is stored, so a consumer that keeps
+    no rows holds one slice.
     """
-    if n_steps > MAX_HISTORY_STEPS:
-        raise ValueError(f"history of {n_steps} steps exceeds the {MAX_HISTORY_STEPS}-step budget")
-    if max(grid.cells_per_axis) > MAX_HISTORY_CELLS:
-        raise ValueError(f"grid exceeds the {MAX_HISTORY_CELLS}-cell history budget")
     t_end = t_start + n_steps * dt
     evolution.require_stable_dt(grid, metric, dt, (min(t_start, t_end), max(t_start, t_end)))
     gen = evolution.Generator(grid, k, metric, data, "project_B", t_start)
     nw = gen.nw
     zero = np.zeros(nw + gen.lb.size)
     y = gen.project(np.stack([zero if s is None else gen.rows(s) for s in states]))
-    fe_rows = np.empty((len(y), n_steps + 1, nw))
-    fb_rows = np.empty((len(y), n_steps + 1, gen.lb.size))
-    times = t_start + dt * np.arange(n_steps + 1)
+    times = _march_times(t_start, n_steps, dt)
     for i in range(n_steps + 1):
         t = float(times[i])
-        at = i if dt > 0 else n_steps - i
-        fe_rows[:, at] = y[:, :nw] * gen.lapse(t)[0]
-        fb_rows[:, at] = y[:, nw:]
+        yield (i if dt > 0 else n_steps - i), y[:, :nw] * gen.lapse(t)[0], y[:, nw:]
         if i < n_steps:
             if i % SOURCE_TABLE_STEPS == 0:
                 gen.tabulate([float(s) for s in times[i : min(i + SOURCE_TABLE_STEPS, n_steps)]], dt)
             y = evolution._rk4_step(t, y, gen, dt)
+
+
+def _march_times(t_start, n_steps, dt) -> np.ndarray:
+    """The slice times of a march, in march order."""
+    return t_start + dt * np.arange(n_steps + 1)
+
+
+def _march_block(grid, k, metric, data, t_start, n_steps, dt, states) -> list:
+    """The march of a block of initial states (:func:`_march`) stored whole: one History per state.
+
+    The history budget applies here, where the rows are stored.  A
+    backward march (dt < 0) writes slice i at index ``n_steps - i``, so its
+    rows come out in ascending time without a copy.
+    """
+    if n_steps > MAX_HISTORY_STEPS:
+        raise ValueError(f"history of {n_steps} steps exceeds the {MAX_HISTORY_STEPS}-step budget")
+    if max(grid.cells_per_axis) > MAX_HISTORY_CELLS:
+        raise ValueError(f"grid exceeds the {MAX_HISTORY_CELLS}-cell history budget")
+    fe_rows = np.empty((len(states), n_steps + 1, mesh.cochain_size(grid, grid.n - k, False)))
+    fb_rows = np.empty((len(states), n_steps + 1, mesh.cochain_size(grid, k, True)))
+    for at, fe, fb in _march(grid, k, metric, data, t_start, n_steps, dt, states):
+        fe_rows[:, at] = fe
+        fb_rows[:, at] = fb
+    times = _march_times(t_start, n_steps, dt)
     if dt < 0:
         times = times[::-1].copy()
     return [History(grid, k, times, fe, fb) for fe, fb in zip(fe_rows, fb_rows)]
@@ -479,6 +512,18 @@ def _solve_plan(grid, data, t_start, t_final):
     return t_start, t_end, n_steps
 
 
+def _solve_march(src, grid, metric, t_start, t_final, backward=False) -> tuple:
+    """The arguments of the zero-data march of :func:`g_plus`, or of :func:`g_minus` when ``backward``.
+
+    Everything :func:`_march` takes but the states.
+    """
+    data = _as_source_data(src, grid)
+    t_start, t_end, n_steps = _solve_plan(grid, data, t_start, t_final)
+    if backward:
+        return grid, data.k, metric, data, t_end, n_steps, -grid.dt
+    return grid, data.k, metric, data, t_start, n_steps, grid.dt
+
+
 def g_plus(src, grid: mesh.GridSpec, metric: mesh.MetricField, t_start=None, t_final=None) -> History:
     """Forward zero-data solve: the retarded-side inverse of the operator.
 
@@ -498,9 +543,7 @@ def g_plus(src, grid: mesh.GridSpec, metric: mesh.MetricField, t_start=None, t_f
         ValueError: when the source window comes within two slices of
             either end of the time range.
     """
-    data = _as_source_data(src, grid)
-    t_start, t_end, n_steps = _solve_plan(grid, data, t_start, t_final)
-    return _integrate(grid, data.k, metric, data, t_start, n_steps, grid.dt)
+    return _integrate(*_solve_march(src, grid, metric, t_start, t_final))
 
 
 def g_minus(src, grid: mesh.GridSpec, metric: mesh.MetricField, t_start=None, t_final=None) -> History:
@@ -510,18 +553,19 @@ def g_minus(src, grid: mesh.GridSpec, metric: mesh.MetricField, t_start=None, t_
     so the output vanishes identically after the source window; the
     returned history is in ascending time order.
     """
-    data = _as_source_data(src, grid)
-    t_start, t_end, n_steps = _solve_plan(grid, data, t_start, t_final)
-    return _integrate(grid, data.k, metric, data, t_end, n_steps, -grid.dt)
+    return _integrate(*_solve_march(src, grid, metric, t_start, t_final, backward=True))
 
 
 def causal(src, grid: mesh.GridSpec, metric: mesh.MetricField, t_start=None, t_final=None) -> History:
     """Causal propagator: forward minus backward solve, a homogeneous solution.
 
-    The difference is formed in the forward solve's rows.
+    The backward march is subtracted from the forward solve's rows slice by
+    slice as it runs, so it is never stored.
     """
     plus = g_plus(src, grid, metric, t_start, t_final)
-    plus -= g_minus(src, grid, metric, t_start, t_final)
+    for at, fe, fb in _march(*_solve_march(src, grid, metric, t_start, t_final, backward=True), [None]):
+        plus.fe[at] -= fe[0]
+        plus.fb[at] -= fb[0]
     return plus
 
 
@@ -876,9 +920,9 @@ def random_solution_bundles(
     box without handles leaves visible to the pre-symplectic pairing, so
     bundles built here pair to machine zero unless every axis is periodic.
 
-    Every bundle's data is drawn first, each seed's in ascending degree
-    order, and then each degree of all bundles is marched as one block, so
-    every history is bit for bit the one-seed bundle's.
+    Every bundle's data is drawn first (:func:`_bundle_states`), and then
+    each degree of all bundles is marched as one block, so every history is
+    bit for bit the one-seed bundle's.
 
     Args:
         grid: spatial grid.
@@ -890,17 +934,29 @@ def random_solution_bundles(
     Returns:
         list of dicts mapping each degree to its History, in seed order.
     """
+    seeds = list(seeds)
+    states = _bundle_states(grid, metric, seeds, degrees)
+    marched = {
+        k: _march_block(grid, k, metric, system.zero_sources(grid, k), grid.t0, n_steps, grid.dt, rows)
+        for k, rows in states.items()
+    }
+    return [{k: histories[b] for k, histories in marched.items()} for b in range(len(seeds))]
+
+
+def _bundle_states(grid, metric, seeds, degrees) -> dict:
+    """The initial states of :func:`random_solution_bundles`: {degree: one state per seed}, degrees ascending.
+
+    Each seed's data is drawn in ascending degree order.
+    """
     n = grid.n
     if degrees is None:
         degrees = range(1, n)
-    degrees = sorted(set(int(d) for d in degrees))
-    seeds = list(seeds)
     t0 = grid.t0
     data_free = all(grid.periodic)
-    states = {k: [] for k in degrees}
+    states = {k: [] for k in sorted(set(int(d) for d in degrees))}
     for seed in seeds:
         rng = np.random.default_rng(seed)
-        for k in degrees:
+        for k, rows in states.items():
             center = np.asarray(grid.lengths) * rng.uniform(0.42, 0.58, size=grid.dim)
             radius = float(rng.uniform(0.15, 0.22) * min(grid.lengths))
             state, _ = manufactured.bump_state(
@@ -911,12 +967,56 @@ def random_solution_bundles(
                 constant = _constant_cochain(grid, n - k, False, rng.uniform(-1.0, 1.0, size=4))
                 fe = fe + mesh.multiply_scalar(constant, metric.beta, t0)
                 fb = fb + _constant_cochain(grid, k, True, rng.uniform(-1.0, 1.0, size=4))
-            states[k].append(system.FieldState(t=t0, fe=fe, fb=fb, k=k))
-    marched = {
-        k: _march_block(grid, k, metric, system.zero_sources(grid, k), t0, n_steps, grid.dt, rows)
+            rows.append(system.FieldState(t=t0, fe=fe, fb=fb, k=k))
+    return states
+
+
+def bundle_currents(
+    grid: mesh.GridSpec,
+    metric: mesh.MetricField,
+    n_steps: int,
+    seeds,
+    pairs,
+) -> tuple:
+    """The pairing currents and norms of :func:`random_solution_bundles`, with no history stored.
+
+    The bundles' degree blocks (every degree in 1..n-1) are marched in
+    lockstep, and every ``SOURCE_TABLE_STEPS`` slices of all of them (fewer
+    where their rows would exceed ``_CHUNK_BYTES``) feed the accumulator
+    behind :func:`pairing_currents`, so the values are bit for bit
+    ``pairing_currents(bundles, pairs, grid, metric)`` and the
+    root-sum-square of each bundle's ``History.norm``, while the rows held
+    are one chunk.
+
+    Returns:
+        ``(times, currents, norms)``: the slice times, a dict mapping each
+        ordered pair to its current, and one norm per bundle, in seed order.
+    """
+    seeds = list(seeds)
+    states = _bundle_states(grid, metric, seeds, None)
+    times = _march_times(grid.t0, n_steps, grid.dt)
+    bundles = range(len(seeds))
+    sums = _SliceSums(grid, metric, times, [set(states)] * len(seeds), pairs, norms=True)
+    # one chunk of (fe, fb) rows per degree, indexed (bundle, slice, entry)
+    sizes = {k: (mesh.cochain_size(grid, grid.n - k, False), mesh.cochain_size(grid, k, True)) for k in states}
+    slice_bytes = 8 * len(seeds) * sum(map(sum, sizes.values()))
+    length = max(1, min(SOURCE_TABLE_STEPS, _CHUNK_BYTES // slice_bytes))
+    chunk = {k: tuple(np.empty((len(seeds), length, size)) for size in pair) for k, pair in sizes.items()}
+    marches = [
+        _march(grid, k, metric, system.zero_sources(grid, k), grid.t0, n_steps, grid.dt, rows)
         for k, rows in states.items()
-    }
-    return [{k: marched[k][b] for k in degrees} for b in range(len(seeds))]
+    ]
+    for slices in zip(*marches):
+        at = slices[0][0]
+        c = at % length
+        for (fe_rows, fb_rows), (_, fe, fb) in zip(chunk.values(), slices):
+            fe_rows[:, c] = fe
+            fb_rows[:, c] = fb
+        if c == length - 1 or at == n_steps:
+            rows = {(b, k): (fe[b, : c + 1], fb[b, : c + 1]) for k, (fe, fb) in chunk.items() for b in bundles}
+            sums.add(at - c, rows)
+    norms = [float(np.sqrt(sum(_norm_of(sums.densities[b, k], times) ** 2 for k in states))) for b in bundles]
+    return times, sums.currents, norms
 
 
 def random_solution_bundle(
@@ -1077,16 +1177,18 @@ def _cutoff_split_defect(grid, k, metric, times, rng) -> float:
     span = steps * dt
     sol = solution_history(grid, k, metric, steps, seed=int(rng.integers(2**31)))
     chi = CutoffProfile(t0 + span / 2.0, span / 4.0)
-    # each part's sources are freed once its march returns
+    # each part's sources are freed once its march returns; the sums are formed in lead's rows
     lead = g_plus(cutoff_sources(sol, chi, metric), grid, metric, t_start=t0, t_final=float(times[-1]) + 2 * dt)
-    trail = g_minus(
-        cutoff_sources(sol, chi, metric, complement=True), grid, metric,
-        t_start=t0 - 2 * dt, t_final=float(times[-1]),
-    )
-    # the differences are formed in lead's rows, and trail is freed before the norms
     recon = lead.restrict(0, steps + 1)
-    recon += trail.restrict(2, steps + 3)
-    del lead, trail
+    del lead
+    # the trail march runs backward from times[-1] to t0 - 2 dt: its slice at is recon's at - 2
+    trail = _solve_march(
+        cutoff_sources(sol, chi, metric, complement=True), grid, metric, t0 - 2 * dt, float(times[-1]), backward=True
+    )
+    for at, fe, fb in _march(*trail, [None]):
+        if 2 <= at <= steps + 2:
+            recon.fe[at - 2] += fe[0]
+            recon.fb[at - 2] += fb[0]
     recon -= sol
     return recon.norm(metric) / sol.norm(metric)
 
@@ -1126,17 +1228,82 @@ def _bundle_times(bundle: dict, grid) -> np.ndarray:
     return times
 
 
+class _SliceSums:
+    """The slice currents of ordered bundle pairs, and the norm densities, summed a run of slices at a time.
+
+    Bundle b holds the degrees ``degrees[b]``.  :meth:`add` takes the fe/fb
+    rows of every history on consecutive slices and fills those slices of
+    each pair's current C_ij and, with ``norms``, of each history's norm
+    density (the integrand of ``History.norm``).  C_ij couples degree k of
+    bundle i against degrees k-1 and k+1 of bundle j; the lapse weight is
+    1/beta because the dt-leg fiber sign contributes ``DT_LEG_SIGN / beta^2``
+    against the lapse-weighted volume; a static lapse is sampled once.
+    Within a run, each history's Hodge image star(fe) is computed once and
+    held only while every pair term that reads it is evaluated; each pair's
+    terms are then summed in degree order.  A slice's values read only that
+    slice's rows, and ``mesh.hodge_flat`` and ``mesh.pair_flat`` give a row
+    the same bits in a run of any length, so the sums do not depend on how
+    the slices are split into runs.
+    """
+
+    def __init__(self, grid, metric, times, degrees, pairs, norms=False):
+        self.metric, self.times, self.degrees, self.pairs = metric, times, degrees, list(pairs)
+        lay = lambda k: (mesh.layout(grid, grid.n - k, False), mesh.layout(grid, k, True))
+        self.lays = {k: lay(k) for k in set().union(*degrees)}
+        # the terms of C_ij: (i, j, k, +1) reads the image of history (i, k), (i, j, k, -1) that of (j, k + 1)
+        self.readers = {}
+        for i, j in self.pairs:
+            for k in sorted(degrees[i]):
+                if k - 1 in degrees[j]:
+                    self.readers.setdefault((i, k), []).append((i, j, k, 1))
+                if k + 1 in degrees[j]:
+                    self.readers.setdefault((j, k + 1), []).append((i, j, k, -1))
+        self.currents = {pair: np.empty(len(times)) for pair in self.pairs}
+        self.densities = {(b, k): np.empty(len(times)) for b, ks in enumerate(degrees) for k in ks} if norms else {}
+        self._weights = {}
+
+    def _weight(self, le, times):
+        """1/beta at the sites of the Hodge image of ``le`` on ``times``; a static lapse is sampled once."""
+        if self.metric.beta_dt is not None or le not in self._weights:
+            self._weights[le] = 1.0 / mesh.sample_lapse(le.star, self.metric, times)
+        return self._weights[le]
+
+    def add(self, lo: int, rows: dict) -> None:
+        """Fill slices lo, lo + 1, ... from ``rows``: (b, k) -> the (fe, fb) rows of bundle b's degree k on them."""
+        count = len(next(iter(rows.values()))[0])
+        run = slice(lo, lo + count)
+        times = self.times[run]
+        conf = mesh.sample_conf(self.metric, times)
+        terms = {}
+        for (b, degree), keys in self.readers.items():
+            le = self.lays[degree][0]
+            star = mesh.hodge_flat(le, rows[b, degree][0], conf)
+            weight = self._weight(le, times)
+            for i, j, k, sign in keys:
+                if sign > 0:
+                    terms[i, j, k, sign] = mesh.pair_flat(le.star, star, rows[j, k - 1][1], conf, weight)
+                else:
+                    terms[i, j, k, sign] = mesh.pair_flat(self.lays[k][1], rows[i, k][1], star, conf, weight)
+            del star
+        for i, j in self.pairs:
+            total = np.zeros(count)
+            for k in sorted(self.degrees[i]):
+                if k - 1 in self.degrees[j]:
+                    total += terms[i, j, k, 1]
+                if k + 1 in self.degrees[j]:
+                    total -= terms[i, j, k, -1]
+            self.currents[i, j][run] = total
+        for (b, k), density in self.densities.items():
+            density[run] = _norm_density(zip(self.lays[k], rows[b, k]), conf)
+
+
 def pairing_currents(bundles, pairs, grid: mesh.GridSpec, metric: mesh.MetricField) -> tuple:
     """The slice current C_ij(t) of the cutoff pairing for each ordered pair (i, j) of bundles.
 
-    C_ij couples degree k of bundle i against degrees k-1 and k+1 of bundle
-    j; the lapse weight is 1/beta because the dt-leg fiber sign contributes
-    ``DT_LEG_SIGN / beta^2`` against the lapse-weighted volume.  Each
-    history's Hodge image star(fe), and the weight at its sites, is computed
-    once and held only while every pair term that reads it is evaluated;
-    each pair's terms are then summed in degree order.  The current does not
-    depend on the cutoff: :func:`cutoff_pairing` integrates it against any
-    d(chi).
+    The histories are summed ``SOURCE_TABLE_STEPS`` slices at a time
+    (:class:`_SliceSums`), so the temporaries span one run of slices.  The
+    current does not depend on the cutoff: :func:`cutoff_pairing`
+    integrates it against any d(chi).
 
     Args:
         bundles: sequence of bundles, each a History, a sequence of History,
@@ -1154,39 +1321,11 @@ def pairing_currents(bundles, pairs, grid: mesh.GridSpec, metric: mesh.MetricFie
     for b in bundles[1:]:
         if not _same_times(times, _bundle_times(b, grid)):
             raise ValueError("histories on mismatched time samples")
-    conf = mesh.sample_conf(metric, times)
-
-    # the terms of C_ij: (i, j, k, +1) reads the image of history (i, k), (i, j, k, -1) that of (j, k + 1)
-    readers = {}
-    for i, j in pairs:
-        for k in sorted(bundles[i]):
-            if k - 1 in bundles[j]:
-                readers.setdefault((i, k), []).append((i, j, k, 1))
-            if k + 1 in bundles[j]:
-                readers.setdefault((j, k + 1), []).append((i, j, k, -1))
-    terms = {}
-    for (b, degree), keys in readers.items():
-        h = bundles[b][degree]
-        star = mesh.hodge_flat(h.le, h.fe, conf)
-        weight = 1.0 / mesh.sample_lapse(h.le.star, metric, times)
-        for i, j, k, sign in keys:
-            if sign > 0:
-                terms[i, j, k, sign] = mesh.pair_flat(h.le.star, star, bundles[j][k - 1].fb, conf, weight)
-            else:
-                h1 = bundles[i][k]
-                terms[i, j, k, sign] = mesh.pair_flat(h1.lb, h1.fb, star, conf, weight)
-        del star, weight
-
-    currents = {}
-    for i, j in pairs:
-        total = np.zeros(len(times))
-        for k in sorted(bundles[i]):
-            if k - 1 in bundles[j]:
-                total += terms[i, j, k, 1]
-            if k + 1 in bundles[j]:
-                total -= terms[i, j, k, -1]
-        currents[i, j] = total
-    return times, currents
+    sums = _SliceSums(grid, metric, times, [set(b) for b in bundles], pairs)
+    for lo in range(0, len(times), SOURCE_TABLE_STEPS):
+        run = slice(lo, lo + SOURCE_TABLE_STEPS)
+        sums.add(lo, {(b, k): (h.fe[run], h.fb[run]) for b, bundle in enumerate(bundles) for k, h in bundle.items()})
+    return times, sums.currents
 
 
 def cutoff_pairing(current: np.ndarray, times: np.ndarray, chi: CutoffProfile) -> float:

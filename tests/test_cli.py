@@ -243,7 +243,26 @@ class TestParseConfig:
         args = [command, "--config", cfg] + (["--out", out] if command == "run" else [])
         code, printed = run_cli(args, capsys)
         assert code == 2
-        assert f"config error: {text.split()[2]} keeps dense histories: {fragment}" in printed
+        # green_suite stores its histories; symplectic_suite streams them and keeps the step budget only
+        budget = {"green_suite": "keeps dense histories", "symplectic_suite": "history budget"}[text.split()[2]]
+        assert f"config error: {text.split()[2]} {budget}: {fragment}" in printed
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_symplectic_suite_has_no_cell_budget(self, tmp_path, capsys, command):
+        # it stores no history, so 80 cells run; green_suite at 80 cells is still a config error
+        def call(experiment, text):
+            out = tmp_path / experiment
+            cfg = write_config(tmp_path, f"experiment = {experiment}\ncells = 80\n{text}", name=f"{experiment}.cfg")
+            code, printed = run_cli([command, "--config", cfg] + (["--out", out] if command == "run" else []), capsys)
+            return code, printed, out
+
+        code, printed, out = call("symplectic_suite", "steps = 20\nbundles = 2\n")
+        assert code == 0, printed
+        assert out.exists() == (command == "run")
+        code, printed, out = call("green_suite", "")
+        assert code == 2
+        assert "config error: green_suite keeps dense histories: cells must not exceed 64" in printed
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["validate", "run"])
@@ -435,12 +454,12 @@ class TestRunSuites:
     def test_cutoff_shift_fails_on_a_drifting_current(self, tmp_path, capsys, monkeypatch):
         # a current linear in t over every ramp: two widths about one centre both
         # read C(mid), so only the shifted cutoffs see the drift
-        def drifting(bundles, pairs, grid, metric):
-            times, _ = pairing_currents(bundles, pairs, grid, metric)
-            return times, {(i, j): (1.0 if i < j else -1.0) * (times - times[0]) for i, j in pairs}
+        def drifting(grid, metric, n_steps, seeds, pairs):
+            times, _, norms = bundle_currents(grid, metric, n_steps, seeds, pairs)
+            return times, {(i, j): (1.0 if i < j else -1.0) * (times - times[0]) for i, j in pairs}, norms
 
-        pairing_currents = green.pairing_currents
-        monkeypatch.setattr(green, "pairing_currents", drifting)
+        bundle_currents = green.bundle_currents
+        monkeypatch.setattr(green, "bundle_currents", drifting)
         cfg = write_config(tmp_path, "experiment = symplectic_suite\nperiodic = true\nsteps = 40\nbundles = 2\n")
         out = tmp_path / "out"
         code, _ = run_cli(["run", "--config", cfg, "--out", out], capsys)

@@ -434,6 +434,49 @@ class TestSupportAudit:
             evolution.support_audit(plain, 0.1, 1.0)
 
 
+def scanned_cone_leak(s, support, t0):
+    """The largest entry at any site outside the cone, found by scanning every site."""
+    grid = s.grid
+    radius = support.radius + support.c_max * (s.t - t0) + evolution.CONE_HALO_CELLS * max(grid.spacings)
+    center = np.asarray(support.center, dtype=float)
+    leak = 0.0
+    for c in (s.fe, s.fb):
+        for comp, arr in c.comps.items():
+            pts = mesh.site_mesh(grid, comp, c.dual)
+            dist2 = sum((p - center[i]) ** 2 for i, p in enumerate(pts))
+            outside = np.broadcast_to(dist2, arr.shape) > radius**2
+            if np.any(outside):
+                leak = max(leak, float(np.abs(arr[outside]).max()))
+    return leak
+
+
+class TestConeLeak:
+    @pytest.mark.parametrize(
+        "grid",
+        [box_grid(3, 16, 0.01), periodic_grid(3, 12, 0.01), box_grid(4, 6, 0.01)],
+        ids=["box2", "torus2", "box3"],
+    )
+    def test_equals_the_scan_and_skips_it_once_the_cone_covers_every_site(self, grid, monkeypatch):
+        # a random state is nonzero everywhere, so the leak is positive until the cone covers every site
+        s = system.random_state(grid, 2, np.random.default_rng(RNG_SEED))
+        support = evolution.SupportInfo(center=(0.4,) * grid.dim, radius=0.1, c_max=1.0)
+        states = [system.FieldState(float(t), s.fe, s.fb, 2) for t in np.linspace(0.0, 1.2, 13)]
+        want = [scanned_cone_leak(st, support, 0.0) for st in states]
+        scans = []
+        broadcast_to = np.broadcast_to
+        monkeypatch.setattr(np, "broadcast_to", lambda *a, **k: scans.append(1) or broadcast_to(*a, **k))
+        got = []
+        for st in states:
+            scans.clear()
+            got.append((evolution._cone_leak(st, support, 0.0), bool(scans)))
+        assert [leak for leak, _ in got] == want
+        scanned = [was for _, was in got]
+        assert want[0] > 0.0 and want[-1] == 0.0
+        # scanned while any site is outside, skipped from some time on
+        assert scanned == [True] * scanned.index(False) + [False] * (len(states) - scanned.index(False))
+        assert all(leak > 0.0 for leak, was in zip(want, scanned) if was)
+
+
 class TestValidateProblem:
     def make_problem(self, radius=0.2, center=None):
         grid = box_grid(3, 16, 0.4 / 32)
@@ -676,6 +719,53 @@ class TestMemory:
             assert all(ref() is None for ref in gens)
         finally:
             gc.enable()
+
+    @staticmethod
+    def liveness_spy(monkeypatch, ref):
+        """Record, at every RK4 step, whether ``ref`` still resolves."""
+        alive = []
+        step = evolution._rk4_step
+
+        def spy(t, y, gen, dt):
+            alive.append(ref() is not None)
+            return step(t, y, gen, dt)
+
+        monkeypatch.setattr(evolution, "_rk4_step", spy)
+        return alive
+
+    def test_evolve_frees_a_handed_over_initial_state(self, monkeypatch):
+        # given the only reference, evolve drops the state once its first row is formed
+        grid = small_grid(3, False)
+        handed = [system.random_state(grid, 2, np.random.default_rng(RNG_SEED))]
+        alive = self.liveness_spy(monkeypatch, weakref.ref(handed[0]))
+        cfg = evolution.EvolveConfig(t_final=3 * grid.dt, cfl=0.4)
+        gc.disable()
+        try:
+            evolution.evolve(handed.pop(), system.zero_sources(grid, 2), mesh.unit_metric(), cfg)
+        finally:
+            gc.enable()
+        assert alive == [False] * 3
+
+    def test_evolve_suite_keeps_no_initial_state(self, tmp_path, monkeypatch):
+        refs = []
+        bump_state = manufactured.bump_state
+
+        def spy(*args, **kwargs):
+            state, radius = bump_state(*args, **kwargs)
+            refs.append(weakref.ref(state))
+            return state, radius
+
+        monkeypatch.setattr(manufactured, "bump_state", spy)
+        alive = self.liveness_spy(monkeypatch, lambda: refs[0]())
+        path = tmp_path / "evolve.cfg"
+        path.write_text("experiment = evolve\ncells = 12\ndt = 0.01\nt_final = 0.04\n")
+        gc.disable()
+        try:
+            manifest = cli.run(cli.parse_config(path), tmp_path / "out")
+        finally:
+            gc.enable()
+        assert manifest["passed"]
+        assert len(refs) == 1 and alive == [False] * 4
 
     def test_warm_3d_step_allocates_only_its_result(self):
         grid = mesh.GridSpec(n=4, cells_per_axis=(32,) * 3, lengths=(1.0,) * 3, dt=0.005)

@@ -39,8 +39,8 @@ MUTANTS = {
     ),
     "current_lapse": (
         "src/kmaxwell/green.py",
-        "1.0 / mesh.sample_lapse(h.le.star, metric, times)",
-        "mesh.sample_lapse(h.le.star, metric, times)",
+        "1.0 / mesh.sample_lapse(le.star, self.metric, times)",
+        "mesh.sample_lapse(le.star, self.metric, times)",
     ),
     "trapezoid_end": (
         "src/kmaxwell/mesh.py",
@@ -101,6 +101,21 @@ MUTANTS = {
         "src/kmaxwell/evolution.py",
         "w_lapse.strides == (0,) and w_lapse[0] == 1.0",
         "w_lapse.strides == (0,)",
+    ),
+    "lockstep_offset": (
+        "src/kmaxwell/green.py",
+        "fe_rows[:, c] = fe",
+        "fe_rows[:, c - 1] = fe",
+    ),
+    "causal_sign": (
+        "src/kmaxwell/green.py",
+        "plus.fe[at] -= fe[0]",
+        "plus.fe[at] += fe[0]",
+    ),
+    "cone_bound": (
+        "src/kmaxwell/evolution.py",
+        "float(np.max((pts[i] - center[i]) ** 2))",
+        "float(np.min((pts[i] - center[i]) ** 2))",
     ),
 }
 
