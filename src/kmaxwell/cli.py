@@ -244,6 +244,14 @@ def _validate(cfg: RunConfig) -> list[str]:
             "symplectic_suite requires steps >= 20: the widest cutoff ramp (20 dt at mid-range) and "
             "the shifted ramps (mid -/+ span/4, width 10 dt) must lie inside the history"
         )
+    if cfg.experiment == "green_suite" and cfg.steps < 19:
+        # the right-inverse history of _run_green lives on the closed window span/6 .. 5 span/6, slices
+        # ceil(steps/6) .. steps - ceil(steps/6); apply_operator smears it one slice and pads its window
+        # one more, and g_plus keeps SUPPORT_MARGIN_SLICES = 2 from each end: ceil(steps/6) - 2 >= 2
+        errors.append(
+            "green_suite requires steps >= 19: the right-inverse source window (span/6 to 5 span/6, "
+            "smeared and padded one slice each side) must keep 2 slices from the ends of the history"
+        )
     if cfg.experiment in ("evolve", "green_suite", "symplectic_suite") and not errors:
         # the grid, an evolve run's integration parameters, and the Courant guard
         # of green._integrate for the history marches, checked before any work starts

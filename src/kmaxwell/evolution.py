@@ -5,9 +5,9 @@ together with ``fb`` using the classical four-stage Runge-Kutta scheme, on the
 curls of ``system`` (the split operator's one home); after every stage the
 magnetic normal-leg values on the boundary are zeroed, which is an exact
 orthogonal projection onto the admissible subspace.  A :class:`Generator`
-assembles the curls once per batch shape, as the ``system.curl_ops`` program
-of bound ufunc calls over buffers it owns, and :func:`_rk4_step` runs all four
-stages in those buffers, so a step allocates only the row it returns.
+assembles the curls once, as the ``system.curl_ops`` program of bound ufunc
+calls over buffers it owns, and :func:`_rk4_step` runs all four stages in
+those buffers, so a step allocates only the row it returns.
 Sources are evaluated once per stage, or read from the table a generator
 builds for a chunk of steps (:meth:`Generator.tabulate`).  Constraint norms,
 an energy functional, and an optional causal-support leak are sampled into a
@@ -248,18 +248,6 @@ def validate_problem(
     return report
 
 
-class _Stages:
-    """The buffers of one leading batch shape and the curl program on them.
-
-    ``ops`` reads the stage input ``ys`` and writes the slope ``k`` (its
-    parts ``k_w`` and ``k_b``).  An RK4 step sums its slopes in the row it
-    returns, so the stages hold no slope sum of their own.
-    """
-
-    def __init__(self, ys, k, ops, k_w, k_b):
-        self.ys, self.k, self.ops, self.k_w, self.k_b = ys, k, ops, k_w, k_b
-
-
 def _uniform(row: np.ndarray) -> np.ndarray:
     """``row`` as a read-only zero-stride view of its one value when every site holds it.
 
@@ -278,11 +266,12 @@ class Generator:
     degree n-k) and ``fb`` the magnetic one (dual, degree k); a row is the
     two flat cochains end to end, and leading axes hold independent rows.
 
-    The generator assembles its split operator once per leading batch shape
-    (:meth:`stages`): the ``system.curl_ops`` program, kept as a list of
-    bound ``np.multiply``/``np.subtract``/``np.add`` calls from a
-    stage-input buffer into a slope buffer, which :func:`_rk4_step` and
-    :meth:`rhs` run.
+    The generator assembles its split operator once (:meth:`stages`): the
+    ``system.curl_ops`` program, kept as a list of bound
+    ``np.multiply``/``np.subtract``/``np.add`` calls from the stage input
+    ``ys`` into the slope ``slope``, which :func:`_rk4_step` and :meth:`rhs`
+    run.  The buffers have one leading batch shape at a time, and are
+    rebuilt only when rows of another shape arrive.
     The program reads the lapse rows and Hodge factors the generator owns:
     the lapse is sampled once when ``metric.beta_dt`` is None and at every
     evaluation otherwise, and the factors are recomputed only when a(t)
@@ -321,7 +310,7 @@ class Generator:
         self._conf = float(metric.conf(t))
         # one (1,) view per component, so the program sees the factors refreshed in place
         self._fac = tuple(np.array(mesh.hodge_factors(lay, self._conf))[:, None] for lay in (self.lw, self.lb))
-        self._stages = {}
+        self.ys = self.slope = None
         self._table = None
         w_lapse = self._lapse[0] if self._lapse is not None else None
         self._unit_w = w_lapse is not None and w_lapse.strides == (0,) and w_lapse[0] == 1.0
@@ -338,21 +327,19 @@ class Generator:
             y[..., self._faces] = 0.0
         return y
 
-    def stages(self, batch: tuple) -> _Stages:
-        """The buffers and curl program for rows of leading shape ``batch``, built once."""
-        st = self._stages.get(batch)
-        if st is None:
+    def stages(self, batch: tuple) -> np.ndarray:
+        """The stage input ``ys`` for rows of leading shape ``batch``, rebuilt with the program on a new shape."""
+        if self.ys is None or self.ys.shape[:-1] != batch:
             size = self.nw + self.lb.size
-            ys, k = np.empty(batch + (size,)), np.empty(batch + (size,))
-            k_w, k_b = k[..., : self.nw], k[..., self.nw :]
+            self.ys, self.slope = np.empty(batch + (size,)), np.empty(batch + (size,))
+            self._slope_w, self._slope_b = self.slope[..., : self.nw], self.slope[..., self.nw :]
             # x * 1.0 == x bit for bit: a unit lapse and a unit sign add no pass
             beta = [None if self._lapse is not None and (b == 1.0).all() else b for b in self._beta]
-            w, fb = ys[..., : self.nw], ys[..., self.nw :]
-            ops = list(system.curl_ops(self.lw, self.lb, w, fb, *beta, self._fac, k_w, k_b))
+            w, fb = self.ys[..., : self.nw], self.ys[..., self.nw :]
+            self._ops = list(system.curl_ops(self.lw, self.lb, w, fb, *beta, self._fac, self._slope_w, self._slope_b))
             if self.curl_sign != 1.0:
-                ops.append((np.multiply, (k_w, self.curl_sign, k_w)))
-            st = self._stages[batch] = _Stages(ys, k, ops, k_w, k_b)
-        return st
+                self._ops.append((np.multiply, (self._slope_w, self.curl_sign, self._slope_w)))
+        return self.ys
 
     def tabulate(self, steps, dt) -> None:
         """Tabulate the sources of the RK4 steps of size dt from each time in ``steps``.
@@ -390,21 +377,20 @@ class Generator:
         src_e, src_b = rows if rows is not None else system.rhs_sources(self.src, t, self.metric)
         return None if src_e is None else self._beta[0] * src_e, src_b
 
-    def run(self, t: float, st: _Stages) -> np.ndarray:
-        """Time derivative of the rows ``st.ys`` at time t, written into ``st.k``."""
+    def run(self, t: float) -> np.ndarray:
+        """Time derivative of the rows ``ys`` at time t, written into ``slope``."""
         term_e, term_b = self._sources(t)
-        mesh.run_ops(st.ops)
+        mesh.run_ops(self._ops)
         if term_e is not None:
-            np.add(st.k_w, term_e, out=st.k_w)
+            np.add(self._slope_w, term_e, out=self._slope_w)
         if term_b is not None:
-            np.add(st.k_b, term_b, out=st.k_b)
-        return st.k
+            np.add(self._slope_b, term_b, out=self._slope_b)
+        return self.slope
 
     def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
         """Time derivative of the rows ``y`` at time t, sources included (a new array)."""
-        st = self.stages(y.shape[:-1])
-        np.copyto(st.ys, y)
-        return self.run(t, st).copy()
+        np.copyto(self.stages(y.shape[:-1]), y)
+        return self.run(t).copy()
 
     def rows(self, s: system.FieldState) -> np.ndarray:
         """The stacked row of a state."""
@@ -430,14 +416,13 @@ def _stage_times(t, dt):
 def _rk4_step(t, y, gen: Generator, dt):
     """One classical RK4 step of projected rows, projecting every stage.
 
-    The stages run in the generator's buffers for ``y``'s batch shape: each
+    The stages run in the generator's buffers (:meth:`Generator.stages`): each
     stage input ``y + k * h`` is formed in place, and the slopes are summed
     as ``((k1 + 2 k2) + 2 k3) + k4`` in the row the step returns, its only
     new array.  A step thus holds ``y``, its result, the stage input and the
     slope (and the curl program's scratch).
     """
-    st = gen.stages(y.shape[:-1])
-    ys, k = st.ys, st.k
+    ys, k = gen.stages(y.shape[:-1]), gen.slope
     _, t_mid, t_end = _stage_times(t, dt)
 
     def stage_input(slope, h):
@@ -446,15 +431,15 @@ def _rk4_step(t, y, gen: Generator, dt):
         gen.project(ys)
 
     np.copyto(ys, y)
-    acc = gen.run(t, st).copy()
+    acc = gen.run(t).copy()
     stage_input(acc, dt / 2)
-    gen.run(t_mid, st)
+    gen.run(t_mid)
     stage_input(k, dt / 2)
     np.add(acc, np.multiply(k, 2.0, out=k), out=acc)
-    gen.run(t_mid, st)
+    gen.run(t_mid)
     stage_input(k, dt)
     np.add(acc, np.multiply(k, 2.0, out=k), out=acc)
-    np.add(acc, gen.run(t_end, st), out=acc)
+    np.add(acc, gen.run(t_end), out=acc)
     np.multiply(acc, dt / 6.0, out=acc)
     return gen.project(np.add(y, acc, out=acc))
 
@@ -474,11 +459,11 @@ def operator_matrix(
     as an oracle against the stepped integrator and for reference histories.
     """
     gen = Generator(grid, k, metric, system.zero_sources(grid, k), boundary_mode, t)
-    st = gen.stages((gen.nw + gen.lb.size,))
-    st.ys.fill(0.0)
-    np.fill_diagonal(st.ys, 1.0)
-    gen.project(st.ys)
-    return gen.project(gen.run(t, st)).T
+    ys = gen.stages((gen.nw + gen.lb.size,))
+    ys.fill(0.0)
+    np.fill_diagonal(ys, 1.0)
+    gen.project(ys)
+    return gen.project(gen.run(t)).T
 
 
 def step(
@@ -525,18 +510,14 @@ def _cone_leak(s: system.FieldState, support: SupportInfo, t0: float) -> float:
     grid = s.grid
     radius = support.radius + support.c_max * (s.t - t0) + CONE_HALO_CELLS * max(grid.spacings)
     center = np.asarray(support.center, dtype=float)
-    sites = [(arr, mesh.site_mesh(grid, comp, c.dual)) for c in (s.fe, s.fb) for comp, arr in c.comps.items()]
-    # the per-axis farthest squared distances, summed as a site's are: rounded addition is
-    # monotone, so no site is outside the cone when this sum is not
-    far = [max(float(np.max((pts[i] - center[i]) ** 2)) for _, pts in sites) for i in range(grid.dim)]
-    if sum(far) <= radius**2:
-        return 0.0
     leak = 0.0
-    for arr, pts in sites:
-        dist2 = sum((p - center[i]) ** 2 for i, p in enumerate(pts))
-        outside = np.broadcast_to(dist2, arr.shape) > radius**2
-        if np.any(outside):
-            leak = max(leak, float(np.abs(arr[outside]).max()))
+    for c in (s.fe, s.fb):
+        for comp, arr in c.comps.items():
+            pts = mesh.site_mesh(grid, comp, c.dual)
+            dist2 = sum((p - center[i]) ** 2 for i, p in enumerate(pts))
+            outside = np.broadcast_to(dist2, arr.shape) > radius**2
+            if np.any(outside):
+                leak = max(leak, float(np.abs(arr[outside]).max()))
     return leak
 
 

@@ -22,6 +22,8 @@ block, every row bit for bit its own march.  A march yields its slices as
 it reaches them (``_march``); storing them as histories is one consumer,
 and :func:`causal`, the cutoff split of the exact-sequence suite and
 :func:`bundle_currents` fold one march into what they keep, slice by slice.
+:func:`apply_operator` works in slabs of the same ``SOURCE_TABLE_STEPS``
+slices, and the pairing currents are summed in runs of that many slices.
 
 The pairing of two bundles is a Stieltjes sum of a slice current against
 d(chi).  The current does not depend on the cutoff, so
@@ -59,12 +61,10 @@ MAX_HISTORY_CELLS = 64
 # 1-2-1 averaging passes of random_potential's sampled data; each pass spreads
 # the support by one cell per side, so radius + passes * h stays clear of walls.
 SMOOTHING_PASSES = 2
-# Steps per source table of a march: one batched source evaluation per chunk
-# of this many steps, so a march holds at most 3 * 32 stage rows of sources.
+# The one run length of the history code: a march tabulates its sources once per
+# run of this many steps (so it holds at most 3 * 32 stage rows of sources), and
+# apply_operator and the pairing currents work on runs of this many slices.
 SOURCE_TABLE_STEPS = 32
-# Slices per slab of apply_operator: its temporaries span one slab and a
-# one-slice halo each side, not the whole history.
-_SLAB_SLICES = 64
 # Rows held by bundle_currents: a chunk of SOURCE_TABLE_STEPS slices of every
 # bundle and degree, or fewer slices where that would exceed this many bytes.
 _CHUNK_BYTES = 16 * 2**20
@@ -582,13 +582,14 @@ def apply_operator(h: History, metric: mesh.MetricField) -> SourceHistory:
     stencil come out exactly zero, so compact temporal support survives
     with one slice of smearing per side.
 
-    The operator runs over slabs of ``_SLAB_SLICES`` slices and writes each
-    slab into the preallocated source rows, so its temporaries span one slab
-    and not the history.  A slab's time differences read a one-slice halo on
-    each side (three slices at least, for the end stencils): every slice is
-    differenced as ``np.gradient`` differences the whole history, and every
-    other operation acts per slice, so the rows are bit for bit those of the
-    whole-history expressions.  A static lapse is sampled once.
+    The operator runs over slabs of ``SOURCE_TABLE_STEPS`` slices and
+    writes each slab into the preallocated source rows, so its temporaries
+    span one slab and not the history.  A slab's time differences read a
+    one-slice halo on each side (three slices at least, for the end
+    stencils): every slice is differenced as ``np.gradient`` differences the
+    whole history, and every other operation acts per slice, so the rows are
+    bit for bit those of the whole-history expressions.  A static lapse is
+    sampled once.
 
     Returns:
         SourceHistory on the same times, with the support window inferred
@@ -611,8 +612,8 @@ def apply_operator(h: History, metric: mesh.MetricField) -> SourceHistory:
     jb, ze = np.empty((T, lw.size)), np.empty((T, lb.size))
     je = np.empty((T, lw.up.size)) if k >= 2 else None
     zb = np.empty((T, lb.up.size)) if k <= n - 2 else None
-    for a in range(0, T, _SLAB_SLICES):
-        b = min(a + _SLAB_SLICES, T)
+    for a in range(0, T, SOURCE_TABLE_STEPS):
+        b = min(a + SOURCE_TABLE_STEPS, T)
         lo, hi = max(a - 1, 0), min(b + 1, T)
         lo = max(min(lo, hi - 3), 0)  # a last slab of one slice still reads the three of the end stencil
         core, c = slice(a - lo, b - lo), conf[a:b]
@@ -1238,35 +1239,21 @@ class _SliceSums:
     bundle i against degrees k-1 and k+1 of bundle j; the lapse weight is
     1/beta because the dt-leg fiber sign contributes ``DT_LEG_SIGN / beta^2``
     against the lapse-weighted volume; a static lapse is sampled once.
-    Within a run, each history's Hodge image star(fe) is computed once and
-    held only while every pair term that reads it is evaluated; each pair's
-    terms are then summed in degree order.  A slice's values read only that
-    slice's rows, and ``mesh.hodge_flat`` and ``mesh.pair_flat`` give a row
-    the same bits in a run of any length, so the sums do not depend on how
-    the slices are split into runs.
+    Within a run, the Hodge image star(fe) of each history that a pair term
+    reads is computed once, and each pair's terms are summed in degree
+    order.  A slice's values read only that slice's rows, and
+    ``mesh.hodge_flat`` and ``mesh.pair_flat`` give a row the same bits in a
+    run of any length, so the sums do not depend on how the slices are split
+    into runs.
     """
 
     def __init__(self, grid, metric, times, degrees, pairs, norms=False):
         self.metric, self.times, self.degrees, self.pairs = metric, times, degrees, list(pairs)
         lay = lambda k: (mesh.layout(grid, grid.n - k, False), mesh.layout(grid, k, True))
         self.lays = {k: lay(k) for k in set().union(*degrees)}
-        # the terms of C_ij: (i, j, k, +1) reads the image of history (i, k), (i, j, k, -1) that of (j, k + 1)
-        self.readers = {}
-        for i, j in self.pairs:
-            for k in sorted(degrees[i]):
-                if k - 1 in degrees[j]:
-                    self.readers.setdefault((i, k), []).append((i, j, k, 1))
-                if k + 1 in degrees[j]:
-                    self.readers.setdefault((j, k + 1), []).append((i, j, k, -1))
         self.currents = {pair: np.empty(len(times)) for pair in self.pairs}
         self.densities = {(b, k): np.empty(len(times)) for b, ks in enumerate(degrees) for k in ks} if norms else {}
         self._weights = {}
-
-    def _weight(self, le, times):
-        """1/beta at the sites of the Hodge image of ``le`` on ``times``; a static lapse is sampled once."""
-        if self.metric.beta_dt is not None or le not in self._weights:
-            self._weights[le] = 1.0 / mesh.sample_lapse(le.star, self.metric, times)
-        return self._weights[le]
 
     def add(self, lo: int, rows: dict) -> None:
         """Fill slices lo, lo + 1, ... from ``rows``: (b, k) -> the (fe, fb) rows of bundle b's degree k on them."""
@@ -1274,24 +1261,28 @@ class _SliceSums:
         run = slice(lo, lo + count)
         times = self.times[run]
         conf = mesh.sample_conf(self.metric, times)
-        terms = {}
-        for (b, degree), keys in self.readers.items():
-            le = self.lays[degree][0]
-            star = mesh.hodge_flat(le, rows[b, degree][0], conf)
-            weight = self._weight(le, times)
-            for i, j, k, sign in keys:
-                if sign > 0:
-                    terms[i, j, k, sign] = mesh.pair_flat(le.star, star, rows[j, k - 1][1], conf, weight)
-                else:
-                    terms[i, j, k, sign] = mesh.pair_flat(self.lays[k][1], rows[i, k][1], star, conf, weight)
-            del star
+        if self.metric.beta_dt is not None:
+            self._weights.clear()
+        images = {}
+
+        def image(b, k):
+            """star(fe) of bundle b's degree k on the run, and 1/beta at its sites (a static lapse sampled once)."""
+            le = self.lays[k][0]
+            if le not in self._weights:
+                self._weights[le] = 1.0 / mesh.sample_lapse(le.star, self.metric, times)
+            if (b, k) not in images:
+                images[b, k] = mesh.hodge_flat(le, rows[b, k][0], conf), self._weights[le]
+            return images[b, k]
+
         for i, j in self.pairs:
             total = np.zeros(count)
             for k in sorted(self.degrees[i]):
                 if k - 1 in self.degrees[j]:
-                    total += terms[i, j, k, 1]
+                    star, weight = image(i, k)
+                    total += mesh.pair_flat(self.lays[k][0].star, star, rows[j, k - 1][1], conf, weight)
                 if k + 1 in self.degrees[j]:
-                    total -= terms[i, j, k, -1]
+                    star, weight = image(j, k + 1)
+                    total -= mesh.pair_flat(self.lays[k][1], rows[i, k][1], star, conf, weight)
             self.currents[i, j][run] = total
         for (b, k), density in self.densities.items():
             density[run] = _norm_density(zip(self.lays[k], rows[b, k]), conf)

@@ -654,11 +654,11 @@ def hodge_sigma(c: Cochain, t: float, metric: MetricField, orientation: int = 1)
     return c.lay.star.cochain(vec)
 
 
-def hodge_inverse_sigma(c: Cochain, t: float, metric: MetricField, orientation: int = 1) -> Cochain:
+def hodge_inverse_sigma(c: Cochain, t: float, metric: MetricField) -> Cochain:
     """Inverse of hodge_sigma: hodge_inverse_sigma(hodge_sigma(c)) = c."""
     m = c.grid.dim
     sign = (-1) ** (c.degree * (m - c.degree))
-    return hodge_sigma(c, t, metric, sign * orientation)
+    return hodge_sigma(c, t, metric, sign)
 
 
 def pair_sigma(a: Cochain, b: Cochain, t: float, metric: MetricField, weight=None) -> float:

@@ -217,6 +217,24 @@ class TestParseConfig:
             assert load_manifest(out)["passed"] is True
 
     @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_green_suite_needs_nineteen_steps(self, tmp_path, capsys, command):
+        # at 18 steps the right-inverse source window would touch the history ends, and the run would exit 3
+        text = "experiment = green_suite\ncells = 8\ntrials = 1\nsteps = {}\n"
+        out = tmp_path / "out"
+        extra = ["--out", out] if command == "run" else []
+        code, printed = run_cli([command, "--config", write_config(tmp_path, text.format(18))] + extra, capsys)
+        assert code == 2
+        assert "config error: green_suite requires steps >= 19" in printed
+        assert not out.exists()
+        code, printed = run_cli([command, "--config", write_config(tmp_path, text.format(19))] + extra, capsys)
+        if command == "validate":
+            assert code == 0, printed
+        else:
+            # the run completes; at so short a history the right-inverse defect fails its check
+            assert code == 1, printed
+            assert "error" not in load_manifest(out)
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
     def test_symplectic_suite_on_a_box_is_a_config_error(self, tmp_path, capsys, command):
         cfg = write_config(tmp_path, "experiment = symplectic_suite\nperiodic = false\n")
         out = tmp_path / "out"

@@ -629,7 +629,7 @@ def assert_sources_same_bits(got, want):
         assert same_bits(got_rows[name], rows), name
 
 
-SLAB = green._SLAB_SLICES
+SLAB = green.SOURCE_TABLE_STEPS
 # a lapse that changes in time, sampled per slab
 MOVING = mesh.MetricField(
     beta=lambda t, *x: 1.0 + 0.3 * t + 0.1 * x[0], beta_dt=lambda t, *x: 0.3 + 0.0 * x[0]
@@ -639,7 +639,7 @@ MOVING = mesh.MetricField(
 class TestSlabOperator:
     """apply_operator runs over slabs of slices and equals the whole-history operator bit for bit."""
 
-    @pytest.mark.parametrize("slices", [3, SLAB - 1, SLAB, SLAB + 1, 241])
+    @pytest.mark.parametrize("slices", [3, SLAB - 1, SLAB, SLAB + 1, 2 * SLAB - 1, 2 * SLAB, 2 * SLAB + 1, 241])
     @pytest.mark.parametrize("periodic", [False, True], ids=["box", "torus"])
     @pytest.mark.parametrize("beta", ["unit", "well"])
     @pytest.mark.parametrize("n,k", [(3, 2), (4, 2), (4, 3)])
@@ -651,22 +651,24 @@ class TestSlabOperator:
         h = random_history(g, k, slices)
         assert_sources_same_bits(green.apply_operator(h, metric), reference_apply_operator(h, metric))
 
-    @pytest.mark.parametrize("slices", [SLAB + 1, 2 * SLAB + 2])
+    @pytest.mark.parametrize("slices", [SLAB + 1, 2 * SLAB + 1, 4 * SLAB + 2])
     def test_time_dependent_lapse(self, slices):
         h = random_history(box_grid(cells=8), 2, slices, seed=1)
         assert_sources_same_bits(green.apply_operator(h, MOVING), reference_apply_operator(h, MOVING))
 
     def test_support_window_of_compact_history(self):
-        # bit-zero slices outside the support stay zero, one slice of smearing per side
+        # bit-zero slices outside the support stay zero, one slice of smearing per side;
+        # the support crosses the slab edge at 2 * SLAB
         g = box_grid(cells=8)
-        h = random_history(g, 2, 2 * SLAB + 5, seed=2)
-        h.fe[:70] = 0.0
-        h.fb[:70] = 0.0
-        h.fe[100:] = 0.0
-        h.fb[100:] = 0.0
+        h = random_history(g, 2, 3 * SLAB + 5, seed=2)
+        first, stop = SLAB + 6, 2 * SLAB + 4
+        h.fe[:first] = 0.0
+        h.fb[:first] = 0.0
+        h.fe[stop:] = 0.0
+        h.fb[stop:] = 0.0
         src = green.apply_operator(h, METRIC)
         assert_sources_same_bits(src, reference_apply_operator(h, METRIC))
-        assert src.window == (float(h.times[68]), float(h.times[101]))
+        assert src.window == (float(h.times[first - 2]), float(h.times[stop + 1]))
 
     def test_peak_does_not_grow_with_history_length(self):
         # beyond its input and output the operator holds one slab's temporaries;
@@ -1014,8 +1016,9 @@ class TestPresymplectic:
         assert min(rels) > 1e-3
 
     def test_pairing_currents_hold_one_hodge_image(self):
-        # one image, plus pair_flat's per-component products (about one more);
-        # caching the image of every degree-2 history read 6.4 images here
+        # the images of the five degree-2 histories on one run of SOURCE_TABLE_STEPS slices
+        # (5 * 32 / 121, about 1.3 images) plus pair_flat's per-component products read 1.9
+        # images; caching the image of every degree-2 history over all slices read 6.4 here
         g, bundles = torus_bundles()
         pairs = list(itertools.permutations(range(5), 2))
         green.pairing_currents(bundles, pairs, g, METRIC)  # warm the layout caches

@@ -112,10 +112,15 @@ MUTANTS = {
         "plus.fe[at] -= fe[0]",
         "plus.fe[at] += fe[0]",
     ),
-    "cone_bound": (
+    "pair_term_sign": (
+        "src/kmaxwell/green.py",
+        "total -= mesh.pair_flat(self.lays[k][1]",
+        "total += mesh.pair_flat(self.lays[k][1]",
+    ),
+    "stage_shape": (
         "src/kmaxwell/evolution.py",
-        "float(np.max((pts[i] - center[i]) ** 2))",
-        "float(np.min((pts[i] - center[i]) ** 2))",
+        "if self.ys is None or self.ys.shape[:-1] != batch:",
+        "if self.ys is None:",
     ),
 }
 
