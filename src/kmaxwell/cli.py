@@ -254,7 +254,7 @@ def _validate(cfg: RunConfig) -> list[str]:
         )
     if cfg.experiment in ("evolve", "green_suite", "symplectic_suite") and not errors:
         # the grid, an evolve run's integration parameters, and the Courant guard
-        # of green._integrate for the history marches, checked before any work starts
+        # of green._march for the history marches, checked before any work starts
         try:
             grid = build_grid(cfg)
             if cfg.experiment == "evolve":
@@ -419,7 +419,7 @@ def _run_green(cfg: RunConfig, out: Path):
         checks.append(
             _check(
                 f"sequence_{key}", sequence[key], GREEN_DEFECT_TOL,
-                detail="worst relative defect over the trials",
+                detail=f"worst relative defect over the trials, on histories of {sequence['steps']} steps",
             )
         )
     columns = {"trial": [float(i) for i in range(sequence["trials"])]}

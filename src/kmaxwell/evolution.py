@@ -276,13 +276,14 @@ class Generator:
     the lapse is sampled once when ``metric.beta_dt`` is None and at every
     evaluation otherwise, and the factors are recomputed only when a(t)
     changes value.  A static lapse row whose sites all hold one value is
-    kept as a zero-stride view of that value (:func:`_uniform`), and at a
-    unit lapse :meth:`state` hands out the w part of the row itself as fe,
-    since ``w * 1.0 == w`` bit for bit.  The buffers live as long as the
-    generator and reference nothing back, so they are freed with it.  With
-    ``project_B`` on a grid with faces, :meth:`project` zeroes the magnetic
-    normal legs on the boundary.  The mode passes
-    :func:`require_boundary_mode` first, so every step and march checks it.
+    kept as a zero-stride view of that value (:func:`_uniform`); where it is
+    1.0, decided once per component, the program multiplies by no lapse and
+    :meth:`electric` hands out w itself as fe, since ``w * 1.0 == w`` bit
+    for bit.  The buffers live as long as the generator and reference
+    nothing back, so they are freed with it.  With ``project_B`` on a grid
+    with faces, :meth:`project` zeroes the magnetic normal legs on the
+    boundary.  The mode passes :func:`require_boundary_mode` first, so
+    every step and march checks it.
 
     Sources are evaluated by ``system.rhs_sources`` once per stage, or, for
     a march that knows its step times, once per chunk of steps:
@@ -301,25 +302,26 @@ class Generator:
         self.curl_sign = float(-system.eps_sign(n, k))
         self.projects = boundary_mode == "project_B" and not all(grid.periodic)
         self._faces = self.nw + mesh.normal_face_sites(self.lb) if self.projects else None
-        self._lapse = None
+        self._beta = tuple(mesh.sample_flat(lay, metric.beta, t) for lay in (self.lw, self.lb))
         if metric.beta_dt is None:
-            self._lapse = tuple(_uniform(row) for row in self.lapse(t))
-            self._beta = self._lapse
-        else:
-            self._beta = (np.empty(self.nw), np.empty(self.lb.size))
+            self._beta = tuple(map(_uniform, self._beta))
+        # x * 1.0 == x bit for bit: a unit lapse (zero stride, so static and uniform) adds no product
+        self._unit = tuple(b.strides == (0,) and b[0] == 1.0 for b in self._beta)
         self._conf = float(metric.conf(t))
         # one (1,) view per component, so the program sees the factors refreshed in place
         self._fac = tuple(np.array(mesh.hodge_factors(lay, self._conf))[:, None] for lay in (self.lw, self.lb))
         self.ys = self.slope = None
         self._table = None
-        w_lapse = self._lapse[0] if self._lapse is not None else None
-        self._unit_w = w_lapse is not None and w_lapse.strides == (0,) and w_lapse[0] == 1.0
 
     def lapse(self, t):
         """Lapse samples at the (w, fb) sites at time t."""
-        if self._lapse is not None:
-            return self._lapse
+        if self.metric.beta_dt is None:
+            return self._beta
         return mesh.sample_flat(self.lw, self.metric.beta, t), mesh.sample_flat(self.lb, self.metric.beta, t)
+
+    def electric(self, t, w: np.ndarray) -> np.ndarray:
+        """The fe rows ``w * beta`` of w rows at time t: ``w`` itself at a unit lapse."""
+        return w if self._unit[0] else w * self.lapse(t)[0]
 
     def project(self, y: np.ndarray) -> np.ndarray:
         """Zero the boundary normal flux of the fb part of ``y`` in place; returns ``y``."""
@@ -333,8 +335,8 @@ class Generator:
             size = self.nw + self.lb.size
             self.ys, self.slope = np.empty(batch + (size,)), np.empty(batch + (size,))
             self._slope_w, self._slope_b = self.slope[..., : self.nw], self.slope[..., self.nw :]
-            # x * 1.0 == x bit for bit: a unit lapse and a unit sign add no pass
-            beta = [None if self._lapse is not None and (b == 1.0).all() else b for b in self._beta]
+            # a unit lapse and a unit sign add no pass
+            beta = [None if unit else b for b, unit in zip(self._beta, self._unit)]
             w, fb = self.ys[..., : self.nw], self.ys[..., self.nw :]
             self._ops = list(system.curl_ops(self.lw, self.lb, w, fb, *beta, self._fac, self._slope_w, self._slope_b))
             if self.curl_sign != 1.0:
@@ -365,7 +367,7 @@ class Generator:
         ``system.rhs_sources``, read from the table when t is tabulated,
         None where a source is absent.
         """
-        if self._lapse is None:
+        if self.metric.beta_dt is not None:
             for buf, row in zip(self._beta, self.lapse(t)):
                 buf[...] = row
         conf = float(self.metric.conf(t))
@@ -398,8 +400,7 @@ class Generator:
 
     def state(self, t: float, y: np.ndarray) -> system.FieldState:
         """The field state of a stacked row; at a unit lapse its fe is a view of ``y``, as fb is."""
-        w = y[: self.nw]
-        fe = self.lw.cochain(w if self._unit_w else w * self.lapse(t)[0])
+        fe = self.lw.cochain(self.electric(t, y[: self.nw]))
         return system.FieldState(t, fe, self.lb.cochain(y[self.nw :]), self.k)
 
 

@@ -446,20 +446,20 @@ def _march(grid, k, metric, data, t_start, n_steps, dt, states):
 
     Yields ``(at, fe, fb)`` for every slice in march order: ``at`` is the
     slice's index on ascending times (``n_steps - i`` for the i-th slice of
-    a backward march), and ``fe``/``fb`` are its ``(B, N)`` rows, which the
-    march never writes again.  Nothing is stored, so a consumer that keeps
-    no rows holds one slice.
+    a backward march), and ``fe``/``fb`` are its ``(B, N)`` rows: fb, and fe
+    at a unit lapse, are views of the march's row, which every RK4 step
+    replaces by a new array, so the march never writes them again.  Nothing
+    is stored, so a consumer that keeps no rows holds one slice.
     """
     t_end = t_start + n_steps * dt
     evolution.require_stable_dt(grid, metric, dt, (min(t_start, t_end), max(t_start, t_end)))
     gen = evolution.Generator(grid, k, metric, data, "project_B", t_start)
-    nw = gen.nw
-    zero = np.zeros(nw + gen.lb.size)
+    zero = np.zeros(gen.nw + gen.lb.size)
     y = gen.project(np.stack([zero if s is None else gen.rows(s) for s in states]))
     times = _march_times(t_start, n_steps, dt)
     for i in range(n_steps + 1):
         t = float(times[i])
-        yield (i if dt > 0 else n_steps - i), y[:, :nw] * gen.lapse(t)[0], y[:, nw:]
+        yield (i if dt > 0 else n_steps - i), gen.electric(t, y[:, : gen.nw]), y[:, gen.nw :]
         if i < n_steps:
             if i % SOURCE_TABLE_STEPS == 0:
                 gen.tabulate([float(s) for s in times[i : min(i + SOURCE_TABLE_STEPS, n_steps)]], dt)
@@ -493,12 +493,12 @@ def _march_block(grid, k, metric, data, t_start, n_steps, dt, states) -> list:
     return [History(grid, k, times, fe, fb) for fe, fb in zip(fe_rows, fb_rows)]
 
 
-def _integrate(grid, k, metric, data, t_start, n_steps, dt, state0=None) -> History:
-    """March the split system from one state (zero data when None), storing every slice."""
-    return _march_block(grid, k, metric, data, t_start, n_steps, dt, [state0])[0]
+def _solve_march(src, grid, metric, t_start, t_final, backward=False) -> tuple:
+    """The arguments of the zero-data march of :func:`g_plus`, or of :func:`g_minus` when ``backward``.
 
-
-def _solve_plan(grid, data, t_start, t_final):
+    Everything :func:`_march` takes but the states.
+    """
+    data = _as_source_data(src, grid)
     dt = grid.dt
     t_start = grid.t0 if t_start is None else float(t_start)
     if t_final is None:
@@ -509,19 +509,9 @@ def _solve_plan(grid, data, t_start, t_final):
     margin = SUPPORT_MARGIN_SLICES * dt
     if wa - t_start < margin - 1e-9 * dt or t_end - wb < margin - 1e-9 * dt:
         raise ValueError("source support window touches the time range ends")
-    return t_start, t_end, n_steps
-
-
-def _solve_march(src, grid, metric, t_start, t_final, backward=False) -> tuple:
-    """The arguments of the zero-data march of :func:`g_plus`, or of :func:`g_minus` when ``backward``.
-
-    Everything :func:`_march` takes but the states.
-    """
-    data = _as_source_data(src, grid)
-    t_start, t_end, n_steps = _solve_plan(grid, data, t_start, t_final)
     if backward:
-        return grid, data.k, metric, data, t_end, n_steps, -grid.dt
-    return grid, data.k, metric, data, t_start, n_steps, grid.dt
+        return grid, data.k, metric, data, t_end, n_steps, -dt
+    return grid, data.k, metric, data, t_start, n_steps, dt
 
 
 def g_plus(src, grid: mesh.GridSpec, metric: mesh.MetricField, t_start=None, t_final=None) -> History:
@@ -543,7 +533,7 @@ def g_plus(src, grid: mesh.GridSpec, metric: mesh.MetricField, t_start=None, t_f
         ValueError: when the source window comes within two slices of
             either end of the time range.
     """
-    return _integrate(*_solve_march(src, grid, metric, t_start, t_final))
+    return _march_block(*_solve_march(src, grid, metric, t_start, t_final), [None])[0]
 
 
 def g_minus(src, grid: mesh.GridSpec, metric: mesh.MetricField, t_start=None, t_final=None) -> History:
@@ -553,7 +543,7 @@ def g_minus(src, grid: mesh.GridSpec, metric: mesh.MetricField, t_start=None, t_
     so the output vanishes identically after the source window; the
     returned history is in ascending time order.
     """
-    return _integrate(*_solve_march(src, grid, metric, t_start, t_final, backward=True))
+    return _march_block(*_solve_march(src, grid, metric, t_start, t_final, backward=True), [None])[0]
 
 
 def causal(src, grid: mesh.GridSpec, metric: mesh.MetricField, t_start=None, t_final=None) -> History:
@@ -588,8 +578,8 @@ def apply_operator(h: History, metric: mesh.MetricField) -> SourceHistory:
     one-slice halo on each side (three slices at least, for the end
     stencils): every slice is differenced as ``np.gradient`` differences the
     whole history, and every other operation acts per slice, so the rows are
-    bit for bit those of the whole-history expressions.  A static lapse is
-    sampled once.
+    bit for bit those of the whole-history expressions.  Each slab samples
+    the lapse on its own slices (one row when it is static).
 
     Returns:
         SourceHistory on the same times, with the support window inferred
@@ -599,16 +589,6 @@ def apply_operator(h: History, metric: mesh.MetricField) -> SourceHistory:
     n = grid.n
     lw, lb, conf = h.le, h.lb, mesh.sample_conf(metric, h.times)
     ssign, esign = float(system.source_sign(n, k)), float((-1) ** (n - k))
-    static = {}
-
-    def lapse(lay, lo, hi):
-        """The lapse at the sites of ``lay``: one row when static, else the rows of slices lo:hi."""
-        if metric.beta_dt is not None:
-            return mesh.sample_lapse(lay, metric, h.times[lo:hi])
-        if lay not in static:
-            static[lay] = mesh.sample_lapse(lay, metric, h.times)
-        return static[lay]
-
     jb, ze = np.empty((T, lw.size)), np.empty((T, lb.size))
     je = np.empty((T, lw.up.size)) if k >= 2 else None
     zb = np.empty((T, lb.up.size)) if k <= n - 2 else None
@@ -616,19 +596,19 @@ def apply_operator(h: History, metric: mesh.MetricField) -> SourceHistory:
         b = min(a + SOURCE_TABLE_STEPS, T)
         lo, hi = max(a - 1, 0), min(b + 1, T)
         lo = max(min(lo, hi - 3), 0)  # a last slab of one slice still reads the three of the end stencil
-        core, c = slice(a - lo, b - lo), conf[a:b]
-        beta_w = lapse(lw, lo, hi)
+        core, c, times = slice(a - lo, b - lo), conf[a:b], h.times[a:b]
+        beta_w = mesh.sample_lapse(lw, metric, h.times[lo:hi])
         w = h.fe[lo:hi] * (1.0 / beta_w)
         w_dot = np.gradient(w, h.dt, axis=0, edge_order=2)[core]
         fb_dot = np.gradient(h.fb[lo:hi], h.dt, axis=0, edge_order=2)[core]
         w, fb = w[core], h.fb[a:b]
         beta_w = beta_w if beta_w.ndim == 1 else beta_w[core]
-        slot_e, slot_b = system.slots(lw, lb, w, fb, w_dot, fb_dot, beta_w, lapse(lb, a, b), c)
+        slot_e, slot_b = system.slots(lw, lb, w, fb, w_dot, fb_dot, beta_w, mesh.sample_lapse(lb, metric, times), c)
         np.multiply(mesh.hodge_inverse_flat(lw, slot_e, c), ssign, out=jb[a:b])
         ze[a:b] = mesh.hodge_inverse_flat(lb, slot_b, c)
         if je is not None:
             dw = mesh.d_flat(lw, w)
-            np.multiply(np.multiply(dw, lapse(lw.up, a, b), out=dw), esign, out=je[a:b])
+            np.multiply(np.multiply(dw, mesh.sample_lapse(lw.up, metric, times), out=dw), esign, out=je[a:b])
         if zb is not None:
             zb[a:b] = mesh.d_flat(lb, fb)
 
@@ -902,7 +882,7 @@ def solution_history(
     radius = float(rng.uniform(0.15, 0.22) * min(grid.lengths))
     state, _ = manufactured.bump_state(grid, k, metric, t=grid.t0, center=center, radius=radius, seed=seed)
     data = system.zero_sources(grid, k)
-    return _integrate(grid, k, metric, data, grid.t0, n_steps, grid.dt, state0=state)
+    return _march_block(grid, k, metric, data, grid.t0, n_steps, grid.dt, [state])[0]
 
 
 def random_solution_bundles(
@@ -1095,7 +1075,7 @@ def random_potential(
     pot_e = _smooth_components(manufactured.bump_potential(grid, n - k - 1, False, prof, rng, t0), SMOOTHING_PASSES)
     fb0 = mesh.d_sigma(pot_b)
     fe0 = mesh.multiply_scalar(mesh.d_sigma(pot_e), metric.beta, t0)
-    sol = _integrate(
+    sol = _march_block(
         grid,
         k,
         metric,
@@ -1103,8 +1083,8 @@ def random_potential(
         t0,
         n_steps,
         grid.dt,
-        state0=system.FieldState(t=t0, fe=fe0, fb=fb0, k=k),
-    )
+        [system.FieldState(t=t0, fe=fe0, fb=fb0, k=k)],
+    )[0]
     star_rows = mesh.hodge_flat(sol.le, sol.fe, mesh.sample_conf(metric, sol.times))
     ab_rows = np.empty_like(star_rows)
     ab_rows[0] = pot_b.vec
@@ -1133,7 +1113,8 @@ def exact_sequence_suite(
 
     Returns:
         dict with the worst relative defect per statement plus per-trial
-        values, all measured in spacetime L2 norms.
+        values, all measured in spacetime L2 norms, the trial count and the
+        history steps ``clip(round(0.6/dt), 24, 400)`` of every statement.
     """
     rng = np.random.default_rng(seed)
     if k is None:
@@ -1153,6 +1134,7 @@ def exact_sequence_suite(
     report = {key: float(np.max(vals)) for key, vals in out.items()}
     report["per_trial"] = {key: [float(v) for v in vals] for key, vals in out.items()}
     report["trials"] = int(max(1, trials))
+    report["steps"] = steps
     return report
 
 
@@ -1238,10 +1220,10 @@ class _SliceSums:
     density (the integrand of ``History.norm``).  C_ij couples degree k of
     bundle i against degrees k-1 and k+1 of bundle j; the lapse weight is
     1/beta because the dt-leg fiber sign contributes ``DT_LEG_SIGN / beta^2``
-    against the lapse-weighted volume; a static lapse is sampled once.
-    Within a run, the Hodge image star(fe) of each history that a pair term
-    reads is computed once, and each pair's terms are summed in degree
-    order.  A slice's values read only that slice's rows, and
+    against the lapse-weighted volume.  Within a run, the Hodge image
+    star(fe) of each history that a pair term reads, and the weight at the
+    sites of each layout, are computed once, and each pair's terms are
+    summed in degree order.  A slice's values read only that slice's rows, and
     ``mesh.hodge_flat`` and ``mesh.pair_flat`` give a row the same bits in a
     run of any length, so the sums do not depend on how the slices are split
     into runs.
@@ -1253,7 +1235,6 @@ class _SliceSums:
         self.lays = {k: lay(k) for k in set().union(*degrees)}
         self.currents = {pair: np.empty(len(times)) for pair in self.pairs}
         self.densities = {(b, k): np.empty(len(times)) for b, ks in enumerate(degrees) for k in ks} if norms else {}
-        self._weights = {}
 
     def add(self, lo: int, rows: dict) -> None:
         """Fill slices lo, lo + 1, ... from ``rows``: (b, k) -> the (fe, fb) rows of bundle b's degree k on them."""
@@ -1261,17 +1242,15 @@ class _SliceSums:
         run = slice(lo, lo + count)
         times = self.times[run]
         conf = mesh.sample_conf(self.metric, times)
-        if self.metric.beta_dt is not None:
-            self._weights.clear()
-        images = {}
+        images, weights = {}, {}
 
         def image(b, k):
-            """star(fe) of bundle b's degree k on the run, and 1/beta at its sites (a static lapse sampled once)."""
+            """star(fe) of bundle b's degree k on the run, and 1/beta at its sites."""
             le = self.lays[k][0]
-            if le not in self._weights:
-                self._weights[le] = 1.0 / mesh.sample_lapse(le.star, self.metric, times)
+            if le not in weights:
+                weights[le] = 1.0 / mesh.sample_lapse(le.star, self.metric, times)
             if (b, k) not in images:
-                images[b, k] = mesh.hodge_flat(le, rows[b, k][0], conf), self._weights[le]
+                images[b, k] = mesh.hodge_flat(le, rows[b, k][0], conf), weights[le]
             return images[b, k]
 
         for i, j in self.pairs:

@@ -447,6 +447,15 @@ class TestRunSuites:
         table = io.read_table_csv(out / "series_green.csv")
         assert len(table["trial"]) == 3 and "defect_c" in table
 
+    def test_green_suite_sequence_details_state_their_steps(self, tmp_path, capsys):
+        # the exactness statements run clip(round(0.6 / dt), 24, 400) steps, whatever `steps` says
+        cfg = write_config(tmp_path, "experiment = green_suite\ncells = 8\ndt = 0.05\nsteps = 30\ntrials = 1\n")
+        out = tmp_path / "out"
+        run_cli(["run", "--config", cfg, "--out", out], capsys)
+        names = checks_by_name(load_manifest(out))
+        for key in ("sequence_defect_a", "sequence_defect_b", "sequence_defect_c"):
+            assert names[key]["detail"] == "worst relative defect over the trials, on histories of 24 steps"
+
     def test_symplectic_suite_on_torus(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "experiment = symplectic_suite\nperiodic = true\n")
         out = tmp_path / "out"

@@ -195,21 +195,22 @@ class TestEnergyConservation:
         assert drift1 / drift2 > 12.0
 
 
-def energy_skew_defect(grid, k, metric, boundary_mode):
-    """max|HA + A^T H| / max|HA| of the projected generator A in the energy form H.
+def energy_skew_defect(grid, k, metric, boundary_mode, t=0.0):
+    """max|HA + A^T H| / max|HA| of the projected generator A in the energy form H, both frozen at t.
 
     A is ``operator_matrix`` on the entries the boundary projection leaves
-    free; H is diagonal, the ``pair_flat`` weight of each entry times the
-    lapse there, on both the w and the fb entries (``fe^2/beta + beta fb^2``).
+    free; H is diagonal, the ``pair_flat`` weight of each entry (with a(t))
+    times the lapse there, on both the w and the fb entries
+    (``fe^2/beta + beta fb^2``).
     """
-    gen = evolution.Generator(grid, k, metric, system.zero_sources(grid, k), boundary_mode, 0.0)
-    lapse = gen.lapse(0.0)
+    gen = evolution.Generator(grid, k, metric, system.zero_sources(grid, k), boundary_mode, t)
+    lapse = gen.lapse(t)
     weights = np.concatenate([
-        mesh.pair_flat(lay, np.eye(lay.size), np.eye(lay.size), 1.0, beta)
+        mesh.pair_flat(lay, np.eye(lay.size), np.eye(lay.size), float(metric.conf(t)), beta)
         for lay, beta in zip((gen.lw, gen.lb), lapse)
     ])
     free = gen.project(np.ones(weights.size)) != 0.0
-    a = evolution.operator_matrix(grid, k, metric, 0.0, boundary_mode)[np.ix_(free, free)]
+    a = evolution.operator_matrix(grid, k, metric, t, boundary_mode)[np.ix_(free, free)]
     ha = weights[free, None] * a
     return np.abs(ha + ha.T).max() / np.abs(ha).max()
 
@@ -219,7 +220,7 @@ ENERGY_IDENTITY_CASES = [(3, 8, p, k) for p in (False, True) for k in (1, 2)] + 
 
 
 class TestEnergyIdentity:
-    """The projected generator is skew-adjoint in the energy form H (static metric)."""
+    """The projected generator is skew-adjoint in the energy form H (static lapse, a(t) frozen)."""
 
     @pytest.mark.parametrize("beta", sorted(cli.BETA_CATALOGUE))
     @pytest.mark.parametrize(
@@ -231,6 +232,18 @@ class TestEnergyIdentity:
         metric = mesh.MetricField(beta=cli.BETA_CATALOGUE[beta](1.0))
         mode = "periodic_test" if periodic else "project_B"
         assert energy_skew_defect(grid, k, metric, mode) <= LINEARITY_TOL
+
+    @pytest.mark.parametrize("beta", sorted(cli.BETA_CATALOGUE))
+    @pytest.mark.parametrize(
+        "n,cells,periodic,k", ENERGY_IDENTITY_CASES,
+        ids=[f"n{n}-{'torus' if p else 'box'}-k{k}" for n, _, p, k in ENERGY_IDENTITY_CASES],
+    )
+    def test_skew_adjoint_with_expanding_scale_factor(self, n, cells, periodic, k, beta):
+        # frozen at t = 2 (a = 1.2), with a(t) in H's weights; left out, the defect reads 0.306 at n = 3
+        grid = box_grid(n, cells, 0.01, periodic=(True,) * (n - 1) if periodic else None)
+        metric = mesh.MetricField(beta=cli.BETA_CATALOGUE[beta](1.0), conf=cli.A_CATALOGUE["expanding"](1.0))
+        mode = "periodic_test" if periodic else "project_B"
+        assert energy_skew_defect(grid, k, metric, mode, t=2.0) <= LINEARITY_TOL
 
 
 class TestEvolve:
@@ -820,7 +833,7 @@ class TestMemory:
         grid = mesh.GridSpec(n=3, cells_per_axis=(64, 64), lengths=(1.0, 1.0), dt=0.005)
         met = mesh.unit_metric()
         src = green.random_source_pair(grid, 2, met, (0.02, 0.5), np.random.default_rng(RNG_SEED))
-        green._integrate(grid, 2, met, src, 0.05, 2, grid.dt)  # warm the layout and factor caches
+        green._march_block(grid, 2, met, src, 0.05, 2, grid.dt, [None])  # warm the layout and factor caches
         held = []
         step = evolution._rk4_step
 
@@ -831,7 +844,7 @@ class TestMemory:
         monkeypatch.setattr(evolution, "_rk4_step", spy)
         tracemalloc.start()
         try:
-            h = green._integrate(grid, 2, met, src, 0.05, 100, grid.dt)
+            h = green._march_block(grid, 2, met, src, 0.05, 100, grid.dt, [None])[0]
         finally:
             tracemalloc.stop()
         row = h.fe[0].nbytes + h.fb[0].nbytes

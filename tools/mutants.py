@@ -99,8 +99,23 @@ MUTANTS = {
     ),
     "unit_view": (
         "src/kmaxwell/evolution.py",
-        "w_lapse.strides == (0,) and w_lapse[0] == 1.0",
-        "w_lapse.strides == (0,)",
+        "b.strides == (0,) and b[0] == 1.0",
+        "b.strides == (0,)",
+    ),
+    "run_weights": (
+        "src/kmaxwell/green.py",
+        "images, weights = {}, {}",
+        'images, weights = {}, self.__dict__.setdefault("stale", {})',
+    ),
+    "magnetic_lapse": (
+        "src/kmaxwell/green.py",
+        "mesh.sample_lapse(lb, metric, times)",
+        "mesh.sample_lapse(lw, metric, times)",
+    ),
+    "stage_source_time": (
+        "src/kmaxwell/evolution.py",
+        "np.add(acc, gen.run(t_end), out=acc)",
+        "np.add(acc, gen.run(t_mid), out=acc)",
     ),
     "lockstep_offset": (
         "src/kmaxwell/green.py",
