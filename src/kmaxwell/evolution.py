@@ -300,8 +300,7 @@ class Generator:
         self.lb = mesh.layout(grid, k, True)
         self.nw = self.lw.size
         self.curl_sign = float(-system.eps_sign(n, k))
-        self.projects = boundary_mode == "project_B" and not all(grid.periodic)
-        self._faces = self.nw + mesh.normal_face_sites(self.lb) if self.projects else None
+        self.projects = boundary_mode == "project_B"  # a torus has no face sites to zero
         self._beta = tuple(mesh.sample_flat(lay, metric.beta, t) for lay in (self.lw, self.lb))
         if metric.beta_dt is None:
             self._beta = tuple(map(_uniform, self._beta))
@@ -326,7 +325,7 @@ class Generator:
     def project(self, y: np.ndarray) -> np.ndarray:
         """Zero the boundary normal flux of the fb part of ``y`` in place; returns ``y``."""
         if self.projects:
-            y[..., self._faces] = 0.0
+            y[..., self.nw :][..., self.lb.face_sites] = 0.0
         return y
 
     def stages(self, batch: tuple) -> np.ndarray:
@@ -596,7 +595,11 @@ def support_audit(series: MonitorSeries, radius: float, c_max: float) -> CheckRe
     """Verify the state stayed inside the causal cone of its initial support.
 
     Passes when every sampled leak outside radius + c_max*(t - t0) + 4h is
-    below 1e-7 relative to the largest state magnitude seen.
+    below 1e-7 relative to the largest state magnitude seen.  The leak
+    (:func:`_cone_leak`) is the largest integral degree of freedom outside
+    the cone, a value times its cell measure, but the scale is the largest
+    pointwise value (``mesh.max_pointwise``): a pointwise leak reads 32x
+    higher at n = 3 and 1024x at n = 4 on criterion 5's 32-cell runs.
     """
     if series.support is None:
         raise ValueError("series was not produced with a support monitor")

@@ -153,12 +153,7 @@ class Face(NamedTuple):
 
 def faces(grid: GridSpec) -> list[Face]:
     """All boundary faces (periodic axes contribute none)."""
-    out = []
-    for axis in range(grid.dim):
-        if not grid.periodic[axis]:
-            out.append(Face(axis, 0))
-            out.append(Face(axis, 1))
-    return out
+    return [Face(axis, side) for axis in range(grid.dim) if not grid.periodic[axis] for side in (0, 1)]
 
 
 def face_grid(grid: GridSpec, face: Face) -> GridSpec:
@@ -228,8 +223,8 @@ class Layout:
       the pairing factor and, times ``signs[i] = eps(S)``, the Hodge factor
       (kept apart so both round exactly as the per-cell formula does);
     * ``stars[i]``: the position of S^c in the Hodge image;
-    * ``node_axes[i]``: the bounded axes sampled at nodes (trapezoid ends;
-      on the dual family exactly the normal legs);
+    * ``node_axes[i]``: the bounded axes sampled at nodes (trapezoid ends and
+      :attr:`faces`; on the dual family exactly the normal legs);
     * ``cofaces``: the incidence terms (i, axis, target, sign) of ``d``;
     * ``star`` and ``up``: the layouts of the Hodge image (degree m-k, the
       other family) and of the coboundary (degree k+1, the same family).
@@ -271,6 +266,32 @@ class Layout:
     def cochain(self, vec: np.ndarray) -> "Cochain":
         """The cochain of this layout holding the flat vector ``vec`` (not copied)."""
         return Cochain(self, vec)
+
+    @functools.cached_property
+    def faces(self) -> MappingProxyType:
+        """Flat positions on each non-periodic face: ``{Face: positions}``.
+
+        The node layer at the face of each component sampled at nodes across
+        it, in component order: on the dual family the normal legs, on the
+        primal family the tangential trace in the face layout's order.
+        """
+        m, sites, out = self.grid.dim, np.arange(self.size), {}
+        for face in faces(self.grid):
+            end = _along(face.axis - m, (0, -1)[face.side])
+            layers = [self.view(sites, i)[end].ravel() for i, axes in enumerate(self.node_axes) if face.axis in axes]
+            out[face] = np.concatenate([np.zeros(0, dtype=np.intp)] + layers)
+            out[face].flags.writeable = False
+        return MappingProxyType(out)
+
+    @functools.cached_property
+    def face_sites(self) -> np.ndarray:
+        """The union of :attr:`faces`, sorted: every flat position on a boundary face."""
+        on_face = np.zeros(self.size, dtype=bool)
+        for positions in self.faces.values():
+            on_face[positions] = True
+        sites = np.flatnonzero(on_face)
+        sites.flags.writeable = False
+        return sites
 
 
 @functools.lru_cache(maxsize=256)
@@ -607,27 +628,21 @@ def norm_flat(lay: Layout, x: np.ndarray, conf) -> float:
     return float(np.sqrt(max(float(pair_flat(lay, x, x, conf)), 0.0)))
 
 
-def normal_face_sites(lay: Layout) -> np.ndarray:
-    """Flat positions of the normal flux: both face-node layers of each normal leg (dual family)."""
-    if not lay.dual:
-        raise ValueError("normal flux: dual-family cochain required")
-    m, sites = lay.grid.dim, np.arange(lay.size)
-    faces = [
-        lay.view(sites, i)[_along(axis - m, end)].ravel()
-        for i, axes in enumerate(lay.node_axes) for axis in axes for end in (0, -1)
-    ]
-    return np.concatenate([np.zeros(0, dtype=np.intp)] + faces)
-
-
 def project_flat(lay: Layout, x: np.ndarray) -> np.ndarray:
-    """Zero the normal flux of dual-family rows in place; returns ``x``."""
-    x[..., normal_face_sites(lay)] = 0.0
+    """Zero the face sites of rows in place (the normal flux of dual-family rows); returns ``x``."""
+    x[..., lay.face_sites] = 0.0
     return x
 
 
 def flux_maxabs_flat(lay: Layout, x: np.ndarray) -> float:
-    """Largest face-node normal-leg value over all dual-family rows."""
-    return float(np.max(np.abs(x[..., normal_face_sites(lay)]), initial=0.0))
+    """Largest face-site value over all rows (the normal flux of dual-family rows)."""
+    return float(np.max(np.abs(x[..., lay.face_sites]), initial=0.0))
+
+
+def face_maxabs(lay: Layout, rows: np.ndarray) -> np.ndarray:
+    """Largest |value| at the face sites of each flat row, 0.0 without faces: the
+    normal flux of dual-family rows, the tangential trace on every face of primal ones."""
+    return np.max(np.abs(rows[..., lay.face_sites]), axis=-1, initial=0.0)
 
 
 def d_sigma(c: Cochain) -> Cochain:
@@ -689,37 +704,21 @@ def norm_sigma(c: Cochain, t: float, metric: MetricField) -> float:
     return norm_flat(c.lay, c.vec, metric.conf(t))
 
 
-def _face_slice(arr: np.ndarray, axis: int, side: int) -> np.ndarray:
-    sl = [slice(None)] * arr.ndim
-    sl[axis] = -1 if side == 1 else 0
-    return arr[tuple(sl)]
-
-
-def _drop_axis(subset: tuple[int, ...], axis: int) -> tuple[int, ...]:
-    return tuple(a - 1 if a > axis else a for a in subset if a != axis)
-
-
 def trace_pullback(c: Cochain, face: Face) -> Cochain:
     """Tangential restriction (pullback) of a primal cochain to one face.
 
     Components whose extent contains the face axis are annihilated; the rest
-    restrict their node values on the face.  Only the primal family carries
+    restrict their node values on the face (``c.lay.faces[face]``, which
+    lists them in the face layout's order).  Only the primal family carries
     exact face values for its tangential components.
     """
     if c.dual:
         raise ValueError("trace_pullback: primal-family cochain required")
     if c.grid.periodic[face.axis]:
         raise ValueError("trace_pullback: periodic axis has no face")
-    m = c.grid.dim
-    if c.degree > m - 1:
+    if c.degree > c.grid.dim - 1:
         raise ValueError("trace_pullback: degree exceeds the face dimension")
-    fg = face_grid(c.grid, face)
-    out = zero_cochain(fg, c.degree, dual=False)
-    for s, arr in c.comps.items():
-        if face.axis in s:
-            continue
-        out.comps[_drop_axis(s, face.axis)][...] = _face_slice(arr, face.axis, face.side)
-    return out
+    return layout(face_grid(c.grid, face), c.degree, False).cochain(c.vec[c.lay.faces[face]])
 
 
 def project_normal_flux(c: Cochain) -> Cochain:
@@ -729,4 +728,6 @@ def project_normal_flux(c: Cochain) -> Cochain:
     the affected degrees of freedom sit exactly on the faces, so the
     projection is idempotent and commutes with the interior dynamics.
     """
+    if not c.dual:
+        raise ValueError("normal flux: dual-family cochain required")
     return c.lay.cochain(project_flat(c.lay, c.vec.copy()))

@@ -378,6 +378,15 @@ class TestSourcePair:
         with pytest.raises(ValueError, match="conformal"):
             green.random_source_pair(g, 1, breathing, (0.1, 0.4), np.random.default_rng(0))
 
+    @pytest.mark.parametrize("family", ["jb", "je", "ze"])
+    def test_non_finite_rows_are_rejected(self, family):
+        # nan fails every comparison, and at k = 2 no residual reads je at all
+        g = box_grid()
+        pair = green.random_source_pair(g, 2, METRIC, (0.1, 0.4), np.random.default_rng(2))
+        rows = getattr(pair, family)
+        with pytest.raises(ValueError, match="source admissibility residual (nan|inf)"):
+            dataclasses.replace(pair, **{family: lambda t: rows(t) * np.nan})
+
     def test_electric_current_normal_flux_is_checked_for_k3(self):
         # from k = 3 on, the Hodge dual of je is a dual form with normal legs on the faces
         g = box4_grid()
@@ -385,7 +394,7 @@ class TestSourcePair:
         assert pair.je is not None
         lay = mesh.layout(g, 1, True)
         face = np.zeros(lay.size)
-        face[mesh.normal_face_sites(lay)[0]] = 1e-3
+        face[lay.face_sites[0]] = 1e-3
         leak = mesh.hodge_inverse_flat(lay, face, 1.0)
         with pytest.raises(ValueError, match="source admissibility residual 1.000e-03"):
             dataclasses.replace(pair, je=lambda t: pair.je(t) + leak)
@@ -949,6 +958,16 @@ class TestRightInverse:
             green.right_inverse_check(omega, g, METRIC)
         with pytest.raises(ValueError, match="history declared on a different grid"):
             green.right_inverse_check(omega, box_grid(cells=12), METRIC)
+
+    def test_non_finite_boundary_flux_rejected(self):
+        g = box_grid(cells=8)
+        times = DT * np.arange(41)
+        lay = mesh.layout(g, 2, True)
+        fb = np.zeros((41, lay.size))
+        fb[:, lay.face_sites] = np.nan
+        omega = green.History(g, 2, times, np.zeros((41, mesh.cochain_size(g, 1, False))), fb)
+        with pytest.raises(ValueError, match="normal flux nan"):
+            green.right_inverse_check(omega, g, METRIC)
 
 
 class TestExactSequence:

@@ -408,6 +408,18 @@ def codiff_sigma(c: mesh.Cochain, t: float, metric: mesh.MetricField) -> mesh.Co
     return ((-1) ** c.degree) * mesh.hodge_inverse_sigma(inner, t, metric)
 
 
+def face_slice(arr: np.ndarray, axis: int, side: int) -> np.ndarray:
+    """The node layer of a component array at one face: index 0 (side 0) or -1 (side 1) along ``axis``."""
+    sl = [slice(None)] * arr.ndim
+    sl[axis] = -1 if side == 1 else 0
+    return arr[tuple(sl)]
+
+
+def drop_axis(subset: tuple[int, ...], axis: int) -> tuple[int, ...]:
+    """An extent avoiding ``axis``, relabelled on the face grid across it."""
+    return tuple(a - 1 if a > axis else a for a in subset if a != axis)
+
+
 def normal_contract(c: mesh.Cochain, face: mesh.Face, t: float, metric: mesh.MetricField) -> mesh.Cochain:
     """Interior product with the outward unit normal, restricted to a face.
 
@@ -439,8 +451,8 @@ def normal_contract(c: mesh.Cochain, face: mesh.Face, t: float, metric: mesh.Met
             continue
         pos = s.index(face.axis)
         factor = side_sign * ((-1.0) ** pos) / (scale * h_axis)
-        face_values = mesh._face_slice(arr, face.axis, face.side)
-        out.comps[mesh._drop_axis(s, face.axis)][...] = factor * face_values
+        face_values = face_slice(arr, face.axis, face.side)
+        out.comps[drop_axis(s, face.axis)][...] = factor * face_values
     return out
 
 
@@ -700,6 +712,55 @@ class TestBoundaryOperators:
         g = box_grid((4, 4))
         with pytest.raises(ValueError, match="dual"):
             mesh.project_normal_flux(mesh.zero_cochain(g, 1, False))
+
+
+def face_table_grids():
+    """Box, torus and (from two axes on) mixed-periodic grids for n = 2..5."""
+    for n in range(2, 6):
+        m = n - 1
+        kinds = {"box": (False,) * m, "torus": (True,) * m}
+        if m > 1:
+            kinds["mixed"] = tuple(a % 2 == 1 for a in range(m))
+        for name, periodic in kinds.items():
+            yield pytest.param(box_grid((4,) * (m - 1) + (5,), periodic=periodic), id=f"n{n}-{name}")
+
+
+class TestFaceTable:
+    """``Layout.faces`` against per-component slicing of a position-valued cochain."""
+
+    @pytest.mark.parametrize("g", face_table_grids())
+    def test_faces_select_the_node_layers(self, g):
+        rng = np.random.default_rng(RNG_SEED)
+        bounded = [a for a in range(g.dim) if not g.periodic[a]]
+        for k in range(g.dim + 1):
+            for dual in (False, True):
+                lay = mesh.layout(g, k, dual)
+                c = lay.cochain(np.arange(lay.size, dtype=float))
+                # periodic axes have no faces
+                assert list(lay.faces) == [mesh.Face(a, side) for a in bounded for side in (0, 1)]
+                for face, sites in lay.faces.items():
+                    # the components sampled at nodes across the face, in component order
+                    layers = [face_slice(arr, face.axis, face.side).ravel()
+                              for s, arr in c.comps.items() if (face.axis in s) == dual]
+                    assert np.array_equal(sites, np.concatenate([np.zeros(0)] + layers))
+                    if not dual and k < g.dim and g.n > 2:
+                        # the trace in the face layout's order, filled component by component
+                        trace = mesh.zero_cochain(mesh.face_grid(g, face), k, dual=False)
+                        for s, arr in c.comps.items():
+                            if face.axis not in s:
+                                trace.comps[drop_axis(s, face.axis)][...] = face_slice(arr, face.axis, face.side)
+                        assert np.array_equal(c.vec[sites], trace.vec)
+                        assert np.array_equal(mesh.trace_pullback(c, face).vec, trace.vec)
+                union = set(np.concatenate([np.zeros(0)] + list(lay.faces.values())).astype(int).tolist())
+                assert lay.face_sites.tolist() == sorted(union)
+                if dual:
+                    # both face layers of every normal leg
+                    legs = {int(v) for s, arr in c.comps.items() for a in s if a in bounded
+                            for side in (0, 1) for v in face_slice(arr, a, side).ravel()}
+                    assert union == legs
+                rows = rng.standard_normal((3, lay.size))
+                want = [max((np.max(np.abs(r[v])) for v in lay.faces.values() if v.size), default=0.0) for r in rows]
+                assert np.array_equal(mesh.face_maxabs(lay, rows), want)
 
 
 class TestFlatRows:

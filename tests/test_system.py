@@ -702,6 +702,28 @@ class TestAdmissibility:
                 total = rep.kernel_dim + rep.plus_dim + rep.minus_dim
                 assert total == comb(n - 1, n - k) + comb(n - 1, k)
 
+    @pytest.mark.parametrize("n,k", SUPPORTED_PAIRS)
+    def test_verdicts_do_not_depend_on_point_time_or_metric(self, n, k):
+        # xi0 = 0 and xi / a(t) = +-e_axis exactly, so symbol_audit evaluates each face once
+        rng = np.random.default_rng(RNG_SEED + 10 * n + k)
+        breathing = mesh.MetricField(beta=WELL.beta, conf=lambda t: 0.6 + 0.7 * t)
+        for axis in range(n - 1):
+            for side in (0, 1):
+                face = mesh.Face(axis, side)
+                ref = system.admissibility_audit(face, 0.0, (0.5,) * (n - 1), METRIC, n, k)
+                for metric in (AUDIT_METRIC, breathing):
+                    for _ in range(20):
+                        x = tuple(rng.uniform(0.0, 1.0, n - 1))
+                        rep = system.admissibility_audit(face, rng.uniform(0.0, 2.0), x, metric, n, k)
+                        assert same_bits(rep.eigenvalues, ref.eigenvalues)
+                        assert rep.symmetry_defect == ref.symmetry_defect
+                        assert (rep.kernel_dim, rep.plus_dim, rep.minus_dim) == (
+                            ref.kernel_dim, ref.plus_dim, ref.minus_dim
+                        )
+                        assert [(c.passed, c.measure) for c in rep.admissibility] == [
+                            (c.passed, c.measure) for c in ref.admissibility
+                        ]
+
     def test_nonnegative_count_example(self):
         rep = system.admissibility_audit(
             mesh.Face(0, 1), 0.0, (0.5, 0.5, 0.5), mesh.unit_metric(), 4, 2

@@ -132,6 +132,16 @@ MUTANTS = {
         "total -= mesh.pair_flat(self.lays[k][1]",
         "total += mesh.pair_flat(self.lays[k][1]",
     ),
+    "face_sides": (
+        "src/kmaxwell/mesh.py",
+        "end = _along(face.axis - m, (0, -1)[face.side])",
+        "end = _along(face.axis - m, (-1, 0)[face.side])",
+    ),
+    "face_node_axes": (
+        "src/kmaxwell/mesh.py",
+        "for i, axes in enumerate(self.node_axes) if face.axis in axes]",
+        "for i, axes in enumerate(self.node_axes)]",
+    ),
     "stage_shape": (
         "src/kmaxwell/evolution.py",
         "if self.ys is None or self.ys.shape[:-1] != batch:",
