@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import io, mesh, system
+from . import exterior, io, mesh, system
 from .system import CheckResult
 from .tolerances import CLOSEDNESS_TOL, CONE_HALO_CELLS, CONE_LEAK_TOL, CONTINUITY_TOL, SUPPORT_TOL
 
@@ -89,12 +89,12 @@ class MonitorSeries:
     @property
     def scale(self) -> float:
         """The largest sampled state magnitude, floored at 1e-300."""
-        return max(float(self.state_max.max()), 1e-300)
+        return float(np.max(self.state_max, initial=1e-300))
 
     def relative_drift(self, key: str) -> float:
         """|last - first| of a column over the larger of its first value and the scale."""
         first, last = float(self.columns[key][0]), float(self.columns[key][-1])
-        return abs(last - first) / max(first, self.scale)
+        return abs(last - first) / exterior.worst((first, self.scale))
 
 
 @dataclass
@@ -115,11 +115,8 @@ def _lapse_probe(grid: mesh.GridSpec, metric: mesh.MetricField, t: float) -> np.
 
 def wave_speed_bound(grid: mesh.GridSpec, metric: mesh.MetricField, t_span) -> float:
     """Largest coordinate wave speed beta/a over a space-time probe grid of 5 times."""
-    t_lo, t_hi = t_span
-    c_max = 0.0
-    for t in np.linspace(t_lo, t_hi, 5):
-        c_max = max(c_max, float(np.max(_lapse_probe(grid, metric, t))) / float(metric.conf(t)))
-    return c_max
+    speeds = [float(np.max(_lapse_probe(grid, metric, t))) / float(metric.conf(t)) for t in np.linspace(*t_span, 5)]
+    return exterior.worst(speeds)
 
 
 def stable_dt(grid: mesh.GridSpec, metric: mesh.MetricField, cfl: float, t_span) -> float:
@@ -154,21 +151,17 @@ def check_cfl(grid: mesh.GridSpec, metric: mesh.MetricField, cfg: EvolveConfig) 
     )
 
 
-def _boundary_layer_max(c: mesh.Cochain) -> float:
-    """Largest |value| within ``SUPPORT_MARGIN_CELLS`` sites of any non-periodic face."""
-    grid = c.grid
-    worst = 0.0
-    for s, arr in c.comps.items():
-        for axis in range(grid.dim):
-            if grid.periodic[axis]:
-                continue
-            sl_lo = [slice(None)] * grid.dim
-            sl_hi = [slice(None)] * grid.dim
-            sl_lo[axis] = slice(0, SUPPORT_MARGIN_CELLS)
-            sl_hi[axis] = slice(arr.shape[axis] - SUPPORT_MARGIN_CELLS, None)
-            worst = max(worst, float(np.abs(arr[tuple(sl_lo)]).max(initial=0.0)))
-            worst = max(worst, float(np.abs(arr[tuple(sl_hi)]).max(initial=0.0)))
-    return worst
+def _boundary_layer_max(s: system.FieldState) -> float:
+    """Largest |value| of fe and fb within ``SUPPORT_MARGIN_CELLS`` sites of any non-periodic face."""
+    grid = s.grid
+    return exterior.worst([
+        exterior.maxabs(arr[(slice(None),) * axis + (margin,)])
+        for c in (s.fe, s.fb)
+        for arr in c.comps.values()
+        for axis in range(grid.dim)
+        if not grid.periodic[axis]
+        for margin in (slice(0, SUPPORT_MARGIN_CELLS), slice(arr.shape[axis] - SUPPORT_MARGIN_CELLS, None))
+    ])
 
 
 def validate_problem(
@@ -195,7 +188,7 @@ def validate_problem(
     metric = metric if metric is not None else mesh.unit_metric()
     report = ValidationReport()
 
-    sup = max(_boundary_layer_max(s0.fe), _boundary_layer_max(s0.fb))
+    sup = _boundary_layer_max(s0)
     report.checks.append(
         CheckResult(
             "initial_support",
@@ -233,12 +226,11 @@ def validate_problem(
         for name, rows in system.continuity_residuals(src, metric, probes).items():
             if rows is not None:
                 lay = mesh.layout(src.grid, *spaces[name])
-                for row, a in zip(rows, conf):
-                    norms[name] = float(np.maximum(norms[name], mesh.norm_flat(lay, row, a)))
+                norms[name] = exterior.worst([mesh.norm_flat(lay, row, a) for row, a in zip(rows, conf)])
     report.checks.append(
         CheckResult("continuity_charge", norms["charge"] < CONTINUITY_TOL, norms["charge"], CONTINUITY_TOL)
     )
-    flux_measure = max(norms["flux"], norms["flux_closed"])
+    flux_measure = exterior.worst((norms["flux"], norms["flux_closed"]))
     report.checks.append(
         CheckResult("continuity_flux", flux_measure < CONTINUITY_TOL, flux_measure, CONTINUITY_TOL)
     )
@@ -277,9 +269,9 @@ class Generator:
     evaluation otherwise, and the factors are recomputed only when a(t)
     changes value.  A static lapse row whose sites all hold one value is
     kept as a zero-stride view of that value (:func:`_uniform`); where it is
-    1.0, decided once per component, the program multiplies by no lapse and
-    :meth:`electric` hands out w itself as fe, since ``w * 1.0 == w`` bit
-    for bit.  The buffers live as long as the generator and reference
+    1.0, decided once per component, the program multiplies by no lapse,
+    :meth:`electric` hands out w itself as fe and the electric source term
+    is ``src_e`` itself, since ``w * 1.0 == w`` bit for bit.  The buffers live as long as the generator and reference
     nothing back, so they are freed with it.  With ``project_B`` on a grid
     with faces, :meth:`project` zeroes the magnetic normal legs on the
     boundary.  The mode passes :func:`require_boundary_mode` first, so
@@ -362,9 +354,9 @@ class Generator:
     def _sources(self, t):
         """Bring the lapse and Hodge factors to time t; the source terms at t.
 
-        The terms are ``beta_w * src_e`` and ``src_b`` of
-        ``system.rhs_sources``, read from the table when t is tabulated,
-        None where a source is absent.
+        The terms are ``beta_w * src_e`` (``src_e`` at a unit lapse) and
+        ``src_b`` of ``system.rhs_sources``, read from the table when t is
+        tabulated, None where a source is absent.
         """
         if self.metric.beta_dt is not None:
             for buf, row in zip(self._beta, self.lapse(t)):
@@ -376,7 +368,7 @@ class Generator:
                 fac[:, 0] = mesh.hodge_factors(lay, conf)
         rows = None if self._table is None else self._table.get(t)
         src_e, src_b = rows if rows is not None else system.rhs_sources(self.src, t, self.metric)
-        return None if src_e is None else self._beta[0] * src_e, src_b
+        return src_e if src_e is None or self._unit[0] else self._beta[0] * src_e, src_b
 
     def run(self, t: float) -> np.ndarray:
         """Time derivative of the rows ``ys`` at time t, written into ``slope``."""
@@ -510,26 +502,20 @@ def _cone_leak(s: system.FieldState, support: SupportInfo, t0: float) -> float:
     grid = s.grid
     radius = support.radius + support.c_max * (s.t - t0) + CONE_HALO_CELLS * max(grid.spacings)
     center = np.asarray(support.center, dtype=float)
-    leak = 0.0
+    leaks = []
     for c in (s.fe, s.fb):
         for comp, arr in c.comps.items():
             pts = mesh.site_mesh(grid, comp, c.dual)
             dist2 = sum((p - center[i]) ** 2 for i, p in enumerate(pts))
-            outside = np.broadcast_to(dist2, arr.shape) > radius**2
-            if np.any(outside):
-                leak = max(leak, float(np.abs(arr[outside]).max()))
-    return leak
-
-
-def _state_maxabs(s: system.FieldState) -> float:
-    return max(mesh.max_pointwise(s.fe), mesh.max_pointwise(s.fb))
+            leaks.append(exterior.maxabs(arr[np.broadcast_to(dist2, arr.shape) > radius**2]))
+    return exterior.worst(leaks)
 
 
 def _monitor_row(s, src, metric, support, t0):
     r_e, r_b, r_bdy = system.constraint_norms(s, src, metric)
     row = {"time": s.t, "rE": r_e, "rB": r_b, "rbdy": r_bdy, "energy": energy(s, metric)}
     row["cone_leak"] = _cone_leak(s, support, t0) if support is not None else 0.0
-    return row, _state_maxabs(s)
+    return row, exterior.worst((mesh.max_pointwise(s.fe), mesh.max_pointwise(s.fb)))
 
 
 def evolve(

@@ -357,8 +357,14 @@ def operator_matrix(op, dim: int, degree: int) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def _maxabs(values: np.ndarray) -> float:
-    return float(np.max(np.abs(values), initial=0.0))
+def worst(values) -> float:
+    """The largest of a check's measures, 0.0 for none; nan when any is nan, so a nan measure fails its check."""
+    return float(np.max(values, initial=0.0))
+
+
+def maxabs(values) -> float:
+    """The :func:`worst` of the magnitudes of ``values``."""
+    return worst(np.abs(values))
 
 
 def identity_audit(g: Metric, trials: int = 100, seed: int = 0) -> dict[str, float]:
@@ -394,10 +400,10 @@ def identity_audit(g: Metric, trials: int = 100, seed: int = 0) -> dict[str, flo
     m = g.dim
     sigma = g.sigma
     vol = volume_form(g).comps
-    defects: dict[str, float] = {}
+    defects: dict[str, list] = {}
 
     def record(name: str, value: float) -> None:
-        defects[name] = max(defects.get(name, 0.0), value)
+        defects.setdefault(name, []).append(value)
 
     for k in range(m + 1):
         # one trial's draws, in order: w, v, r, x, then eta (k <= m-1), then b (1 <= k <= m-1)
@@ -411,28 +417,28 @@ def identity_audit(g: Metric, trials: int = 100, seed: int = 0) -> dict[str, flo
         hw = _hodge(k, w, g)
         fx = _flat(x, g)
 
-        record("double_hodge", _maxabs(_hodge(m - k, hw, g) - w * (-1) ** (k * (m - k) + sigma)))
+        record("double_hodge", maxabs(_hodge(m - k, hw, g) - w * (-1) ** (k * (m - k) + sigma)))
         transpose = _inner(m - k, hw, r, g) - ((-1) ** (k * (m - k))) * _inner(k, w, _hodge(m - k, r, g), g)
-        record("hodge_transpose", _maxabs(transpose))
+        record("hodge_transpose", maxabs(transpose))
 
         wp = _wedge(m, k, m - k, w, _hodge(k, v, g))
         wv = _inner(k, w, v, g)
-        record("wedge_pairing", _maxabs(wp - wv[:, None] * vol))
-        record("inner_via_hodge", _maxabs(wv - ((-1) ** sigma) * _hodge(m, wp, g)[:, 0]))
+        record("wedge_pairing", maxabs(wp - wv[:, None] * vol))
+        record("inner_via_hodge", maxabs(wv - ((-1) ** sigma) * _hodge(m, wp, g)[:, 0]))
 
         if k >= 1:
             lhs = _wedge(m, 1, m - k, fx, hw)
             rhs = _hodge(k - 1, _interior(m, k, x, w), g) * (-1) ** (k + 1)
-            record("flat_wedge_hodge", _maxabs(lhs - rhs))
+            record("flat_wedge_hodge", maxabs(lhs - rhs))
 
         if k <= m - 1:
             fw = _wedge(m, 1, k, fx, w)
             rhs = _interior(m, m - k, x, hw) * (-1) ** k
-            record("hodge_flat_wedge", _maxabs(_hodge(k + 1, fw, g) - rhs))
+            record("hodge_flat_wedge", maxabs(_hodge(k + 1, fw, g) - rhs))
 
             eta = rest[0]
             adjoint = _inner(k + 1, fw, eta, g) - _inner(k, w, _interior(m, k + 1, x, eta), g)
-            record("wedge_interior_adjoint", _maxabs(adjoint))
+            record("wedge_interior_adjoint", maxabs(adjoint))
 
         if 1 <= k <= m - 1:
             b = rest[1]
@@ -440,12 +446,12 @@ def identity_audit(g: Metric, trials: int = 100, seed: int = 0) -> dict[str, flo
             lhs = _interior(m, k + 1, x, wb)
             rhs = _wedge(m, k - 1, 1, _interior(m, k, x, w), b)
             rhs = rhs + _wedge(m, k, 0, w, _interior(m, 1, x, b)) * (-1) ** k
-            record("interior_antiderivation", _maxabs(lhs - rhs))
-            record("graded_commutativity", _maxabs(wb - _wedge(m, 1, k, b, w) * (-1) ** k))
+            record("interior_antiderivation", maxabs(lhs - rhs))
+            record("graded_commutativity", maxabs(wb - _wedge(m, 1, k, b, w) * (-1) ** k))
 
         alpha = rng.standard_normal(m)
-        record("flat_sharp_roundtrip", _maxabs(_flat(_sharp(alpha, g), g) - alpha))
+        record("flat_sharp_roundtrip", maxabs(_flat(_sharp(alpha, g), g) - alpha))
         y = rng.standard_normal(m)
-        record("sharp_flat_roundtrip", _maxabs(_sharp(_flat(y, g), g) - y))
+        record("sharp_flat_roundtrip", maxabs(_sharp(_flat(y, g), g) - y))
 
-    return defects
+    return {name: worst(values) for name, values in defects.items()}

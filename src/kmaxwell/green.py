@@ -74,10 +74,6 @@ _CHUNK_BYTES = 16 * 2**20
 DT_LEG_SIGN = exterior.lorentzian(2).diag[0]
 
 
-def _maxabs(x: np.ndarray) -> float:
-    return float(np.max(np.abs(x), initial=0.0))
-
-
 # ---------------------------------------------------------------------------
 # time profiles
 
@@ -217,7 +213,7 @@ class _Rows:
         return [(name, getattr(self, name), lay) for name, lay in self._lays.items()]
 
     def maxabs(self) -> float:
-        return max((_maxabs(rows) for _, rows, _ in self._families()), default=0.0)
+        return exterior.worst([exterior.maxabs(rows) for _, rows, _ in self._families()])
 
     def norm(self, metric: mesh.MetricField) -> float:
         """Spacetime L2 norm: trapezoidal time quadrature of the slice pairings of every family."""
@@ -703,7 +699,7 @@ def right_inverse_check(omega: History, grid: mesh.GridSpec, metric: mesh.Metric
     legs = (mesh.face_maxabs(lb, omega.fb), mesh.face_maxabs(lw.star, mesh.hodge_flat(lw, omega.fe, conf)))
     worst = np.max(np.concatenate(legs))
     if not worst <= SOURCE_COMPAT_TOL * scale:
-        raise ValueError(f"history violates the boundary condition: normal flux {worst:.3e}")
+        raise ValueError(f"history violates the boundary condition: normal flux {worst:.3e} at scale {scale:.3e}")
     src = apply_operator(omega, metric)
     recon = g_plus(src, grid, metric, t_start=float(omega.times[0]), t_final=float(omega.times[-1]))
     del src
@@ -825,7 +821,7 @@ def random_source_pair(
         weighted = mesh.multiply_scalar(mesh.hodge_sigma(jb_h, 0.0, metric), metric.beta, 0.0)
         if weighted.degree < grid.dim:
             leak = mesh.d_sigma(weighted).vec
-            if _maxabs(leak) > SOURCE_COMPAT_TOL * (1.0 + _maxabs(jb_h.vec)):
+            if not exterior.maxabs(leak) <= SOURCE_COMPAT_TOL * (1.0 + exterior.maxabs(jb_h.vec)):
                 raise ValueError("harmonic magnetic current requires a spatially uniform lapse")
         jb0 = jb0 + jb_h
     jb0 = jb0.vec
@@ -1439,11 +1435,10 @@ def degeneracy_forward_check(
         f_bundle[f.k] = f.restrict(2, len(f.times) - 2)
     times = _bundle_times(f_bundle, grid)
     f_norm = math.sqrt(sum(f.norm(metric) ** 2 for f in f_bundle.values()))
-    residual = 0.0
-    for f in f_bundle.values():
-        resid = apply_operator(f, metric)
-        residual = max(residual, resid.norm(metric) / f_norm if f_norm > 0 else 0.0)
-    if residual > solution_tol:
+    residual = exterior.worst(
+        [apply_operator(f, metric).norm(metric) / f_norm if f_norm > 0 else 0.0 for f in f_bundle.values()]
+    )
+    if not residual <= solution_tol:
         raise ValueError(
             f"potential field fails the solution tolerance: residual {residual:.3e}"
         )
@@ -1459,6 +1454,6 @@ def degeneracy_forward_check(
     return {
         "values": values,
         "relative": rels,
-        "max_relative": float(max(rels)) if rels else 0.0,
+        "max_relative": exterior.worst(rels),
         "field_residual": float(residual),
     }

@@ -467,10 +467,7 @@ def component_values(c: Cochain) -> dict[tuple[int, ...], np.ndarray]:
 
 def max_pointwise(c: Cochain) -> float:
     """Sup norm of the pointwise component values."""
-    return max(
-        (float(np.max(np.abs(arr))) for arr in component_values(c).values()),
-        default=0.0,
-    )
+    return exterior.worst([exterior.maxabs(arr) for arr in component_values(c).values()])
 
 
 def cochain_size(grid: GridSpec, degree: int, dual: bool) -> int:
@@ -513,25 +510,25 @@ def d_ops(lay: Layout, x: np.ndarray, out: np.ndarray, scratch: np.ndarray):
     written first into ``scratch`` (flat, at least the batch size times
     ``lay.largest``) and only then meets the zeros, so a zero comes out as
     ``0 + diff`` or ``0 - diff`` would leave it (``0 - (+0)`` is +0, where
-    negating a straight write would give -0); a periodic axis wraps by two
-    slice subtractions.  The calls read ``x`` anew each time they run.
+    negating a straight write would give -0).  Along an axis of stride s,
+    one subtraction of the flat component shifted by s writes from entry 0
+    (primal) or s (dual); the entries that straddle the axis end are then
+    dropped or wrapped.  The calls read ``x`` anew each time they run.
     """
-    grid, m = lay.grid, lay.grid.dim
-    out_lay = lay.up
+    grid, m, out_lay = lay.grid, lay.grid.dim, lay.up
     yield out.fill, (0.0,)
     for i, b, j, sign in lay.cofaces:
         arr, target, axis = lay.view(x, i), out_lay.view(out, j), b - m
-        hi, lo = arr[_along(axis, slice(1, None))], arr[_along(axis, slice(None, -1))]
-        shape = arr.shape if grid.periodic[b] else hi.shape
-        diff = scratch[: math.prod(shape)].reshape(shape)
+        flat, s = x[..., lay.offsets[i] : lay.offsets[i + 1]], math.prod(lay.shapes[i][b + 1 :])
+        rows = scratch[: flat.size].reshape(flat.shape)
+        yield np.subtract, (flat[..., s:], flat[..., :-s], rows[..., s:] if lay.dual else rows[..., :-s])
+        diff = rows.reshape(arr.shape)
         if grid.periodic[b]:
             # primal: roll(arr, -1) - arr; dual: arr - roll(arr, 1)
-            inner, wrap = (slice(1, None), slice(0, 1)) if lay.dual else (slice(None, -1), slice(-1, None))
             first, last = arr[_along(axis, slice(0, 1))], arr[_along(axis, slice(-1, None))]
-            yield np.subtract, (hi, lo, diff[_along(axis, inner)])
-            yield np.subtract, (first, last, diff[_along(axis, wrap)])
+            yield np.subtract, (first, last, diff[_along(axis, slice(0, 1) if lay.dual else slice(-1, None))])
         else:
-            yield np.subtract, (hi, lo, diff)
+            diff = diff[_along(axis, slice(1, None) if lay.dual else slice(None, -1))]
             if lay.dual:
                 target = target[_along(axis, slice(1, -1))]
         yield (np.add if sign > 0 else np.subtract), (target, diff, target)
@@ -632,11 +629,6 @@ def project_flat(lay: Layout, x: np.ndarray) -> np.ndarray:
     """Zero the face sites of rows in place (the normal flux of dual-family rows); returns ``x``."""
     x[..., lay.face_sites] = 0.0
     return x
-
-
-def flux_maxabs_flat(lay: Layout, x: np.ndarray) -> float:
-    """Largest face-site value over all rows (the normal flux of dual-family rows)."""
-    return float(np.max(np.abs(x[..., lay.face_sites]), initial=0.0))
 
 
 def face_maxabs(lay: Layout, rows: np.ndarray) -> np.ndarray:

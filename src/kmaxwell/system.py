@@ -388,7 +388,7 @@ def constraint_norms(s: FieldState, src: SourceData, metric: mesh.MetricField) -
     face trace, each 0.0 where absent."""
     r_e, r_b, r_bdy = constraint_residuals(s, src, metric)
     norm = lambda c: mesh.norm_sigma(c, s.t, metric) if c is not None else 0.0
-    return norm(r_e), norm(r_b), max(map(norm, (r_bdy or {}).values()), default=0.0)
+    return norm(r_e), norm(r_b), exterior.worst([norm(c) for c in (r_bdy or {}).values()])
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +488,7 @@ def symbol_audit(
         The symmetry, positivity, counts and admissibility checks.
     """
     m = n - 1
-    symmetry, min_eig, mismatches = 0.0, np.inf, 0
+    symmetries, least_eigs, mismatches = [], [], 0
     counts = (comb(n - 2, n - k) + comb(n - 2, k), comb(n - 2, k - 1), comb(n - 2, k - 1))
     for start in range(0, trials, _SYMBOL_BLOCK):
         size = min(_SYMBOL_BLOCK, trials - start)
@@ -507,19 +507,21 @@ def symbol_audit(
         # the stacked matmul rounds as the one-vector norm does; a sum along an axis does not
         direction /= np.sqrt(direction[:, None, :] @ direction[:, :, None])[:, 0]
         sig = symbol_matrix(xi0_any, xi, beta_any, conf_any, n, k)
-        symmetry = max(symmetry, float(np.max(np.abs(sig - np.swapaxes(sig, -1, -2)))))
+        symmetries.append(exterior.maxabs(sig - np.swapaxes(sig, -1, -2)))
         radius = fraction * xi0 / beta
         timelike = symbol_matrix(xi0, (conf * radius)[:, None] * direction, beta, conf, n, k)
-        min_eig = min(min_eig, float(np.min(np.linalg.eigvalsh(timelike))))
+        least_eigs.append(np.min(np.linalg.eigvalsh(timelike)))
         conormal = symbol_matrix(0.0, conf[:, None] * direction, beta, conf, n, k)
         found = np.stack(classify_eigenvalues(np.linalg.eigvalsh(conormal)), axis=-1)
         mismatches += int(np.count_nonzero(np.any(found != counts, axis=-1)))
 
-    worst, admissible = 0.0, True
-    for axis, side in itertools.product(range(m), (0, 1)):
-        report = admissibility_audit(mesh.Face(axis, side), 0.0, (0.5,) * m, metric, n, k)
-        admissible = admissible and report.passed()
-        worst = max(worst, max(c.measure for c in report.admissibility))
+    symmetry, min_eig = exterior.worst(symmetries), float(np.min(least_eigs, initial=np.inf))
+    reports = [
+        admissibility_audit(mesh.Face(axis, side), 0.0, (0.5,) * m, metric, n, k)
+        for axis, side in itertools.product(range(m), (0, 1))
+    ]
+    admissible = all(report.passed() for report in reports)
+    worst = exterior.worst([c.measure for report in reports for c in report.admissibility])
     return [
         CheckResult(
             f"symbol_symmetry_n{n}k{k}", symmetry < SYMBOL_SYMMETRY_TOL, symmetry, SYMBOL_SYMMETRY_TOL
@@ -567,7 +569,7 @@ def _complement_angle(basis: np.ndarray, image: np.ndarray) -> float:
     if complement.shape[1] != basis.shape[1]:
         return float(np.pi / 2)
     residual = complement - basis @ (basis.T @ complement)
-    return float(np.arcsin(min(1.0, np.linalg.norm(residual, 2))))
+    return float(np.arcsin(np.minimum(1.0, np.linalg.norm(residual, 2))))
 
 
 @dataclass

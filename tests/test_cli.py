@@ -1,6 +1,7 @@
 """Command-line runner: config parsing, suite dispatch, artifacts, exit codes."""
 
 import dataclasses
+import itertools
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from kmaxwell import cli, evolution, green, io, tolerances
+from kmaxwell import cli, evolution, exterior, green, io, tolerances
 
 pytestmark = pytest.mark.filterwarnings("error")
 
@@ -496,6 +497,28 @@ class TestRunSuites:
         assert names["cutoff_independence"]["measure"] < 1e-15
         assert names["cutoff_shift"]["passed"] is False
         assert names["cutoff_shift"]["measure"] > 1e-3
+
+    @pytest.mark.parametrize("call, name", [(6, "skew"), (7, "cutoff_independence"), (8, "cutoff_shift")])
+    def test_nan_pairing_fails_its_check(self, tmp_path, monkeypatch, call, name):
+        # five pairings per bundle pair (value, swapped, widened, early, late): one nan
+        # in the second pair's must fail the one check it enters, not drop out of its worst case
+        def pairing(*args):
+            value = cutoff_pairing(*args)
+            return np.nan if next(calls) == call else value
+
+        calls, cutoff_pairing = itertools.count(), green.cutoff_pairing
+        monkeypatch.setattr(green, "cutoff_pairing", pairing)
+        text = "experiment = symplectic_suite\nperiodic = true\nsteps = 20\nbundles = 3\n"
+        checks, _ = cli._run_symplectic(cli.parse_config(write_config(tmp_path, text)), tmp_path)
+        assert [c.name for c in checks if not c.passed] == [name]
+        assert np.isnan(next(c.measure for c in checks if c.name == name))
+
+    def test_nan_identity_defect_fails_its_check(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(exterior, "identity_audit", lambda *args, **kw: {"first": 0.0, "second": np.nan})
+        cfg = cli.parse_config(write_config(tmp_path, "experiment = identities\n"))
+        checks, _ = cli._run_identities(cfg, tmp_path)
+        assert checks and not any(c.passed for c in checks)
+        assert all(np.isnan(c.measure) for c in checks)
 
     def test_sigma_equals_presymplectic_on_the_same_bundles(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "experiment = symplectic_suite\nperiodic = true\nsteps = 40\nbundles = 3\nseed = 4\n")

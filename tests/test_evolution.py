@@ -312,7 +312,7 @@ class TestEvolve:
         s0 = system.random_state(grid, 2, rng)  # flux NOT zero initially
         cfg = evolution.EvolveConfig(t_final=5 * grid.dt, cfl=0.4)
         final, _ = evolution.evolve(s0, system.zero_sources(grid, 2), met, cfg)
-        assert mesh.flux_maxabs_flat(final.fb.lay, final.fb.vec) == 0.0
+        assert mesh.face_maxabs(final.fb.lay, final.fb.vec).max() == 0.0
 
     @pytest.mark.filterwarnings("ignore:overflow|invalid value:RuntimeWarning")
     def test_instability_reports_last_stable_state(self):
@@ -390,6 +390,14 @@ class TestConstraintPreservation:
         assert series.columns["rE"][0] == 0.0
         assert series.relative_drift("rE") > CONSTRAINT_DRIFT_TOL
 
+    @pytest.mark.parametrize("first", [0.0, 1.0, 3.0])
+    def test_relative_drift_keeps_a_nan_scale(self, first):
+        # a nan state magnitude makes the scale nan, whichever term of the denominator is larger
+        columns = {"time": [0.0, 0.1, 0.2], "rE": [first, 1.0, 1.5]}
+        series = evolution.MonitorSeries(columns, np.array([1.0, np.nan, 2.0]))
+        assert np.isnan(series.scale)
+        assert np.isnan(series.relative_drift("rE"))
+
     def test_injected_boundary_violation_keeps_flux_enforced(self):
         grid = box_grid(3, 16, 0.4 / 32)
         met = mesh.unit_metric()
@@ -398,7 +406,7 @@ class TestConstraintPreservation:
         cfg = evolution.EvolveConfig(t_final=10 * grid.dt, cfl=0.4, monitor_stride=2)
         final, series = evolution.evolve(s0, system.zero_sources(grid, 2), met, cfg)
         assert np.all(series.columns["rbdy"] > 0.0)
-        assert mesh.flux_maxabs_flat(final.fb.lay, final.fb.vec) == 0.0
+        assert mesh.face_maxabs(final.fb.lay, final.fb.vec).max() == 0.0
 
 
 class TestSupportAudit:
@@ -565,6 +573,19 @@ class TestValidateProblem:
         charge = next(c for c in report.checks if c.name == "continuity_charge")
         assert not charge.passed
         assert charge.measure > 1.0
+
+
+    @pytest.mark.parametrize("family", ["fe", "fb"])
+    @pytest.mark.parametrize("end", [0, -1], ids=["first", "last"])
+    def test_nan_on_a_face_site_fails_initial_support(self, family, end):
+        # the bump vanishes near the faces, so one nan on a face site is the worst case
+        grid, met, s0 = self.make_problem()
+        c = getattr(s0, family)
+        c.vec[c.lay.face_sites[end]] = np.nan
+        report = evolution.validate_problem(s0, system.zero_sources(grid, 2), grid, met)
+        check = next(c for c in report.checks if c.name == "initial_support")
+        assert not check.passed
+        assert np.isnan(check.measure)
 
 
 class TestCheckCfl:

@@ -221,6 +221,14 @@ def test_identity_audit_all_signatures():
                 assert defect < IDENTITY_TOL, f"m={m} sigma={sigma} {name}: {defect}"
 
 
+@pytest.mark.parametrize("diag", [(1.0, np.nan), (np.nan, -1.0, 1.0), (2.0, -1.0, 1.0, np.nan)])
+def test_identity_audit_keeps_nan_defects(diag):
+    # a nan metric entry makes some defects nan: their worst case must not pass the tolerance
+    report = ext.identity_audit(ext.Metric(diag), trials=3)
+    assert any(np.isnan(defect) for defect in report.values())
+    assert not all(defect < IDENTITY_TOL for defect in report.values())
+
+
 def test_identity_audit_requires_trials():
     with pytest.raises(ValueError):
         ext.identity_audit(ext.euclidean(2), trials=0)

@@ -969,6 +969,23 @@ class TestRightInverse:
         with pytest.raises(ValueError, match="normal flux nan"):
             green.right_inverse_check(omega, g, METRIC)
 
+    @pytest.mark.parametrize("check", ["maxabs", "right_inverse_check"])
+    def test_interior_nan_is_kept(self, check):
+        # one nan in fb, the second family, away from every face: the history's
+        # largest magnitude is nan, so the check's scale is too and nothing passes
+        g = box_grid(cells=8)
+        times = DT * np.arange(41)
+        lay = mesh.layout(g, 2, True)
+        fb = np.zeros((41, lay.size))
+        inner = np.setdiff1d(np.arange(lay.size), lay.face_sites)
+        fb[20, inner[len(inner) // 2]] = np.nan
+        omega = green.History(g, 2, times, np.zeros((41, mesh.cochain_size(g, 1, False))), fb)
+        if check == "maxabs":
+            assert np.isnan(omega.maxabs())
+        else:
+            with pytest.raises(ValueError, match="at scale nan"):
+                green.right_inverse_check(omega, g, METRIC)
+
 
 class TestExactSequence:
     def test_frozen_defects(self):

@@ -336,7 +336,7 @@ class TestCoboundary:
         rng = np.random.default_rng(RNG_SEED)
         for k in (0, 1, 2):
             dc = mesh.d_sigma(mesh.project_normal_flux(mesh.random_cochain(g, k, True, rng)))
-            assert mesh.flux_maxabs_flat(dc.lay, dc.vec) == 0.0
+            assert mesh.face_maxabs(dc.lay, dc.vec).max() == 0.0
 
 
 class TestHodge:
@@ -699,9 +699,9 @@ class TestBoundaryOperators:
         g = box_grid((4, 5, 4))
         rng = np.random.default_rng(RNG_SEED)
         c = mesh.random_cochain(g, 2, True, rng)
-        assert mesh.flux_maxabs_flat(c.lay, c.vec) > 0.0
+        assert mesh.face_maxabs(c.lay, c.vec).max() > 0.0
         p = mesh.project_normal_flux(c)
-        assert mesh.flux_maxabs_flat(p.lay, p.vec) == 0.0
+        assert mesh.face_maxabs(p.lay, p.vec).max() == 0.0
         pp = mesh.project_normal_flux(p)
         for s in p.comps:
             np.testing.assert_array_equal(pp.comps[s], p.comps[s])
@@ -866,7 +866,7 @@ class TestPrograms:
                         face[...] = 0.0
                     assert same_bits(mesh.project_flat(lay, rows.copy()), projected)
                     faces = [np.max(np.abs(f), initial=0.0) for f in reference_normal_faces(lay, rows)]
-                    assert same_bits(np.float64(mesh.flux_maxabs_flat(lay, rows)), np.float64(max(faces, default=0.0)))
+                    assert same_bits(np.float64(mesh.face_maxabs(lay, rows).max()), np.float64(max(faces, default=0.0)))
 
 
 class TestSampling:
@@ -882,6 +882,13 @@ class TestSampling:
         c = mesh.sample_cochain(g, 1, False, {(0,): lambda t, x, y: 1.0})
         np.testing.assert_allclose(c.comps[(0,)], 0.25)
         np.testing.assert_array_equal(c.comps[(1,)], 0.0)
+
+    @pytest.mark.parametrize("component", [1, 2])
+    def test_max_pointwise_keeps_a_nan_in_a_later_component(self, component):
+        g = box_grid((4, 4, 4))
+        c = mesh.random_cochain(g, 2, False, np.random.default_rng(RNG_SEED))
+        c.vec[c.lay.offsets[component]] = np.nan
+        assert np.isnan(mesh.max_pointwise(c))
 
     def test_max_pointwise_uses_values_not_dofs(self):
         g = box_grid((4, 4), lengths=(0.5, 0.5))

@@ -432,6 +432,17 @@ class TestConstraintResiduals:
             assert c.degree == 2 and not c.dual
             assert mesh.max_pointwise(c) > 0.0
 
+    @pytest.mark.parametrize("face", mesh.faces(box_grid((6, 6)))[1:], ids=lambda f: f"axis{f.axis}side{f.side}")
+    def test_nan_in_a_later_face_trace_is_kept(self, face):
+        # a nan on one face only, after the first: the largest face-trace norm is nan
+        g = box_grid((6, 6))
+        s = system.zero_state(g, 2)
+        lay = s.fe.lay
+        others = np.concatenate([lay.faces[f] for f in lay.faces if f != face])
+        s.fe.vec[np.setdiff1d(lay.faces[face], others)[0]] = np.nan
+        _, _, r_bdy = system.constraint_norms(s, system.zero_sources(g, 2), mesh.unit_metric())
+        assert np.isnan(r_bdy)
+
     def test_magnetic_residual_matches_hand_stencil(self):
         # independent bookkeeping for the dual-family coboundary, n=3, k=1
         g = box_grid((4, 5), lengths=(1.0, 1.0))

@@ -34,7 +34,7 @@ ROOT = Path(__file__).resolve().parent.parent
 MUTANTS = {
     "source_lapse": (
         "src/kmaxwell/evolution.py",
-        "return None if src_e is None else self._beta[0] * src_e, src_b",
+        "return src_e if src_e is None or self._unit[0] else self._beta[0] * src_e, src_b",
         "return src_e, src_b",
     ),
     "current_lapse": (
@@ -64,7 +64,7 @@ MUTANTS = {
     ),
     "boundary_residual": (
         "src/kmaxwell/system.py",
-        "max(map(norm, (r_bdy or {}).values()), default=0.0)",
+        "exterior.worst([norm(c) for c in (r_bdy or {}).values()])",
         "0.0",
     ),
     "magnetic_energy": (
@@ -89,7 +89,7 @@ MUTANTS = {
     ),
     "drift": (
         "src/kmaxwell/evolution.py",
-        "return abs(last - first) / max(first, self.scale)",
+        "return abs(last - first) / exterior.worst((first, self.scale))",
         "return 0.0",
     ),
     "slab_halo": (
@@ -141,6 +141,16 @@ MUTANTS = {
         "src/kmaxwell/mesh.py",
         "for i, axes in enumerate(self.node_axes) if face.axis in axes]",
         "for i, axes in enumerate(self.node_axes)]",
+    ),
+    "skew_python_max": (
+        "src/kmaxwell/cli.py",
+        '"skew", exterior.worst(columns["skew_rel"]),',
+        '"skew", max(columns["skew_rel"]),',
+    ),
+    "rows_python_max": (
+        "src/kmaxwell/green.py",
+        "return exterior.worst([exterior.maxabs(rows) for _, rows, _ in self._families()])",
+        "return max(exterior.maxabs(rows) for _, rows, _ in self._families())",
     ),
     "stage_shape": (
         "src/kmaxwell/evolution.py",
