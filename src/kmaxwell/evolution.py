@@ -25,7 +25,6 @@ from . import exterior, io, mesh, system
 from .system import CheckResult
 from .tolerances import CLOSEDNESS_TOL, CONE_HALO_CELLS, CONE_LEAK_TOL, CONTINUITY_TOL, SUPPORT_TOL
 
-BOUNDARY_MODES = ("project_B", "periodic_test")
 MAX_CFL = 0.9
 # Sites next to each boundary face where validate_problem requires zero initial data.
 SUPPORT_MARGIN_CELLS = 2
@@ -38,15 +37,11 @@ class EvolveConfig:
     Args:
         t_final: end time (finite; must exceed the grid's initial time).
         cfl: Courant number in (0, 0.9].
-        boundary_mode: ``project_B`` zeroes the magnetic normal legs on the
-            boundary after every stage; ``periodic_test`` requires an
-            all-periodic grid and applies no boundary handling.
         monitor_stride: steps between monitor samples.
     """
 
     t_final: float
     cfl: float = 0.4
-    boundary_mode: str = "project_B"
     monitor_stride: int = 1
 
     def __post_init__(self):
@@ -54,8 +49,6 @@ class EvolveConfig:
             raise ValueError(f"t_final must be finite: {self.t_final}")
         if not 0.0 < self.cfl <= MAX_CFL:
             raise ValueError(f"cfl must lie in (0, {MAX_CFL}]: {self.cfl}")
-        if self.boundary_mode not in BOUNDARY_MODES:
-            raise ValueError(f"boundary_mode must be one of {BOUNDARY_MODES}")
         if self.monitor_stride < 1:
             raise ValueError("monitor_stride must be at least 1")
 
@@ -131,14 +124,6 @@ def require_stable_dt(grid: mesh.GridSpec, metric: mesh.MetricField, dt: float, 
         raise ValueError(f"cfl violation: dt={abs(dt)!r} exceeds {limit!r}")
 
 
-def require_boundary_mode(grid: mesh.GridSpec, boundary_mode: str) -> None:
-    """Raise ValueError for a mode outside BOUNDARY_MODES, or ``periodic_test`` on a grid with faces."""
-    if boundary_mode not in BOUNDARY_MODES:
-        raise ValueError(f"boundary_mode must be one of {BOUNDARY_MODES}: {boundary_mode!r}")
-    if boundary_mode == "periodic_test" and not all(grid.periodic):
-        raise ValueError("periodic_test mode requires an all-periodic grid")
-
-
 def check_cfl(grid: mesh.GridSpec, metric: mesh.MetricField, cfg: EvolveConfig) -> CheckResult:
     """Named check that the grid's dt satisfies the configured Courant bound."""
     limit = stable_dt(grid, metric, cfg.cfl, (grid.t0, cfg.t_final))
@@ -195,7 +180,7 @@ def validate_problem(
             sup <= SUPPORT_TOL,
             sup,
             SUPPORT_TOL,
-            "initial support meets the boundary" if sup > SUPPORT_TOL else "",
+            "" if sup <= SUPPORT_TOL else "initial support meets the boundary",
         )
     )
 
@@ -272,10 +257,12 @@ class Generator:
     1.0, decided once per component, the program multiplies by no lapse,
     :meth:`electric` hands out w itself as fe and the electric source term
     is ``src_e`` itself, since ``w * 1.0 == w`` bit for bit.  The buffers live as long as the generator and reference
-    nothing back, so they are freed with it.  With ``project_B`` on a grid
-    with faces, :meth:`project` zeroes the magnetic normal legs on the
-    boundary.  The mode passes :func:`require_boundary_mode` first, so
-    every step and march checks it.
+    nothing back, so they are freed with it.  :meth:`project` zeroes the
+    magnetic normal legs on the boundary faces, of which a torus has none.
+
+    The degree k is the sources' (``src.k``).  Sources declared on a grid
+    that is not ``grid.compatible`` are rejected on construction, and a
+    state of another degree or grid by :meth:`rows`.
 
     Sources are evaluated by ``system.rhs_sources`` once per stage, or, for
     a march that knows its step times, once per chunk of steps:
@@ -284,15 +271,15 @@ class Generator:
     terms from that table.
     """
 
-    def __init__(self, grid, k, metric, src, boundary_mode, t):
-        require_boundary_mode(grid, boundary_mode)
-        n = grid.n
+    def __init__(self, grid, metric, src, t):
+        if not src.grid.compatible(grid):
+            raise ValueError("source declared on a different grid")
+        n, k = grid.n, src.k
         self.k, self.metric, self.src = k, metric, src
         self.lw = mesh.layout(grid, n - k, False)
         self.lb = mesh.layout(grid, k, True)
         self.nw = self.lw.size
         self.curl_sign = float(-system.eps_sign(n, k))
-        self.projects = boundary_mode == "project_B"  # a torus has no face sites to zero
         self._beta = tuple(mesh.sample_flat(lay, metric.beta, t) for lay in (self.lw, self.lb))
         if metric.beta_dt is None:
             self._beta = tuple(map(_uniform, self._beta))
@@ -316,8 +303,7 @@ class Generator:
 
     def project(self, y: np.ndarray) -> np.ndarray:
         """Zero the boundary normal flux of the fb part of ``y`` in place; returns ``y``."""
-        if self.projects:
-            y[..., self.nw :][..., self.lb.face_sites] = 0.0
+        y[..., self.nw :][..., self.lb.face_sites] = 0.0
         return y
 
     def stages(self, batch: tuple) -> np.ndarray:
@@ -386,7 +372,11 @@ class Generator:
         return self.run(t).copy()
 
     def rows(self, s: system.FieldState) -> np.ndarray:
-        """The stacked row of a state."""
+        """The stacked row of a state; ValueError for a state of another degree or grid."""
+        if s.k != self.k:
+            raise ValueError(f"state of degree {s.k} given to a generator of degree {self.k}")
+        if not s.grid.compatible(self.lw.grid):
+            raise ValueError("state declared on a different grid")
         return np.concatenate([s.fe.vec * (1.0 / self.lapse(s.t)[0]), s.fb.vec])
 
     def state(self, t: float, y: np.ndarray) -> system.FieldState:
@@ -441,16 +431,16 @@ def operator_matrix(
     k: int,
     metric: mesh.MetricField,
     t: float = 0.0,
-    boundary_mode: str = "project_B",
 ) -> np.ndarray:
     """Dense matrix of the semi-discrete generator at frozen time t.
 
     Acts on the stacked vector [w_flat, fb_flat] of the evolved variables
-    (w = fe/beta); with project_B the generator is conjugated by the boundary
-    projection, so its exponential propagates admissible data exactly.  Used
-    as an oracle against the stepped integrator and for reference histories.
+    (w = fe/beta); the generator is conjugated by the boundary projection
+    (the identity on a torus), so its exponential propagates admissible
+    data exactly.  Used as an oracle against the stepped integrator and for
+    reference histories.
     """
-    gen = Generator(grid, k, metric, system.zero_sources(grid, k), boundary_mode, t)
+    gen = Generator(grid, metric, system.zero_sources(grid, k), t)
     ys = gen.stages((gen.nw + gen.lb.size,))
     ys.fill(0.0)
     np.fill_diagonal(ys, 1.0)
@@ -463,16 +453,16 @@ def step(
     src: system.SourceData,
     metric: mesh.MetricField,
     dt: float,
-    boundary_mode: str = "project_B",
 ) -> system.FieldState:
     """One Runge-Kutta step with per-stage boundary projection.
 
     Raises:
         ValueError: when dt exceeds the hard Courant bound 0.9*h_min/c_max,
-            or for a boundary mode the :class:`Generator` rejects.
+            or for sources of another degree or grid than ``s``
+            (:class:`Generator`).
     """
     require_stable_dt(s.grid, metric, dt, (s.t, s.t + dt))
-    gen = Generator(s.grid, s.k, metric, src, boundary_mode, s.t)
+    gen = Generator(s.grid, metric, src, s.t)
     return gen.state(s.t + dt, _rk4_step(s.t, gen.project(gen.rows(s)), gen, dt))
 
 
@@ -534,8 +524,8 @@ def evolve(
     caller that hands over its only reference frees the initial state then.
 
     Raises:
-        ValueError: cfl violation, non-increasing time span, or
-            ``periodic_test`` on a grid with faces.
+        ValueError: cfl violation, non-increasing time span, or sources
+            of another degree or grid than ``s0`` (:class:`Generator`).
         InstabilityError: non-finite values; carries the last stable state.
     """
     grid, t0 = s0.grid, s0.t
@@ -547,7 +537,7 @@ def evolve(
 
     dt = grid.dt
     n_steps = int(np.ceil((cfg.t_final - t0) / dt - 1e-9))
-    gen = Generator(grid, s0.k, metric, src, cfg.boundary_mode, t0)
+    gen = Generator(grid, metric, src, t0)
     y = gen.project(gen.rows(s0))
     del s0
     t = t0

@@ -412,12 +412,10 @@ class SourcePair(system.SourceData):
         return worst
 
 
-def _as_source_data(src, grid) -> system.SourceData:
+def _as_source_data(src) -> system.SourceData:
     data = src.data() if isinstance(src, SourceHistory) else src
     if not isinstance(data, system.SourceData):
         raise TypeError(f"unsupported source object {type(src).__name__}")
-    if not data.grid.compatible(grid):
-        raise ValueError("source declared on a different grid")
     return data
 
 
@@ -425,15 +423,15 @@ def _as_source_data(src, grid) -> system.SourceData:
 # one-sided and causal solution operators
 
 
-def _march(grid, k, metric, data, t_start, n_steps, dt, states):
+def _march(grid, metric, data, t_start, n_steps, dt, states):
     """March a block of initial states as one ``(B, N)`` array, yielding each slice as it is reached.
 
-    ``states`` holds a ``system.FieldState`` or None (zero data) per row;
-    every row shares the sources ``data`` and is bit for bit the march of
-    its state alone, since the RK4 step acts on each row elementwise.  dt
-    may be negative.  The sources are tabulated for ``SOURCE_TABLE_STEPS``
-    steps at a time (``Generator.tabulate``), from the same step times the
-    march takes.
+    ``states`` holds a ``system.FieldState`` of degree ``data.k`` or None
+    (zero data) per row; every row shares the sources ``data`` and is bit
+    for bit the march of its state alone, since the RK4 step acts on each
+    row elementwise.  dt may be negative.  The sources are tabulated for
+    ``SOURCE_TABLE_STEPS`` steps at a time (``Generator.tabulate``), from
+    the same step times the march takes.
 
     Yields ``(at, fe, fb)`` for every slice in march order: ``at`` is the
     slice's index on ascending times (``n_steps - i`` for the i-th slice of
@@ -444,7 +442,7 @@ def _march(grid, k, metric, data, t_start, n_steps, dt, states):
     """
     t_end = t_start + n_steps * dt
     evolution.require_stable_dt(grid, metric, dt, (min(t_start, t_end), max(t_start, t_end)))
-    gen = evolution.Generator(grid, k, metric, data, "project_B", t_start)
+    gen = evolution.Generator(grid, metric, data, t_start)
     zero = np.zeros(gen.nw + gen.lb.size)
     y = gen.project(np.stack([zero if s is None else gen.rows(s) for s in states]))
     times = _march_times(t_start, n_steps, dt)
@@ -462,7 +460,7 @@ def _march_times(t_start, n_steps, dt) -> np.ndarray:
     return t_start + dt * np.arange(n_steps + 1)
 
 
-def _march_block(grid, k, metric, data, t_start, n_steps, dt, states) -> list:
+def _march_block(grid, metric, data, t_start, n_steps, dt, states) -> list:
     """The march of a block of initial states (:func:`_march`) stored whole: one History per state.
 
     The history budget applies here, where the rows are stored.  A
@@ -473,9 +471,10 @@ def _march_block(grid, k, metric, data, t_start, n_steps, dt, states) -> list:
         raise ValueError(f"history of {n_steps} steps exceeds the {MAX_HISTORY_STEPS}-step budget")
     if max(grid.cells_per_axis) > MAX_HISTORY_CELLS:
         raise ValueError(f"grid exceeds the {MAX_HISTORY_CELLS}-cell history budget")
+    k = data.k
     fe_rows = np.empty((len(states), n_steps + 1, mesh.cochain_size(grid, grid.n - k, False)))
     fb_rows = np.empty((len(states), n_steps + 1, mesh.cochain_size(grid, k, True)))
-    for at, fe, fb in _march(grid, k, metric, data, t_start, n_steps, dt, states):
+    for at, fe, fb in _march(grid, metric, data, t_start, n_steps, dt, states):
         fe_rows[:, at] = fe
         fb_rows[:, at] = fb
     times = _march_times(t_start, n_steps, dt)
@@ -489,7 +488,7 @@ def _solve_march(src, grid, metric, t_start, t_final, backward=False) -> tuple:
 
     Everything :func:`_march` takes but the states.
     """
-    data = _as_source_data(src, grid)
+    data = _as_source_data(src)
     dt = grid.dt
     t_start = grid.t0 if t_start is None else float(t_start)
     if t_final is None:
@@ -501,8 +500,8 @@ def _solve_march(src, grid, metric, t_start, t_final, backward=False) -> tuple:
     if wa - t_start < margin - 1e-9 * dt or t_end - wb < margin - 1e-9 * dt:
         raise ValueError("source support window touches the time range ends")
     if backward:
-        return grid, data.k, metric, data, t_end, n_steps, -dt
-    return grid, data.k, metric, data, t_start, n_steps, dt
+        return grid, metric, data, t_end, n_steps, -dt
+    return grid, metric, data, t_start, n_steps, dt
 
 
 def g_plus(src, grid: mesh.GridSpec, metric: mesh.MetricField, t_start=None, t_final=None) -> History:
@@ -522,7 +521,8 @@ def g_plus(src, grid: mesh.GridSpec, metric: mesh.MetricField, t_start=None, t_f
 
     Raises:
         ValueError: when the source window comes within two slices of
-            either end of the time range.
+            either end of the time range, or the sources are declared on
+            another grid (``evolution.Generator``).
     """
     return _march_block(*_solve_march(src, grid, metric, t_start, t_final), [None])[0]
 
@@ -668,13 +668,11 @@ def cutoff_sources(h: History, chi: CutoffProfile, metric: mesh.MetricField, com
     return SourceHistory(grid, k, h.times, window, je, jb, ze, zb)
 
 
-def sample_sources(data: system.SourceData, times: np.ndarray, tag_window=None) -> SourceHistory:
+def sample_sources(data: system.SourceData, times: np.ndarray) -> SourceHistory:
     """Snapshot a source family onto history times (for norms and defects)."""
     times = np.asarray(times, dtype=float)
     families = (data.je, data.jb, data.ze, data.zb)
-    return SourceHistory(
-        data.grid, data.k, times, tag_window or data.window, *(system.family_rows(fn, times) for fn in families)
-    )
+    return SourceHistory(data.grid, data.k, times, data.window, *(system.family_rows(fn, times) for fn in families))
 
 
 # ---------------------------------------------------------------------------
@@ -778,7 +776,6 @@ def random_source_pair(
     metric: mesh.MetricField,
     window: tuple[float, float],
     rng: np.random.Generator,
-    with_zeta: bool = True,
     with_harmonic: bool = False,
 ) -> SourcePair:
     """Admissible random source pair with analytically exact continuity.
@@ -839,20 +836,19 @@ def random_source_pair(
         kw["jb"] = _riding((p.value, jb0), (q.rate, jb1))
     else:
         kw["jb"] = _riding((p.value, jb0))
-    if with_zeta:
-        pot = interior_potential(k, True)
-        inv = mesh.hodge_inverse_sigma(pot, 0.0, metric).vec
-        if with_harmonic:
-            ze_h = mesh.hodge_inverse_sigma(
-                _constant_cochain(grid, k, True, rng.uniform(0.3, 1.0, size=4)), 0.0, metric
-            ).vec
-            kw["ze"] = _riding((p.rate, inv), (p.value, ze_h))
-        else:
-            kw["ze"] = _riding((p.rate, inv))
-        if k <= n - 2:
-            dpot = mesh.d_sigma(pot).vec
-            kw["zb"] = _riding((p.value, dpot))
-            kw["zb_rate"] = _riding((p.rate, dpot))
+    pot = interior_potential(k, True)
+    inv = mesh.hodge_inverse_sigma(pot, 0.0, metric).vec
+    if with_harmonic:
+        ze_h = mesh.hodge_inverse_sigma(
+            _constant_cochain(grid, k, True, rng.uniform(0.3, 1.0, size=4)), 0.0, metric
+        ).vec
+        kw["ze"] = _riding((p.rate, inv), (p.value, ze_h))
+    else:
+        kw["ze"] = _riding((p.rate, inv))
+    if k <= n - 2:
+        dpot = mesh.d_sigma(pot).vec
+        kw["zb"] = _riding((p.value, dpot))
+        kw["zb_rate"] = _riding((p.rate, dpot))
     return SourcePair(grid=grid, k=k, window=window, metric=metric, **kw)
 
 
@@ -868,8 +864,7 @@ def solution_history(
     center = np.asarray(grid.lengths) * rng.uniform(0.42, 0.58, size=grid.dim)
     radius = float(rng.uniform(0.15, 0.22) * min(grid.lengths))
     state, _ = manufactured.bump_state(grid, k, metric, t=grid.t0, center=center, radius=radius, seed=seed)
-    data = system.zero_sources(grid, k)
-    return _march_block(grid, k, metric, data, grid.t0, n_steps, grid.dt, [state])[0]
+    return _march_block(grid, metric, system.zero_sources(grid, k), grid.t0, n_steps, grid.dt, [state])[0]
 
 
 def random_solution_bundles(
@@ -905,7 +900,7 @@ def random_solution_bundles(
     seeds = list(seeds)
     states = _bundle_states(grid, metric, seeds, degrees)
     marched = {
-        k: _march_block(grid, k, metric, system.zero_sources(grid, k), grid.t0, n_steps, grid.dt, rows)
+        k: _march_block(grid, metric, system.zero_sources(grid, k), grid.t0, n_steps, grid.dt, rows)
         for k, rows in states.items()
     }
     return [{k: histories[b] for k, histories in marched.items()} for b in range(len(seeds))]
@@ -971,7 +966,7 @@ def bundle_currents(
     length = max(1, min(SOURCE_TABLE_STEPS, _CHUNK_BYTES // slice_bytes))
     chunk = {k: tuple(np.empty((len(seeds), length, size)) for size in pair) for k, pair in sizes.items()}
     marches = [
-        _march(grid, k, metric, system.zero_sources(grid, k), grid.t0, n_steps, grid.dt, rows)
+        _march(grid, metric, system.zero_sources(grid, k), grid.t0, n_steps, grid.dt, rows)
         for k, rows in states.items()
     ]
     for slices in zip(*marches):
@@ -1010,15 +1005,10 @@ def _smooth_components(c: mesh.Cochain, passes: int) -> mesh.Cochain:
     for v, target in zip(c.comps.values(), out.comps.values()):
         for _ in range(int(passes)):
             for ax in range(v.ndim):
-                if c.grid.periodic[ax]:
-                    lo = np.roll(v, 1, axis=ax)
-                    hi = np.roll(v, -1, axis=ax)
-                else:
-                    body = v.take(range(v.shape[ax] - 1), axis=ax)
-                    lo = np.concatenate([v.take([0], axis=ax), body], axis=ax)
-                    body = v.take(range(1, v.shape[ax]), axis=ax)
-                    hi = np.concatenate([body, v.take([-1], axis=ax)], axis=ax)
-                v = 0.5 * v + 0.25 * (lo + hi)
+                mode = "wrap" if c.grid.periodic[ax] else "edge"
+                padded = np.pad(v, [(1, 1) if a == ax else (0, 0) for a in range(v.ndim)], mode=mode)
+                size = v.shape[ax]
+                v = 0.5 * v + 0.25 * (padded.take(range(size), axis=ax) + padded.take(range(2, size + 2), axis=ax))
         target[...] = v
     return out
 
@@ -1064,7 +1054,6 @@ def random_potential(
     fe0 = mesh.multiply_scalar(mesh.d_sigma(pot_e), metric.beta, t0)
     sol = _march_block(
         grid,
-        k,
         metric,
         system.zero_sources(grid, k),
         t0,
@@ -1400,12 +1389,11 @@ def degeneracy_forward_check(
     grid: mesh.GridSpec,
     metric: mesh.MetricField,
     probes,
-    solution_tol: float = DEGENERACY_TOL,
 ) -> dict:
     """Forward degeneracy of the pairing: exact fields pair to zero.
 
     Differentiates the potential bundle into a field bundle F, verifies F
-    solves the homogeneous system to ``solution_tol``, and evaluates the
+    solves the homogeneous system to ``DEGENERACY_TOL``, and evaluates the
     pre-symplectic pairing of every probe solution against F through a
     cutoff at mid-range, ``DEFAULT_WIDTH_STEPS`` time steps wide.  The first
     and last two slices of the differentiated bundle are dropped before
@@ -1418,7 +1406,6 @@ def degeneracy_forward_check(
             potentials produce degree j+1 fields).
         probes: iterable of History/bundles of homogeneous solutions; a
             probe sees F only through adjacent degrees.
-        solution_tol: relative residual allowed for D(dA).
 
     Returns:
         dict with the pairing values, their norm-relative sizes, and the
@@ -1438,7 +1425,7 @@ def degeneracy_forward_check(
     residual = exterior.worst(
         [apply_operator(f, metric).norm(metric) / f_norm if f_norm > 0 else 0.0 for f in f_bundle.values()]
     )
-    if not residual <= solution_tol:
+    if not residual <= DEGENERACY_TOL:
         raise ValueError(
             f"potential field fails the solution tolerance: residual {residual:.3e}"
         )

@@ -650,22 +650,19 @@ def d_sigma(c: Cochain) -> Cochain:
     return c.lay.up.cochain(vec)
 
 
-def hodge_sigma(c: Cochain, t: float, metric: MetricField, orientation: int = 1) -> Cochain:
+def hodge_sigma(c: Cochain, t: float, metric: MetricField) -> Cochain:
     """Diagonal Hodge dual on the slice: component S -> S^c, family swapped.
 
     The weight is ``eps(S) * a(t)^(m-2k) * prod(h_b, b not in S) /
-    prod(h_a, a in S)`` per degree of freedom; ``orientation`` (+1 or -1)
-    selects the slice orientation, used for faces with induced orientation.
+    prod(h_a, a in S)`` per degree of freedom.
     """
-    vec = hodge_flat(c.lay, c.vec, metric.conf(t), orientation)
+    vec = hodge_flat(c.lay, c.vec, metric.conf(t))
     return c.lay.star.cochain(vec)
 
 
 def hodge_inverse_sigma(c: Cochain, t: float, metric: MetricField) -> Cochain:
     """Inverse of hodge_sigma: hodge_inverse_sigma(hodge_sigma(c)) = c."""
-    m = c.grid.dim
-    sign = (-1) ** (c.degree * (m - c.degree))
-    return hodge_sigma(c, t, metric, sign)
+    return c.lay.star.cochain(hodge_inverse_flat(c.lay, c.vec, metric.conf(t)))
 
 
 def pair_sigma(a: Cochain, b: Cochain, t: float, metric: MetricField, weight=None) -> float:

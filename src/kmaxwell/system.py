@@ -576,8 +576,6 @@ def _complement_angle(basis: np.ndarray, image: np.ndarray) -> float:
 class SymbolReport:
     """Outcome of one symbol/admissibility evaluation at a boundary point."""
 
-    point_id: str
-    xi: np.ndarray
     symmetry_defect: float
     eigenvalues: np.ndarray
     kernel_dim: int
@@ -654,8 +652,6 @@ def admissibility_audit(
         CheckResult("iii", angle_measure < tol, angle_measure, tol),
     )
     return SymbolReport(
-        point_id=f"axis{face.axis}_side{face.side}",
-        xi=np.concatenate([[0.0], xi_spatial]),
         symmetry_defect=symmetry_defect,
         eigenvalues=eigs,
         kernel_dim=kernel,

@@ -776,6 +776,26 @@ class TestDeterminism:
             manifest.pop("finished")
         assert first == second
 
+    def test_boundary_key_selects_nothing(self, tmp_path, capsys):
+        # both values run the one projected march, and a torus has no face sites to zero
+        base = "experiment = evolve\nperiodic = true\ndt = 0.01\nt_final = 0.1\nseed = 3\n"
+        outs = []
+        for value in cli.BOUNDARIES:
+            cfg = write_config(tmp_path, base + f"boundary = {value}\n", name=f"{value}.cfg")
+            outs.append(tmp_path / value)
+            assert run_cli(["run", "--config", cfg, "--out", outs[-1]], capsys)[0] == 0
+        for name in ("series_monitor.csv", "snapshot_final_fe.bin", "snapshot_final_fb.bin",
+                     "snapshot_final_fe.json", "snapshot_final_fb.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+        manifests = [load_manifest(out) for out in outs]
+        configs = [manifest.pop("config") for manifest in manifests]
+        for manifest in manifests:
+            manifest.pop("started")
+            manifest.pop("finished")
+        assert manifests[0] == manifests[1]
+        assert [config.pop("boundary") for config in configs] == list(cli.BOUNDARIES)
+        assert configs[0] == configs[1]
+
     def test_seed_changes_results(self, tmp_path, capsys):
         base = "experiment = symplectic_suite\nperiodic = true\nsteps = 40\nbundles = 2\n"
         cfg = write_config(tmp_path, base)

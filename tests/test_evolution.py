@@ -43,18 +43,49 @@ class TestEvolveConfig:
             evolution.EvolveConfig(t_final=1.0, cfl=0.95)
         assert evolution.EvolveConfig(t_final=1.0, cfl=0.9).cfl == 0.9
 
-    def test_boundary_mode_and_stride(self):
-        with pytest.raises(ValueError, match="boundary_mode"):
-            evolution.EvolveConfig(t_final=1.0, boundary_mode="reflect")
+    def test_monitor_stride(self):
         with pytest.raises(ValueError, match="monitor_stride"):
             evolution.EvolveConfig(t_final=1.0, monitor_stride=0)
 
     def test_t_final_must_advance(self):
         grid = periodic_grid(3, 8, 0.01)
         s0 = system.zero_state(grid, 1)
-        cfg = evolution.EvolveConfig(t_final=0.0, boundary_mode="periodic_test")
+        cfg = evolution.EvolveConfig(t_final=0.0)
         with pytest.raises(ValueError, match="t_final"):
             evolution.evolve(s0, system.zero_sources(grid, 1), mesh.unit_metric(), cfg)
+
+
+class TestInputChecks:
+    """The generator takes its degree from the sources and rejects states and sources that do not fit."""
+
+    def test_evolve_and_step_reject_sources_of_another_degree(self):
+        grid = box_grid(3, 8, 0.01)
+        s0, src = system.zero_state(grid, 2), system.zero_sources(grid, 1)
+        with pytest.raises(ValueError, match="degree"):
+            evolution.evolve(s0, src, mesh.unit_metric(), evolution.EvolveConfig(t_final=2 * grid.dt))
+        with pytest.raises(ValueError, match="degree"):
+            evolution.step(s0, src, mesh.unit_metric(), grid.dt)
+
+    def test_step_rejects_sources_on_a_grid_of_other_lengths(self):
+        grid = box_grid(3, 8, 0.01)
+        src = system.zero_sources(box_grid(3, 8, 0.01, lengths=2.0), 2)
+        with pytest.raises(ValueError, match="different grid"):
+            evolution.step(system.zero_state(grid, 2), src, mesh.unit_metric(), grid.dt)
+
+    def test_generator_rejects_sources_on_an_incompatible_grid(self):
+        src = system.zero_sources(periodic_grid(3, 8, 0.01), 2)
+        with pytest.raises(ValueError, match="different grid"):
+            evolution.Generator(box_grid(3, 8, 0.01), mesh.unit_metric(), src, 0.0)
+
+    @pytest.mark.parametrize("other", ["degree", "grid"])
+    def test_march_block_rejects_a_state_of_another_degree_or_grid(self, other):
+        grid = box_grid(3, 8, 0.01)
+        if other == "degree":
+            state, match = system.zero_state(grid, 1), "degree"
+        else:
+            state, match = system.zero_state(box_grid(3, 8, 0.01, lengths=2.0), 2), "different grid"
+        with pytest.raises(ValueError, match=match):
+            green._march_block(grid, mesh.unit_metric(), system.zero_sources(grid, 2), grid.t0, 2, grid.dt, [state])
 
 
 class TestStep:
@@ -90,23 +121,12 @@ class TestStep:
         with pytest.raises(ValueError, match="cfl"):
             evolution.step(s0, system.zero_sources(grid, 1), mesh.unit_metric(), 1.0)
 
-    @pytest.mark.parametrize(
-        "mode, match", [("project_b", "boundary_mode"), ("periodic_test", "periodic")], ids=["unknown", "periodic-on-box"]
-    )
-    def test_step_and_operator_matrix_check_the_boundary_mode(self, mode, match):
-        grid = box_grid(3, 8, 0.01)
-        s0 = system.zero_state(grid, 1)
-        with pytest.raises(ValueError, match=match):
-            evolution.step(s0, system.zero_sources(grid, 1), mesh.unit_metric(), grid.dt, boundary_mode=mode)
-        with pytest.raises(ValueError, match=match):
-            evolution.operator_matrix(grid, 1, mesh.unit_metric(), boundary_mode=mode)
-
     def test_one_step_matches_matrix_exponential(self):
         # dense semi-discrete generator on a periodic 8-cell line (n=2)
         grid = periodic_grid(2, 8, 2e-3)
         met = mesh.unit_metric()
         k = 1
-        mat = evolution.operator_matrix(grid, k, met, boundary_mode="periodic_test")
+        mat = evolution.operator_matrix(grid, k, met)
         nw = mesh.cochain_size(grid, 1, False)
         rng = np.random.default_rng(RNG_SEED)
         v0 = rng.standard_normal(mat.shape[0])
@@ -117,7 +137,7 @@ class TestStep:
             mesh.layout(grid, 1, True).cochain(v0[nw:]),
             k,
         )
-        out = evolution.step(s0, system.zero_sources(grid, k), met, grid.dt, boundary_mode="periodic_test")
+        out = evolution.step(s0, system.zero_sources(grid, k), met, grid.dt)
         got = np.concatenate([out.fe.vec, out.fb.vec])
         assert np.abs(got - exact).max() < ORACLE_TOL
 
@@ -177,9 +197,7 @@ def lowest_mode_state(grid):
 def mode_energy_drift(cfl, steps=100):
     grid = periodic_grid(3, 16, cfl / 16)
     s0 = lowest_mode_state(grid)
-    cfg = evolution.EvolveConfig(
-        t_final=steps * grid.dt, cfl=cfl, boundary_mode="periodic_test", monitor_stride=25
-    )
+    cfg = evolution.EvolveConfig(t_final=steps * grid.dt, cfl=cfl, monitor_stride=25)
     _, series = evolution.evolve(s0, system.zero_sources(grid, 2), mesh.unit_metric(), cfg)
     e = series.columns["energy"]
     return abs(float(e[-1] - e[0])) / float(e[0])
@@ -195,7 +213,7 @@ class TestEnergyConservation:
         assert drift1 / drift2 > 12.0
 
 
-def energy_skew_defect(grid, k, metric, boundary_mode, t=0.0):
+def energy_skew_defect(grid, k, metric, t=0.0):
     """max|HA + A^T H| / max|HA| of the projected generator A in the energy form H, both frozen at t.
 
     A is ``operator_matrix`` on the entries the boundary projection leaves
@@ -203,14 +221,14 @@ def energy_skew_defect(grid, k, metric, boundary_mode, t=0.0):
     times the lapse there, on both the w and the fb entries
     (``fe^2/beta + beta fb^2``).
     """
-    gen = evolution.Generator(grid, k, metric, system.zero_sources(grid, k), boundary_mode, t)
+    gen = evolution.Generator(grid, metric, system.zero_sources(grid, k), t)
     lapse = gen.lapse(t)
     weights = np.concatenate([
         mesh.pair_flat(lay, np.eye(lay.size), np.eye(lay.size), float(metric.conf(t)), beta)
         for lay, beta in zip((gen.lw, gen.lb), lapse)
     ])
     free = gen.project(np.ones(weights.size)) != 0.0
-    a = evolution.operator_matrix(grid, k, metric, t, boundary_mode)[np.ix_(free, free)]
+    a = evolution.operator_matrix(grid, k, metric, t)[np.ix_(free, free)]
     ha = weights[free, None] * a
     return np.abs(ha + ha.T).max() / np.abs(ha).max()
 
@@ -230,8 +248,7 @@ class TestEnergyIdentity:
     def test_skew_adjoint_in_energy_form(self, n, cells, periodic, k, beta):
         grid = box_grid(n, cells, 0.01, periodic=(True,) * (n - 1) if periodic else None)
         metric = mesh.MetricField(beta=cli.BETA_CATALOGUE[beta](1.0))
-        mode = "periodic_test" if periodic else "project_B"
-        assert energy_skew_defect(grid, k, metric, mode) <= LINEARITY_TOL
+        assert energy_skew_defect(grid, k, metric) <= LINEARITY_TOL
 
     @pytest.mark.parametrize("beta", sorted(cli.BETA_CATALOGUE))
     @pytest.mark.parametrize(
@@ -242,8 +259,7 @@ class TestEnergyIdentity:
         # frozen at t = 2 (a = 1.2), with a(t) in H's weights; left out, the defect reads 0.306 at n = 3
         grid = box_grid(n, cells, 0.01, periodic=(True,) * (n - 1) if periodic else None)
         metric = mesh.MetricField(beta=cli.BETA_CATALOGUE[beta](1.0), conf=cli.A_CATALOGUE["expanding"](1.0))
-        mode = "periodic_test" if periodic else "project_B"
-        assert energy_skew_defect(grid, k, metric, mode, t=2.0) <= LINEARITY_TOL
+        assert energy_skew_defect(grid, k, metric, t=2.0) <= LINEARITY_TOL
 
 
 class TestEvolve:
@@ -282,21 +298,12 @@ class TestEvolve:
     def test_monitor_stride_and_monotone_times(self):
         grid = periodic_grid(3, 8, 0.01)
         s0 = system.zero_state(grid, 1)
-        cfg = evolution.EvolveConfig(
-            t_final=10 * grid.dt, boundary_mode="periodic_test", monitor_stride=3
-        )
+        cfg = evolution.EvolveConfig(t_final=10 * grid.dt, monitor_stride=3)
         _, series = evolution.evolve(s0, system.zero_sources(grid, 1), mesh.unit_metric(), cfg)
         # samples at t0, steps 3, 6, 9, and the forced final step
         times = np.asarray(series.columns["time"])
         assert times.shape == (5,)
         assert np.all(np.diff(times) > 0)
-
-    def test_periodic_mode_requires_periodic_grid(self):
-        grid = box_grid(3, 8, 0.001)
-        s0 = system.zero_state(grid, 1)
-        cfg = evolution.EvolveConfig(t_final=0.01, boundary_mode="periodic_test")
-        with pytest.raises(ValueError, match="periodic"):
-            evolution.evolve(s0, system.zero_sources(grid, 1), mesh.unit_metric(), cfg)
 
     def test_cfl_checked_up_front(self):
         grid = box_grid(3, 8, 1.0)
@@ -371,21 +378,20 @@ class TestConstraintPreservation:
         rng = np.random.default_rng(RNG_SEED)
         fb = mesh.random_cochain(grid, 1, True, rng)  # k=1: r_B = d fb, order one
         s0 = system.FieldState(0.0, mesh.zero_cochain(grid, 2, False), fb, 1)
-        cfg = evolution.EvolveConfig(
-            t_final=100 * grid.dt, cfl=0.4, boundary_mode="periodic_test", monitor_stride=20
-        )
+        cfg = evolution.EvolveConfig(t_final=100 * grid.dt, cfl=0.4, monitor_stride=20)
         _, series = evolution.evolve(s0, system.zero_sources(grid, 1), met, cfg)
         assert series.columns["rB"][0] > 0.1
         assert series.relative_drift("rB") < 1e-3
 
-    @pytest.mark.parametrize("mode", ["periodic_test", "project_B"])
-    def test_current_without_charge_drifts(self, mode):
+    @pytest.mark.parametrize("periodic", [True, False], ids=["periodic_test", "project_B"])
+    def test_current_without_charge_drifts(self, periodic):
         # a constant magnetic current with no electric one breaks continuity, so
         # validate_problem would reject it; the electric constraint grows from zero
-        grid = box_grid(3, 16, 0.4 / 32, periodic=(True, True) if mode == "periodic_test" else None)
+        # (torus and box, the ids naming the CLI boundary value of each)
+        grid = box_grid(3, 16, 0.4 / 32, periodic=(True, True) if periodic else None)
         row = np.random.default_rng(RNG_SEED).standard_normal(mesh.cochain_size(grid, 1, True))
         src = system.SourceData(grid, 2, (0.0, 1.0), jb=lambda t: row)
-        cfg = evolution.EvolveConfig(t_final=20 * grid.dt, cfl=0.4, boundary_mode=mode, monitor_stride=5)
+        cfg = evolution.EvolveConfig(t_final=20 * grid.dt, cfl=0.4, monitor_stride=5)
         _, series = evolution.evolve(system.zero_state(grid, 2), src, mesh.unit_metric(), cfg)
         assert series.columns["rE"][0] == 0.0
         assert series.relative_drift("rE") > CONSTRAINT_DRIFT_TOL
@@ -586,6 +592,7 @@ class TestValidateProblem:
         check = next(c for c in report.checks if c.name == "initial_support")
         assert not check.passed
         assert np.isnan(check.measure)
+        assert check.detail
 
 
 class TestCheckCfl:
@@ -664,7 +671,7 @@ class TestAssembledStep:
     def test_twenty_chained_steps(self, name, periodic, n, k):
         grid = small_grid(n, periodic)
         metric = CROSS_PATH_METRICS[name]
-        gen = evolution.Generator(grid, k, metric, system.zero_sources(grid, k), "project_B", 0.37)
+        gen = evolution.Generator(grid, metric, system.zero_sources(grid, k), 0.37)
         y0 = rows_with_zeros(gen, RNG_SEED + k)
         got = chain(gen, 0.37, y0, grid.dt, 20, evolution._rk4_step)
         want = chain(gen, 0.37, y0, grid.dt, 20, reference_step)
@@ -676,7 +683,7 @@ class TestAssembledStep:
         grid = small_grid(3, False)
         metric = mesh.MetricField(beta=CROSS_PATH_METRICS["unit" if beta == "unit" else "well_expanding"].beta)
         src = green.random_source_pair(grid, k, metric, (0.1, 0.3), np.random.default_rng(RNG_SEED))
-        gen = evolution.Generator(grid, k, metric, src, "project_B", 0.1)
+        gen = evolution.Generator(grid, metric, src, 0.1)
         y0 = rows_with_zeros(gen, RNG_SEED)
         got = chain(gen, 0.1, y0, grid.dt, 20, evolution._rk4_step)
         want = chain(gen, 0.1, y0, grid.dt, 20, reference_step)
@@ -692,7 +699,7 @@ class TestAssembledStep:
         src = system.zero_sources(grid, 2)
         final, _ = evolution.evolve(s0, src, metric, cfg)
 
-        gen = evolution.Generator(grid, 2, metric, src, "project_B", s0.t)
+        gen = evolution.Generator(grid, metric, src, s0.t)
         y, t = gen.project(gen.rows(s0)), s0.t
         for i in range(8):
             h = min(grid.dt, cfg.t_final - t)
@@ -707,8 +714,7 @@ class TestAssembledStep:
     def test_a_generator_given_two_batch_shapes_in_turn_equals_fresh_ones(self, name):
         # the stage buffers are rebuilt when rows of another leading shape arrive
         grid = small_grid(3, False)
-        make = lambda: evolution.Generator(grid, 2, CROSS_PATH_METRICS[name], system.zero_sources(grid, 2),
-                                           "project_B", 0.37)
+        make = lambda: evolution.Generator(grid, CROSS_PATH_METRICS[name], system.zero_sources(grid, 2), 0.37)
         shared = make()
         rng = np.random.default_rng(RNG_SEED)
         for batch in [(2,), (3,), (), (2,)]:
@@ -719,12 +725,13 @@ class TestAssembledStep:
             assert same_bits(shared.rhs(0.4, y), make().rhs(0.4, y))
 
     @pytest.mark.parametrize("name", sorted(CROSS_PATH_METRICS))
-    @pytest.mark.parametrize("mode", ["project_B", "periodic_test"])
-    def test_operator_matrix_columns_are_single_row_rhs(self, name, mode):
-        grid = small_grid(3, mode == "periodic_test")
+    @pytest.mark.parametrize("periodic", [False, True], ids=["project_B", "periodic_test"])
+    def test_operator_matrix_columns_are_single_row_rhs(self, name, periodic):
+        # box and torus, the ids naming the CLI boundary value of each
+        grid = small_grid(3, periodic)
         metric = CROSS_PATH_METRICS[name]
-        mat = evolution.operator_matrix(grid, 2, metric, t=0.37, boundary_mode=mode)
-        gen = evolution.Generator(grid, 2, metric, system.zero_sources(grid, 2), mode, 0.37)
+        mat = evolution.operator_matrix(grid, 2, metric, t=0.37)
+        gen = evolution.Generator(grid, metric, system.zero_sources(grid, 2), 0.37)
         for j in range(mat.shape[1]):
             e = gen.project(np.eye(1, mat.shape[1], j)[0])
             col = gen.project(gen.rhs(0.37, e))
@@ -807,7 +814,7 @@ class TestMemory:
 
     def test_warm_3d_step_allocates_only_its_result(self):
         grid = mesh.GridSpec(n=4, cells_per_axis=(32,) * 3, lengths=(1.0,) * 3, dt=0.005)
-        gen = evolution.Generator(grid, 2, mesh.unit_metric(), system.zero_sources(grid, 2), "project_B", 0.0)
+        gen = evolution.Generator(grid, mesh.unit_metric(), system.zero_sources(grid, 2), 0.0)
         y = gen.project(np.random.default_rng(RNG_SEED).standard_normal(gen.nw + gen.lb.size))
         y = evolution._rk4_step(0.0, y, gen, grid.dt)
         tracemalloc.start()
@@ -823,7 +830,7 @@ class TestMemory:
         # a static lapse that is one value is kept as a zero-stride view of it
         grid = periodic_grid(3, 32, 0.01)  # no faces, so no face index either
         metric = mesh.MetricField(beta=lambda t, *x: beta)
-        make = lambda: evolution.Generator(grid, 2, metric, system.zero_sources(grid, 2), "periodic_test", 0.0)
+        make = lambda: evolution.Generator(grid, metric, system.zero_sources(grid, 2), 0.0)
         make()  # warm the layout caches
         tracemalloc.start()
         try:
@@ -854,7 +861,7 @@ class TestMemory:
         grid = mesh.GridSpec(n=3, cells_per_axis=(64, 64), lengths=(1.0, 1.0), dt=0.005)
         met = mesh.unit_metric()
         src = green.random_source_pair(grid, 2, met, (0.02, 0.5), np.random.default_rng(RNG_SEED))
-        green._march_block(grid, 2, met, src, 0.05, 2, grid.dt, [None])  # warm the layout and factor caches
+        green._march_block(grid, met, src, 0.05, 2, grid.dt, [None])  # warm the layout and factor caches
         held = []
         step = evolution._rk4_step
 
@@ -865,7 +872,7 @@ class TestMemory:
         monkeypatch.setattr(evolution, "_rk4_step", spy)
         tracemalloc.start()
         try:
-            h = green._march_block(grid, 2, met, src, 0.05, 100, grid.dt, [None])[0]
+            h = green._march_block(grid, met, src, 0.05, 100, grid.dt, [None])[0]
         finally:
             tracemalloc.stop()
         row = h.fe[0].nbytes + h.fb[0].nbytes

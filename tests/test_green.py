@@ -360,10 +360,6 @@ class TestSourcePair:
         assert p1.je is None and p1.jb is not None and p1.ze is not None and p1.zb is not None
         p2 = green.random_source_pair(g, 2, METRIC, (0.1, 0.4), np.random.default_rng(0))
         assert p2.je is not None and p2.zb is None
-        alpha_only = green.random_source_pair(
-            g, 2, METRIC, (0.1, 0.4), np.random.default_rng(0), with_zeta=False
-        )
-        assert alpha_only.ze is None
 
     def test_random_pair_requires_static_metric(self):
         g = box_grid()
@@ -526,9 +522,9 @@ class TestTabulatedMarch:
     def test_integrate(self, kind, direction, steps, monkeypatch):
         # the march of g_plus (dt > 0) and g_minus (dt < 0) from a slice inside the window
         g = box_grid(cells=12)
-        data = green._as_source_data(march_sources(kind, g), g)
+        data = green._as_source_data(march_sources(kind, g))
         t0 = 0.03 if direction == 1 else 0.37
-        march = functools.partial(green._march_block, g, 2, TILTED, data, t0, steps, direction * g.dt, [None])
+        march = functools.partial(green._march_block, g, TILTED, data, t0, steps, direction * g.dt, [None])
         tabulated = march()[0]
         per_stage(monkeypatch)
         assert histories_same_bits(tabulated, march()[0])
@@ -545,7 +541,8 @@ class TestTabulatedMarch:
             window = (t0 + 2.5 * g.dt, t0 + (steps - 2.5) * g.dt)
             src = green.random_source_pair(g, 2, TILTED, window, np.random.default_rng(5))
         else:
-            src = green.sample_sources(src.data(), src.times, tag_window=(t0 + 2 * g.dt, t0 + (steps - 2) * g.dt))
+            window = (t0 + 2 * g.dt, t0 + (steps - 2) * g.dt)
+            src = dataclasses.replace(green.sample_sources(src.data(), src.times), window=window)
         tabulated = [solve(src, g, TILTED, **span) for solve in (green.g_plus, green.g_minus)]
         per_stage(monkeypatch)
         for want, solve in zip(tabulated, (green.g_plus, green.g_minus)):
@@ -562,13 +559,13 @@ class TestTabulatedMarch:
 
         monkeypatch.setattr(system, "rhs_sources", spy)
         g = box_grid(cells=12)
-        green._march_block(g, 2, TILTED, march_sources("pair", g), 0.03, 65, g.dt, [None])
+        green._march_block(g, TILTED, march_sources("pair", g), 0.03, 65, g.dt, [None])
         assert calls == [1, 1, 1]
 
 
 def unbatched_march(g, k, metric, state, steps):
     """The fe and fb rows of one state marched as a 1-D row, RK4 step by step."""
-    gen = evolution.Generator(g, k, metric, system.zero_sources(g, k), "project_B", g.t0)
+    gen = evolution.Generator(g, metric, system.zero_sources(g, k), g.t0)
     y = gen.project(gen.rows(state))
     fe, fb = [], []
     for i in range(steps + 1):
@@ -589,7 +586,7 @@ class TestBlockMarch:
         g = torus_grid(cells=12) if periodic else box_grid(cells=12)
         metric = mesh.MetricField(beta=cli.BETA_CATALOGUE[beta](1.0))
         states = [manufactured.bump_state(g, k, metric, radius=0.2, seed=s)[0] for s in range(3)]
-        block = green._march_block(g, k, metric, system.zero_sources(g, k), g.t0, 30, g.dt, states)
+        block = green._march_block(g, metric, system.zero_sources(g, k), g.t0, 30, g.dt, states)
         for state, h in zip(states, block):
             fe, fb = unbatched_march(g, k, metric, state, 30)
             assert same_bits(h.fe, fe) and same_bits(h.fb, fb)
@@ -698,9 +695,9 @@ class TestSlabOperator:
         assert beyond[1] <= 1.08 * beyond[0], beyond
 
 
-def reversed_march(g, k, metric, data, t_end, steps):
+def reversed_march(g, metric, data, t_end, steps):
     """The rows of a zero-data march backward from t_end, stored in march order, then reversed."""
-    gen = evolution.Generator(g, k, metric, data, "project_B", t_end)
+    gen = evolution.Generator(g, metric, data, t_end)
     times = t_end + (-g.dt) * np.arange(steps + 1)
     y = np.zeros((1, gen.nw + gen.lb.size))
     fe, fb = [], []
@@ -717,7 +714,7 @@ class TestInPlaceDifferences:
         g = box_grid(cells=12)
         src = march_sources("pair", g)
         h = green.g_minus(src, g, TILTED, t_start=0.0, t_final=0.4)
-        times, fe, fb = reversed_march(g, 2, TILTED, src, 0.0 + 80 * g.dt, 80)
+        times, fe, fb = reversed_march(g, TILTED, src, 0.0 + 80 * g.dt, 80)
         assert same_bits(h.times, times) and same_bits(h.fe, fe) and same_bits(h.fb, fb)
         assert np.abs(h.fb).max() > 0.0
 
@@ -1148,7 +1145,7 @@ class TestPresymplectic:
         times = b1[1].times
 
         def slice_and_rate(h):
-            gen = evolution.Generator(g, h.k, metric, system.zero_sources(g, h.k), "project_B", g.t0)
+            gen = evolution.Generator(g, metric, system.zero_sources(g, h.k), g.t0)
             y = gen.rows(system.FieldState(g.t0, h.le.cochain(h.fe[0]), h.lb.cochain(h.fb[0]), h.k))
             rate = gen.state(g.t0, gen.rhs(g.t0, y))
             return (h.fe[0], h.fb[0]), (rate.fe.vec, rate.fb.vec)
@@ -1324,10 +1321,11 @@ class TestDegeneracy:
         assert report["field_residual"] == 0.0
         assert report["values"] == [0.0, 0.0]
 
-    def test_solution_gate_trips(self):
+    def test_solution_gate_trips(self, monkeypatch):
         g, a, probes, _ = forward_setup()
+        monkeypatch.setattr(green, "DEGENERACY_TOL", 1e-12)
         with pytest.raises(ValueError, match="solution tolerance"):
-            green.degeneracy_forward_check(a, g, METRIC, probes[:1], solution_tol=1e-12)
+            green.degeneracy_forward_check(a, g, METRIC, probes[:1])
 
     def test_probe_must_cover_field_times(self):
         g, a, _, _ = forward_setup()

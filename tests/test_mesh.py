@@ -683,11 +683,9 @@ class TestBoundaryOperators:
             c = mesh.random_cochain(g, k, True, rng)
             star_c = mesh.hodge_sigma(c, t, metric)
             for face in mesh.faces(g):
-                lhs = mesh.hodge_sigma(
-                    normal_contract(c, face, t, metric),
-                    t,
-                    metric,
-                    orientation=induced_orientation(face),
+                contracted = normal_contract(c, face, t, metric)
+                lhs = contracted.lay.star.cochain(
+                    mesh.hodge_flat(contracted.lay, contracted.vec, metric.conf(t), induced_orientation(face))
                 )
                 rhs = mesh.trace_pullback(star_c, face)
                 for s in rhs.comps:

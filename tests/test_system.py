@@ -507,7 +507,7 @@ class TestOneSplitOperator:
         g = box_grid(cells, lengths=(1.0,) * len(cells))
         t = 0.37
         src = system.zero_sources(g, k)
-        gen = evolution.Generator(g, k, metric, src, "project_B", t)
+        gen = evolution.Generator(g, metric, src, t)
         y = np.random.default_rng(RNG_SEED).standard_normal(gen.nw + gen.lb.size)
         y_dot = gen.rhs(t, y)
         s = gen.state(t, y)

@@ -157,6 +157,11 @@ MUTANTS = {
         "if self.ys is None or self.ys.shape[:-1] != batch:",
         "if self.ys is None:",
     ),
+    "rows_degree_check": (
+        "src/kmaxwell/evolution.py",
+        "        if s.k != self.k:\n            raise ValueError(",
+        "        if False:\n            raise ValueError(",
+    ),
 }
 
 # a mutant that makes tier-1 hang (tier-1 takes well under a minute) counts as caught
