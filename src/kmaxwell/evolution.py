@@ -149,6 +149,19 @@ def _boundary_layer_max(s: system.FieldState) -> float:
     ])
 
 
+def require_consistent(grid: mesh.GridSpec, src: system.SourceData, s: system.FieldState | None = None) -> None:
+    """Raise ValueError unless ``src``, and the state ``s`` when given, are declared on ``grid``'s slice
+    and ``s`` has the sources' degree: the checks of :class:`Generator` and of :func:`validate_problem`."""
+    if not src.grid.compatible(grid):
+        raise ValueError("source declared on a different grid")
+    if s is None:
+        return
+    if s.k != src.k:
+        raise ValueError(f"state of degree {s.k} given to a generator of degree {src.k}")
+    if not s.grid.compatible(grid):
+        raise ValueError("state declared on a different grid")
+
+
 def validate_problem(
     s0: system.FieldState,
     src: system.SourceData,
@@ -169,7 +182,12 @@ def validate_problem(
         continuity residual norms of the sources at the window fractions
         ``system.CONTINUITY_PROBES`` (a finite window only);
       * ``beta_positive``: sampled lapse stays positive.
+
+    Raises ValueError, with :func:`evolve`'s message, for sources, state and
+    grid of different degrees or slices (:func:`require_consistent`).
     """
+    require_consistent(s0.grid, src, s0)
+    require_consistent(grid, src)
     metric = metric if metric is not None else mesh.unit_metric()
     report = ValidationReport()
 
@@ -272,8 +290,7 @@ class Generator:
     """
 
     def __init__(self, grid, metric, src, t):
-        if not src.grid.compatible(grid):
-            raise ValueError("source declared on a different grid")
+        require_consistent(grid, src)
         n, k = grid.n, src.k
         self.k, self.metric, self.src = k, metric, src
         self.lw = mesh.layout(grid, n - k, False)
@@ -373,10 +390,7 @@ class Generator:
 
     def rows(self, s: system.FieldState) -> np.ndarray:
         """The stacked row of a state; ValueError for a state of another degree or grid."""
-        if s.k != self.k:
-            raise ValueError(f"state of degree {s.k} given to a generator of degree {self.k}")
-        if not s.grid.compatible(self.lw.grid):
-            raise ValueError("state declared on a different grid")
+        require_consistent(self.lw.grid, self.src, s)
         return np.concatenate([s.fe.vec * (1.0 / self.lapse(s.t)[0]), s.fb.vec])
 
     def state(self, t: float, y: np.ndarray) -> system.FieldState:

@@ -38,7 +38,8 @@ spaced slice times; fields (:class:`History`) and sources
 (:class:`SourceHistory`) share one row base, which checks every family's rows
 where they enter.  Since the pairing structure couples a degree-k history
 only with histories of degrees k-1 and k+1, the multi-degree phase space is
-realized as bundles: plain dicts (or sequences) of single-degree histories.
+realized as bundles: ``{degree: History}`` dicts of single-degree histories,
+a single History being a bundle of one.
 """
 
 from __future__ import annotations
@@ -270,27 +271,11 @@ class History(_Rows):
         if not _same_times(self.times, other.times):
             raise ValueError("histories on mismatched time samples")
 
-    def __add__(self, other: "History") -> "History":
-        self._compat(other)
-        return History(self.grid, self.k, self.times, self.fe + other.fe, self.fb + other.fb)
-
-    def __sub__(self, other: "History") -> "History":
-        self._compat(other)
-        return History(self.grid, self.k, self.times, self.fe - other.fe, self.fb - other.fb)
-
     def __isub__(self, other: "History") -> "History":
         self._compat(other)
         np.subtract(self.fe, other.fe, out=self.fe)
         np.subtract(self.fb, other.fb, out=self.fb)
         return self
-
-    def __mul__(self, factor: float) -> "History":
-        return History(self.grid, self.k, self.times, self.fe * factor, self.fb * factor)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "History":
-        return self * -1.0
 
 
 @dataclass
@@ -1157,20 +1142,15 @@ def _cutoff_split_defect(grid, k, metric, times, rng) -> float:
 
 
 def _by_degree(f) -> dict:
-    """A {degree: item} bundle from one History or source, a sequence of them, or a dict."""
+    """A {degree: item} bundle from one History or source, or from a {degree: item} dict."""
     if isinstance(f, (History, system.SourceData)):
         return {f.k: f}
-    if isinstance(f, dict):
-        for key, item in f.items():
-            if key != item.k:
-                raise ValueError(f"bundle key {key} does not match the degree {item.k} of its entry")
-        return dict(f)
-    out = {}
-    for item in f:
-        if item.k in out:
-            raise ValueError(f"duplicate degree {item.k} in the bundle")
-        out[item.k] = item
-    return out
+    if not isinstance(f, dict):
+        raise TypeError(f"a bundle is a History, a source or a {{degree: item}} dict, not {type(f).__name__}")
+    for key, item in f.items():
+        if key != item.k:
+            raise ValueError(f"bundle key {key} does not match the degree {item.k} of its entry")
+    return dict(f)
 
 
 def _bundle_times(bundle: dict, grid) -> np.ndarray:
@@ -1252,8 +1232,8 @@ def pairing_currents(bundles, pairs, grid: mesh.GridSpec, metric: mesh.MetricFie
     integrates it against any d(chi).
 
     Args:
-        bundles: sequence of bundles, each a History, a sequence of History,
-            or a {degree: History} dict, all on the same times.
+        bundles: sequence of bundles, each a History or a {degree: History}
+            dict, all on the same times.
         pairs: ordered index pairs (i, j) into ``bundles``.
         grid: common spatial grid.
         metric: lapse and conformal factor.
@@ -1301,7 +1281,7 @@ def presymplectic(f1, f2, chi: CutoffProfile, grid: mesh.GridSpec, metric: mesh.
     independent of the cutoff.
 
     Args:
-        f1, f2: History, sequence of History, or {degree: History} dict.
+        f1, f2: History or {degree: History} dict.
         chi: time cutoff whose ramp must lie inside the common time range.
         grid: common spatial grid.
         metric: lapse and conformal factor.
@@ -1402,10 +1382,11 @@ def degeneracy_forward_check(
     the surviving time range, so they must cover it on the same samples.
 
     Args:
-        a_potential: History or bundle of potential histories (degree j
-            potentials produce degree j+1 fields).
-        probes: iterable of History/bundles of homogeneous solutions; a
-            probe sees F only through adjacent degrees.
+        a_potential: History or {degree: History} dict of potentials
+            (degree j potentials produce degree j+1 fields).
+        probes: iterable of homogeneous solutions, each a History or a
+            {degree: History} dict; a probe sees F only through adjacent
+            degrees.
 
     Returns:
         dict with the pairing values, their norm-relative sizes, and the

@@ -364,9 +364,6 @@ class Cochain:
         lay = self.lay
         return MappingProxyType({s: lay.view(self.vec, i) for i, s in enumerate(lay.subsets)})
 
-    def copy(self) -> "Cochain":
-        return self.lay.cochain(self.vec.copy())
-
     def _check_match(self, other: "Cochain") -> None:
         if (self.grid, self.degree, self.dual) != (other.grid, other.degree, other.dual):
             raise ValueError("cochains live on different spaces")
@@ -460,14 +457,9 @@ def multiply_scalar(c: Cochain, fn, t: float) -> Cochain:
     return c.lay.cochain(c.vec * sample_flat(c.lay, fn, t))
 
 
-def component_values(c: Cochain) -> dict[tuple[int, ...], np.ndarray]:
-    """Pointwise component samples: degrees of freedom over cell measures."""
-    return {s: arr / cell_measure(c.grid, s) for s, arr in c.comps.items()}
-
-
 def max_pointwise(c: Cochain) -> float:
-    """Sup norm of the pointwise component values."""
-    return exterior.worst([exterior.maxabs(arr) for arr in component_values(c).values()])
+    """Sup norm of the pointwise values: each component's largest magnitude over its positive cell measure."""
+    return exterior.worst([exterior.maxabs(arr) / cell_measure(c.grid, s) for s, arr in c.comps.items()])
 
 
 def cochain_size(grid: GridSpec, degree: int, dual: bool) -> int:

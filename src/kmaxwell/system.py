@@ -272,8 +272,10 @@ def rhs_sources(src: SourceData, t, metric: mesh.MetricField):
     ``t`` is one time (one row per slot) or a 1-D array of times (``(T, N)``
     rows, one Hodge map over all of them with one a(t) per row); one time is
     evaluated as an array of one.  Either slot is None when its family is
-    absent.
+    absent, and with neither family present nothing is sampled.
     """
+    if src.jb is None and src.ze is None:
+        return None, None
     times = np.atleast_1d(t)
     n, k, conf = src.grid.n, src.k, mesh.sample_conf(metric, times)
     jb, ze = family_rows(src.jb, times), family_rows(src.ze, times)

@@ -594,6 +594,21 @@ class TestValidateProblem:
         assert np.isnan(check.measure)
         assert check.detail
 
+    @pytest.mark.parametrize("mismatch", ["degree", "grid"])
+    def test_rejects_what_evolve_rejects(self, mismatch):
+        # a k = 2 bump on the 8^2 unit box against sources of degree 1, or
+        # against sources and a grid with the same cells but lengths 2.0
+        grid = box_grid(3, 8, 0.01)
+        met = mesh.unit_metric()
+        s0, _ = manufactured.bump_state(grid, 2, met, radius=0.2, seed=2)
+        other = grid if mismatch == "degree" else box_grid(3, 8, 0.01, lengths=2.0)
+        src = system.zero_sources(other, 1 if mismatch == "degree" else 2)
+        with pytest.raises(ValueError) as rejected:
+            evolution.evolve(s0, src, met, evolution.EvolveConfig(t_final=0.05))
+        with pytest.raises(ValueError) as invalid:
+            evolution.validate_problem(s0, src, other, met)
+        assert str(invalid.value) == str(rejected.value)
+
 
 class TestCheckCfl:
     def test_named_check(self):

@@ -66,6 +66,10 @@ def history_equal(a, b):
     np.testing.assert_array_equal(a.fb, b.fb)
 
 
+def scaled_history(h, factor):
+    return green.History(h.grid, h.k, h.times, factor * h.fe, factor * h.fb)
+
+
 def assert_one_time_bits(profile, ts):
     """``value`` and ``rate`` on an array of times equal the one-time calls bit for bit."""
     for method in (profile.value, profile.rate):
@@ -227,31 +231,31 @@ class TestHistory:
         with pytest.raises(ValueError, match="uniform"):
             green.History(g, 1, np.array([0.0, 0.1, 0.15]), fe, fb)
 
-    def test_algebra(self):
+    def test_restrict(self):
         _, _, c = causal_reference()
-        history_equal(2.0 * c, c + c)
-        history_equal(-c, c * -1.0)
-        d = c - c
-        assert d.maxabs() == 0.0
         r = c.restrict(3, 10)
         assert len(r.times) == 7
         assert r.times[0] == pytest.approx(c.times[3])
 
     def test_mismatch_errors(self):
         g, _, c = causal_reference()
+        fresh = lambda: green.History(g, 1, c.times, c.fe.copy(), c.fb.copy())
         other = green.History(g, 2, c.times, np.zeros((len(c.times), mesh.cochain_size(g, 1, False))), np.zeros((len(c.times), mesh.cochain_size(g, 2, True))))
         with pytest.raises(ValueError, match="degrees"):
-            c + other
+            h = fresh()
+            h -= other
         shifted = green.History(g, 1, c.times + 1.0, c.fe, c.fb)
         with pytest.raises(ValueError, match="time samples"):
-            c + shifted
+            h = fresh()
+            h -= shifted
         g12 = box_grid(cells=12)
         elsewhere = green.History(
             g12, 1, c.times, np.zeros((len(c.times), mesh.cochain_size(g12, 2, False))),
             np.zeros((len(c.times), mesh.cochain_size(g12, 1, True))),
         )
         with pytest.raises(ValueError, match="histories on mismatched grids"):
-            c - elsewhere
+            h = fresh()
+            h -= elsewhere
 
     @pytest.mark.parametrize("times", [[0.3, 0.2, 0.1], [0.1, 0.1, 0.1]], ids=["falling", "constant"])
     @pytest.mark.parametrize("kind", ["History", "SourceHistory"])
@@ -721,16 +725,17 @@ class TestInPlaceDifferences:
     def test_causal_is_the_difference_of_the_solves(self):
         g, pair, c = causal_reference()
         span = dict(t_start=0.0, t_final=0.5)
-        want = green.g_plus(pair, g, METRIC, **span) - green.g_minus(pair, g, METRIC, **span)
+        want = green.g_plus(pair, g, METRIC, **span)
+        want -= green.g_minus(pair, g, METRIC, **span)
         assert histories_same_bits(c, want)
 
-    def test_in_place_operators_match_the_binary_ones(self):
+    def test_in_place_difference_is_the_row_difference(self):
         g = box_grid(cells=8)
         a, b = random_history(g, 2, 9, seed=3), random_history(g, 2, 9, seed=4)
-        diff = a - b
+        diff_fe, diff_fb = a.fe - b.fe, a.fb - b.fb
         a_fe = a.fe
         a -= b
-        assert a.fe is a_fe and histories_same_bits(a, diff)
+        assert a.fe is a_fe and same_bits(a.fe, diff_fe) and same_bits(a.fb, diff_fb)
         with pytest.raises(ValueError, match="mismatched degrees"):
             a -= random_history(g, 1, 9)
 
@@ -747,7 +752,10 @@ def stored_cutoff_split_defect(grid, k, metric, times, rng):
         green.cutoff_sources(sol, chi, metric, complement=True), grid, metric,
         t_start=t0 - 2 * dt, t_final=float(times[-1]),
     )
-    recon = lead.restrict(0, steps + 1) + trail.restrict(2, steps + 3) - sol
+    recon = lead.restrict(0, steps + 1)
+    recon.fe += trail.fe[2 : steps + 3]
+    recon.fb += trail.fb[2 : steps + 3]
+    recon -= sol
     return recon.norm(metric) / sol.norm(metric)
 
 
@@ -760,7 +768,8 @@ class TestStreamedDifferences:
         g = box_grid(cells=12)
         src = march_sources(kind, g)
         span = dict(t_start=0.0, t_final=0.4)
-        want = green.g_plus(src, g, metric, **span) - green.g_minus(src, g, metric, **span)
+        want = green.g_plus(src, g, metric, **span)
+        want -= green.g_minus(src, g, metric, **span)
         got = green.causal(src, g, metric, **span)
         assert histories_same_bits(got, want)
         assert np.abs(got.fb).max() > 0.0
@@ -866,7 +875,7 @@ class TestCausal:
     def test_scaling_is_exact(self):
         g, pair, c = causal_reference()
         c2 = green.causal(scaled_pair(pair, 2.0), g, METRIC, t_start=0.0, t_final=0.5)
-        history_equal(c2, 2.0 * c)
+        history_equal(c2, scaled_history(c, 2.0))
 
     def test_additivity(self):
         g, pair, c = causal_reference()
@@ -883,8 +892,9 @@ class TestCausal:
             zb_rate=lambda t: pair.zb_rate(t) + other.zb_rate(t),
         )
         c_sum = green.causal(combined, g, METRIC, t_start=0.0, t_final=0.5)
-        diff = c_sum - (c + c_other)
-        assert diff.maxabs() <= 1e-13 * c_sum.maxabs()
+        for name in ("fe", "fb"):
+            diff = getattr(c_sum, name) - (getattr(c, name) + getattr(c_other, name))
+            assert np.abs(diff).max() <= 1e-13 * c_sum.maxabs()
 
     def test_time_mirror_symmetry(self):
         # for a window symmetric about t_m with even magnetic current and
@@ -1043,7 +1053,9 @@ class TestExactSequence:
         past = green.cutoff_sources(omega, chi, METRIC, complement=True)
         assert all(not np.any(rows) for rows in source_rows(past).values())
         lead = green.g_plus(fut, g, METRIC, t_start=0.0, t_final=0.61)
-        defect = (lead.restrict(0, 121) - omega).norm(METRIC) / omega.norm(METRIC)
+        recon = lead.restrict(0, 121)
+        recon -= omega
+        defect = recon.norm(METRIC) / omega.norm(METRIC)
         ri = green.right_inverse_check(omega, g, METRIC)["defect"]
         assert defect == pytest.approx(ri, rel=EXACT_TOL)
         assert defect < GREEN_DEFECT_TOL
@@ -1106,7 +1118,7 @@ class TestPresymplectic:
         g, bundles = torus_bundles()
         chi = green.CutoffProfile(0.3, 10 * DT)
         v = green.presymplectic(bundles[0], bundles[1], chi, g, METRIC)
-        doubled = {k: 2.0 * h for k, h in bundles[0].items()}
+        doubled = {k: scaled_history(h, 2.0) for k, h in bundles[0].items()}
         assert green.presymplectic(doubled, bundles[1], chi, g, METRIC) == pytest.approx(
             2.0 * v, rel=EXACT_TOL
         )
@@ -1177,7 +1189,7 @@ class TestPresymplectic:
         h2 = bundles[0][2]
         with pytest.raises(ValueError, match="does not match"):
             green.presymplectic({1: h2}, bundles[1], chi, g, METRIC)
-        with pytest.raises(ValueError, match="duplicate degree"):
+        with pytest.raises(TypeError, match="not list"):
             green.presymplectic([h2, h2], bundles[1], chi, g, METRIC)
         short = {k: h.restrict(0, 100) for k, h in bundles[0].items()}
         with pytest.raises(ValueError, match="time samples"):

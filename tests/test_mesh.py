@@ -378,11 +378,11 @@ class TestHodge:
                 for i, s in enumerate(mesh.subsets(g, k))
             }
             c = cochain_of(g, k, False, comps)
-            star_vals = mesh.component_values(mesh.hodge_sigma(c, 0.0, metric))
+            star = mesh.hodge_sigma(c, 0.0, metric)
             want = exterior.hodge(form, fiber_g)
             for i, s in enumerate(mesh.subsets(g, m - k)):
                 np.testing.assert_allclose(
-                    star_vals[s], want.comps[i], rtol=FIBER_MATCH_TOL, atol=FIBER_MATCH_TOL
+                    star.comps[s] / mesh.cell_measure(g, s), want.comps[i], rtol=FIBER_MATCH_TOL, atol=FIBER_MATCH_TOL
                 )
 
     def test_double_hodge_sign_and_inverse(self):
@@ -892,3 +892,15 @@ class TestSampling:
         g = box_grid((4, 4), lengths=(0.5, 0.5))
         c = mesh.sample_cochain(g, 2, False, {(0, 1): lambda t, x, y: 3.0})
         assert mesh.max_pointwise(c) == pytest.approx(3.0)
+
+    @seed(RNG_SEED)
+    @settings(max_examples=100, deadline=None)
+    @given(grid=grids(), dual=st.booleans(), data=st.data())
+    def test_max_pointwise_is_the_max_of_the_divided_values(self, grid, dual, data):
+        # dividing each component's largest magnitude by its measure gives the bits of dividing every value
+        lay = mesh.layout(grid, data.draw(st.integers(0, grid.dim)), dual)
+        c = lay.cochain(data.draw(arrays(np.float64, lay.size, elements=st.floats(allow_subnormal=True))))
+        with np.errstate(over="ignore"):
+            want = exterior.worst([exterior.maxabs(arr / mesh.cell_measure(grid, s)) for s, arr in c.comps.items()])
+            got = mesh.max_pointwise(c)
+        assert same_bits(np.float64(got), np.float64(want))

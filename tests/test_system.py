@@ -245,6 +245,16 @@ class TestRhsSources:
         slot_e, slot_b = system.rhs_sources(src, 0.0, mesh.unit_metric())
         assert slot_e is None and slot_b is None
 
+    def test_absent_families_sample_nothing(self):
+        # with neither jb nor ze the conformal factor is never read
+        def conf(t):
+            raise AssertionError("a(t) sampled for absent sources")
+
+        src = system.zero_sources(box_grid((4, 4)), 1)
+        metric = mesh.MetricField(conf=conf)
+        assert system.rhs_sources(src, 0.0, metric) == (None, None)
+        assert system.rhs_sources(src, np.array([0.0, 0.1]), metric) == (None, None)
+
     def test_unit_magnetic_current_bump(self):
         # n=3, k=2: a single unit degree of freedom of jb on the extent-(0,)
         # component maps to the extent-(1,) electric slot with weight

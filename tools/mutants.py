@@ -159,8 +159,18 @@ MUTANTS = {
     ),
     "rows_degree_check": (
         "src/kmaxwell/evolution.py",
-        "        if s.k != self.k:\n            raise ValueError(",
-        "        if False:\n            raise ValueError(",
+        "    if s.k != src.k:\n        raise ValueError(",
+        "    if False:\n        raise ValueError(",
+    ),
+    "validate_consistency": (
+        "src/kmaxwell/evolution.py",
+        "    require_consistent(s0.grid, src, s0)\n    require_consistent(grid, src)\n",
+        "",
+    ),
+    "pointwise_measure": (
+        "src/kmaxwell/mesh.py",
+        "exterior.maxabs(arr) / cell_measure(c.grid, s) for",
+        "exterior.maxabs(arr) for",
     ),
 }
 
