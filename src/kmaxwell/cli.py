@@ -60,7 +60,7 @@ SYMBOL_TABLE = ((2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3))
 SUITE_DEFAULTS = {
     "identities": {"trials": 100},
     "symbol_audit": {"trials": 1000},
-    "green_suite": {"dt": 0.0025, "steps": 240},
+    "green_suite": {"dt": 0.0025},
     "symplectic_suite": {"periodic": True},
 }
 
@@ -223,17 +223,14 @@ def _validate(cfg: RunConfig) -> list[str]:
         errors.append("seed must be non-negative")
     if cfg.out == "":
         errors.append("out must not be empty")
-    if cfg.experiment in ("green_suite", "symplectic_suite"):
-        if cfg.a != "unit":
-            errors.append(f"{cfg.experiment} requires the static scale factor a=unit")
-        # the history budget, checked before any work starts: green_suite stores dense histories
-        # (green._march_block); symplectic_suite streams its marches, so only the step budget holds
-        stores = cfg.experiment == "green_suite"
-        budget = f"{cfg.experiment} {'keeps dense histories' if stores else 'history budget'}"
-        if stores and cfg.cells > green.MAX_HISTORY_CELLS:
-            errors.append(f"{budget}: cells must not exceed {green.MAX_HISTORY_CELLS}")
-        if cfg.steps > green.MAX_HISTORY_STEPS:
-            errors.append(f"{budget}: steps must not exceed {green.MAX_HISTORY_STEPS}")
+    if cfg.experiment in ("green_suite", "symplectic_suite") and cfg.a != "unit":
+        errors.append(f"{cfg.experiment} requires the static scale factor a=unit")
+    # the history budget, checked before any work starts: green_suite stores dense histories
+    # (green._march_block) of green.sequence_steps, at most 400; symplectic_suite streams its marches
+    if cfg.experiment == "green_suite" and cfg.cells > green.MAX_HISTORY_CELLS:
+        errors.append(f"green_suite keeps dense histories: cells must not exceed {green.MAX_HISTORY_CELLS}")
+    if cfg.experiment == "symplectic_suite" and cfg.steps > green.MAX_HISTORY_STEPS:
+        errors.append(f"symplectic_suite history budget: steps must not exceed {green.MAX_HISTORY_STEPS}")
     if cfg.experiment == "green_suite" and cfg.n in SUPPORTED_N and not 2 <= cfg.k <= cfg.n - 1:
         errors.append(f"green_suite requires 2 <= k <= {cfg.n - 1}")
     if cfg.experiment == "symplectic_suite" and cfg.n == 2:
@@ -248,14 +245,6 @@ def _validate(cfg: RunConfig) -> list[str]:
             "symplectic_suite requires steps >= 20: the widest cutoff ramp (20 dt at mid-range) and "
             "the shifted ramps (mid -/+ span/4, width 10 dt) must lie inside the history"
         )
-    if cfg.experiment == "green_suite" and cfg.steps < 19:
-        # the right-inverse history of _run_green lives on the closed window span/6 .. 5 span/6, slices
-        # ceil(steps/6) .. steps - ceil(steps/6); apply_operator smears it one slice and pads its window
-        # one more, and g_plus keeps SUPPORT_MARGIN_SLICES = 2 from each end: ceil(steps/6) - 2 >= 2
-        errors.append(
-            "green_suite requires steps >= 19: the right-inverse source window (span/6 to 5 span/6, "
-            "smeared and padded one slice each side) must keep 2 slices from the ends of the history"
-        )
     if cfg.experiment in ("evolve", "green_suite", "symplectic_suite") and not errors:
         # the grid, an evolve run's integration parameters, and the Courant guard
         # of green._march for the history marches, checked before any work starts
@@ -266,7 +255,8 @@ def _validate(cfg: RunConfig) -> list[str]:
                 if cfg.boundary == "periodic_test" and not cfg.periodic:
                     raise ValueError("periodic_test mode requires an all-periodic grid")
             else:
-                span = (grid.t0, grid.t0 + cfg.steps * cfg.dt)
+                steps = green.sequence_steps(cfg.dt) if cfg.experiment == "green_suite" else cfg.steps
+                span = (grid.t0, grid.t0 + steps * cfg.dt)
                 evolution.require_stable_dt(grid, build_metric(cfg), cfg.dt, span)
         except ValueError as err:
             errors.append(f"{cfg.experiment}: {err}")
@@ -399,37 +389,21 @@ def _run_evolve(cfg: RunConfig, out: Path):
 
 
 def _run_green(cfg: RunConfig, out: Path):
-    """One-sided solve audits: right inverse and the exact-sequence defects."""
+    """One-sided solve audits: each check is the worst over the trials of ``green.exact_sequence_suite``."""
     grid = build_grid(cfg)
     metric = build_metric(cfg)
-    times = grid.t0 + grid.dt * np.arange(cfg.steps + 1)
-    span = cfg.steps * grid.dt
-    window = (grid.t0 + span / 6.0, grid.t0 + 5.0 * span / 6.0)
-    # the history goes straight in, so it is freed before the sequence suite runs
-    report = green.right_inverse_check(
-        green.random_compact_history(grid, cfg.k, metric, times, window, np.random.default_rng(cfg.seed)),
-        grid,
-        metric,
-    )
+    sequence = green.exact_sequence_suite(grid, metric, trials=cfg.trials, seed=cfg.seed, k=cfg.k)
+    over = f"over the trials, on histories of {sequence['steps']} steps"
     checks = [
         _check(
-            "right_inverse_defect", report["defect"], GREEN_DEFECT_TOL,
-            detail="relative reconstruction defect of the forward solve",
+            "right_inverse_defect", sequence["right_inverse"], GREEN_DEFECT_TOL,
+            detail=f"worst relative reconstruction defect of the forward solve {over}",
         )
+    ] + [
+        _check(f"sequence_{key}", sequence[key], GREEN_DEFECT_TOL, detail=f"worst relative defect {over}")
+        for key in ("defect_a", "defect_b", "defect_c")
     ]
-    sequence = green.exact_sequence_suite(
-        grid, metric, trials=cfg.trials, seed=cfg.seed, k=cfg.k
-    )
-    for key in ("defect_a", "defect_b", "defect_c"):
-        checks.append(
-            _check(
-                f"sequence_{key}", sequence[key], GREEN_DEFECT_TOL,
-                detail=f"worst relative defect over the trials, on histories of {sequence['steps']} steps",
-            )
-        )
-    columns = {"trial": [float(i) for i in range(sequence["trials"])]}
-    for key, per_trial in sorted(sequence["per_trial"].items()):
-        columns[key] = [float(v) for v in per_trial]
+    columns = {"trial": [float(i) for i in range(cfg.trials)], **dict(sorted(sequence["per_trial"].items()))}
     io.write_table_csv(out / "series_green.csv", columns)
     return checks, ["series_green.csv"]
 

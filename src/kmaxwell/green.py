@@ -528,7 +528,11 @@ def causal(src, grid: mesh.GridSpec, metric: mesh.MetricField, t_start=None, t_f
     The backward march is subtracted from the forward solve's rows slice by
     slice as it runs, so it is never stored.
     """
-    plus = g_plus(src, grid, metric, t_start, t_final)
+    return _minus_backward(g_plus(src, grid, metric, t_start, t_final), src, grid, metric, t_start, t_final)
+
+
+def _minus_backward(plus: History, src, grid, metric, t_start, t_final) -> History:
+    """``plus`` minus :func:`g_minus` of the same arguments, subtracted in its rows as the march runs."""
     for at, fe, fb in _march(*_solve_march(src, grid, metric, t_start, t_final, backward=True), [None]):
         plus.fe[at] -= fe[0]
         plus.fb[at] -= fb[0]
@@ -677,6 +681,15 @@ def right_inverse_check(omega: History, grid: mesh.GridSpec, metric: mesh.Metric
     """
     if not omega.grid.compatible(grid):
         raise ValueError("history declared on a different grid")
+    recon = _forward_of_image(omega, grid, metric)[1]  # D omega is freed here
+    nr = omega.norm(metric)
+    recon -= omega
+    defect = recon.norm(metric)
+    return {"defect": defect / nr if nr > 0 else defect}
+
+
+def _forward_of_image(omega: History, grid: mesh.GridSpec, metric: mesh.MetricField) -> tuple:
+    """``(D omega, G+ D omega)`` on omega's times; ValueError when omega carries boundary flux."""
     scale = 1.0 + omega.maxabs()
     lw, lb, conf = omega.le, omega.lb, mesh.sample_conf(metric, omega.times)
     legs = (mesh.face_maxabs(lb, omega.fb), mesh.face_maxabs(lw.star, mesh.hodge_flat(lw, omega.fe, conf)))
@@ -684,12 +697,7 @@ def right_inverse_check(omega: History, grid: mesh.GridSpec, metric: mesh.Metric
     if not worst <= SOURCE_COMPAT_TOL * scale:
         raise ValueError(f"history violates the boundary condition: normal flux {worst:.3e} at scale {scale:.3e}")
     src = apply_operator(omega, metric)
-    recon = g_plus(src, grid, metric, t_start=float(omega.times[0]), t_final=float(omega.times[-1]))
-    del src
-    nr = omega.norm(metric)
-    recon -= omega
-    defect = recon.norm(metric)
-    return {"defect": defect / nr if nr > 0 else defect}
+    return src, g_plus(src, grid, metric, t_start=float(omega.times[0]), t_final=float(omega.times[-1]))
 
 
 def random_compact_history(
@@ -1056,6 +1064,11 @@ def random_potential(
     return History(grid, k - 1, sol.times, ae_rows, ab_rows)
 
 
+def sequence_steps(dt: float) -> int:
+    """History steps of :func:`exact_sequence_suite`: ``round(0.6 / dt)`` clipped to 24..400 (in budget)."""
+    return int(round(min(max(0.6 / dt, 24.0), 400.0)))
+
+
 def exact_sequence_suite(
     grid: mesh.GridSpec,
     metric: mesh.MetricField,
@@ -1063,48 +1076,57 @@ def exact_sequence_suite(
     seed: int = 0,
     k: int | None = None,
 ) -> dict:
-    """Defects of the three exactness statements for the causal propagator.
+    """Defects of the right inverse and of the three exactness statements for the causal propagator.
 
     (a) ``causal(D omega)`` vanishes for compact admissible omega (both
-    one-sided solves reproduce omega, so their difference cancels);
+    one-sided solves reproduce omega, so their difference cancels; the right
+    inverse ``|G+ D omega - omega| / |omega|`` is read off the same solve);
     (b) ``D(causal(src))`` vanishes for admissible src (the causal image is
     made of homogeneous solutions); (c) a homogeneous solution splits
     through a cutoff into past/future parts whose one-sided reconstructions
-    sum back to the solution.
+    sum back to the solution.  Histories have :func:`sequence_steps` steps.
 
     Returns:
-        dict with the worst relative defect per statement plus per-trial
-        values, all measured in spacetime L2 norms, the trial count and the
-        history steps ``clip(round(0.6/dt), 24, 400)`` of every statement.
+        dict with the worst relative defect of ``right_inverse`` and each
+        ``defect_*`` plus per-trial values, all measured in spacetime L2
+        norms, the trial count and the history steps.  ValueError when ``trials < 1``.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
     if k is None:
         k = min(2, grid.n - 1)
-    dt = grid.dt
-    t0 = grid.t0
-    steps = int(np.clip(round(0.6 / dt), 24, 400))
+    dt, t0, steps = grid.dt, grid.t0, sequence_steps(grid.dt)
     span = steps * dt
     times = t0 + dt * np.arange(steps + 1)
     window = (t0 + span / 6.0, t0 + 5.0 * span / 6.0)
-    out = {"defect_a": [], "defect_b": [], "defect_c": []}
     # one helper per statement, so each statement's histories are freed before the next is drawn
-    for _ in range(max(1, trials)):
-        out["defect_a"].append(_causal_of_image_defect(grid, k, metric, times, window, rng))
-        out["defect_b"].append(_image_of_causal_defect(grid, k, metric, times, window, rng))
-        out["defect_c"].append(_cutoff_split_defect(grid, k, metric, times, rng))
-    report = {key: float(np.max(vals)) for key, vals in out.items()}
-    report["per_trial"] = {key: [float(v) for v in vals] for key, vals in out.items()}
-    report["trials"] = int(max(1, trials))
-    report["steps"] = steps
-    return report
+    rows = [
+        (
+            *_causal_of_image_defects(grid, k, metric, times, window, rng),
+            _image_of_causal_defect(grid, k, metric, times, window, rng),
+            _cutoff_split_defect(grid, k, metric, times, rng),
+        )
+        for _ in range(trials)
+    ]
+    keys = ("right_inverse", "defect_a", "defect_b", "defect_c")
+    per_trial = {key: [float(v) for v in vals] for key, vals in zip(keys, zip(*rows))}
+    worst = {key: float(np.max(vals)) for key, vals in per_trial.items()}
+    return {**worst, "per_trial": per_trial, "trials": trials, "steps": steps}
 
 
-def _causal_of_image_defect(grid, k, metric, times, window, rng) -> float:
-    """Statement (a): |causal(D omega)| / |omega| for a random compact omega."""
+def _causal_of_image_defects(grid, k, metric, times, window, rng) -> tuple[float, float]:
+    """The right inverse |G+ D omega - omega| / |omega| and statement (a), on one random omega and its G+ D omega."""
     omega = random_compact_history(grid, k, metric, times, window, rng)
-    src = apply_operator(omega, metric)
-    spread = causal(src, grid, metric, t_start=float(times[0]), t_final=float(times[-1]))
-    return spread.norm(metric) / omega.norm(metric)
+    src, plus = _forward_of_image(omega, grid, metric)
+    nr = omega.norm(metric)
+    # G+ D omega - omega goes into omega's own rows: the right inverse holds no history that (a) does not
+    np.subtract(plus.fe, omega.fe, out=omega.fe)
+    np.subtract(plus.fb, omega.fb, out=omega.fb)
+    right = omega.norm(metric) / nr
+    del omega
+    spread = _minus_backward(plus, src, grid, metric, float(times[0]), float(times[-1]))
+    return right, spread.norm(metric) / nr
 
 
 def _image_of_causal_defect(grid, k, metric, times, window, rng) -> float:

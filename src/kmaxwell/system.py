@@ -487,8 +487,10 @@ def symbol_audit(
     exactly, so its verdicts depend on neither the point nor the metric.
 
     Returns:
-        The symmetry, positivity, counts and admissibility checks.
+        The symmetry, positivity, counts and admissibility checks.  ValueError when ``trials < 1``.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     m = n - 1
     symmetries, least_eigs, mismatches = [], [], 0
     counts = (comb(n - 2, n - k) + comb(n - 2, k), comb(n - 2, k - 1), comb(n - 2, k - 1))
@@ -517,7 +519,7 @@ def symbol_audit(
         found = np.stack(classify_eigenvalues(np.linalg.eigvalsh(conormal)), axis=-1)
         mismatches += int(np.count_nonzero(np.any(found != counts, axis=-1)))
 
-    symmetry, min_eig = exterior.worst(symmetries), float(np.min(least_eigs, initial=np.inf))
+    symmetry, min_eig = exterior.worst(symmetries), float(np.min(least_eigs))
     reports = [
         admissibility_audit(mesh.Face(axis, side), 0.0, (0.5,) * m, metric, n, k)
         for axis, side in itertools.product(range(m), (0, 1))

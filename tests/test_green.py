@@ -1025,7 +1025,42 @@ class TestExactSequence:
     def test_reports_its_history_steps(self, dt, steps):
         # clip(round(0.6 / dt), 24, 400): at dt = 0.05 the 12 steps are raised to 24
         rep = green.exact_sequence_suite(box_grid(cells=8, dt=dt), METRIC, trials=1, seed=0)
-        assert rep["steps"] == steps
+        assert rep["steps"] == steps == green.sequence_steps(dt)
+
+    def test_sequence_steps_clips_to_the_budget(self):
+        assert [green.sequence_steps(dt) for dt in (0.1, 0.0125, 0.0025, 0.001, 5e-324)] == [24, 48, 240, 400, 400]
+        assert green.sequence_steps(5e-324) <= green.MAX_HISTORY_STEPS
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_requires_trials(self, trials):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            green.exact_sequence_suite(box_grid(cells=8, dt=0.05), METRIC, trials=trials, seed=0)
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_right_inverse_is_the_check_on_trial_zero(self, seed):
+        # trial 0 draws omega first from default_rng(seed), on the rule's times and window
+        g = box_grid(cells=8, dt=0.025)
+        rep = green.exact_sequence_suite(g, METRIC, trials=1, seed=seed)
+        span = rep["steps"] * g.dt
+        times = g.dt * np.arange(rep["steps"] + 1)
+        omega = green.random_compact_history(
+            g, 2, METRIC, times, (span / 6.0, 5.0 * span / 6.0), np.random.default_rng(seed)
+        )
+        assert rep["right_inverse"] == green.right_inverse_check(omega, g, METRIC)["defect"]
+        assert rep["per_trial"]["right_inverse"] == [rep["right_inverse"]]
+
+    def test_rejects_boundary_flux_in_its_omega(self, monkeypatch):
+        # the right inverse read off statement (a) keeps right_inverse_check's flux guard
+        draw = green.random_compact_history
+
+        def leaking(*args):
+            omega = draw(*args)
+            omega.fb[:, omega.lb.face_sites] = 1.0
+            return omega
+
+        monkeypatch.setattr(green, "random_compact_history", leaking)
+        with pytest.raises(ValueError, match="boundary condition"):
+            green.exact_sequence_suite(box_grid(cells=8, dt=0.05), METRIC, trials=1, seed=0)
 
     def test_defects_converge_second_order(self):
         coarse = green.exact_sequence_suite(box_grid(16, 0.004), METRIC, trials=1, seed=0)

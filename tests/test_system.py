@@ -689,6 +689,11 @@ class TestBatchedSymbols:
         assert [c.passed for c in checks] == [symmetric, positive, counted, admissible]
         assert all(c.passed for c in checks)
 
+    def test_symbol_audit_requires_trials(self):
+        # with no trial drawn there is nothing to pass: the positivity measure would be inf
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            system.symbol_audit(3, 2, 0, np.random.default_rng(0), AUDIT_METRIC)
+
     def test_classify_counts_along_the_last_axis(self):
         eigs = np.array([[-1.0, 0.0, 1e-12, 2.0], [-3.0, -2.0, 0.5, 1.0]])
         assert [c.tolist() for c in system.classify_eigenvalues(eigs)] == [[2, 0], [1, 2], [1, 2]]

@@ -172,6 +172,21 @@ MUTANTS = {
         "exterior.maxabs(arr) / cell_measure(c.grid, s) for",
         "exterior.maxabs(arr) for",
     ),
+    "right_inverse_fb": (
+        "src/kmaxwell/green.py",
+        "    np.subtract(plus.fb, omega.fb, out=omega.fb)\n",
+        "",
+    ),
+    "suite_trials": (
+        "src/kmaxwell/green.py",
+        "    if trials < 1:\n        raise ValueError(",
+        "    if False:\n        raise ValueError(",
+    ),
+    "symbol_trials": (
+        "src/kmaxwell/system.py",
+        "    if trials < 1:\n        raise ValueError(",
+        "    if False:\n        raise ValueError(",
+    ),
 }
 
 # a mutant that makes tier-1 hang (tier-1 takes well under a minute) counts as caught
