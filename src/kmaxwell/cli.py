@@ -209,16 +209,12 @@ def _validate(cfg: RunConfig) -> list[str]:
         )
     if cfg.boundary not in BOUNDARIES:
         errors.append(f"boundary must be one of {', '.join(BOUNDARIES)}")
-    for key in ("cells", "monitor_stride", "bundles"):
+    for key in ("cells", "monitor_stride", "steps", "trials", "bundles"):
         if getattr(cfg, key) < 1:
             errors.append(f"{key} must be a positive integer")
     for key in ("length", "dt", "t_final", "cfl"):
         if not getattr(cfg, key) > 0:
             errors.append(f"{key} must be positive")
-    if cfg.steps < 8:
-        errors.append("steps must be at least 8")
-    if cfg.trials < 1:
-        errors.append("trials must be a positive integer")
     if cfg.seed < 0:
         errors.append("seed must be non-negative")
     if cfg.out == "":

@@ -23,7 +23,9 @@ it reaches them (``_march``); storing them as histories is one consumer,
 and :func:`causal`, the cutoff split of the exact-sequence suite and
 :func:`bundle_currents` fold one march into what they keep, slice by slice.
 :func:`apply_operator` works in slabs of the same ``SOURCE_TABLE_STEPS``
-slices, and the pairing currents are summed in runs of that many slices.
+slices, :func:`cutoff_sources` is that one pass with the cutoff's product
+rule applied slab by slab, and the pairing currents are summed in runs of
+that many slices.
 
 The pairing of two bundles is a Stieltjes sum of a slice current against
 d(chi).  The current does not depend on the cutoff, so
@@ -560,11 +562,41 @@ def apply_operator(h: History, metric: mesh.MetricField) -> SourceHistory:
     whole history, and every other operation acts per slice, so the rows are
     bit for bit those of the whole-history expressions.  Each slab samples
     the lapse on its own slices (one row when it is static).
+    :func:`cutoff_sources` is the same pass with the cutoff applied per slab.
 
     Returns:
         SourceHistory on the same times, with the support window inferred
         from the nonzero rows (one slice of interpolation pad each side).
     """
+    return _operator(h, metric, None)
+
+
+def cutoff_sources(h: History, chi: CutoffProfile, metric: mesh.MetricField, complement: bool = False) -> SourceHistory:
+    """Sources of the cutoff-split history chi*h, by the exact product rule.
+
+    Splitting a field with a time cutoff adds a ramp current to the scaled
+    sources: D(chi*omega) = chi*(D omega) + chi'*(R omega), where R feeds
+    the electric part into the magnetic current slot and the magnetic part
+    into the electric defect slot.  Using the analytic cutoff rate here
+    avoids differencing through the ramp, which would otherwise dominate
+    every defect budget.  It is :func:`apply_operator`'s one slab pass: each
+    slab's rows are scaled by chi, and gain their ramp terms, in place, so
+    no temporary spans the history, and the rows are bit for bit those of
+    the product rule applied to the whole history.
+
+    Args:
+        h: the history to split.
+        chi: the cutoff profile.
+        metric: lapse and conformal factor.
+        complement: split with 1 - chi instead (the past-supported part).
+    """
+    values, rates = chi.value(h.times), chi.rate(h.times)
+    return _operator(h, metric, (1.0 - values, -rates) if complement else (values, rates))
+
+
+def _operator(h: History, metric: mesh.MetricField, cut: tuple | None) -> SourceHistory:
+    """D on a history in slabs; with ``cut`` = (values, rates) of a cutoff on
+    ``h.times``, D of the cut history by the product rule."""
     grid, k, T = h.grid, h.k, len(h.times)
     n = grid.n
     lw, lb, conf = h.le, h.lb, mesh.sample_conf(metric, h.times)
@@ -591,6 +623,16 @@ def apply_operator(h: History, metric: mesh.MetricField) -> SourceHistory:
             np.multiply(np.multiply(dw, mesh.sample_lapse(lw.up, metric, times), out=dw), esign, out=je[a:b])
         if zb is not None:
             zb[a:b] = mesh.d_flat(lb, fb)
+        if cut is not None:
+            values, rates = cut[0][a:b, None], cut[1][a:b, None]
+            for rows in (je, jb, ze, zb):
+                if rows is not None:
+                    np.multiply(rows[a:b], values, out=rows[a:b])
+            ramp_jb = mesh.hodge_inverse_flat(lw, h.fe[a:b] * (1.0 / beta_w**2), c)
+            np.multiply(ramp_jb, ssign, out=ramp_jb)
+            np.add(jb[a:b], np.multiply(ramp_jb, rates, out=ramp_jb), out=jb[a:b])
+            ramp_ze = mesh.hodge_inverse_flat(lb, fb, c)
+            np.add(ze[a:b], np.multiply(ramp_ze, rates, out=ramp_ze), out=ze[a:b])
 
     window = _support_window(h.times, (je, jb, ze, zb))
     return SourceHistory(grid, k, h.times, window, je, jb, ze, zb)
@@ -613,48 +655,6 @@ def _support_window(times, families) -> tuple[float, float]:
         # slice-margin requirement stays vacuously satisfiable
         return (float(times[T // 2]), float(times[T // 2]))
     return (float(times[max(nz[0] - 1, 0)]), float(times[min(nz[-1] + 1, T - 1)]))
-
-
-def cutoff_sources(h: History, chi: CutoffProfile, metric: mesh.MetricField, complement: bool = False) -> SourceHistory:
-    """Sources of the cutoff-split history chi*h, by the exact product rule.
-
-    Splitting a field with a time cutoff adds a ramp current to the scaled
-    sources: D(chi*omega) = chi*(D omega) + chi'*(R omega), where R feeds
-    the electric part into the magnetic current slot and the magnetic part
-    into the electric defect slot.  Using the analytic cutoff rate here
-    avoids differencing through the ramp, which would otherwise dominate
-    every defect budget.  The rows of the :func:`apply_operator` result are
-    scaled, and gain their ramp terms, in place: ``values * x`` rounds as
-    ``x * values`` does.
-
-    Args:
-        h: the history to split.
-        chi: the cutoff profile.
-        metric: lapse and conformal factor.
-        complement: split with 1 - chi instead (the past-supported part).
-    """
-    base = apply_operator(h, metric)
-    grid, k = h.grid, h.k
-    ssign = float(system.source_sign(grid.n, k))
-    values = np.asarray(chi.value(h.times), dtype=float)
-    rates = np.asarray(chi.rate(h.times), dtype=float)
-    if complement:
-        values = 1.0 - values
-        rates = -rates
-    je, jb, ze, zb = base.je, base.jb, base.ze, base.zb
-    for rows in (je, jb, ze, zb):
-        if rows is not None:
-            np.multiply(rows, values[:, None], out=rows)
-    lw, lb, conf = h.le, h.lb, mesh.sample_conf(metric, h.times)
-    beta_w = mesh.sample_lapse(lw, metric, h.times)
-    ramp_jb = mesh.hodge_inverse_flat(lw, h.fe * (1.0 / beta_w**2), conf)
-    np.multiply(ramp_jb, ssign, out=ramp_jb)
-    np.add(jb, np.multiply(ramp_jb, rates[:, None], out=ramp_jb), out=jb)
-    del ramp_jb
-    ramp_ze = mesh.hodge_inverse_flat(lb, h.fb, conf)
-    np.add(ze, np.multiply(ramp_ze, rates[:, None], out=ramp_ze), out=ze)
-    window = _support_window(h.times, (je, jb, ze, zb))
-    return SourceHistory(grid, k, h.times, window, je, jb, ze, zb)
 
 
 def sample_sources(data: system.SourceData, times: np.ndarray) -> SourceHistory:

@@ -161,7 +161,7 @@ class TestParseConfig:
     def test_positivity_and_range_guards(self, tmp_path):
         text = (
             "experiment = evolve\ncells = 0\nlength = -1\ndt = 0\nt_final = 0\n"
-            "cfl = -0.1\nmonitor_stride = 0\nsteps = 4\ntrials = 0\nbundles = 0\nseed = -2\n"
+            "cfl = -0.1\nmonitor_stride = 0\nsteps = 0\ntrials = 0\nbundles = 0\nseed = -2\n"
         )
         with pytest.raises(cli.ConfigError) as err:
             cli.parse_config(write_config(tmp_path, text))
@@ -173,7 +173,7 @@ class TestParseConfig:
             "t_final must be positive",
             "cfl must be positive",
             "monitor_stride must be a positive integer",
-            "steps must be at least 8",
+            "steps must be a positive integer",
             "trials must be a positive integer",
             "bundles must be a positive integer",
             "seed must be non-negative",
@@ -253,6 +253,12 @@ class TestParseConfig:
     def test_green_suite_reads_no_steps(self, tmp_path, capsys, steps):
         # its histories take green.sequence_steps(dt) steps, at most 400, so `steps` has no rule of its own here
         cfg = write_config(tmp_path, f"experiment = green_suite\nsteps = {steps}\n")
+        code, printed = run_cli(["validate", "--config", cfg], capsys)
+        assert code == 0, printed
+
+    def test_identities_reads_no_steps(self, tmp_path, capsys):
+        # only symplectic_suite reads steps, so elsewhere any positive integer validates
+        cfg = write_config(tmp_path, "experiment = identities\nsteps = 4\n")
         code, printed = run_cli(["validate", "--config", cfg], capsys)
         assert code == 0, printed
 

@@ -622,6 +622,31 @@ def reference_apply_operator(h, metric):
     return green.SourceHistory(grid, k, h.times, window, je, jb, ze, zb)
 
 
+def reference_cutoff_sources(h, chi, metric, complement=False):
+    """The whole-history product rule: the operator's rows scaled by chi, plus chi' times the ramp terms."""
+    base = reference_apply_operator(h, metric)
+    grid, k = h.grid, h.k
+    ssign = float(system.source_sign(grid.n, k))
+    values = np.asarray(chi.value(h.times), dtype=float)
+    rates = np.asarray(chi.rate(h.times), dtype=float)
+    if complement:
+        values = 1.0 - values
+        rates = -rates
+    je, jb, ze, zb = base.je, base.jb, base.ze, base.zb
+    for rows in (je, jb, ze, zb):
+        if rows is not None:
+            np.multiply(rows, values[:, None], out=rows)
+    lw, lb, conf = h.le, h.lb, mesh.sample_conf(metric, h.times)
+    beta_w = mesh.sample_lapse(lw, metric, h.times)
+    ramp_jb = mesh.hodge_inverse_flat(lw, h.fe * (1.0 / beta_w**2), conf)
+    np.multiply(ramp_jb, ssign, out=ramp_jb)
+    np.add(jb, np.multiply(ramp_jb, rates[:, None], out=ramp_jb), out=jb)
+    ramp_ze = mesh.hodge_inverse_flat(lb, h.fb, conf)
+    np.add(ze, np.multiply(ramp_ze, rates[:, None], out=ramp_ze), out=ze)
+    window = green._support_window(h.times, (je, jb, ze, zb))
+    return green.SourceHistory(grid, k, h.times, window, je, jb, ze, zb)
+
+
 def random_history(g, k, slices, seed=0):
     """A history of random rows on ``slices`` times DT apart (not a solution)."""
     rng = np.random.default_rng(seed)
@@ -646,25 +671,52 @@ MOVING = mesh.MetricField(
 )
 
 
-class TestSlabOperator:
-    """apply_operator runs over slabs of slices and equals the whole-history operator bit for bit."""
+def mid_cutoff(h):
+    """A cutoff whose ramp spans the middle half of a history's times."""
+    span = float(h.times[-1] - h.times[0])
+    return green.CutoffProfile(float(h.times[0]) + span / 2.0, span / 4.0)
 
-    @pytest.mark.parametrize("slices", [3, SLAB - 1, SLAB, SLAB + 1, 2 * SLAB - 1, 2 * SLAB, 2 * SLAB + 1, 241])
-    @pytest.mark.parametrize("periodic", [False, True], ids=["box", "torus"])
-    @pytest.mark.parametrize("beta", ["unit", "well"])
-    @pytest.mark.parametrize("n,k", [(3, 2), (4, 2), (4, 3)])
+
+def on_slab_grid(test):
+    """The slab cases: (n, k) x lapse x box/torus x slice counts across the slab edges."""
+    test = pytest.mark.parametrize("n,k", [(3, 2), (4, 2), (4, 3)])(test)
+    test = pytest.mark.parametrize("beta", ["unit", "well"])(test)
+    test = pytest.mark.parametrize("periodic", [False, True], ids=["box", "torus"])(test)
+    slices = [3, SLAB - 1, SLAB, SLAB + 1, 2 * SLAB - 1, 2 * SLAB, 2 * SLAB + 1, 241]
+    return pytest.mark.parametrize("slices", slices)(test)
+
+
+def slab_case(n, k, beta, periodic, slices):
+    cells = 8 if n == 3 else 5
+    g = mesh.GridSpec(n=n, cells_per_axis=(cells,) * (n - 1), lengths=(1.0,) * (n - 1), dt=DT,
+                      periodic=(periodic,) * (n - 1))
+    return random_history(g, k, slices), mesh.MetricField(beta=cli.BETA_CATALOGUE[beta](1.0))
+
+
+class TestSlabOperator:
+    """apply_operator and cutoff_sources run over slabs and equal the whole-history expressions bit for bit."""
+
+    @on_slab_grid
     def test_equals_whole_history_operator(self, n, k, beta, periodic, slices):
-        cells = 8 if n == 3 else 5
-        g = mesh.GridSpec(n=n, cells_per_axis=(cells,) * (n - 1), lengths=(1.0,) * (n - 1), dt=DT,
-                          periodic=(periodic,) * (n - 1))
-        metric = mesh.MetricField(beta=cli.BETA_CATALOGUE[beta](1.0))
-        h = random_history(g, k, slices)
+        h, metric = slab_case(n, k, beta, periodic, slices)
         assert_sources_same_bits(green.apply_operator(h, metric), reference_apply_operator(h, metric))
+
+    @pytest.mark.parametrize("complement", [False, True], ids=["chi", "complement"])
+    @on_slab_grid
+    def test_cutoff_equals_whole_history_product_rule(self, n, k, beta, periodic, slices, complement):
+        h, metric = slab_case(n, k, beta, periodic, slices)
+        chi = mid_cutoff(h)
+        want = reference_cutoff_sources(h, chi, metric, complement)
+        assert_sources_same_bits(green.cutoff_sources(h, chi, metric, complement), want)
 
     @pytest.mark.parametrize("slices", [SLAB + 1, 2 * SLAB + 1, 4 * SLAB + 2])
     def test_time_dependent_lapse(self, slices):
         h = random_history(box_grid(cells=8), 2, slices, seed=1)
         assert_sources_same_bits(green.apply_operator(h, MOVING), reference_apply_operator(h, MOVING))
+        chi = mid_cutoff(h)
+        for complement in (False, True):
+            want = reference_cutoff_sources(h, chi, MOVING, complement)
+            assert_sources_same_bits(green.cutoff_sources(h, chi, MOVING, complement), want)
 
     def test_support_window_of_compact_history(self):
         # bit-zero slices outside the support stay zero, one slice of smearing per side;
@@ -681,22 +733,26 @@ class TestSlabOperator:
         assert src.window == (float(h.times[first - 2]), float(h.times[stop + 1]))
 
     def test_peak_does_not_grow_with_history_length(self):
-        # beyond its input and output the operator holds one slab's temporaries;
-        # the whole-history expressions held several history-sized arrays
+        # beyond its input and output the operator, with or without a cutoff, holds one
+        # slab's temporaries; the whole-history expressions held several history-sized arrays
         g = box_grid()
-        beyond = []
-        for slices in (241, 481):
-            h = random_history(g, 2, slices)
-            green.apply_operator(h, METRIC)  # warm the layout caches
-            gc.collect()
-            tracemalloc.start()
-            try:
-                out = green.apply_operator(h, METRIC)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            beyond.append(peak - sum(rows.nbytes for rows in source_rows(out).values()))
-        assert beyond[1] <= 1.08 * beyond[0], beyond
+        for name, run in [
+            ("apply_operator", lambda h: green.apply_operator(h, METRIC)),
+            ("cutoff_sources", lambda h: green.cutoff_sources(h, mid_cutoff(h), METRIC)),
+        ]:
+            beyond = []
+            for slices in (241, 481):
+                h = random_history(g, 2, slices)
+                run(h)  # warm the layout caches
+                gc.collect()
+                tracemalloc.start()
+                try:
+                    out = run(h)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                beyond.append(peak - sum(rows.nbytes for rows in source_rows(out).values()))
+            assert beyond[1] <= 1.08 * beyond[0], (name, beyond)
 
 
 def reversed_march(g, metric, data, t_end, steps):

@@ -79,8 +79,13 @@ MUTANTS = {
     ),
     "ramp_ze_sign": (
         "src/kmaxwell/green.py",
-        "np.add(ze, np.multiply(ramp_ze, rates[:, None], out=ramp_ze), out=ze)",
-        "np.subtract(ze, np.multiply(ramp_ze, rates[:, None], out=ramp_ze), out=ze)",
+        "np.add(ze[a:b], np.multiply(ramp_ze, rates, out=ramp_ze), out=ze[a:b])",
+        "np.subtract(ze[a:b], np.multiply(ramp_ze, rates, out=ramp_ze), out=ze[a:b])",
+    ),
+    "ramp_lapse_square": (
+        "src/kmaxwell/green.py",
+        "h.fe[a:b] * (1.0 / beta_w**2)",
+        "h.fe[a:b] * (1.0 / beta_w)",
     ),
     "courant_bound": (
         "src/kmaxwell/evolution.py",
