@@ -5,9 +5,13 @@ together with ``fb`` using the classical four-stage Runge-Kutta scheme, on the
 curls of ``system`` (the split operator's one home); after every stage the
 magnetic normal-leg values on the boundary are zeroed, which is an exact
 orthogonal projection onto the admissible subspace.  A :class:`Generator`
-assembles the curls once, as the ``system.curl_ops`` program of bound ufunc
-calls over buffers it owns, and :func:`_rk4_step` runs all four stages in
-those buffers, so a step allocates only the row it returns.
+assembles its programs of bound ufunc calls once, over 64-byte-aligned
+buffers it owns, so a step allocates only the row it returns.  A step over
+which the generator is constant (no ``jb``/``ze`` source, a static lapse,
+one a(t)) is the RK4 stability polynomial of B = P A, run in Horner form as
+four fused level programs (:meth:`Generator.levels`); it agrees with the
+stage form to round-off.  Any other step runs the four stages on the
+``system.curl_ops`` program.
 Sources are evaluated once per stage, or read from the table a generator
 builds for a chunk of steps (:meth:`Generator.tabulate`).  Constraint norms,
 an energy functional, and an optional causal-support leak are sampled into a
@@ -17,6 +21,7 @@ monitor series.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -264,9 +269,13 @@ class Generator:
     The generator assembles its split operator once (:meth:`stages`): the
     ``system.curl_ops`` program, kept as a list of bound
     ``np.multiply``/``np.subtract``/``np.add`` calls from the stage input
-    ``ys`` into the slope ``slope``, which :func:`_rk4_step` and :meth:`rhs`
-    run.  The buffers have one leading batch shape at a time, and are
-    rebuilt only when rows of another shape arrive.
+    ``ys`` into the slope ``slope``, which the stage form of
+    :func:`_rk4_step` and :meth:`rhs` run.  An autonomous step runs the four
+    Horner level programs of :meth:`levels` instead, over three rows of its
+    own, and a generator that takes only such steps allocates no ``ys`` or
+    ``slope``.  The buffers have one leading batch shape at a time, are
+    rebuilt only when rows of another shape arrive, and are allocated
+    64-byte aligned (``mesh.empty_aligned``).
     The program reads the lapse rows and Hodge factors the generator owns:
     the lapse is sampled once when ``metric.beta_dt`` is None and at every
     evaluation otherwise, and the factors are recomputed only when a(t)
@@ -296,17 +305,23 @@ class Generator:
         self.lw = mesh.layout(grid, n - k, False)
         self.lb = mesh.layout(grid, k, True)
         self.nw = self.lw.size
+        self._min_measure = min(inner for lay in (self.lw, self.lb) for _, inner in lay.measures)
         self.curl_sign = float(-system.eps_sign(n, k))
         self._beta = tuple(mesh.sample_flat(lay, metric.beta, t) for lay in (self.lw, self.lb))
         if metric.beta_dt is None:
             self._beta = tuple(map(_uniform, self._beta))
         # x * 1.0 == x bit for bit: a unit lapse (zero stride, so static and uniform) adds no product
         self._unit = tuple(b.strides == (0,) and b[0] == 1.0 for b in self._beta)
+        # the lapse rows the programs multiply by: None, no pass, at a unit lapse
+        self._weights = tuple(None if unit else b for b, unit in zip(self._beta, self._unit))
         self._conf = float(metric.conf(t))
         # one (1,) view per component, so the program sees the factors refreshed in place
         self._fac = tuple(np.array(mesh.hodge_factors(lay, self._conf))[:, None] for lay in (self.lw, self.lb))
         self.ys = self.slope = None
         self._table = None
+        # no source term and a static lapse: a step with one a(t) is autonomous (levels)
+        self._autonomous = src.jb is None and src.ze is None and metric.beta_dt is None
+        self._rows = self._levels = self._level_key = None
 
     def lapse(self, t):
         """Lapse samples at the (w, fb) sites at time t."""
@@ -318,6 +333,18 @@ class Generator:
         """The fe rows ``w * beta`` of w rows at time t: ``w`` itself at a unit lapse."""
         return w if self._unit[0] else w * self.lapse(t)[0]
 
+    def finite(self, t, y: np.ndarray) -> bool:
+        """Whether the state of rows ``y`` at time t has finite pointwise values (``mesh.max_pointwise``).
+
+        Tested on the rows handed out, fe through :meth:`electric` (w * beta
+        can overflow where w does not): their largest magnitude over the
+        smallest cell measure, which bounds the pointwise values, must be
+        finite.  A nan fails.
+        """
+        rows = (self.electric(t, y[..., : self.nw]), y[..., self.nw :])
+        peak = exterior.worst([v for row in rows for v in (np.max(row), -np.min(row))])
+        return bool(np.isfinite(peak / self._min_measure))
+
     def project(self, y: np.ndarray) -> np.ndarray:
         """Zero the boundary normal flux of the fb part of ``y`` in place; returns ``y``."""
         y[..., self.nw :][..., self.lb.face_sites] = 0.0
@@ -327,15 +354,59 @@ class Generator:
         """The stage input ``ys`` for rows of leading shape ``batch``, rebuilt with the program on a new shape."""
         if self.ys is None or self.ys.shape[:-1] != batch:
             size = self.nw + self.lb.size
-            self.ys, self.slope = np.empty(batch + (size,)), np.empty(batch + (size,))
+            self.ys, self.slope = mesh.empty_aligned(batch + (size,)), mesh.empty_aligned(batch + (size,))
             self._slope_w, self._slope_b = self.slope[..., : self.nw], self.slope[..., self.nw :]
-            # a unit lapse and a unit sign add no pass
-            beta = [None if unit else b for b, unit in zip(self._beta, self._unit)]
             w, fb = self.ys[..., : self.nw], self.ys[..., self.nw :]
-            self._ops = list(system.curl_ops(self.lw, self.lb, w, fb, *beta, self._fac, self._slope_w, self._slope_b))
+            self._ops = list(
+                system.curl_ops(self.lw, self.lb, w, fb, *self._weights, self._fac, self._slope_w, self._slope_b)
+            )
+            # a unit sign adds no pass
             if self.curl_sign != 1.0:
                 self._ops.append((np.multiply, (self._slope_w, self.curl_sign, self._slope_w)))
         return self.ys
+
+    def levels(self, t, dt, batch: tuple):
+        """The four Horner level programs of an RK4 step of size dt from t, None when the step is not autonomous.
+
+        A step is autonomous when the generator has no ``jb``/``ze`` family
+        and a static lapse, and a(t) has one value at the step's stage
+        times.  Level L writes ``z_L = P(y0 + c_L A z_(L-1))``
+        (``system.level_ops``, then the boundary projection P), with
+        ``c = h/4, h/3, h/2, h`` and ``z_0 = y0``; the levels run over the
+        three rows ``(y0, z1, z2)`` the generator owns, as y0 -> z1 -> z2
+        -> z1 -> z2, and z2 ends holding the step.  The rows and programs
+        are built for one batch shape at a time, and the Hodge factors the
+        programs read are refreshed in place when h or a(t) changes.
+        """
+        if not self._autonomous:
+            return None
+        conf = float(self.metric.conf(t))
+        if any(float(self.metric.conf(s)) != conf for s in _stage_times(t, dt)[1:]):
+            return None
+        if self._rows is None or self._rows[0].shape[:-1] != batch:
+            self._build_levels(batch)
+        if self._level_key != (dt, conf):
+            self._level_key = (dt, conf)
+            for facs, c in zip(self._level_fac, (dt / 4, dt / 3, dt / 2, dt)):
+                for fac, lay, scale in zip(facs, (self.lw, self.lb), (c, c * self.curl_sign)):
+                    fac[:, 0] = mesh.hodge_factors(lay, conf, scale)
+        return self._levels
+
+    def _build_levels(self, batch: tuple) -> None:
+        """The Horner rows, difference scratch and level programs for rows of leading shape ``batch``."""
+        size = self.nw + self.lb.size
+        self._rows = tuple(mesh.empty_aligned(batch + (size,)) for _ in range(3))
+        y0, z1, z2 = [(row[..., : self.nw], row[..., self.nw :]) for row in self._rows]
+        scratch = mesh.empty_aligned((math.prod(batch) * max(self.lw.star.largest, self.lb.star.largest),))
+        self._level_fac = [tuple(np.empty((len(lay.subsets), 1)) for lay in (self.lw, self.lb)) for _ in range(4)]
+        self._levels, self._level_key = [], None
+        # level 1 reads y0, which every level needs, so its second Hodge image goes into z2
+        spares = [self._rows[2], None, None, None]
+        for (src, dst), fac, spare in zip([(y0, z1), (z1, z2), (z2, z1), (z1, z2)], self._level_fac, spares):
+            ops = list(system.level_ops(self.lw, self.lb, src, dst, y0, self._weights, fac, spare, scratch))
+            if self.lb.face_sites.size:
+                ops.append((mesh.project_flat, (self.lb, dst[1])))
+            self._levels.append(ops)
 
     def tabulate(self, steps, dt) -> None:
         """Tabulate the sources of the RK4 steps of size dt from each time in ``steps``.
@@ -412,14 +483,30 @@ def _stage_times(t, dt):
 def _rk4_step(t, y, gen: Generator, dt):
     """One classical RK4 step of projected rows, projecting every stage.
 
-    The stages run in the generator's buffers (:meth:`Generator.stages`): each
-    stage input ``y + k * h`` is formed in place, and the slopes are summed
-    as ``((k1 + 2 k2) + 2 k3) + k4`` in the row the step returns, its only
-    new array.  A step thus holds ``y``, its result, the stage input and the
-    slope (and the curl program's scratch).
+    An autonomous step (:meth:`Generator.levels`) is the RK4 stability
+    polynomial of B = P A in Horner form,
+    ``y + hB(y + h/2 B(y + h/3 B(y + h/4 By)))``: y is copied into the
+    generator's row y0, the four level programs run, and the step returns a
+    copy of z2.  The generator is still brought to each stage time
+    (``Generator._sources``).  It agrees with the stage form to round-off.
+
+    Any other step runs the four stages in the generator's buffers
+    (:meth:`Generator.stages`): each stage input ``y + k * h`` is formed in
+    place, and the slopes are summed as ``((k1 + 2 k2) + 2 k3) + k4`` in the
+    row the step returns.  A step thus holds ``y``, its result, the stage
+    input and the slope (and the curl program's scratch).  Either form
+    allocates only the row it returns.
     """
-    ys, k = gen.stages(y.shape[:-1]), gen.slope
     _, t_mid, t_end = _stage_times(t, dt)
+    levels = gen.levels(t, dt, y.shape[:-1])
+    if levels is not None:
+        y0, _, z2 = gen._rows
+        np.copyto(y0, y)
+        for s, level in zip((t, t_mid, t_mid, t_end), levels):
+            gen._sources(s)
+            mesh.run_ops(level)
+        return z2.copy()
+    ys, k = gen.stages(y.shape[:-1]), gen.slope
 
     def stage_input(slope, h):
         np.multiply(slope, h, out=ys)
@@ -540,7 +627,8 @@ def evolve(
     Raises:
         ValueError: cfl violation, non-increasing time span, or sources
             of another degree or grid than ``s0`` (:class:`Generator`).
-        InstabilityError: non-finite values; carries the last stable state.
+        InstabilityError: a state whose pointwise values leave float range
+            (:meth:`Generator.finite`); carries the last stable state.
     """
     grid, t0 = s0.grid, s0.t
     if not cfg.t_final > t0:
@@ -562,7 +650,7 @@ def evolve(
         h = min(dt, cfg.t_final - t)
         y_new = _rk4_step(t, y, gen, h)
         t_new = cfg.t_final if i == n_steps - 1 else t + h
-        if not np.isfinite(y_new).all():
+        if not gen.finite(t_new, y_new):
             raise InstabilityError(t, gen.state(t, y), _series_from(samples, support))
         y, t = y_new, t_new
         if (i + 1) % cfg.monitor_stride == 0 or i == n_steps - 1:

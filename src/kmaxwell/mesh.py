@@ -486,35 +486,53 @@ def _conf_power(conf, p: int):
     return np.array([float(c) ** p for c in np.ravel(conf)]).reshape(np.shape(conf))
 
 
+def empty_aligned(shape) -> np.ndarray:
+    """An uninitialised float64 array of ``shape`` whose data starts on a 64-byte (cache line) boundary."""
+    size = math.prod(shape) * 8
+    raw = np.empty(size + 64, dtype=np.uint8)
+    start = -raw.ctypes.data % 64
+    return raw[start : start + size].view(np.float64).reshape(shape)
+
+
 def run_ops(ops) -> None:
     """Run a program, an iterable of ``(function, arguments)`` calls, in order."""
     for fn, args in ops:
         fn(*args)
 
 
-def d_ops(lay: Layout, x: np.ndarray, out: np.ndarray, scratch: np.ndarray):
-    """The coboundary of flat rows ``x`` in ``lay`` as a program writing ``out``.
+def d_ops(lay: Layout, x: np.ndarray, out: np.ndarray, scratch: np.ndarray, base=0.0):
+    """The coboundary of flat rows ``x`` in ``lay``, added to ``base``, as a program writing ``out``.
 
     Yields, lazily, ``(function, arguments)`` calls of ufuncs with their
-    output buffer that, run in order, fill ``out`` (degree k+1 rows of the
-    same batch shape, last axis contiguous) with zeros and then add or
-    subtract one signed difference per incidence term.  Each difference is
-    written first into ``scratch`` (flat, at least the batch size times
-    ``lay.largest``) and only then meets the zeros, so a zero comes out as
-    ``0 + diff`` or ``0 - diff`` would leave it (``0 - (+0)`` is +0, where
-    negating a straight write would give -0).  Along an axis of stride s,
-    one subtraction of the flat component shifted by s writes from entry 0
+    output buffer that, run in order, write ``base`` plus the signed
+    differences of the incidence terms into ``out`` (degree k+1 rows of the
+    same batch shape, last axis contiguous).  ``base`` is 0.0 (plain ``d``)
+    or rows shaped like ``out``.  Each target starts from ``base`` at its
+    first incidence term, which writes ``base + diff`` or ``base - diff``;
+    on the dual family the two face layers along that term's axis, which no
+    difference reaches, are copied from ``base`` first.  The later terms
+    add or subtract in place.  Each difference is written first into
+    ``scratch`` (flat, at least the batch size times ``lay.largest``) and
+    only then meets the base, so a zero base comes out as ``0 + diff`` or
+    ``0 - diff`` would leave it (``0 - (+0)`` is +0, where negating a
+    straight write would give -0).  Along an axis of stride s, one
+    subtraction of the flat component shifted by s writes from entry 0
     (primal) or s (dual); the entries that straddle the axis end are then
-    dropped or wrapped.  The calls read ``x`` anew each time they run.
+    dropped or wrapped.  The calls read ``x`` and ``base`` anew each time
+    they run.
     """
     grid, m, out_lay = lay.grid, lay.grid.dim, lay.up
-    yield out.fill, (0.0,)
+
+    def from_base(j, index):
+        return base if np.ndim(base) == 0 else out_lay.view(base, j)[index]
+
+    started = set()
     for i, b, j, sign in lay.cofaces:
         arr, target, axis = lay.view(x, i), out_lay.view(out, j), b - m
         flat, s = x[..., lay.offsets[i] : lay.offsets[i + 1]], math.prod(lay.shapes[i][b + 1 :])
         rows = scratch[: flat.size].reshape(flat.shape)
         yield np.subtract, (flat[..., s:], flat[..., :-s], rows[..., s:] if lay.dual else rows[..., :-s])
-        diff = rows.reshape(arr.shape)
+        diff, region = rows.reshape(arr.shape), (Ellipsis,)
         if grid.periodic[b]:
             # primal: roll(arr, -1) - arr; dual: arr - roll(arr, 1)
             first, last = arr[_along(axis, slice(0, 1))], arr[_along(axis, slice(-1, None))]
@@ -522,8 +540,13 @@ def d_ops(lay: Layout, x: np.ndarray, out: np.ndarray, scratch: np.ndarray):
         else:
             diff = diff[_along(axis, slice(1, None) if lay.dual else slice(None, -1))]
             if lay.dual:
-                target = target[_along(axis, slice(1, -1))]
-        yield (np.add if sign > 0 else np.subtract), (target, diff, target)
+                region = _along(axis, slice(1, -1))
+                if j not in started:
+                    for end in (_along(axis, 0), _along(axis, -1)):
+                        yield np.copyto, (target[end], from_base(j, end))
+        start = target[region] if j in started else from_base(j, region)
+        started.add(j)
+        yield (np.add if sign > 0 else np.subtract), (start, diff, target[region])
 
 
 def d_flat(lay: Layout, x: np.ndarray) -> np.ndarray:

@@ -6,7 +6,8 @@ fb (degree k, dual family).  This module provides:
 
 * the split operator on flat rows, in its one home: the curl program
   :func:`curl_ops` (kept and rerun by the RK4 generator, run once by
-  :func:`curls`) and the evolution slots :func:`slots`, which
+  :func:`curls`), its fused Horner level :func:`level_ops` (the autonomous
+  RK4 step) and the evolution slots :func:`slots`, which
   ``green.apply_operator`` and :func:`apply_S` share, with the source
   right-hand side and the sign exponents;
 * the continuity residuals of a source family (the identities a source
@@ -187,18 +188,44 @@ def curl_ops(lw: mesh.Layout, lb: mesh.Layout, w, fb, beta_w, beta_b, fac, curl_
     differences of ``d`` (:func:`mesh.hodge_ops`, :func:`mesh.d_ops`); a
     lapse of None is a unit lapse and adds no product.  The two curls run
     one after the other, so they share one Hodge image buffer and one
-    difference scratch, allocated when the program is built.  The calls
-    read ``w``, ``fb`` and the lapse rows anew each time they run, and
-    ``fac`` too when its entries are arrays.
+    difference scratch, allocated 64-byte aligned when the program is
+    built.  The calls read ``w``, ``fb`` and the lapse rows anew each time
+    they run, and ``fac`` too when its entries are arrays.
     """
     rows = prod(w.shape[:-1])
-    h = np.empty(rows * max(lw.size, lb.size))
-    scratch = np.empty(rows * max(lb.star.largest, lw.star.largest))
+    h = mesh.empty_aligned((rows * max(lw.size, lb.size),))
+    scratch = mesh.empty_aligned((rows * max(lb.star.largest, lw.star.largest),))
     hb, hw = h[: fb.size].reshape(fb.shape), h[: w.size].reshape(w.shape)
     yield from mesh.hodge_ops(lb, fb, hb, fac[1], beta_b)
     yield from mesh.d_ops(lb.star, hb, curl_b, scratch)
     yield from mesh.hodge_ops(lw, w, hw, fac[0], beta_w)
     yield from mesh.d_ops(lw.star, hw, curl_e, scratch)
+
+
+def level_ops(lw: mesh.Layout, lb: mesh.Layout, src, dst, base, beta, fac, spare, scratch):
+    """One level of the autonomous RK4 step in Horner form, ``dst = base + c A src``, as a program.
+
+    ``src``, ``dst`` and ``base`` are ``(w, fb)`` pairs of row halves, and
+    ``c A`` is the split operator with its coefficient: the w half of
+    ``dst`` is ``base_w + d(*(beta_b fb))`` and the fb half is
+    ``base_fb + d(*(beta_w w))``, where ``fac = (fac_w, fac_b)`` are the
+    Hodge factors with c and the curl sign folded in and a lapse ``beta``
+    entry of None adds no product.  ``d`` starts each target from ``base``
+    (:func:`mesh.d_ops`), so no half is filled or rescaled.  The curl that
+    writes the smaller half runs first; its Hodge image goes into the other
+    half of ``dst``, which the second curl writes last.  The second image
+    goes into the leading entries of ``spare`` when it is given and of the
+    source's other half, consumed by then, otherwise.  ``scratch`` is the
+    difference scratch of :func:`curl_ops`.  The calls read ``src``,
+    ``base`` and ``fac`` anew each time they run.
+    """
+    lays = (lw, lb)
+    first = 0 if lw.size <= lb.size else 1
+    spare = src[1 - first] if spare is None else spare
+    for target, image in ((first, dst[1 - first]), (1 - first, spare[..., : lays[first].size])):
+        other = 1 - target
+        yield from mesh.hodge_ops(lays[other], src[other], image, fac[other], beta[other])
+        yield from mesh.d_ops(lays[other].star, image, dst[target], scratch, base[target])
 
 
 def curls(lw: mesh.Layout, lb: mesh.Layout, w, fb, beta_w, beta_b, conf):

@@ -7,6 +7,7 @@ import weakref
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from test_mesh import reference_d_flat
 from test_system import CROSS_PATH_METRICS
 
 from kmaxwell import cli, evolution, green, io, manufactured, mesh, system
@@ -635,8 +636,41 @@ def reference_rhs(gen, t, y):
     return np.concatenate([dw, curl_e], axis=-1)
 
 
+def autonomous(gen, t, dt):
+    """Whether an RK4 step of size dt from t has a constant generator: no jb/ze source,
+    a static lapse and one a(t) at the stage times."""
+    confs = {float(gen.metric.conf(s)) for s in (t, t + dt / 2, t + dt)}
+    return gen.src.jb is None and gen.src.ze is None and gen.metric.beta_dt is None and len(confs) == 1
+
+
 def reference_step(t, y, gen, dt):
     """The allocate-per-op RK4 step the assembled one must reproduce bit for bit."""
+    if autonomous(gen, t, dt):
+        return reference_horner_step(t, y, gen, dt)
+    return reference_stage_step(t, y, gen, dt)
+
+
+def reference_horner_step(t, y, gen, dt):
+    """The Horner form y + hB(y + h/2 B(y + h/3 B(y + h/4 By))), B = P A, allocating per op.
+
+    In the fused order: each level's coefficient and the curl sign scale the
+    Hodge factors, and d (from ``lay.cofaces`` and ``np.diff``) starts each
+    target from y.
+    """
+    beta_w, beta_b = gen.lapse(t)
+    conf = float(gen.metric.conf(t))
+    y_w, y_b = y[..., : gen.nw], y[..., gen.nw :]
+    z = y
+    for c in (dt / 4, dt / 3, dt / 2, dt):
+        image_b = mesh.hodge_flat(gen.lb, beta_b * z[..., gen.nw :], conf, c * gen.curl_sign)
+        image_w = mesh.hodge_flat(gen.lw, beta_w * z[..., : gen.nw], conf, c)
+        z_w, z_b = reference_d_flat(gen.lb.star, image_b, y_w), reference_d_flat(gen.lw.star, image_w, y_b)
+        z = gen.project(np.concatenate([z_w, z_b], axis=-1))
+    return z
+
+
+def reference_stage_step(t, y, gen, dt):
+    """The classical four-stage RK4 step, allocating per op."""
     k1 = reference_rhs(gen, t, y)
     k2 = reference_rhs(gen, t + dt / 2, gen.project(y + k1 * (dt / 2)))
     k3 = reference_rhs(gen, t + dt / 2, gen.project(y + k2 * (dt / 2)))
@@ -677,7 +711,12 @@ def chain(gen, t, y, dt, steps, step_fn):
 
 
 class TestAssembledStep:
-    """The assembled RK4 step against the allocate-per-op one, bit for bit."""
+    """The assembled RK4 step against the allocate-per-op one, bit for bit.
+
+    Unit-metric cases are autonomous and take the Horner form; the
+    ``well_expanding`` and ``time_dependent`` cases, and sourced marches,
+    take the stage form.
+    """
 
     @pytest.mark.parametrize("name", sorted(CROSS_PATH_METRICS))
     @pytest.mark.parametrize("periodic", [False, True], ids=["box", "torus"])
@@ -691,6 +730,33 @@ class TestAssembledStep:
         got = chain(gen, 0.37, y0, grid.dt, 20, evolution._rk4_step)
         want = chain(gen, 0.37, y0, grid.dt, 20, reference_step)
         assert all(same_bits(a, b) for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_static_lapse_horner_steps(self, n, k):
+        # a static, non-uniform lapse on the Horner path: the level programs multiply by it
+        grid = small_grid(n, False)
+        metric = mesh.MetricField(beta=CROSS_PATH_METRICS["well_expanding"].beta)
+        gen = evolution.Generator(grid, metric, system.zero_sources(grid, k), 0.37)
+        assert autonomous(gen, 0.37, grid.dt) and not any(gen._unit)
+        y0 = rows_with_zeros(gen, RNG_SEED + k)
+        got = chain(gen, 0.37, y0, grid.dt, 20, evolution._rk4_step)
+        want = chain(gen, 0.37, y0, grid.dt, 20, reference_step)
+        assert all(same_bits(a, b) for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("periodic", [False, True], ids=["box", "torus"])
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_horner_matches_classical_to_round_off(self, periodic, n, k):
+        grid = small_grid(n, periodic)
+        gen = evolution.Generator(grid, mesh.unit_metric(), system.zero_sources(grid, k), 0.0)
+        y0 = gen.project(np.random.default_rng(RNG_SEED + k).standard_normal(gen.nw + gen.lb.size))
+        assert autonomous(gen, 0.0, grid.dt)
+        got = chain(gen, 0.0, y0, grid.dt, 100, evolution._rk4_step)[-1]
+        want = chain(gen, 0.0, y0, grid.dt, 100, reference_stage_step)[-1]
+        scale = np.abs(want).max()
+        assert scale > 0.1 * np.abs(y0).max()
+        assert np.abs(got - want).max() <= 1e-13 * scale
 
     @pytest.mark.parametrize("beta", ["unit", "well"])
     @pytest.mark.parametrize("k", [1, 2])
@@ -839,6 +905,26 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak < 2 * y.nbytes
+
+    def test_warm_autonomous_generator_holds_three_rows_and_the_scratch(self):
+        # the Horner rows y0, z1, z2 and the difference scratch; no stage buffers, no Hodge row
+        grid = mesh.GridSpec(n=4, cells_per_axis=(32,) * 3, lengths=(1.0,) * 3, dt=0.005)
+        make = lambda: evolution.Generator(grid, mesh.unit_metric(), system.zero_sources(grid, 2), 0.0)
+        warm = make()
+        y = warm.project(np.random.default_rng(RNG_SEED).standard_normal(warm.nw + warm.lb.size))
+        evolution._rk4_step(0.0, y, warm, grid.dt)  # warm the layout caches
+        del warm
+        tracemalloc.start()
+        try:
+            gen = make()
+            y1 = evolution._rk4_step(0.0, y, gen, grid.dt)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert gen.ys is None and gen.slope is None
+        scratch = 8 * max(gen.lw.star.largest, gen.lb.star.largest)
+        # the four programs' views and factors: about 60 kB here
+        assert held - y1.nbytes <= 3 * y.nbytes + scratch + y.nbytes / 16
 
     @pytest.mark.parametrize("beta", [1.0, 2.0])
     def test_constant_lapse_generator_holds_no_lapse_row(self, beta):

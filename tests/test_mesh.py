@@ -789,11 +789,15 @@ class TestFlatRows:
                         np.testing.assert_array_equal(projected[i], mesh.project_normal_flux(c).vec)
 
 
-def reference_d_flat(lay, x):
-    """Coboundary written with one fresh array per operation (np.roll wraps)."""
+def reference_d_flat(lay, x, base=0.0):
+    """Coboundary plus ``base`` written with one fresh array per operation (np.roll wraps).
+
+    Every target starts at ``base`` (+0.0 by default) and takes its incidence
+    terms in ``lay.cofaces`` order.
+    """
     m = lay.grid.dim
     out_lay = mesh.layout(lay.grid, lay.degree + 1, lay.dual)
-    out = np.zeros(x.shape[:-1] + (out_lay.size,))
+    out = np.array(np.broadcast_to(base, x.shape[:-1] + (out_lay.size,)), dtype=float)
     for i, b, j, sign in lay.cofaces:
         arr, target, axis = lay.view(x, i), out_lay.view(out, j), b - m
         if lay.grid.periodic[b]:
@@ -865,6 +869,26 @@ class TestPrograms:
                     assert same_bits(mesh.project_flat(lay, rows.copy()), projected)
                     faces = [np.max(np.abs(f), initial=0.0) for f in reference_normal_faces(lay, rows)]
                     assert same_bits(np.float64(mesh.face_maxabs(lay, rows).max()), np.float64(max(faces, default=0.0)))
+
+
+class TestZeroRule:
+    @pytest.mark.parametrize("periodic", [False, True], ids=["box", "torus"])
+    @pytest.mark.parametrize("cells", [(5, 4), (4, 5, 4)], ids=["n3", "n4"])
+    @pytest.mark.parametrize("dual", [False, True], ids=["primal", "dual"])
+    def test_d_starts_every_target_at_positive_zero(self, periodic, cells, dual):
+        # the first incidence term writes 0 + diff or 0 - diff with no fill before it:
+        # +0 - (+0) is +0 and -0 - (+0) is -0, as the zero-filled reference leaves them
+        g = box_grid(cells, periodic=(periodic,) * len(cells))
+        rng = np.random.default_rng(RNG_SEED)
+        for k in range(g.dim):
+            lay = mesh.layout(g, k, dual)
+            rows = np.zeros((2, lay.size))
+            rows[:, 1::3] = -0.0
+            rows[:, rng.choice(lay.size, 3, replace=False)] = rng.standard_normal((2, 3))
+            got = mesh.d_flat(lay, rows)
+            assert same_bits(got, reference_d_flat(lay, rows))
+            assert same_bits(mesh.d_flat(lay, rows[1]), got[1])
+            assert (got == 0.0).any() and (got != 0.0).any()
 
 
 class TestSampling:

@@ -57,6 +57,21 @@ MUTANTS = {
         "        np.add(y, ys, out=ys)\n        gen.project(ys)\n",
         "        np.add(y, ys, out=ys)\n",
     ),
+    "horner_coefficient": (
+        "src/kmaxwell/evolution.py",
+        "(dt / 4, dt / 3, dt / 2, dt)",
+        "(dt / 4, dt / 2, dt / 2, dt)",
+    ),
+    "horner_projection": (
+        "src/kmaxwell/evolution.py",
+        "            if self.lb.face_sites.size:\n",
+        "            if self.lb.face_sites.size and spare is None:\n",
+    ),
+    "horner_base": (
+        "src/kmaxwell/evolution.py",
+        "system.level_ops(self.lw, self.lb, src, dst, y0, self._weights,",
+        "system.level_ops(self.lw, self.lb, src, dst, (0.0, 0.0) if fac is self._level_fac[3] else y0, self._weights,",
+    ),
     "conformal_power": (
         "src/kmaxwell/mesh.py",
         "power = _conf_power(conf, m - 2 * lay.degree)",
