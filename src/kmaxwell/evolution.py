@@ -1,18 +1,19 @@
 """Explicit time integration with strong boundary enforcement.
 
 The integrator advances the lapse-weighted electric component ``w = fe/beta``
-together with ``fb`` using the classical four-stage Runge-Kutta scheme, on the
-curls of ``system`` (the split operator's one home); after every stage the
-magnetic normal-leg values on the boundary are zeroed, which is an exact
-orthogonal projection onto the admissible subspace.  A :class:`Generator`
-assembles its programs of bound ufunc calls once, over 64-byte-aligned
-buffers it owns, so a step allocates only the row it returns.  A step over
-which the generator is constant (no ``jb``/``ze`` source, a static lapse,
-one a(t)) is the RK4 stability polynomial of B = P A, run in Horner form as
-four fused level programs (:meth:`Generator.levels`); it agrees with the
-stage form to round-off.  Any other step runs the four stages on the
-``system.curl_ops`` program.
-Sources are evaluated once per stage, or read from the table a generator
+together with ``fb`` using the classical four-stage Runge-Kutta scheme, on
+the split operator of ``system`` (its one program, ``system.level_ops``);
+after every stage the magnetic normal-leg values on the boundary are
+zeroed, which is an exact orthogonal projection onto the admissible
+subspace.  Every step is four level programs, ``base + c A src`` each, then
+c times the stage time's source terms and the projection, from one of two
+tables (:meth:`Generator.levels`): a step over which the generator is
+constant (no ``jb``/``ze`` source, a static lapse, one a(t)) runs the RK4
+stability polynomial of B = P A in Horner form, any other the classical
+stages rewritten as levels.  The two agree to round-off.  A
+:class:`Generator` assembles the programs once, over 64-byte-aligned
+buffers it owns, so a step allocates only the row it returns.
+Sources are evaluated once per level, or read from the table a generator
 builds for a chunk of steps (:meth:`Generator.tabulate`).  Constraint norms,
 an energy functional, and an optional causal-support leak are sampled into a
 monitor series.
@@ -266,36 +267,37 @@ class Generator:
     degree n-k) and ``fb`` the magnetic one (dual, degree k); a row is the
     two flat cochains end to end, and leading axes hold independent rows.
 
-    The generator assembles its split operator once (:meth:`stages`): the
-    ``system.curl_ops`` program, kept as a list of bound
-    ``np.multiply``/``np.subtract``/``np.add`` calls from the stage input
-    ``ys`` into the slope ``slope``, which the stage form of
-    :func:`_rk4_step` and :meth:`rhs` run.  An autonomous step runs the four
-    Horner level programs of :meth:`levels` instead, over three rows of its
-    own, and a generator that takes only such steps allocates no ``ys`` or
-    ``slope``.  The buffers have one leading batch shape at a time, are
-    rebuilt only when rows of another shape arrive, and are allocated
-    64-byte aligned (``mesh.empty_aligned``).
-    The program reads the lapse rows and Hodge factors the generator owns:
+    The generator assembles its split operator once, as the four level
+    programs of each of the two tables of :meth:`levels`: one
+    ``system.level_ops`` program per level, kept as a list of bound
+    ``np.multiply``/``np.subtract``/``np.add`` calls.  The tables share one
+    set of rows, one difference scratch and one set of Hodge factors; a
+    generator that takes only autonomous (Horner) steps holds three rows and
+    builds neither the fourth row nor the stage programs.  The buffers have
+    one leading batch shape at a time, are rebuilt only when rows of another
+    shape arrive, and are allocated 64-byte aligned (``mesh.empty_aligned``).
+    The programs read the lapse rows and Hodge factors the generator owns:
     the lapse is sampled once when ``metric.beta_dt`` is None and at every
-    evaluation otherwise, and the factors are recomputed only when a(t)
+    level otherwise, and the factors are recomputed only when h or a(t)
     changes value.  A static lapse row whose sites all hold one value is
     kept as a zero-stride view of that value (:func:`_uniform`); where it is
-    1.0, decided once per component, the program multiplies by no lapse,
+    1.0, decided once per component, the programs multiply by no lapse,
     :meth:`electric` hands out w itself as fe and the electric source term
-    is ``src_e`` itself, since ``w * 1.0 == w`` bit for bit.  The buffers live as long as the generator and reference
-    nothing back, so they are freed with it.  :meth:`project` zeroes the
-    magnetic normal legs on the boundary faces, of which a torus has none.
+    is ``src_e`` itself, since ``w * 1.0 == w`` bit for bit.  The buffers
+    live as long as the generator and reference nothing back, so they are
+    freed with it.  :meth:`project` zeroes the magnetic normal legs on the
+    boundary faces, of which a torus has none.  :meth:`rhs` is the
+    allocating oracle of the operator, apart from these buffers.
 
     The degree k is the sources' (``src.k``).  Sources declared on a grid
     that is not ``grid.compatible`` are rejected on construction, and a
     state of another degree or grid by :meth:`rows`.
 
-    Sources are evaluated by ``system.rhs_sources`` once per stage, or, for
+    Sources are evaluated by ``system.rhs_sources`` once per level, or, for
     a march that knows its step times, once per chunk of steps:
     :meth:`tabulate` evaluates them on all distinct stage times of the
-    chunk in one batched call, and :meth:`run` reads each tabulated stage's
-    terms from that table.
+    chunk in one batched call, and each level of a tabulated step reads its
+    stage time's terms from that table.
     """
 
     def __init__(self, grid, metric, src, t):
@@ -314,14 +316,12 @@ class Generator:
         self._unit = tuple(b.strides == (0,) and b[0] == 1.0 for b in self._beta)
         # the lapse rows the programs multiply by: None, no pass, at a unit lapse
         self._weights = tuple(None if unit else b for b, unit in zip(self._beta, self._unit))
-        self._conf = float(metric.conf(t))
-        # one (1,) view per component, so the program sees the factors refreshed in place
-        self._fac = tuple(np.array(mesh.hodge_factors(lay, self._conf))[:, None] for lay in (self.lw, self.lb))
-        self.ys = self.slope = None
         self._table = None
         # no source term and a static lapse: a step with one a(t) is autonomous (levels)
         self._autonomous = src.jb is None and src.ze is None and metric.beta_dt is None
-        self._rows = self._levels = self._level_key = None
+        self._rows = self._level_key = None
+        # the (w, fb) views of the half-row source buffer, built with the stage programs
+        self._term = (None, None)
 
     def lapse(self, t):
         """Lapse samples at the (w, fb) sites at time t."""
@@ -350,63 +350,91 @@ class Generator:
         y[..., self.nw :][..., self.lb.face_sites] = 0.0
         return y
 
-    def stages(self, batch: tuple) -> np.ndarray:
-        """The stage input ``ys`` for rows of leading shape ``batch``, rebuilt with the program on a new shape."""
-        if self.ys is None or self.ys.shape[:-1] != batch:
-            size = self.nw + self.lb.size
-            self.ys, self.slope = mesh.empty_aligned(batch + (size,)), mesh.empty_aligned(batch + (size,))
-            self._slope_w, self._slope_b = self.slope[..., : self.nw], self.slope[..., self.nw :]
-            w, fb = self.ys[..., : self.nw], self.ys[..., self.nw :]
-            self._ops = list(
-                system.curl_ops(self.lw, self.lb, w, fb, *self._weights, self._fac, self._slope_w, self._slope_b)
-            )
-            # a unit sign adds no pass
-            if self.curl_sign != 1.0:
-                self._ops.append((np.multiply, (self._slope_w, self.curl_sign, self._slope_w)))
-        return self.ys
-
     def levels(self, t, dt, batch: tuple):
-        """The four Horner level programs of an RK4 step of size dt from t, None when the step is not autonomous.
+        """The four levels of an RK4 step of size dt from t: ``(stage time, c, (program, dst))`` each.
 
-        A step is autonomous when the generator has no ``jb``/``ze`` family
-        and a static lapse, and a(t) has one value at the step's stage
-        times.  Level L writes ``z_L = P(y0 + c_L A z_(L-1))``
-        (``system.level_ops``, then the boundary projection P), with
-        ``c = h/4, h/3, h/2, h`` and ``z_0 = y0``; the levels run over the
-        three rows ``(y0, z1, z2)`` the generator owns, as y0 -> z1 -> z2
-        -> z1 -> z2, and z2 ends holding the step.  The rows and programs
-        are built for one batch shape at a time, and the Hodge factors the
-        programs read are refreshed in place when h or a(t) changes.
+        Level L's program writes ``base + c_L A src`` into the row halves
+        ``dst`` (``system.level_ops``, c_L and the curl sign folded into
+        Hodge factors taken at a(stage time)); the step then adds c_L times
+        the stage time's source terms and projects (:meth:`_close`).  The
+        levels come from one of two tables, over rows the generator owns:
+
+        * Horner, when the step is autonomous (no ``jb``/``ze`` family, a
+          static lapse, one a(t) at the stage times): the RK4 stability
+          polynomial ``y + hB(y + h/2 B(y + h/3 B(y + h/4 By)))`` of B = P A,
+          ``z_L = P(y + c_L A z_(L-1))`` with ``c = h/4, h/3, h/2, h``, run
+          over the three rows ``(y0, z1, z2)`` as y0 -> z1 -> z2 -> z1 -> z2;
+        * stages, otherwise: ``y2 = P(y + h/2 (A y + s))``,
+          ``y3 = P(y + h/2 (A y2 + s))``, ``y4 = P(y + h (A y3 + s))`` and
+          ``P((y2 + 2 y3 + y4 - y)/3 + h/6 (A y4 + s))``, each A and s at
+          its stage time, which is classical RK4 since P y = y.  They run
+          over a fourth row z3 as y0 -> z1 -> z2 -> z3 -> z2; level 3 first
+          folds ``y2 + 2 y3`` into z1 through z3, and level 4 first forms
+          its base ``(y2 + 2 y3 + y4 - y)/3`` in z1.
+
+        Either way y0 holds the step's input and z2 ends holding the step.
+        The rows and programs are built for one batch shape at a time, the
+        fourth row and the stage programs only on the first step that is
+        not autonomous, and the Hodge factors the programs read are
+        refreshed in place when h or a(t) changes.
         """
-        if not self._autonomous:
-            return None
-        conf = float(self.metric.conf(t))
-        if any(float(self.metric.conf(s)) != conf for s in _stage_times(t, dt)[1:]):
-            return None
+        t_mid, t_end = _stage_times(t, dt)[1:]
+        times = (t, t_mid, t_mid, t_end)
+        a0, a_mid, a1 = (float(self.metric.conf(s)) for s in (t, t_mid, t_end))
+        confs = (a0, a_mid, a_mid, a1)
+        horner = self._autonomous and a0 == a_mid == a1
         if self._rows is None or self._rows[0].shape[:-1] != batch:
             self._build_levels(batch)
-        if self._level_key != (dt, conf):
-            self._level_key = (dt, conf)
-            for facs, c in zip(self._level_fac, (dt / 4, dt / 3, dt / 2, dt)):
+        if not horner and self._stages is None:
+            self._build_stages()
+        coefs = (dt / 4, dt / 3, dt / 2, dt) if horner else (dt / 2, dt / 2, dt, dt / 6)
+        if self._level_key != (coefs, confs):
+            self._level_key = (coefs, confs)
+            for facs, c, conf in zip(self._level_fac, coefs, confs):
                 for fac, lay, scale in zip(facs, (self.lw, self.lb), (c, c * self.curl_sign)):
                     fac[:, 0] = mesh.hodge_factors(lay, conf, scale)
-        return self._levels
+        return zip(times, coefs, self._horner if horner else self._stages)
+
+    def _level(self, src, dst, base, spare, fac, first=()):
+        """``(program, dst)``: the ops ``first``, then one ``system.level_ops`` level over the generator's
+        lapse rows and scratch."""
+        ops = system.level_ops(self.lw, self.lb, src, dst, base, self._weights, fac, spare, self._scratch)
+        return list(first) + list(ops), dst
 
     def _build_levels(self, batch: tuple) -> None:
-        """The Horner rows, difference scratch and level programs for rows of leading shape ``batch``."""
+        """The three rows, difference scratch, factors and Horner programs for rows of leading shape ``batch``."""
         size = self.nw + self.lb.size
-        self._rows = tuple(mesh.empty_aligned(batch + (size,)) for _ in range(3))
-        y0, z1, z2 = [(row[..., : self.nw], row[..., self.nw :]) for row in self._rows]
-        scratch = mesh.empty_aligned((math.prod(batch) * max(self.lw.star.largest, self.lb.star.largest),))
+        self._rows = [mesh.empty_aligned(batch + (size,)) for _ in range(3)]
+        self._halves = [(row[..., : self.nw], row[..., self.nw :]) for row in self._rows]
+        self._scratch = mesh.empty_aligned((math.prod(batch) * max(self.lw.star.largest, self.lb.star.largest),))
+        # one (n, 1) array per level and component, so the programs see the factors refreshed in place
         self._level_fac = [tuple(np.empty((len(lay.subsets), 1)) for lay in (self.lw, self.lb)) for _ in range(4)]
-        self._levels, self._level_key = [], None
+        self._level_key = self._stages = None
+        y0, z1, z2 = self._halves
         # level 1 reads y0, which every level needs, so its second Hodge image goes into z2
-        spares = [self._rows[2], None, None, None]
-        for (src, dst), fac, spare in zip([(y0, z1), (z1, z2), (z2, z1), (z1, z2)], self._level_fac, spares):
-            ops = list(system.level_ops(self.lw, self.lb, src, dst, y0, self._weights, fac, spare, scratch))
-            if self.lb.face_sites.size:
-                ops.append((mesh.project_flat, (self.lb, dst[1])))
-            self._levels.append(ops)
+        self._horner = [
+            self._level(src, dst, y0, spare, fac)
+            for (src, dst, spare), fac in zip(
+                [(y0, z1, self._rows[2]), (z1, z2, None), (z2, z1, None), (z1, z2, None)], self._level_fac
+            )
+        ]
+
+    def _build_stages(self) -> None:
+        """The fourth row, the half-row source buffer and the stage programs for the rows' batch shape."""
+        self._rows.append(mesh.empty_aligned(self._rows[0].shape))
+        self._halves.append((self._rows[3][..., : self.nw], self._rows[3][..., self.nw :]))
+        term = mesh.empty_aligned((max(self.nw, self.lb.size),))
+        self._term = (term[: self.nw], term[: self.lb.size])
+        r0, r1, r2, r3 = self._rows
+        y0, z1, z2, z3 = self._halves
+        fold = [(np.multiply, (r2, 2.0, r3)), (np.add, (r1, r3, r1))]
+        base = [(np.add, (r1, r3, r1)), (np.subtract, (r1, r0, r1)), (np.divide, (r1, 3.0, r1))]
+        # y2 and y3 live on until they are folded, so levels 1 and 2 put their second Hodge image into a dead row
+        levels = [(y0, z1, y0, r2, ()), (z1, z2, y0, r3, ()), (z2, z3, y0, None, fold), (z3, z2, z1, None, base)]
+        self._stages = [
+            self._level(src, dst, b, spare, fac, first)
+            for (src, dst, b, spare, first), fac in zip(levels, self._level_fac)
+        ]
 
     def tabulate(self, steps, dt) -> None:
         """Tabulate the sources of the RK4 steps of size dt from each time in ``steps``.
@@ -426,38 +454,48 @@ class Generator:
         self._table = dict(zip(times, zip(*columns)))
 
     def _sources(self, t):
-        """Bring the lapse and Hodge factors to time t; the source terms at t.
+        """Bring the lapse to time t; the source terms ``(src_e, src_b)`` of ``system.rhs_sources`` at t.
 
-        The terms are ``beta_w * src_e`` (``src_e`` at a unit lapse) and
-        ``src_b`` of ``system.rhs_sources``, read from the table when t is
-        tabulated, None where a source is absent.
+        The terms are read from the table when t is tabulated; either is
+        None where its source is absent.
         """
         if self.metric.beta_dt is not None:
             for buf, row in zip(self._beta, self.lapse(t)):
                 buf[...] = row
-        conf = float(self.metric.conf(t))
-        if conf != self._conf:
-            self._conf = conf
-            for fac, lay in zip(self._fac, (self.lw, self.lb)):
-                fac[:, 0] = mesh.hodge_factors(lay, conf)
         rows = None if self._table is None else self._table.get(t)
-        src_e, src_b = rows if rows is not None else system.rhs_sources(self.src, t, self.metric)
-        return src_e if src_e is None or self._unit[0] else self._beta[0] * src_e, src_b
+        return rows if rows is not None else system.rhs_sources(self.src, t, self.metric)
 
-    def run(self, t: float) -> np.ndarray:
-        """Time derivative of the rows ``ys`` at time t, written into ``slope``."""
-        term_e, term_b = self._sources(t)
-        mesh.run_ops(self._ops)
-        if term_e is not None:
-            np.add(self._slope_w, term_e, out=self._slope_w)
-        if term_b is not None:
-            np.add(self._slope_b, term_b, out=self._slope_b)
-        return self.slope
+    def _close(self, dst, terms, c) -> None:
+        """End a level in the row halves ``dst``: add c times the source terms, then project.
+
+        The terms are ``beta_w * src_e`` (``src_e`` at a unit lapse) and
+        ``src_b``; each is formed in the generator's half-row buffer and
+        added in place, so a level allocates nothing.
+        """
+        for half, term, buf, weight in zip(dst, terms, self._term, (self._weights[0], None)):
+            if term is not None:
+                if weight is not None:
+                    term = np.multiply(weight, term, out=buf)
+                np.add(half, np.multiply(term, c, out=buf), out=half)
+        if self.lb.face_sites.size:
+            mesh.project_flat(self.lb, dst[1])
 
     def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
-        """Time derivative of the rows ``y`` at time t, sources included (a new array)."""
-        np.copyto(self.stages(y.shape[:-1]), y)
-        return self.run(t).copy()
+        """Time derivative of the rows ``y`` at time t, sources included (a new array).
+
+        ``system.curls`` and ``system.rhs_sources``, once each, allocating
+        as they go: an oracle apart from the step's own buffers.
+        """
+        beta_w, beta_b = self.lapse(t)
+        src_e, src_b = system.rhs_sources(self.src, t, self.metric)
+        w, fb = y[..., : self.nw], y[..., self.nw :]
+        curl_b, curl_e = system.curls(self.lw, self.lb, w, fb, beta_w, beta_b, float(self.metric.conf(t)))
+        dw = curl_b * self.curl_sign
+        if src_e is not None:
+            dw = beta_w * src_e + dw
+        if src_b is not None:
+            curl_e = curl_e + src_b
+        return np.concatenate([dw, curl_e], axis=-1)
 
     def rows(self, s: system.FieldState) -> np.ndarray:
         """The stacked row of a state; ValueError for a state of another degree or grid."""
@@ -483,48 +521,20 @@ def _stage_times(t, dt):
 def _rk4_step(t, y, gen: Generator, dt):
     """One classical RK4 step of projected rows, projecting every stage.
 
-    An autonomous step (:meth:`Generator.levels`) is the RK4 stability
-    polynomial of B = P A in Horner form,
-    ``y + hB(y + h/2 B(y + h/3 B(y + h/4 By)))``: y is copied into the
-    generator's row y0, the four level programs run, and the step returns a
-    copy of z2.  The generator is still brought to each stage time
-    (``Generator._sources``).  It agrees with the stage form to round-off.
-
-    Any other step runs the four stages in the generator's buffers
-    (:meth:`Generator.stages`): each stage input ``y + k * h`` is formed in
-    place, and the slopes are summed as ``((k1 + 2 k2) + 2 k3) + k4`` in the
-    row the step returns.  A step thus holds ``y``, its result, the stage
-    input and the slope (and the curl program's scratch).  Either form
-    allocates only the row it returns.
+    y is copied into the generator's row y0, and the four levels of
+    :meth:`Generator.levels` run in turn: each brings the generator to its
+    stage time (lapse and source terms, ``Generator._sources``), runs its
+    program and ends with :meth:`Generator._close`.  The step returns a copy
+    of z2, the only row it allocates.  An autonomous step takes the Horner
+    table, any other the stage table; the two agree to round-off.
     """
-    _, t_mid, t_end = _stage_times(t, dt)
     levels = gen.levels(t, dt, y.shape[:-1])
-    if levels is not None:
-        y0, _, z2 = gen._rows
-        np.copyto(y0, y)
-        for s, level in zip((t, t_mid, t_mid, t_end), levels):
-            gen._sources(s)
-            mesh.run_ops(level)
-        return z2.copy()
-    ys, k = gen.stages(y.shape[:-1]), gen.slope
-
-    def stage_input(slope, h):
-        np.multiply(slope, h, out=ys)
-        np.add(y, ys, out=ys)
-        gen.project(ys)
-
-    np.copyto(ys, y)
-    acc = gen.run(t).copy()
-    stage_input(acc, dt / 2)
-    gen.run(t_mid)
-    stage_input(k, dt / 2)
-    np.add(acc, np.multiply(k, 2.0, out=k), out=acc)
-    gen.run(t_mid)
-    stage_input(k, dt)
-    np.add(acc, np.multiply(k, 2.0, out=k), out=acc)
-    np.add(acc, gen.run(t_end), out=acc)
-    np.multiply(acc, dt / 6.0, out=acc)
-    return gen.project(np.add(y, acc, out=acc))
+    np.copyto(gen._rows[0], y)
+    for s, c, (program, dst) in levels:
+        terms = gen._sources(s)
+        mesh.run_ops(program)
+        gen._close(dst, terms, c)
+    return gen._rows[2].copy()
 
 
 def operator_matrix(
@@ -542,11 +552,7 @@ def operator_matrix(
     reference histories.
     """
     gen = Generator(grid, metric, system.zero_sources(grid, k), t)
-    ys = gen.stages((gen.nw + gen.lb.size,))
-    ys.fill(0.0)
-    np.fill_diagonal(ys, 1.0)
-    gen.project(ys)
-    return gen.project(gen.run(t)).T
+    return gen.project(gen.rhs(t, gen.project(np.eye(gen.nw + gen.lb.size)))).T
 
 
 def step(

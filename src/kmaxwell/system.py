@@ -4,12 +4,12 @@ A degree-k spacetime field strength F on R x Sigma decomposes against dt into
 an electric component fe (degree n-k, primal family) and a magnetic component
 fb (degree k, dual family).  This module provides:
 
-* the split operator on flat rows, in its one home: the curl program
-  :func:`curl_ops` (kept and rerun by the RK4 generator, run once by
-  :func:`curls`), its fused Horner level :func:`level_ops` (the autonomous
-  RK4 step) and the evolution slots :func:`slots`, which
-  ``green.apply_operator`` and :func:`apply_S` share, with the source
-  right-hand side and the sign exponents;
+* the split operator on flat rows, in its one home: one program,
+  :func:`level_ops` (``base + c A src``, with c folded into the Hodge
+  factors), which the RK4 generator keeps and reruns for every level of a
+  step and :func:`curls` runs once (base 0.0, c = 1), and the evolution
+  slots :func:`slots`, which ``green.apply_operator`` and :func:`apply_S`
+  share, with the source right-hand side and the sign exponents;
 * the continuity residuals of a source family (the identities a source
   pair must satisfy for the Cauchy problem to be well posed);
 * the interior and boundary constraint residuals;
@@ -178,46 +178,23 @@ def family_rows(fn: Callable | None, times: np.ndarray):
     return np.stack([fn(float(t)) for t in times])
 
 
-def curl_ops(lw: mesh.Layout, lb: mesh.Layout, w, fb, beta_w, beta_b, fac, curl_b, curl_e):
-    """The split system's two curls as one program of bound ufunc calls.
-
-    Yields, lazily, the ``(function, arguments)`` calls that write
-    ``d(*(beta fb))`` into ``curl_b`` and ``d(*(beta w))`` into ``curl_e``:
-    the lapse product, the per-component Hodge factors
-    ``fac = (hodge_factors(lw, a), hodge_factors(lb, a))`` and the incidence
-    differences of ``d`` (:func:`mesh.hodge_ops`, :func:`mesh.d_ops`); a
-    lapse of None is a unit lapse and adds no product.  The two curls run
-    one after the other, so they share one Hodge image buffer and one
-    difference scratch, allocated 64-byte aligned when the program is
-    built.  The calls read ``w``, ``fb`` and the lapse rows anew each time
-    they run, and ``fac`` too when its entries are arrays.
-    """
-    rows = prod(w.shape[:-1])
-    h = mesh.empty_aligned((rows * max(lw.size, lb.size),))
-    scratch = mesh.empty_aligned((rows * max(lb.star.largest, lw.star.largest),))
-    hb, hw = h[: fb.size].reshape(fb.shape), h[: w.size].reshape(w.shape)
-    yield from mesh.hodge_ops(lb, fb, hb, fac[1], beta_b)
-    yield from mesh.d_ops(lb.star, hb, curl_b, scratch)
-    yield from mesh.hodge_ops(lw, w, hw, fac[0], beta_w)
-    yield from mesh.d_ops(lw.star, hw, curl_e, scratch)
-
-
 def level_ops(lw: mesh.Layout, lb: mesh.Layout, src, dst, base, beta, fac, spare, scratch):
-    """One level of the autonomous RK4 step in Horner form, ``dst = base + c A src``, as a program.
+    """One level of an RK4 step, ``dst = base + c A src``, as a program: the split operator's one program.
 
-    ``src``, ``dst`` and ``base`` are ``(w, fb)`` pairs of row halves, and
-    ``c A`` is the split operator with its coefficient: the w half of
-    ``dst`` is ``base_w + d(*(beta_b fb))`` and the fb half is
-    ``base_fb + d(*(beta_w w))``, where ``fac = (fac_w, fac_b)`` are the
-    Hodge factors with c and the curl sign folded in and a lapse ``beta``
-    entry of None adds no product.  ``d`` starts each target from ``base``
-    (:func:`mesh.d_ops`), so no half is filled or rescaled.  The curl that
-    writes the smaller half runs first; its Hodge image goes into the other
-    half of ``dst``, which the second curl writes last.  The second image
-    goes into the leading entries of ``spare`` when it is given and of the
-    source's other half, consumed by then, otherwise.  ``scratch`` is the
-    difference scratch of :func:`curl_ops`.  The calls read ``src``,
-    ``base`` and ``fac`` anew each time they run.
+    ``src``, ``dst`` and ``base`` are ``(w, fb)`` pairs of row halves (a
+    ``base`` entry may be 0.0), and ``c A`` is the split operator with a
+    coefficient: the w half of ``dst`` is ``base_w + d(*(beta_b fb))`` and
+    the fb half is ``base_fb + d(*(beta_w w))``, where ``fac = (fac_w,
+    fac_b)`` are the Hodge factors with c and the curl sign folded in and a
+    lapse ``beta`` entry of None adds no product.  ``d`` starts each target
+    from ``base`` (:func:`mesh.d_ops`), so no half is filled or rescaled.
+    The curl that writes the smaller half runs first; its Hodge image goes
+    into the other half of ``dst``, which the second curl writes last.  The
+    second image goes into the leading entries of ``spare`` when it is given
+    and of the source's other half, consumed by then, otherwise.
+    ``scratch`` is the difference scratch, flat, at least the batch size
+    times the larger ``star.largest`` of the two layouts.  The calls read
+    ``src``, ``base``, ``beta`` and ``fac`` anew each time they run.
     """
     lays = (lw, lb)
     first = 0 if lw.size <= lb.size else 1
@@ -233,11 +210,15 @@ def curls(lw: mesh.Layout, lb: mesh.Layout, w, fb, beta_w, beta_b, conf):
 
     ``lw``/``lb`` are the layouts of ``w`` (primal, degree n-k) and ``fb``
     (dual, degree k); the lapse samples and a(t) are one row or one per row
-    of ``w`` and ``fb``.  The :func:`curl_ops` program, run as it is built.
+    of ``w`` and ``fb``.  The :func:`level_ops` program with base 0.0 and
+    c = 1, run as it is built.
     """
-    curl_b, curl_e = np.empty(fb.shape[:-1] + (lw.size,)), np.empty(w.shape[:-1] + (lb.size,))
+    batch = w.shape[:-1]
+    curl_b, curl_e = np.empty(batch + (lw.size,)), np.empty(batch + (lb.size,))
     fac = (mesh.hodge_factors(lw, conf), mesh.hodge_factors(lb, conf))
-    mesh.run_ops(curl_ops(lw, lb, w, fb, beta_w, beta_b, fac, curl_b, curl_e))
+    spare = mesh.empty_aligned(batch + (min(lw.size, lb.size),))
+    scratch = mesh.empty_aligned((prod(batch) * max(lw.star.largest, lb.star.largest),))
+    mesh.run_ops(level_ops(lw, lb, (w, fb), (curl_b, curl_e), (0.0, 0.0), (beta_w, beta_b), fac, spare, scratch))
     return curl_b, curl_e
 
 

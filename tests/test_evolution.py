@@ -647,7 +647,7 @@ def reference_step(t, y, gen, dt):
     """The allocate-per-op RK4 step the assembled one must reproduce bit for bit."""
     if autonomous(gen, t, dt):
         return reference_horner_step(t, y, gen, dt)
-    return reference_stage_step(t, y, gen, dt)
+    return reference_level_stage_step(t, y, gen, dt)
 
 
 def reference_horner_step(t, y, gen, dt):
@@ -667,6 +667,41 @@ def reference_horner_step(t, y, gen, dt):
         z_w, z_b = reference_d_flat(gen.lb.star, image_b, y_w), reference_d_flat(gen.lw.star, image_w, y_b)
         z = gen.project(np.concatenate([z_w, z_b], axis=-1))
     return z
+
+
+def reference_level(gen, s, c, src, base):
+    """One level ``P(base + c (A(s) src + s(s)))``, allocating per op, in the fused order.
+
+    c and the curl sign scale the Hodge factors taken at a(s), d (from
+    ``lay.cofaces`` and ``np.diff``) starts each target from the base, and
+    the source terms are added as ``c * term``.
+    """
+    beta_w, beta_b = gen.lapse(s)
+    conf = float(gen.metric.conf(s))
+    src_e, src_b = system.rhs_sources(gen.src, s, gen.metric)
+    image_b = mesh.hodge_flat(gen.lb, beta_b * src[..., gen.nw :], conf, c * gen.curl_sign)
+    image_w = mesh.hodge_flat(gen.lw, beta_w * src[..., : gen.nw], conf, c)
+    z_w = reference_d_flat(gen.lb.star, image_b, base[..., : gen.nw])
+    z_b = reference_d_flat(gen.lw.star, image_w, base[..., gen.nw :])
+    if src_e is not None:
+        z_w = z_w + c * (beta_w * src_e)
+    if src_b is not None:
+        z_b = z_b + c * src_b
+    return gen.project(np.concatenate([z_w, z_b], axis=-1))
+
+
+def reference_level_stage_step(t, y, gen, dt):
+    """The classical stages as four levels, allocating per op::
+
+        y2 = P(y + h/2 (A(t) y + s(t))),  y3 = P(y + h/2 (A(t+h/2) y2 + s(t+h/2))),
+        y4 = P(y + h (A(t+h/2) y3 + s(t+h/2))),
+        P((y2 + 2 y3 + y4 - y)/3 + h/6 (A(t+h) y4 + s(t+h)))
+    """
+    t_mid, t_end = t + dt / 2, t + dt
+    y2 = reference_level(gen, t, dt / 2, y, y)
+    y3 = reference_level(gen, t_mid, dt / 2, y2, y)
+    y4 = reference_level(gen, t_mid, dt, y3, y)
+    return reference_level(gen, t_end, dt / 6, y4, (y2 + y3 * 2.0 + y4 - y) / 3.0)
 
 
 def reference_stage_step(t, y, gen, dt):
@@ -713,9 +748,10 @@ def chain(gen, t, y, dt, steps, step_fn):
 class TestAssembledStep:
     """The assembled RK4 step against the allocate-per-op one, bit for bit.
 
-    Unit-metric cases are autonomous and take the Horner form; the
-    ``well_expanding`` and ``time_dependent`` cases, and sourced marches,
-    take the stage form.
+    Every step runs four ``system.level_ops`` levels.  Unit-metric cases are
+    autonomous and take the Horner table; the ``well_expanding`` and
+    ``time_dependent`` cases, and sourced marches, take the stage table.
+    Both agree with the classical four-stage step to round-off.
     """
 
     @pytest.mark.parametrize("name", sorted(CROSS_PATH_METRICS))
@@ -754,6 +790,26 @@ class TestAssembledStep:
         assert autonomous(gen, 0.0, grid.dt)
         got = chain(gen, 0.0, y0, grid.dt, 100, evolution._rk4_step)[-1]
         want = chain(gen, 0.0, y0, grid.dt, 100, reference_stage_step)[-1]
+        scale = np.abs(want).max()
+        assert scale > 0.1 * np.abs(y0).max()
+        assert np.abs(got - want).max() <= 1e-13 * scale
+
+    @pytest.mark.parametrize("case", ["well_expanding", "time_dependent", "sourced"])
+    @pytest.mark.parametrize("periodic", [False, True], ids=["box", "torus"])
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_stage_recurrence_matches_classical_to_round_off(self, case, periodic, n, k):
+        grid = small_grid(n, periodic)
+        if case == "sourced":
+            metric = mesh.unit_metric()
+            src = green.random_source_pair(grid, k, metric, (0.1, 0.8), np.random.default_rng(RNG_SEED))
+        else:
+            metric, src = CROSS_PATH_METRICS[case], system.zero_sources(grid, k)
+        gen = evolution.Generator(grid, metric, src, 0.1)
+        y0 = gen.project(np.random.default_rng(RNG_SEED + k).standard_normal(gen.nw + gen.lb.size))
+        assert not autonomous(gen, 0.1, grid.dt)
+        got = chain(gen, 0.1, y0, grid.dt, 100, evolution._rk4_step)[-1]
+        want = chain(gen, 0.1, y0, grid.dt, 100, reference_stage_step)[-1]
         scale = np.abs(want).max()
         assert scale > 0.1 * np.abs(y0).max()
         assert np.abs(got - want).max() <= 1e-13 * scale
@@ -893,10 +949,18 @@ class TestMemory:
         assert manifest["passed"]
         assert len(refs) == 1 and alive == [False] * 4
 
-    def test_warm_3d_step_allocates_only_its_result(self):
+    @pytest.mark.parametrize("case", ["autonomous", "sourced", "expanding"])
+    def test_warm_3d_step_allocates_only_its_result(self, case):
+        # a sourced step reads its tabulated terms, as a march's does, and adds them without a new row
         grid = mesh.GridSpec(n=4, cells_per_axis=(32,) * 3, lengths=(1.0,) * 3, dt=0.005)
-        gen = evolution.Generator(grid, mesh.unit_metric(), system.zero_sources(grid, 2), 0.0)
+        metric = mesh.MetricField(conf=cli.A_CATALOGUE["expanding"](1.0)) if case == "expanding" else mesh.unit_metric()
+        src = system.zero_sources(grid, 2)
+        if case == "sourced":
+            src = green.random_source_pair(grid, 2, metric, (0.0, 0.1), np.random.default_rng(RNG_SEED))
+        gen = evolution.Generator(grid, metric, src, 0.0)
         y = gen.project(np.random.default_rng(RNG_SEED).standard_normal(gen.nw + gen.lb.size))
+        if case == "sourced":
+            gen.tabulate([0.0, grid.dt], grid.dt)
         y = evolution._rk4_step(0.0, y, gen, grid.dt)
         tracemalloc.start()
         try:
@@ -907,7 +971,7 @@ class TestMemory:
         assert peak < 2 * y.nbytes
 
     def test_warm_autonomous_generator_holds_three_rows_and_the_scratch(self):
-        # the Horner rows y0, z1, z2 and the difference scratch; no stage buffers, no Hodge row
+        # the Horner rows y0, z1, z2 and the difference scratch; no fourth row, no Hodge row
         grid = mesh.GridSpec(n=4, cells_per_axis=(32,) * 3, lengths=(1.0,) * 3, dt=0.005)
         make = lambda: evolution.Generator(grid, mesh.unit_metric(), system.zero_sources(grid, 2), 0.0)
         warm = make()
@@ -921,7 +985,6 @@ class TestMemory:
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert gen.ys is None and gen.slope is None
         scratch = 8 * max(gen.lw.star.largest, gen.lb.star.largest)
         # the four programs' views and factors: about 60 kB here
         assert held - y1.nbytes <= 3 * y.nbytes + scratch + y.nbytes / 16

@@ -34,8 +34,8 @@ ROOT = Path(__file__).resolve().parent.parent
 MUTANTS = {
     "source_lapse": (
         "src/kmaxwell/evolution.py",
-        "return src_e if src_e is None or self._unit[0] else self._beta[0] * src_e, src_b",
-        "return src_e, src_b",
+        "zip(dst, terms, self._term, (self._weights[0], None))",
+        "zip(dst, terms, self._term, (None, None))",
     ),
     "current_lapse": (
         "src/kmaxwell/green.py",
@@ -49,13 +49,23 @@ MUTANTS = {
     ),
     "rk4_third_stage": (
         "src/kmaxwell/evolution.py",
-        "    stage_input(k, dt)\n",
-        "    stage_input(k, dt / 2)\n",
+        "(dt / 2, dt / 2, dt, dt / 6)",
+        "(dt / 2, dt / 2, dt / 2, dt / 6)",
     ),
     "stage_projection": (
         "src/kmaxwell/evolution.py",
-        "        np.add(y, ys, out=ys)\n        gen.project(ys)\n",
-        "        np.add(y, ys, out=ys)\n",
+        "        if self.lb.face_sites.size:\n            mesh.project_flat(self.lb, dst[1])",
+        "        if self.lb.face_sites.size and dst is not self._halves[3]:\n            mesh.project_flat(self.lb, dst[1])",
+    ),
+    "stage_combination": (
+        "src/kmaxwell/evolution.py",
+        "(np.multiply, (r2, 2.0, r3))",
+        "(np.multiply, (r2, 1.0, r3))",
+    ),
+    "level_source_coefficient": (
+        "src/kmaxwell/evolution.py",
+        "np.add(half, np.multiply(term, c, out=buf), out=half)",
+        "np.add(half, np.multiply(term, 1.0, out=buf), out=half)",
     ),
     "horner_coefficient": (
         "src/kmaxwell/evolution.py",
@@ -64,13 +74,13 @@ MUTANTS = {
     ),
     "horner_projection": (
         "src/kmaxwell/evolution.py",
-        "            if self.lb.face_sites.size:\n",
-        "            if self.lb.face_sites.size and spare is None:\n",
+        "            mesh.project_flat(self.lb, dst[1])",
+        "            dst is self._halves[1] or mesh.project_flat(self.lb, dst[1])",
     ),
     "horner_base": (
         "src/kmaxwell/evolution.py",
-        "system.level_ops(self.lw, self.lb, src, dst, y0, self._weights,",
-        "system.level_ops(self.lw, self.lb, src, dst, (0.0, 0.0) if fac is self._level_fac[3] else y0, self._weights,",
+        "src, dst, base, self._weights, fac, spare, self._scratch)",
+        "src, dst, (0.0, 0.0) if fac is self._level_fac[3] else base, self._weights, fac, spare, self._scratch)",
     ),
     "conformal_power": (
         "src/kmaxwell/mesh.py",
@@ -134,8 +144,8 @@ MUTANTS = {
     ),
     "stage_source_time": (
         "src/kmaxwell/evolution.py",
-        "np.add(acc, gen.run(t_end), out=acc)",
-        "np.add(acc, gen.run(t_mid), out=acc)",
+        "times = (t, t_mid, t_mid, t_end)",
+        "times = (t, t_mid, t_mid, t_mid)",
     ),
     "lockstep_offset": (
         "src/kmaxwell/green.py",
@@ -174,8 +184,8 @@ MUTANTS = {
     ),
     "stage_shape": (
         "src/kmaxwell/evolution.py",
-        "if self.ys is None or self.ys.shape[:-1] != batch:",
-        "if self.ys is None:",
+        "if self._rows is None or self._rows[0].shape[:-1] != batch:",
+        "if self._rows is None:",
     ),
     "rows_degree_check": (
         "src/kmaxwell/evolution.py",
