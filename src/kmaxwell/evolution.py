@@ -12,7 +12,9 @@ constant (no ``jb``/``ze`` source, a static lapse, one a(t)) runs the RK4
 stability polynomial of B = P A in Horner form, any other the classical
 stages rewritten as levels.  The two agree to round-off.  A
 :class:`Generator` assembles the programs once, over 64-byte-aligned
-buffers it owns, so a step allocates only the row it returns.
+rows it owns, which are a march's only state: initial data are loaded
+into them, and a step returns one of them, so a warm step allocates
+nothing of row size.
 Sources are evaluated once per level, or read from the table a generator
 builds for a chunk of steps (:meth:`Generator.tabulate`).  Constraint norms,
 an energy functional, and an optional causal-support leak are sampled into a
@@ -273,9 +275,12 @@ class Generator:
     ``np.multiply``/``np.subtract``/``np.add`` calls.  The tables share one
     set of rows, one difference scratch and one set of Hodge factors; a
     generator that takes only autonomous (Horner) steps holds three rows and
-    builds neither the fourth row nor the stage programs.  The buffers have
-    one leading batch shape at a time, are rebuilt only when rows of another
-    shape arrive, and are allocated 64-byte aligned (``mesh.empty_aligned``).
+    builds neither the fourth row nor the stage programs.  The rows are a
+    march's only state: :meth:`load` writes the initial states into y0, and
+    each step (:func:`_rk4_step`) reads y0 and returns z2, which the next
+    step copies into y0.  The buffers have one leading batch shape at a
+    time, are rebuilt only when rows of another shape arrive, and are
+    allocated 64-byte aligned (``mesh.empty_aligned``).
     The programs read the lapse rows and Hodge factors the generator owns:
     the lapse is sampled once when ``metric.beta_dt`` is None and at every
     level otherwise, and the factors are recomputed only when h or a(t)
@@ -291,10 +296,10 @@ class Generator:
 
     The degree k is the sources' (``src.k``).  Sources declared on a grid
     that is not ``grid.compatible`` are rejected on construction, and a
-    state of another degree or grid by :meth:`rows`.
+    state of another degree or grid by :meth:`load`.
 
     Sources are evaluated by ``system.rhs_sources`` once per level, or, for
-    a march that knows its step times, once per chunk of steps:
+    a sourced march that knows its step times, once per chunk of steps:
     :meth:`tabulate` evaluates them on all distinct stage times of the
     chunk in one batched call, and each level of a tabulated step reads its
     stage time's terms from that table.
@@ -313,7 +318,7 @@ class Generator:
         if metric.beta_dt is None:
             self._beta = tuple(map(_uniform, self._beta))
         # x * 1.0 == x bit for bit: a unit lapse (zero stride, so static and uniform) adds no product
-        self._unit = tuple(b.strides == (0,) and b[0] == 1.0 for b in self._beta)
+        self._unit = tuple(map(mesh.unit_lapse, self._beta))
         # the lapse rows the programs multiply by: None, no pass, at a unit lapse
         self._weights = tuple(None if unit else b for b, unit in zip(self._beta, self._unit))
         self._table = None
@@ -383,8 +388,7 @@ class Generator:
         a0, a_mid, a1 = (float(self.metric.conf(s)) for s in (t, t_mid, t_end))
         confs = (a0, a_mid, a_mid, a1)
         horner = self._autonomous and a0 == a_mid == a1
-        if self._rows is None or self._rows[0].shape[:-1] != batch:
-            self._build_levels(batch)
+        self._build_levels(batch)
         if not horner and self._stages is None:
             self._build_stages()
         coefs = (dt / 4, dt / 3, dt / 2, dt) if horner else (dt / 2, dt / 2, dt, dt / 6)
@@ -402,7 +406,10 @@ class Generator:
         return list(first) + list(ops), dst
 
     def _build_levels(self, batch: tuple) -> None:
-        """The three rows, difference scratch, factors and Horner programs for rows of leading shape ``batch``."""
+        """The three rows, difference scratch, factors and Horner programs for rows of leading shape ``batch``,
+        unless they are built for it already."""
+        if self._rows is not None and self._rows[0].shape[:-1] == batch:
+            return
         size = self.nw + self.lb.size
         self._rows = [mesh.empty_aligned(batch + (size,)) for _ in range(3)]
         self._halves = [(row[..., : self.nw], row[..., self.nw :]) for row in self._rows]
@@ -497,10 +504,30 @@ class Generator:
             curl_e = curl_e + src_b
         return np.concatenate([dw, curl_e], axis=-1)
 
-    def rows(self, s: system.FieldState) -> np.ndarray:
-        """The stacked row of a state; ValueError for a state of another degree or grid."""
-        require_consistent(self.lw.grid, self.src, s)
-        return np.concatenate([s.fe.vec * (1.0 / self.lapse(s.t)[0]), s.fb.vec])
+    def load(self, states) -> np.ndarray:
+        """Load initial states into the row y0, projected; returns y0.
+
+        ``states`` is one ``system.FieldState``, a row of shape ``(N,)``, or a
+        sequence of states or None (zero data), one per row of a ``(B, N)``
+        block.  The generator's rows are built for that batch shape first,
+        and each state's ``fe * (1/beta)`` (beta at the state's time) and
+        ``fb`` are written into its row of y0 in place, so loading allocates
+        nothing of row size and the first step reads y0 without a copy.
+        ValueError for a state of another degree or grid.
+        """
+        single = isinstance(states, system.FieldState)
+        states = [states] if single else list(states)
+        self._build_levels(() if single else (len(states),))
+        y0 = self._rows[0]
+        for row, s in zip(y0.reshape(len(states), -1), states):
+            if s is None:
+                row[...] = 0.0
+                continue
+            require_consistent(self.lw.grid, self.src, s)
+            w = row[: self.nw]
+            np.multiply(s.fe.vec, np.divide(1.0, self.lapse(s.t)[0], out=w), out=w)
+            row[self.nw :] = s.fb.vec
+        return self.project(y0)
 
     def state(self, t: float, y: np.ndarray) -> system.FieldState:
         """The field state of a stacked row; at a unit lapse its fe is a view of ``y``, as fb is."""
@@ -521,20 +548,24 @@ def _stage_times(t, dt):
 def _rk4_step(t, y, gen: Generator, dt):
     """One classical RK4 step of projected rows, projecting every stage.
 
-    y is copied into the generator's row y0, and the four levels of
+    y is copied into the generator's row y0 unless it is y0 (a row
+    :meth:`Generator.load` filled), and the four levels of
     :meth:`Generator.levels` run in turn: each brings the generator to its
     stage time (lapse and source terms, ``Generator._sources``), runs its
-    program and ends with :meth:`Generator._close`.  The step returns a copy
-    of z2, the only row it allocates.  An autonomous step takes the Horner
-    table, any other the stage table; the two agree to round-off.
+    program and ends with :meth:`Generator._close`.  No level writes y0.
+    The step returns the generator's row z2 itself, valid until the next
+    step, so a warm step allocates nothing of row size; handing z2 back
+    costs one copy into y0.  An autonomous step takes the Horner table, any
+    other the stage table; the two agree to round-off.
     """
     levels = gen.levels(t, dt, y.shape[:-1])
-    np.copyto(gen._rows[0], y)
+    if y is not gen._rows[0]:
+        np.copyto(gen._rows[0], y)
     for s, c, (program, dst) in levels:
         terms = gen._sources(s)
         mesh.run_ops(program)
         gen._close(dst, terms, c)
-    return gen._rows[2].copy()
+    return gen._rows[2]
 
 
 def operator_matrix(
@@ -570,7 +601,7 @@ def step(
     """
     require_stable_dt(s.grid, metric, dt, (s.t, s.t + dt))
     gen = Generator(s.grid, metric, src, s.t)
-    return gen.state(s.t + dt, _rk4_step(s.t, gen.project(gen.rows(s)), gen, dt))
+    return gen.state(s.t + dt, _rk4_step(s.t, gen.load(s), gen, dt))
 
 
 class InstabilityError(RuntimeError):
@@ -583,16 +614,20 @@ class InstabilityError(RuntimeError):
         self.series = series
 
 
-def energy(s: system.FieldState, metric: mesh.MetricField) -> float:
+def energy(s: system.FieldState, metric: mesh.MetricField, beta: np.ndarray | None = None) -> float:
     """Quadratic diagnostic: the time-leg symbol applied to the state.
 
     Equal to pair(fe, fe) with weight 1/beta^2 plus pair(fb, fb); positive
     definite, and exactly the sum of squared component norms when beta = 1.
+    ``beta`` is the lapse row at fe's sites at ``s.t`` (``Generator.lapse``),
+    sampled when None; at a unit lapse (``mesh.unit_lapse``) no weight is
+    multiplied in, since x * 1.0 == x.
     """
-    inv_b2 = lambda t, *x: 1.0 / np.asarray(metric.beta(t, *x)) ** 2
-    return mesh.pair_sigma(s.fe, s.fe, s.t, metric, weight=inv_b2) + mesh.pair_sigma(
-        s.fb, s.fb, s.t, metric
-    )
+    if beta is None:
+        beta = mesh.sample_flat(s.fe.lay, metric.beta, s.t)
+    weight = None if mesh.unit_lapse(beta) else 1.0 / beta**2
+    electric = float(mesh.pair_flat(s.fe.lay, s.fe.vec, s.fe.vec, metric.conf(s.t), weight))
+    return electric + mesh.pair_sigma(s.fb, s.fb, s.t, metric)
 
 
 def _cone_leak(s: system.FieldState, support: SupportInfo, t0: float) -> float:
@@ -602,15 +637,19 @@ def _cone_leak(s: system.FieldState, support: SupportInfo, t0: float) -> float:
     leaks = []
     for c in (s.fe, s.fb):
         for comp, arr in c.comps.items():
-            pts = mesh.site_mesh(grid, comp, c.dual)
-            dist2 = sum((p - center[i]) ** 2 for i, p in enumerate(pts))
+            # axis i's squared offsets along axis i only, summed by broadcasting
+            coords = mesh.component_coords(grid, comp, c.dual)
+            dist2 = sum(
+                ((p - center[i]) ** 2).reshape((-1,) + (1,) * (len(coords) - 1 - i)) for i, p in enumerate(coords)
+            )
             leaks.append(exterior.maxabs(arr[np.broadcast_to(dist2, arr.shape) > radius**2]))
     return exterior.worst(leaks)
 
 
-def _monitor_row(s, src, metric, support, t0):
-    r_e, r_b, r_bdy = system.constraint_norms(s, src, metric)
-    row = {"time": s.t, "rE": r_e, "rB": r_b, "rbdy": r_bdy, "energy": energy(s, metric)}
+def _monitor_row(s, beta, src, metric, support, t0):
+    """One monitor sample of the state ``s``; ``beta`` is the lapse row at fe's sites at ``s.t``."""
+    r_e, r_b, r_bdy = system.constraint_norms(s, src, metric, beta)
+    row = {"time": s.t, "rE": r_e, "rB": r_b, "rbdy": r_bdy, "energy": energy(s, metric, beta)}
     row["cone_leak"] = _cone_leak(s, support, t0) if support is not None else 0.0
     return row, exterior.worst((mesh.max_pointwise(s.fe), mesh.max_pointwise(s.fb)))
 
@@ -627,14 +666,18 @@ def evolve(
     The grid's dt is used as the step (the final step is shortened to land
     exactly on t_final) and must satisfy the configured Courant bound.
     Callers are responsible for running validate_problem first; the command
-    line driver does.  ``s0`` is dropped once the first row is formed, so a
-    caller that hands over its only reference frees the initial state then.
+    line driver does.  ``s0`` is dropped once it is loaded into the
+    generator's row y0 (:meth:`Generator.load`), so a caller that hands over
+    its only reference frees the initial state then.  Each step continues
+    from the generator's row z2 (:func:`_rk4_step`), and the state returned
+    holds views of it.  A monitor sample reads the generator's lapse rows.
 
     Raises:
         ValueError: cfl violation, non-increasing time span, or sources
             of another degree or grid than ``s0`` (:class:`Generator`).
         InstabilityError: a state whose pointwise values leave float range
-            (:meth:`Generator.finite`); carries the last stable state.
+            (:meth:`Generator.finite`); carries the last stable state, a
+            copy of y0, which the failed step read and did not write.
     """
     grid, t0 = s0.grid, s0.t
     if not cfg.t_final > t0:
@@ -646,21 +689,21 @@ def evolve(
     dt = grid.dt
     n_steps = int(np.ceil((cfg.t_final - t0) / dt - 1e-9))
     gen = Generator(grid, metric, src, t0)
-    y = gen.project(gen.rows(s0))
+    y = gen.load(s0)
     del s0
     t = t0
-
-    samples = [_monitor_row(gen.state(t, y), src, metric, support, t0)]
+    sample = lambda t, y: _monitor_row(gen.state(t, y), gen.lapse(t)[0], src, metric, support, t0)
+    samples = [sample(t, y)]
 
     for i in range(n_steps):
         h = min(dt, cfg.t_final - t)
         y_new = _rk4_step(t, y, gen, h)
         t_new = cfg.t_final if i == n_steps - 1 else t + h
         if not gen.finite(t_new, y_new):
-            raise InstabilityError(t, gen.state(t, y), _series_from(samples, support))
+            raise InstabilityError(t, gen.state(t, gen._rows[0].copy()), _series_from(samples, support))
         y, t = y_new, t_new
         if (i + 1) % cfg.monitor_stride == 0 or i == n_steps - 1:
-            samples.append(_monitor_row(gen.state(t, y), src, metric, support, t0))
+            samples.append(sample(t, y))
     return gen.state(t, y), _series_from(samples, support)
 
 

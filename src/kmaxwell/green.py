@@ -9,10 +9,10 @@ homogeneous solutions.  Dense snapshot histories feed the right-inverse and
 exact-sequence defect suites and a pre-symplectic pairing evaluated through a
 smooth time cutoff.
 
-A march tabulates its sources once per ``SOURCE_TABLE_STEPS`` steps, with one
-batched ``system.rhs_sources`` call on the distinct RK4 stage times of those
-steps; the source families built here (the linear-in-time interpolants of a
-:class:`SourceHistory` and the window-profile families of
+A sourced march tabulates its sources once per ``SOURCE_TABLE_STEPS`` steps,
+with one batched ``system.rhs_sources`` call on the distinct RK4 stage times
+of those steps; the source families built here (the linear-in-time
+interpolants of a :class:`SourceHistory` and the window-profile families of
 :func:`random_source_pair`) are ``system.vectorized``, each batched row equal
 bit for bit to its one-time row.  Every march is a block of initial states
 sharing one source family and one generator, marched as one ``(B, N)``
@@ -416,28 +416,32 @@ def _march(grid, metric, data, t_start, n_steps, dt, states):
     ``states`` holds a ``system.FieldState`` of degree ``data.k`` or None
     (zero data) per row; every row shares the sources ``data`` and is bit
     for bit the march of its state alone, since the RK4 step acts on each
-    row elementwise.  dt may be negative.  The sources are tabulated for
-    ``SOURCE_TABLE_STEPS`` steps at a time (``Generator.tabulate``), from
-    the same step times the march takes.
+    row elementwise.  dt may be negative.  Sources with a ``jb`` or a
+    ``ze`` family are tabulated for ``SOURCE_TABLE_STEPS`` steps at a time
+    (``Generator.tabulate``), from the same step times the march takes;
+    other data have no source terms to tabulate.
 
     Yields ``(at, fe, fb)`` for every slice in march order: ``at`` is the
     slice's index on ascending times (``n_steps - i`` for the i-th slice of
     a backward march), and ``fe``/``fb`` are its ``(B, N)`` rows: fb, and fe
-    at a unit lapse, are views of the march's row, which every RK4 step
-    replaces by a new array, so the march never writes them again.  Nothing
-    is stored, so a consumer that keeps no rows holds one slice.
+    at a unit lapse, are views of the generator's rows, which the march
+    overwrites once the consumer asks for the next slice.  A slice's rows
+    are therefore valid until then: a consumer copies or accumulates them
+    at once.  Nothing is stored, so a consumer that keeps no rows holds one
+    slice.  The states are loaded straight into the generator's row y0
+    (``Generator.load``), and the march holds the generator's rows only.
     """
     t_end = t_start + n_steps * dt
     evolution.require_stable_dt(grid, metric, dt, (min(t_start, t_end), max(t_start, t_end)))
     gen = evolution.Generator(grid, metric, data, t_start)
-    zero = np.zeros(gen.nw + gen.lb.size)
-    y = gen.project(np.stack([zero if s is None else gen.rows(s) for s in states]))
+    y = gen.load(states)
+    sourced = data.jb is not None or data.ze is not None
     times = _march_times(t_start, n_steps, dt)
     for i in range(n_steps + 1):
         t = float(times[i])
         yield (i if dt > 0 else n_steps - i), gen.electric(t, y[:, : gen.nw]), y[:, gen.nw :]
         if i < n_steps:
-            if i % SOURCE_TABLE_STEPS == 0:
+            if sourced and i % SOURCE_TABLE_STEPS == 0:
                 gen.tabulate([float(s) for s in times[i : min(i + SOURCE_TABLE_STEPS, n_steps)]], dt)
             y = evolution._rk4_step(t, y, gen, dt)
 
@@ -1130,11 +1134,15 @@ def _causal_of_image_defects(grid, k, metric, times, window, rng) -> tuple[float
 
 
 def _image_of_causal_defect(grid, k, metric, times, window, rng) -> float:
-    """Statement (b): |D causal(src)| / |src| for a random admissible source pair."""
+    """Statement (b): |D causal(src)| / |src| for a random admissible source pair.
+
+    The history and its image are freed before the source is sampled.
+    """
     pair = random_source_pair(grid, k, metric, window, rng)
     h = causal(pair, grid, metric, t_start=float(times[0]), t_final=float(times[-1]))
-    resid = apply_operator(h, metric)
-    return resid.norm(metric) / sample_sources(pair, h.times).norm(metric)
+    defect, times = apply_operator(h, metric).norm(metric), h.times
+    del h
+    return defect / sample_sources(pair, times).norm(metric)
 
 
 def _cutoff_split_defect(grid, k, metric, times, rng) -> float:

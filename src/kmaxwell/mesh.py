@@ -418,6 +418,12 @@ def sample_lapse(lay: Layout, metric: MetricField, times: np.ndarray) -> np.ndar
     return np.stack([sample_flat(lay, metric.beta, float(t)) for t in times])
 
 
+def unit_lapse(row: np.ndarray) -> bool:
+    """Whether a lapse row is a zero-stride row of 1.0 (a static unit lapse), by which a product
+    can be skipped, since x * 1.0 == x bit for bit."""
+    return row.strides == (0,) and row[0] == 1.0
+
+
 def sample_conf(metric: MetricField, times) -> np.ndarray:
     """The conformal factor a(t) at every time, one scalar call per time."""
     return np.array([float(metric.conf(float(t))) for t in times])

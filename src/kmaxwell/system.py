@@ -362,8 +362,12 @@ def continuity_residuals(src: SourceData, metric: mesh.MetricField, t) -> dict:
     return out
 
 
-def constraint_residuals(s: FieldState, src: SourceData, metric: mesh.MetricField):
+def constraint_residuals(s: FieldState, src: SourceData, metric: mesh.MetricField, beta=None):
     """Interior and boundary constraint residuals of a state.
+
+    ``beta`` is the lapse row at fe's sites at ``s.t`` (``evolution.Generator.lapse``),
+    sampled when None; at a unit lapse (``mesh.unit_lapse``) fe is its own
+    ``fe / beta``, since x * 1.0 == x.
 
     Returns:
         (r_e, r_b, r_bdy) where
@@ -379,7 +383,9 @@ def constraint_residuals(s: FieldState, src: SourceData, metric: mesh.MetricFiel
     lw, lb = s.fe.lay, s.fb.lay
     r_e = r_b = r_bdy = None
     if lw.degree < m:
-        r_e = mesh.d_flat(lw, s.fe.vec * (1.0 / mesh.sample_flat(lw, metric.beta, t)))
+        if beta is None:
+            beta = mesh.sample_flat(lw, metric.beta, t)
+        r_e = mesh.d_flat(lw, s.fe.vec if mesh.unit_lapse(beta) else s.fe.vec * (1.0 / beta))
         if src.je is not None:
             je = src.je(t) * (1.0 / mesh.sample_flat(lw.up, metric.beta, t))
             r_e = r_e - float((-1) ** (n - k)) * je
@@ -393,10 +399,10 @@ def constraint_residuals(s: FieldState, src: SourceData, metric: mesh.MetricFiel
     return r_e, r_b, r_bdy
 
 
-def constraint_norms(s: FieldState, src: SourceData, metric: mesh.MetricField) -> tuple[float, float, float]:
-    """Slice norms of :func:`constraint_residuals`: r_e, r_b and the largest
+def constraint_norms(s: FieldState, src: SourceData, metric: mesh.MetricField, beta=None) -> tuple[float, float, float]:
+    """Slice norms of :func:`constraint_residuals` (``beta`` as there): r_e, r_b and the largest
     face trace, each 0.0 where absent."""
-    r_e, r_b, r_bdy = constraint_residuals(s, src, metric)
+    r_e, r_b, r_bdy = constraint_residuals(s, src, metric, beta)
     norm = lambda c: mesh.norm_sigma(c, s.t, metric) if c is not None else 0.0
     return norm(r_e), norm(r_b), exterior.worst([norm(c) for c in (r_bdy or {}).values()])
 

@@ -323,7 +323,7 @@ class TestEvolve:
         assert mesh.face_maxabs(final.fb.lay, final.fb.vec).max() == 0.0
 
     @pytest.mark.filterwarnings("ignore:overflow|invalid value:RuntimeWarning")
-    def test_instability_reports_last_stable_state(self):
+    def test_instability_reports_last_stable_state(self, monkeypatch):
         # a lapse spike between the Courant probe points drives a blow-up
         spike = manufactured.bump_profile((0.0625, 0.5), 0.03)
         met = mesh.MetricField(
@@ -334,11 +334,24 @@ class TestEvolve:
         rng = np.random.default_rng(RNG_SEED)
         s0 = system.random_state(grid, 2, rng)
         cfg = evolution.EvolveConfig(t_final=400 * grid.dt, cfl=0.4, monitor_stride=1000)
+        inputs = []
+        step = evolution._rk4_step
+
+        def spy(t, y, gen, dt):
+            inputs.append((t, y.copy(), gen))
+            return step(t, y, gen, dt)
+
+        monkeypatch.setattr(evolution, "_rk4_step", spy)
         with pytest.raises(evolution.InstabilityError) as info:
             evolution.evolve(s0, system.zero_sources(grid, 2), met, cfg)
         err = info.value
         assert np.isfinite(mesh.max_pointwise(err.state_last.fe))
         assert err.t_last < cfg.t_final
+        # the last stable state is the failed step's input
+        t, y, gen = inputs[-1]
+        want = gen.state(t, y)
+        assert err.t_last == t and err.state_last.t == t
+        assert same_bits(err.state_last.fe.vec, want.fe.vec) and same_bits(err.state_last.fb.vec, want.fb.vec)
 
     def test_series_csv_roundtrip(self, tmp_path):
         grid = box_grid(3, 8, 0.4 / 16)
@@ -737,11 +750,12 @@ def rows_with_zeros(gen, seed):
 
 
 def chain(gen, t, y, dt, steps, step_fn):
+    """Every step's result, copied: an RK4 step's result is the generator's row, valid until the next step."""
     out = []
     for _ in range(steps):
         y = step_fn(t, y, gen, dt)
         t = t + dt
-        out.append(y)
+        out.append(y.copy())
     return out
 
 
@@ -828,6 +842,24 @@ class TestAssembledStep:
         assert all(same_bits(a, b) for a, b in zip(got, want))
 
     @pytest.mark.parametrize("name", sorted(CROSS_PATH_METRICS))
+    def test_load_writes_each_state_row_into_y0(self, name):
+        # fe * (1/beta) at the state's time and fb, zeros for None, projected, in the row the first step reads
+        grid = small_grid(3, False)
+        metric = CROSS_PATH_METRICS[name]
+        gen = evolution.Generator(grid, metric, system.zero_sources(grid, 2), 0.37)
+        rng = np.random.default_rng(RNG_SEED)
+        states = [system.random_state(grid, 2, rng, t=t) for t in (0.37, 0.41)]
+        want = [
+            gen.project(np.concatenate([s.fe.vec * (1.0 / mesh.sample_flat(gen.lw, metric.beta, s.t)), s.fb.vec]))
+            for s in states
+        ]
+        y = gen.load([states[0], None, states[1]])
+        assert y is gen._rows[0] and y.shape == (3, gen.nw + gen.lb.size)
+        assert same_bits(y[0], want[0]) and same_bits(y[1], np.zeros(y.shape[1])) and same_bits(y[2], want[1])
+        y = gen.load(states[1])
+        assert y is gen._rows[0] and same_bits(y, want[1])
+
+    @pytest.mark.parametrize("name", sorted(CROSS_PATH_METRICS))
     def test_evolve_ends_with_a_shortened_step(self, name):
         grid = small_grid(3, False)
         metric = CROSS_PATH_METRICS[name]
@@ -837,7 +869,7 @@ class TestAssembledStep:
         final, _ = evolution.evolve(s0, src, metric, cfg)
 
         gen = evolution.Generator(grid, metric, src, s0.t)
-        y, t = gen.project(gen.rows(s0)), s0.t
+        y, t = gen.load(s0), s0.t
         for i in range(8):
             h = min(grid.dt, cfg.t_final - t)
             y = reference_step(t, y, gen, h)
@@ -950,8 +982,9 @@ class TestMemory:
         assert len(refs) == 1 and alive == [False] * 4
 
     @pytest.mark.parametrize("case", ["autonomous", "sourced", "expanding"])
-    def test_warm_3d_step_allocates_only_its_result(self, case):
-        # a sourced step reads its tabulated terms, as a march's does, and adds them without a new row
+    def test_warm_3d_step_allocates_nothing_of_row_size(self, case):
+        # the step returns the generator's row z2; a sourced step reads its tabulated terms,
+        # as a march's does, and adds them without a new row, a half row, or a smaller one
         grid = mesh.GridSpec(n=4, cells_per_axis=(32,) * 3, lengths=(1.0,) * 3, dt=0.005)
         metric = mesh.MetricField(conf=cli.A_CATALOGUE["expanding"](1.0)) if case == "expanding" else mesh.unit_metric()
         src = system.zero_sources(grid, 2)
@@ -968,7 +1001,9 @@ class TestMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2 * y.nbytes
+        # numpy's iteration buffers for strided ufunc operands (three of 64 KiB) are the largest transient: 0.12 row
+        assert y is gen._rows[2]
+        assert peak < y.nbytes / 8
 
     def test_warm_autonomous_generator_holds_three_rows_and_the_scratch(self):
         # the Horner rows y0, z1, z2 and the difference scratch; no fourth row, no Hodge row
@@ -986,8 +1021,26 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         scratch = 8 * max(gen.lw.star.largest, gen.lb.star.largest)
-        # the four programs' views and factors: about 60 kB here
-        assert held - y1.nbytes <= 3 * y.nbytes + scratch + y.nbytes / 16
+        # y1 is the row z2 itself; the four programs' views and factors: about 60 kB here
+        assert y1 is gen._rows[2]
+        assert held <= 3 * y.nbytes + scratch + y.nbytes / 16
+
+    def test_warm_3d_march_slice_allocates_nothing_of_row_size(self):
+        # a slice's rows are views of the generator's rows, and the step between two slices allocates no row
+        grid = mesh.GridSpec(n=4, cells_per_axis=(32,) * 3, lengths=(1.0,) * 3, dt=0.005)
+        s0 = system.random_state(grid, 2, np.random.default_rng(RNG_SEED))
+        march = green._march(grid, mesh.unit_metric(), system.zero_sources(grid, 2), 0.0, 4, grid.dt, [s0])
+        for _ in range(2):
+            next(march)
+        tracemalloc.start()
+        try:
+            _, fe, fb = next(march)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        row = fe.nbytes + fb.nbytes
+        assert np.abs(fb).max() > 0.0
+        assert peak < row / 8
 
     @pytest.mark.parametrize("beta", [1.0, 2.0])
     def test_constant_lapse_generator_holds_no_lapse_row(self, beta):

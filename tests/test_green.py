@@ -568,13 +568,16 @@ class TestTabulatedMarch:
 
 
 def unbatched_march(g, k, metric, state, steps):
-    """The fe and fb rows of one state marched as a 1-D row, RK4 step by step."""
+    """The fe and fb rows of one state marched as a 1-D row, RK4 step by step.
+
+    fb is copied: a step's result is the generator's row, valid until the next step.
+    """
     gen = evolution.Generator(g, metric, system.zero_sources(g, k), g.t0)
-    y = gen.project(gen.rows(state))
+    y = gen.load(state)
     fe, fb = [], []
     for i in range(steps + 1):
         fe.append(y[: gen.nw] * gen.lapse(g.t0)[0])
-        fb.append(y[gen.nw :])
+        fb.append(y[gen.nw :].copy())
         if i < steps:
             y = evolution._rk4_step(g.t0 + i * g.dt, y, gen, g.dt)
     return np.array(fe), np.array(fb)
@@ -1249,7 +1252,7 @@ class TestPresymplectic:
 
         def slice_and_rate(h):
             gen = evolution.Generator(g, metric, system.zero_sources(g, h.k), g.t0)
-            y = gen.rows(system.FieldState(g.t0, h.le.cochain(h.fe[0]), h.lb.cochain(h.fb[0]), h.k))
+            y = gen.load(system.FieldState(g.t0, h.le.cochain(h.fe[0]), h.lb.cochain(h.fb[0]), h.k))
             rate = gen.state(g.t0, gen.rhs(g.t0, y))
             return (h.fe[0], h.fb[0]), (rate.fe.vec, rate.fb.vec)
 

@@ -67,6 +67,11 @@ MUTANTS = {
         "np.add(half, np.multiply(term, c, out=buf), out=half)",
         "np.add(half, np.multiply(term, 1.0, out=buf), out=half)",
     ),
+    "source_term_temporary": (
+        "src/kmaxwell/evolution.py",
+        "np.add(half, np.multiply(term, c, out=buf), out=half)",
+        "np.add(half, term * c, out=half)",
+    ),
     "horner_coefficient": (
         "src/kmaxwell/evolution.py",
         "(dt / 4, dt / 3, dt / 2, dt)",
@@ -94,8 +99,8 @@ MUTANTS = {
     ),
     "magnetic_energy": (
         "src/kmaxwell/evolution.py",
-        "weight=inv_b2) + mesh.pair_sigma(",
-        "weight=inv_b2) + 0.0 * mesh.pair_sigma(",
+        "return electric + mesh.pair_sigma(",
+        "return electric + 0.0 * mesh.pair_sigma(",
     ),
     "cone_halo": (
         "src/kmaxwell/evolution.py",
@@ -128,9 +133,9 @@ MUTANTS = {
         "lo, hi = a, b",
     ),
     "unit_view": (
-        "src/kmaxwell/evolution.py",
-        "b.strides == (0,) and b[0] == 1.0",
-        "b.strides == (0,)",
+        "src/kmaxwell/mesh.py",
+        "return row.strides == (0,) and row[0] == 1.0",
+        "return row.strides == (0,)",
     ),
     "run_weights": (
         "src/kmaxwell/green.py",
@@ -184,8 +189,23 @@ MUTANTS = {
     ),
     "stage_shape": (
         "src/kmaxwell/evolution.py",
-        "if self._rows is None or self._rows[0].shape[:-1] != batch:",
-        "if self._rows is None:",
+        "if self._rows is not None and self._rows[0].shape[:-1] == batch:",
+        "if self._rows is not None:",
+    ),
+    "load_lapse": (
+        "src/kmaxwell/evolution.py",
+        "np.multiply(s.fe.vec, np.divide(1.0, self.lapse(s.t)[0], out=w), out=w)",
+        "w[...] = s.fe.vec",
+    ),
+    "instability_row": (
+        "src/kmaxwell/evolution.py",
+        "gen.state(t, gen._rows[0].copy())",
+        "gen.state(t, gen._rows[2].copy())",
+    ),
+    "step_input_copy": (
+        "src/kmaxwell/evolution.py",
+        "    if y is not gen._rows[0]:\n        np.copyto(gen._rows[0], y)\n",
+        "",
     ),
     "rows_degree_check": (
         "src/kmaxwell/evolution.py",
