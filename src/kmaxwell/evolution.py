@@ -272,13 +272,15 @@ class Generator:
     The generator assembles its split operator once, as the four level
     programs of each of the two tables of :meth:`levels`: one
     ``system.level_ops`` program per level, kept as a list of bound
-    ``np.multiply``/``np.subtract``/``np.add`` calls.  The tables share one
-    set of rows, one difference scratch and one set of Hodge factors; a
-    generator that takes only autonomous (Horner) steps holds three rows and
-    builds neither the fourth row nor the stage programs.  The rows are a
-    march's only state: :meth:`load` writes the initial states into y0, and
-    each step (:func:`_rk4_step`) reads y0 and returns z2, which the next
-    step copies into y0.  The buffers have one leading batch shape at a
+    ``np.multiply``/``np.subtract``/``np.add`` calls on contiguous rows and
+    ``np.copyto`` copies, with the ``mesh.project_ops`` program of the
+    level's fb half.  The tables share one set of rows, one difference
+    scratch, one reshaping buffer (``mesh.d_ops``' pad) and one set of
+    Hodge factors; a generator that takes only autonomous (Horner) steps
+    holds three rows and builds neither the fourth row nor the stage
+    programs.  The rows are a march's only state: :meth:`load` writes the
+    initial states into y0, and each step (:func:`_rk4_step`) reads y0 and
+    returns z2, which the next step copies into y0.  The buffers have one leading batch shape at a
     time, are rebuilt only when rows of another shape arrive, and are
     allocated 64-byte aligned (``mesh.empty_aligned``).
     The programs read the lapse rows and Hodge factors the generator owns:
@@ -321,6 +323,8 @@ class Generator:
         self._unit = tuple(map(mesh.unit_lapse, self._beta))
         # the lapse rows the programs multiply by: None, no pass, at a unit lapse
         self._weights = tuple(None if unit else b for b, unit in zip(self._beta, self._unit))
+        # a static lapse scales |w| by at most its largest value (nan when it holds a nan): :meth:`finite`
+        self._bound = None if metric.beta_dt is not None else float(np.maximum(1.0, np.max(self._beta[0])))
         self._table = None
         # no source term and a static lapse: a step with one a(t) is autonomous (levels)
         self._autonomous = src.jb is None and src.ze is None and metric.beta_dt is None
@@ -344,24 +348,36 @@ class Generator:
         Tested on the rows handed out, fe through :meth:`electric` (w * beta
         can overflow where w does not): their largest magnitude over the
         smallest cell measure, which bounds the pointwise values, must be
-        finite.  A nan fails.
+        finite.  A nan fails.  At a static lapse one pass decides most rows:
+        no magnitude exceeds the root of the rows' sum of squares (times the
+        lapse's largest value, on w), so the answer is True when twice that
+        bound over the smallest measure is finite.  Other rows, and every
+        row at a moving lapse, take the largest magnitudes; the answer is
+        the same either way.
         """
+        if self._bound is not None:
+            flat = y.ravel()
+            with np.errstate(over="ignore", invalid="ignore"):
+                squares = float(np.dot(flat, flat))
+            if math.isfinite(2.0 * math.sqrt(squares) * self._bound / self._min_measure):
+                return True
         rows = (self.electric(t, y[..., : self.nw]), y[..., self.nw :])
         peak = exterior.worst([v for row in rows for v in (np.max(row), -np.min(row))])
         return bool(np.isfinite(peak / self._min_measure))
 
     def project(self, y: np.ndarray) -> np.ndarray:
         """Zero the boundary normal flux of the fb part of ``y`` in place; returns ``y``."""
-        y[..., self.nw :][..., self.lb.face_sites] = 0.0
+        mesh.project_flat(self.lb, y[..., self.nw :])
         return y
 
     def levels(self, t, dt, batch: tuple):
-        """The four levels of an RK4 step of size dt from t: ``(stage time, c, (program, dst))`` each.
+        """The four levels of an RK4 step of size dt from t: ``(stage time, c, (program, dst, faces))`` each.
 
         Level L's program writes ``base + c_L A src`` into the row halves
         ``dst`` (``system.level_ops``, c_L and the curl sign folded into
         Hodge factors taken at a(stage time)); the step then adds c_L times
-        the stage time's source terms and projects (:meth:`_close`).  The
+        the stage time's source terms and projects, running ``faces``, the
+        ``mesh.project_ops`` program of dst's fb half (:meth:`_close`).  The
         levels come from one of two tables, over rows the generator owns:
 
         * Horner, when the step is autonomous (no ``jb``/``ze`` family, a
@@ -400,20 +416,21 @@ class Generator:
         return zip(times, coefs, self._horner if horner else self._stages)
 
     def _level(self, src, dst, base, spare, fac, first=()):
-        """``(program, dst)``: the ops ``first``, then one ``system.level_ops`` level over the generator's
-        lapse rows and scratch."""
-        ops = system.level_ops(self.lw, self.lb, src, dst, base, self._weights, fac, spare, self._scratch)
-        return list(first) + list(ops), dst
+        """``(program, dst, faces)``: the ops ``first``, then one ``system.level_ops`` level over the
+        generator's lapse rows and buffers, and the projection program of dst's fb half."""
+        ops = system.level_ops(self.lw, self.lb, src, dst, base, self._weights, fac, spare, self._scratch, self._pad)
+        return list(first) + list(ops), dst, list(mesh.project_ops(self.lb, dst[1]))
 
     def _build_levels(self, batch: tuple) -> None:
-        """The three rows, difference scratch, factors and Horner programs for rows of leading shape ``batch``,
-        unless they are built for it already."""
+        """The three rows, difference scratch, reshaping buffer, factors and Horner programs for rows of
+        leading shape ``batch``, unless they are built for it already."""
         if self._rows is not None and self._rows[0].shape[:-1] == batch:
             return
         size = self.nw + self.lb.size
         self._rows = [mesh.empty_aligned(batch + (size,)) for _ in range(3)]
         self._halves = [(row[..., : self.nw], row[..., self.nw :]) for row in self._rows]
         self._scratch = mesh.empty_aligned((math.prod(batch) * max(self.lw.star.largest, self.lb.star.largest),))
+        self._pad = mesh.empty_aligned((math.prod(batch) * max(self.lw.largest, self.lb.largest),))
         # one (n, 1) array per level and component, so the programs see the factors refreshed in place
         self._level_fac = [tuple(np.empty((len(lay.subsets), 1)) for lay in (self.lw, self.lb)) for _ in range(4)]
         self._level_key = self._stages = None
@@ -472,8 +489,8 @@ class Generator:
         rows = None if self._table is None else self._table.get(t)
         return rows if rows is not None else system.rhs_sources(self.src, t, self.metric)
 
-    def _close(self, dst, terms, c) -> None:
-        """End a level in the row halves ``dst``: add c times the source terms, then project.
+    def _close(self, dst, faces, terms, c) -> None:
+        """End a level in the row halves ``dst``: add c times the source terms, then project (``faces``).
 
         The terms are ``beta_w * src_e`` (``src_e`` at a unit lapse) and
         ``src_b``; each is formed in the generator's half-row buffer and
@@ -484,8 +501,7 @@ class Generator:
                 if weight is not None:
                     term = np.multiply(weight, term, out=buf)
                 np.add(half, np.multiply(term, c, out=buf), out=half)
-        if self.lb.face_sites.size:
-            mesh.project_flat(self.lb, dst[1])
+        mesh.run_ops(faces)
 
     def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
         """Time derivative of the rows ``y`` at time t, sources included (a new array).
@@ -561,10 +577,10 @@ def _rk4_step(t, y, gen: Generator, dt):
     levels = gen.levels(t, dt, y.shape[:-1])
     if y is not gen._rows[0]:
         np.copyto(gen._rows[0], y)
-    for s, c, (program, dst) in levels:
+    for s, c, (program, dst, faces) in levels:
         terms = gen._sources(s)
         mesh.run_ops(program)
-        gen._close(dst, terms, c)
+        gen._close(dst, faces, terms, c)
     return gen._rows[2]
 
 

@@ -31,14 +31,16 @@ vector, and :meth:`Layout.cochain` is its only constructor.  The operators
 from ``sample_flat``) act on such vectors, or on arrays of them stacked
 along leading axes (a history's time slices, an operator's columns): ``d``
 differences reshaped component views, the Hodge dual rescales and permutes
-whole component blocks.  These two stencils are op builders:
-:func:`d_ops` and :func:`hodge_ops` yield a program, bound
-``np.subtract``/``np.add``/``np.multiply`` calls as ``(function,
-arguments)`` pairs that write into given buffers and read their inputs anew
-on every run (:func:`run_ops`).  A caller that keeps the program as a list
-with its buffers (``evolution.Generator``) pays the slicing once;
-``d_flat`` and ``hodge_flat`` run the program on fresh arrays as it is
-built.  The :class:`Cochain` functions (``d_sigma``, ``hodge_sigma``,
+whole component blocks.  These two stencils and the projection are op
+builders: :func:`d_ops`, :func:`hodge_ops` and :func:`project_ops` yield a
+program, bound ``np.subtract``/``np.add``/``np.multiply``/``np.copyto``
+calls as ``(function, arguments)`` pairs that write into given buffers and
+read their inputs anew on every run (:func:`run_ops`); the arithmetic
+calls act on C-contiguous rows only, and raw copies do any reshaping.  A
+caller that keeps the program as a list with its buffers
+(``evolution.Generator``) pays the slicing once; ``d_flat``,
+``hodge_flat`` and ``project_flat`` run the program on fresh arrays as it
+is built.  The :class:`Cochain` functions (``d_sigma``, ``hodge_sigma``,
 ``pair_sigma``, ...) are adapters that apply the flat operator to ``vec``
 and wrap the result, so every operator has one implementation; none of
 them changes its input.
@@ -506,28 +508,56 @@ def run_ops(ops) -> None:
         fn(*args)
 
 
-def d_ops(lay: Layout, x: np.ndarray, out: np.ndarray, scratch: np.ndarray, base=0.0):
+def _dense(view: np.ndarray, lead: int) -> bool:
+    """Whether each row of ``view`` (its axes after the first ``lead``) is C-contiguous: a ufunc then
+    runs over whole rows, where a strided row goes through numpy's buffered iterator."""
+    step = view.itemsize
+    for size, stride in zip(reversed(view.shape[lead:]), reversed(view.strides[lead:])):
+        if size > 1 and stride != step:
+            return False
+        step *= size
+    return True
+
+
+_ZERO = np.array(0.0)
+# the zero that leaves x bit for bit: x + (-0.0) and x - (+0.0) keep a signed zero's sign
+_IDENTITY_ZERO = {np.add: np.array(-0.0), np.subtract: _ZERO}
+
+
+def d_ops(lay: Layout, x: np.ndarray, out: np.ndarray, scratch: np.ndarray, pad: np.ndarray, base=0.0):
     """The coboundary of flat rows ``x`` in ``lay``, added to ``base``, as a program writing ``out``.
 
-    Yields, lazily, ``(function, arguments)`` calls of ufuncs with their
-    output buffer that, run in order, write ``base`` plus the signed
-    differences of the incidence terms into ``out`` (degree k+1 rows of the
-    same batch shape, last axis contiguous).  ``base`` is 0.0 (plain ``d``)
-    or rows shaped like ``out``.  Each target starts from ``base`` at its
-    first incidence term, which writes ``base + diff`` or ``base - diff``;
-    on the dual family the two face layers along that term's axis, which no
-    difference reaches, are copied from ``base`` first.  The later terms
-    add or subtract in place.  Each difference is written first into
-    ``scratch`` (flat, at least the batch size times ``lay.largest``) and
-    only then meets the base, so a zero base comes out as ``0 + diff`` or
-    ``0 - diff`` would leave it (``0 - (+0)`` is +0, where negating a
-    straight write would give -0).  Along an axis of stride s, one
-    subtraction of the flat component shifted by s writes from entry 0
-    (primal) or s (dual); the entries that straddle the axis end are then
-    dropped or wrapped.  The calls read ``x`` and ``base`` anew each time
-    they run.
+    Yields, lazily, ``(function, arguments)`` calls of ufuncs and raw
+    copies with their output buffer that, run in order, write ``base`` plus
+    the signed differences of the incidence terms into ``out`` (degree k+1
+    rows of the same batch shape, last axis contiguous).  ``base`` is 0.0
+    (plain ``d``) or rows shaped like ``out``.  Each target starts from
+    ``base`` at its first incidence term, which writes ``base + diff`` or
+    ``base - diff``; the later terms add or subtract in place.  Each
+    difference is written first into ``scratch`` (flat, at least the batch
+    size times ``lay.largest``) and only then meets the base, so a zero base
+    comes out as ``0 + diff`` or ``0 - diff`` would leave it (``0 - (+0)``
+    is +0, where negating a straight write would give -0).  Along an axis of
+    stride s, one subtraction of the flat component shifted by s writes from
+    entry 0 (primal) or s (dual); the entries that straddle the axis end are
+    then dropped or wrapped.
+
+    Every arithmetic call acts on C-contiguous rows (``_dense``); raw
+    ``np.copyto`` copies, which numpy runs unbuffered, do the reshaping
+    through ``pad`` (flat, at least the batch size times
+    ``lay.up.largest``).  Where a term's valid differences or target region
+    are strided (an axis other than the outermost, on a box), one copy moves
+    the differences into ``pad`` shaped as the target component, and the
+    term combines whole components.  On the dual family the two face layers
+    along the axis, which no difference reaches, then hold the combining
+    op's identity zero (-0.0 for add, +0.0 for subtract), so they come out
+    equal to ``base``, signed zeros and nans included; a contiguous dual
+    term copies them from ``base``.  A strided wrap (a periodic axis other
+    than the outermost) copies the two end layers into ``pad``, differences
+    them there and copies the result back.  The calls read ``x`` and
+    ``base`` anew each time they run.
     """
-    grid, m, out_lay = lay.grid, lay.grid.dim, lay.up
+    grid, m, out_lay, lead = lay.grid, lay.grid.dim, lay.up, x.ndim - 1
 
     def from_base(j, index):
         return base if np.ndim(base) == 0 else out_lay.view(base, j)[index]
@@ -537,22 +567,39 @@ def d_ops(lay: Layout, x: np.ndarray, out: np.ndarray, scratch: np.ndarray, base
         arr, target, axis = lay.view(x, i), out_lay.view(out, j), b - m
         flat, s = x[..., lay.offsets[i] : lay.offsets[i + 1]], math.prod(lay.shapes[i][b + 1 :])
         rows = scratch[: flat.size].reshape(flat.shape)
+        combine = np.add if sign > 0 else np.subtract
         yield np.subtract, (flat[..., s:], flat[..., :-s], rows[..., s:] if lay.dual else rows[..., :-s])
         diff, region = rows.reshape(arr.shape), (Ellipsis,)
         if grid.periodic[b]:
             # primal: roll(arr, -1) - arr; dual: arr - roll(arr, 1)
             first, last = arr[_along(axis, slice(0, 1))], arr[_along(axis, slice(-1, None))]
-            yield np.subtract, (first, last, diff[_along(axis, slice(0, 1) if lay.dual else slice(-1, None))])
+            wrap = diff[_along(axis, slice(0, 1) if lay.dual else slice(-1, None))]
+            if _dense(wrap, lead):
+                yield np.subtract, (first, last, wrap)
+            else:
+                # the end layers one after the other in pad, then their difference back into place
+                ends = np.moveaxis(arr[_along(axis, slice(None, None, arr.shape[axis] - 1))], axis, 0)
+                pair = pad[: ends.size].reshape(ends.shape)
+                yield np.copyto, (pair, ends)
+                yield np.subtract, (pair[0], pair[1], pair[0])
+                yield np.copyto, (wrap, pair[0].reshape(wrap.shape))
         else:
             diff = diff[_along(axis, slice(1, None) if lay.dual else slice(None, -1))]
             if lay.dual:
                 region = _along(axis, slice(1, -1))
-                if j not in started:
-                    for end in (_along(axis, 0), _along(axis, -1)):
-                        yield np.copyto, (target[end], from_base(j, end))
+            if not (_dense(diff, lead) and _dense(target[region], lead)):
+                buf = pad[: target.size].reshape(target.shape)
+                if lay.dual:
+                    layers = _along(axis, slice(None, None, target.shape[axis] - 1))
+                    yield np.copyto, (buf[layers], _IDENTITY_ZERO[combine])
+                yield np.copyto, (buf[region], diff)
+                diff, region = buf, (Ellipsis,)
+            elif lay.dual and j not in started:
+                for end in (_along(axis, 0), _along(axis, -1)):
+                    yield np.copyto, (target[end], from_base(j, end))
         start = target[region] if j in started else from_base(j, region)
         started.add(j)
-        yield (np.add if sign > 0 else np.subtract), (start, diff, target[region])
+        yield combine, (start, diff, target[region])
 
 
 def d_flat(lay: Layout, x: np.ndarray) -> np.ndarray:
@@ -563,7 +610,8 @@ def d_flat(lay: Layout, x: np.ndarray) -> np.ndarray:
     if lay.degree >= lay.grid.dim:
         raise ValueError("d_sigma: top-degree input")
     out = np.empty(x.shape[:-1] + (lay.up.size,))
-    run_ops(d_ops(lay, x, out, np.empty(math.prod(x.shape[:-1]) * lay.largest)))
+    rows = math.prod(x.shape[:-1])
+    run_ops(d_ops(lay, x, out, np.empty(rows * lay.largest), np.empty(rows * lay.up.largest)))
     return out
 
 
@@ -646,9 +694,26 @@ def norm_flat(lay: Layout, x: np.ndarray, conf) -> float:
     return float(np.sqrt(max(float(pair_flat(lay, x, x, conf)), 0.0)))
 
 
+def project_ops(lay: Layout, x: np.ndarray):
+    """Zeroing the face sites of rows ``x`` (:attr:`Layout.face_sites`) as a program.
+
+    Yields, lazily, one ``np.copyto`` of +0.0 per component and node axis,
+    onto the component's two node layers along that axis: raw strided
+    writes, where an index array would gather the sites one by one.
+    """
+    m = lay.grid.dim
+    for i, axes in enumerate(lay.node_axes):
+        arr = lay.view(x, i)
+        for a in axes:
+            yield np.copyto, (arr[_along(a - m, slice(None, None, arr.shape[a - m] - 1))], _ZERO)
+
+
 def project_flat(lay: Layout, x: np.ndarray) -> np.ndarray:
-    """Zero the face sites of rows in place (the normal flux of dual-family rows); returns ``x``."""
-    x[..., lay.face_sites] = 0.0
+    """Zero the face sites of rows in place (the normal flux of dual-family rows); returns ``x``.
+
+    The :func:`project_ops` program, run as it is built.
+    """
+    run_ops(project_ops(lay, x))
     return x
 
 

@@ -178,7 +178,7 @@ def family_rows(fn: Callable | None, times: np.ndarray):
     return np.stack([fn(float(t)) for t in times])
 
 
-def level_ops(lw: mesh.Layout, lb: mesh.Layout, src, dst, base, beta, fac, spare, scratch):
+def level_ops(lw: mesh.Layout, lb: mesh.Layout, src, dst, base, beta, fac, spare, scratch, pad):
     """One level of an RK4 step, ``dst = base + c A src``, as a program: the split operator's one program.
 
     ``src``, ``dst`` and ``base`` are ``(w, fb)`` pairs of row halves (a
@@ -193,8 +193,11 @@ def level_ops(lw: mesh.Layout, lb: mesh.Layout, src, dst, base, beta, fac, spare
     second image goes into the leading entries of ``spare`` when it is given
     and of the source's other half, consumed by then, otherwise.
     ``scratch`` is the difference scratch, flat, at least the batch size
-    times the larger ``star.largest`` of the two layouts.  The calls read
-    ``src``, ``base``, ``beta`` and ``fac`` anew each time they run.
+    times the larger ``star.largest`` of the two layouts, and ``pad`` the
+    reshaping buffer of ``d``'s strided terms, at least the batch size times
+    the larger ``largest``.  Every multiply, add and subtract acts on
+    C-contiguous rows, so numpy allocates no iteration buffers.  The calls
+    read ``src``, ``base``, ``beta`` and ``fac`` anew each time they run.
     """
     lays = (lw, lb)
     first = 0 if lw.size <= lb.size else 1
@@ -202,7 +205,7 @@ def level_ops(lw: mesh.Layout, lb: mesh.Layout, src, dst, base, beta, fac, spare
     for target, image in ((first, dst[1 - first]), (1 - first, spare[..., : lays[first].size])):
         other = 1 - target
         yield from mesh.hodge_ops(lays[other], src[other], image, fac[other], beta[other])
-        yield from mesh.d_ops(lays[other].star, image, dst[target], scratch, base[target])
+        yield from mesh.d_ops(lays[other].star, image, dst[target], scratch, pad, base[target])
 
 
 def curls(lw: mesh.Layout, lb: mesh.Layout, w, fb, beta_w, beta_b, conf):
@@ -218,7 +221,8 @@ def curls(lw: mesh.Layout, lb: mesh.Layout, w, fb, beta_w, beta_b, conf):
     fac = (mesh.hodge_factors(lw, conf), mesh.hodge_factors(lb, conf))
     spare = mesh.empty_aligned(batch + (min(lw.size, lb.size),))
     scratch = mesh.empty_aligned((prod(batch) * max(lw.star.largest, lb.star.largest),))
-    mesh.run_ops(level_ops(lw, lb, (w, fb), (curl_b, curl_e), (0.0, 0.0), (beta_w, beta_b), fac, spare, scratch))
+    pad = mesh.empty_aligned((prod(batch) * max(lw.largest, lb.largest),))
+    mesh.run_ops(level_ops(lw, lb, (w, fb), (curl_b, curl_e), (0.0, 0.0), (beta_w, beta_b), fac, spare, scratch, pad))
     return curl_b, curl_e
 
 

@@ -840,6 +840,35 @@ def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
+ARITHMETIC = (np.add, np.subtract, np.multiply, np.divide)
+
+
+def strided_calls(program, batch=()):
+    """The arithmetic calls of a program that have an array operand whose rows are not C-contiguous.
+
+    An operand led by the batch axes is judged row by row (numpy loops over
+    the batch around whole rows); a zero-stride view of one value is that
+    value.  numpy runs a call on strided rows through its buffered iterator.
+    """
+    bad = []
+    for fn, args in program:
+        for a in args if fn in ARITHMETIC else ():
+            if isinstance(a, np.ndarray) and any(a.strides):
+                row = a[(0,) * len(batch)] if a.shape[: len(batch)] == batch else a
+                if not row.flags.c_contiguous:
+                    bad.append((fn.__name__, a.shape, a.strides))
+    return bad
+
+
+def d_program(lay, x, base=0.0, garbage=np.nan):
+    """The output rows and the ``mesh.d_ops`` program of rows ``x``, over scratch and reshaping
+    buffers that start out holding ``garbage``."""
+    rows = math.prod(x.shape[:-1])
+    out = np.empty(x.shape[:-1] + (lay.up.size,))
+    scratch, pad = np.full(rows * lay.largest, garbage), np.full(rows * lay.up.largest, garbage)
+    return out, list(mesh.d_ops(lay, x, out, scratch, pad, base))
+
+
 class TestPrograms:
     @pytest.mark.parametrize(
         "periodic", [(False, False, False), (True, False, True), (True, True, True)], ids=["box", "mixed", "torus"]
@@ -869,6 +898,41 @@ class TestPrograms:
                     assert same_bits(mesh.project_flat(lay, rows.copy()), projected)
                     faces = [np.max(np.abs(f), initial=0.0) for f in reference_normal_faces(lay, rows)]
                     assert same_bits(np.float64(mesh.face_maxabs(lay, rows).max()), np.float64(max(faces, default=0.0)))
+
+    @pytest.mark.parametrize("periodic", [False, True], ids=["box", "torus"])
+    @pytest.mark.parametrize("cells", [(16, 16), (64, 64), (32, 32, 32)], ids=["16^2", "64^2", "32^3"])
+    @pytest.mark.parametrize("batch", [(), (3,)], ids=["row", "block"])
+    def test_d_programs_compute_on_contiguous_rows_only(self, periodic, cells, batch):
+        # strided differences and targets are reshaped by np.copyto, which runs unbuffered
+        g = box_grid(cells, periodic=(periodic,) * len(cells))
+        for k in range(g.dim):
+            for dual in (False, True):
+                lay = mesh.layout(g, k, dual)
+                x = np.zeros(batch + (lay.size,))
+                for base in (0.0, np.zeros(batch + (lay.up.size,))):
+                    assert strided_calls(d_program(lay, x, base)[1], batch) == []
+
+    @pytest.mark.parametrize("cells", [(6, 5), (4, 5, 4)], ids=["n3", "n4"])
+    @pytest.mark.parametrize("fill", [-0.0, np.nan, -np.nan], ids=["minus_zero", "nan", "minus_nan"])
+    def test_dual_face_layers_keep_the_base_bits(self, cells, fill):
+        # the face layers no difference reaches come out as base, bit for bit: a reshaped term adds -0.0
+        # or subtracts +0.0 there; in a march those layers hold +0.0 or are projected, so only this shows
+        # a pad zero of the wrong sign, or a face layer the pad leaves holding garbage
+        g = box_grid(cells)
+        rng = np.random.default_rng(RNG_SEED)
+        for k in range(g.dim):
+            lay = mesh.layout(g, k, True)
+            x = rng.standard_normal((2, lay.size))
+            x[:, ::3] = 0.0
+            x[:, 1::5] = -0.0
+            base = rng.standard_normal((2, lay.up.size))
+            base[:, lay.up.face_sites] = fill
+            base[:, 2::7] = -0.0
+            for garbage in (np.nan, 7.0, 0.0):
+                for rows, start in ((x, base), (x[1], base[1])):
+                    out, program = d_program(lay, rows, start, garbage)
+                    mesh.run_ops(program)
+                    assert same_bits(out, reference_d_flat(lay, rows, start))
 
 
 class TestZeroRule:

@@ -54,8 +54,8 @@ MUTANTS = {
     ),
     "stage_projection": (
         "src/kmaxwell/evolution.py",
-        "        if self.lb.face_sites.size:\n            mesh.project_flat(self.lb, dst[1])",
-        "        if self.lb.face_sites.size and dst is not self._halves[3]:\n            mesh.project_flat(self.lb, dst[1])",
+        "        mesh.run_ops(faces)\n",
+        "        mesh.run_ops(faces if dst is not self._halves[3] else ())\n",
     ),
     "stage_combination": (
         "src/kmaxwell/evolution.py",
@@ -79,13 +79,14 @@ MUTANTS = {
     ),
     "horner_projection": (
         "src/kmaxwell/evolution.py",
-        "            mesh.project_flat(self.lb, dst[1])",
-        "            dst is self._halves[1] or mesh.project_flat(self.lb, dst[1])",
+        "dst, list(mesh.project_ops(self.lb, dst[1]))",
+        "dst, [] if dst is self._halves[1] else list(mesh.project_ops(self.lb, dst[1]))",
     ),
     "horner_base": (
         "src/kmaxwell/evolution.py",
-        "src, dst, base, self._weights, fac, spare, self._scratch)",
-        "src, dst, (0.0, 0.0) if fac is self._level_fac[3] else base, self._weights, fac, spare, self._scratch)",
+        "src, dst, base, self._weights, fac, spare, self._scratch, self._pad)",
+        "src, dst, (0.0, 0.0) if fac is self._level_fac[3] else base, self._weights, fac, spare, "
+        "self._scratch, self._pad)",
     ),
     "conformal_power": (
         "src/kmaxwell/mesh.py",
@@ -206,6 +207,16 @@ MUTANTS = {
         "src/kmaxwell/evolution.py",
         "    if y is not gen._rows[0]:\n        np.copyto(gen._rows[0], y)\n",
         "",
+    ),
+    "dual_pad_sign": (
+        "src/kmaxwell/mesh.py",
+        "_IDENTITY_ZERO = {np.add: np.array(-0.0), np.subtract: _ZERO}",
+        "_IDENTITY_ZERO = {np.add: _ZERO, np.subtract: np.array(-0.0)}",
+    ),
+    "dual_pad_one_layer": (
+        "src/kmaxwell/mesh.py",
+        "layers = _along(axis, slice(None, None, target.shape[axis] - 1))",
+        "layers = _along(axis, slice(0, 1))",
     ),
     "rows_degree_check": (
         "src/kmaxwell/evolution.py",
