@@ -5,12 +5,12 @@ together with ``fb`` using the classical four-stage Runge-Kutta scheme, on
 the split operator of ``system`` (its one program, ``system.level_ops``);
 after every stage the magnetic normal-leg values on the boundary are
 zeroed, which is an exact orthogonal projection onto the admissible
-subspace.  Every step is four level programs, ``base + c A src`` each, then
-c times the stage time's source terms and the projection, from one of two
-tables (:meth:`Generator.levels`): a step over which the generator is
-constant (no ``jb``/``ze`` source, a static lapse, one a(t)) runs the RK4
-stability polynomial of B = P A in Horner form, any other the classical
-stages rewritten as levels.  The two agree to round-off.  A
+subspace.  Every step is four level programs, one per level, each
+``base + c A src`` plus c times the stage time's source terms, projected,
+from one of two tables (:meth:`Generator.levels`): a step over which the
+generator is constant (no ``jb``/``ze`` source, a static lapse, one a(t))
+runs the RK4 stability polynomial of B = P A in Horner form, any other the
+classical stages rewritten as levels.  The two agree to round-off.  A
 :class:`Generator` assembles the programs once, over 64-byte-aligned
 rows it owns, which are a march's only state: initial data are loaded
 into them, and a step returns one of them, so a warm step allocates
@@ -270,18 +270,20 @@ class Generator:
     two flat cochains end to end, and leading axes hold independent rows.
 
     The generator assembles its split operator once, as the four level
-    programs of each of the two tables of :meth:`levels`: one
-    ``system.level_ops`` program per level, kept as a list of bound
-    ``np.multiply``/``np.subtract``/``np.add`` calls on contiguous rows and
-    ``np.copyto`` copies, with the ``mesh.project_ops`` program of the
-    level's fb half.  The tables share one set of rows, one difference
-    scratch, one reshaping buffer (``mesh.d_ops``' pad) and one set of
-    Hodge factors; a generator that takes only autonomous (Horner) steps
-    holds three rows and builds neither the fourth row nor the stage
+    programs of each of the two tables of :meth:`levels`: one program per
+    level, kept as a list of bound ``np.multiply``/``np.subtract``/``np.add``
+    calls on contiguous rows and ``np.copyto`` copies, which runs a
+    ``system.level_ops`` level, adds the source-term row's halves and runs
+    the ``mesh.project_ops`` program of the level's fb half.  The tables
+    share one set of rows, one difference scratch, one reshaping buffer
+    (``mesh.d_ops``' pad) and one set of Hodge factors; a generator that
+    takes only autonomous (Horner) steps holds three rows and builds
+    neither the fourth row, nor the source-term row, nor the stage
     programs.  The rows are a march's only state: :meth:`load` writes the
     initial states into y0, and each step (:func:`_rk4_step`) reads y0 and
-    returns z2, which the next step copies into y0.  The buffers have one leading batch shape at a
-    time, are rebuilt only when rows of another shape arrive, and are
+    returns z2, which the next step copies into y0.  The buffers have one
+    leading batch shape at a time (the source-term row is one row, added to
+    each), are rebuilt only when rows of another shape arrive, and are
     allocated 64-byte aligned (``mesh.empty_aligned``).
     The programs read the lapse rows and Hodge factors the generator owns:
     the lapse is sampled once when ``metric.beta_dt`` is None and at every
@@ -304,7 +306,7 @@ class Generator:
     a sourced march that knows its step times, once per chunk of steps:
     :meth:`tabulate` evaluates them on all distinct stage times of the
     chunk in one batched call, and each level of a tabulated step reads its
-    stage time's terms from that table.
+    stage time's terms from that table into the source-term row.
     """
 
     def __init__(self, grid, metric, src, t):
@@ -329,8 +331,11 @@ class Generator:
         # no source term and a static lapse: a step with one a(t) is autonomous (levels)
         self._autonomous = src.jb is None and src.ze is None and metric.beta_dt is None
         self._rows = self._level_key = None
-        # the (w, fb) views of the half-row source buffer, built with the stage programs
+        # the (w, fb) halves of the source-term row :meth:`_sources` fills, None for an absent family
         self._term = (None, None)
+        if src.jb is not None or src.ze is not None:
+            halves = np.split(mesh.empty_aligned((self.nw + self.lb.size,)), [self.nw])
+            self._term = tuple(h if fn is not None else None for h, fn in zip(halves, (src.jb, src.ze)))
 
     def lapse(self, t):
         """Lapse samples at the (w, fb) sites at time t."""
@@ -371,14 +376,15 @@ class Generator:
         return y
 
     def levels(self, t, dt, batch: tuple):
-        """The four levels of an RK4 step of size dt from t: ``(stage time, c, (program, dst, faces))`` each.
+        """The four levels of an RK4 step of size dt from t: ``(stage time, c, program)`` each.
 
-        Level L's program writes ``base + c_L A src`` into the row halves
-        ``dst`` (``system.level_ops``, c_L and the curl sign folded into
-        Hodge factors taken at a(stage time)); the step then adds c_L times
-        the stage time's source terms and projects, running ``faces``, the
-        ``mesh.project_ops`` program of dst's fb half (:meth:`_close`).  The
-        levels come from one of two tables, over rows the generator owns:
+        Level L's one program writes ``base + c_L A src`` into its row halves
+        (``system.level_ops``, c_L and the curl sign folded into Hodge
+        factors taken at a(stage time)), adds the source-term row, which
+        :meth:`_sources` fills with c_L times the stage time's terms, half
+        by half for each family the sources have, and projects (the
+        ``mesh.project_ops`` program of the fb half).  The levels come from
+        one of two tables, over rows the generator owns:
 
         * Horner, when the step is autonomous (no ``jb``/``ze`` family, a
           static lapse, one a(t) at the stage times): the RK4 stability
@@ -415,11 +421,13 @@ class Generator:
                     fac[:, 0] = mesh.hodge_factors(lay, conf, scale)
         return zip(times, coefs, self._horner if horner else self._stages)
 
-    def _level(self, src, dst, base, spare, fac, first=()):
-        """``(program, dst, faces)``: the ops ``first``, then one ``system.level_ops`` level over the
-        generator's lapse rows and buffers, and the projection program of dst's fb half."""
+    def _level(self, src, dst, base, spare, fac, first=(), terms=(None, None)):
+        """A level's program: the ops ``first``, one ``system.level_ops`` level over the generator's
+        lapse rows and buffers, an add of each source-term half in ``terms`` that is not None, and the
+        projection program of dst's fb half."""
         ops = system.level_ops(self.lw, self.lb, src, dst, base, self._weights, fac, spare, self._scratch, self._pad)
-        return list(first) + list(ops), dst, list(mesh.project_ops(self.lb, dst[1]))
+        adds = [(np.add, (half, term, half)) for half, term in zip(dst, terms) if term is not None]
+        return [*first, *ops, *adds, *mesh.project_ops(self.lb, dst[1])]
 
     def _build_levels(self, batch: tuple) -> None:
         """The three rows, difference scratch, reshaping buffer, factors and Horner programs for rows of
@@ -444,11 +452,9 @@ class Generator:
         ]
 
     def _build_stages(self) -> None:
-        """The fourth row, the half-row source buffer and the stage programs for the rows' batch shape."""
+        """The fourth row and the stage programs for the rows' batch shape."""
         self._rows.append(mesh.empty_aligned(self._rows[0].shape))
         self._halves.append((self._rows[3][..., : self.nw], self._rows[3][..., self.nw :]))
-        term = mesh.empty_aligned((max(self.nw, self.lb.size),))
-        self._term = (term[: self.nw], term[: self.lb.size])
         r0, r1, r2, r3 = self._rows
         y0, z1, z2, z3 = self._halves
         fold = [(np.multiply, (r2, 2.0, r3)), (np.add, (r1, r3, r1))]
@@ -456,7 +462,7 @@ class Generator:
         # y2 and y3 live on until they are folded, so levels 1 and 2 put their second Hodge image into a dead row
         levels = [(y0, z1, y0, r2, ()), (z1, z2, y0, r3, ()), (z2, z3, y0, None, fold), (z3, z2, z1, None, base)]
         self._stages = [
-            self._level(src, dst, b, spare, fac, first)
+            self._level(src, dst, b, spare, fac, first, self._term)
             for (src, dst, b, spare, first), fac in zip(levels, self._level_fac)
         ]
 
@@ -477,31 +483,24 @@ class Generator:
         columns = [itertools.repeat(None) if rows is None else rows for rows in slots]
         self._table = dict(zip(times, zip(*columns)))
 
-    def _sources(self, t):
-        """Bring the lapse to time t; the source terms ``(src_e, src_b)`` of ``system.rhs_sources`` at t.
+    def _sources(self, t, c) -> None:
+        """Bring the lapse to time t and write c times the source terms at t into the source-term row.
 
-        The terms are read from the table when t is tabulated; either is
-        None where its source is absent.
+        The terms are ``system.rhs_sources``' ``(src_e, src_b)``, read from
+        the table when t is tabulated; the w half gets ``c * (beta_w *
+        src_e)`` (``c * src_e`` at a unit lapse) and the fb half ``c *
+        src_b``, each formed in place, so a level allocates nothing.
         """
         if self.metric.beta_dt is not None:
             for buf, row in zip(self._beta, self.lapse(t)):
                 buf[...] = row
         rows = None if self._table is None else self._table.get(t)
-        return rows if rows is not None else system.rhs_sources(self.src, t, self.metric)
-
-    def _close(self, dst, faces, terms, c) -> None:
-        """End a level in the row halves ``dst``: add c times the source terms, then project (``faces``).
-
-        The terms are ``beta_w * src_e`` (``src_e`` at a unit lapse) and
-        ``src_b``; each is formed in the generator's half-row buffer and
-        added in place, so a level allocates nothing.
-        """
-        for half, term, buf, weight in zip(dst, terms, self._term, (self._weights[0], None)):
-            if term is not None:
+        rows = rows if rows is not None else system.rhs_sources(self.src, t, self.metric)
+        for term, row, weight in zip(self._term, rows, (self._weights[0], None)):
+            if row is not None:
                 if weight is not None:
-                    term = np.multiply(weight, term, out=buf)
-                np.add(half, np.multiply(term, c, out=buf), out=half)
-        mesh.run_ops(faces)
+                    row = np.multiply(weight, row, out=term)
+                np.multiply(row, c, out=term)
 
     def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
         """Time derivative of the rows ``y`` at time t, sources included (a new array).
@@ -523,12 +522,12 @@ class Generator:
     def load(self, states) -> np.ndarray:
         """Load initial states into the row y0, projected; returns y0.
 
-        ``states`` is one ``system.FieldState``, a row of shape ``(N,)``, or a
-        sequence of states or None (zero data), one per row of a ``(B, N)``
-        block.  The generator's rows are built for that batch shape first,
-        and each state's ``fe * (1/beta)`` (beta at the state's time) and
-        ``fb`` are written into its row of y0 in place, so loading allocates
-        nothing of row size and the first step reads y0 without a copy.
+        ``states`` is one ``system.FieldState`` or a sequence of states or
+        None (zero data), one per row of a ``(B, N)`` block.  The
+        generator's rows are built for that batch shape first, and each
+        state's ``fe * (1/beta)`` (beta at the state's time) and ``fb`` are
+        written into its row of y0 in place, so loading allocates nothing of
+        row size and the first step reads y0 without a copy.
         ValueError for a state of another degree or grid.
         """
         single = isinstance(states, system.FieldState)
@@ -567,20 +566,19 @@ def _rk4_step(t, y, gen: Generator, dt):
     y is copied into the generator's row y0 unless it is y0 (a row
     :meth:`Generator.load` filled), and the four levels of
     :meth:`Generator.levels` run in turn: each brings the generator to its
-    stage time (lapse and source terms, ``Generator._sources``), runs its
-    program and ends with :meth:`Generator._close`.  No level writes y0.
-    The step returns the generator's row z2 itself, valid until the next
-    step, so a warm step allocates nothing of row size; handing z2 back
-    costs one copy into y0.  An autonomous step takes the Horner table, any
-    other the stage table; the two agree to round-off.
+    stage time (lapse and source-term row, ``Generator._sources``) and runs
+    its one program, which ends in the source adds and the projection.  No
+    level writes y0.  The step returns the generator's row z2 itself, valid
+    until the next step, so a warm step allocates nothing of row size;
+    handing z2 back costs one copy into y0.  An autonomous step takes the
+    Horner table, any other the stage table; the two agree to round-off.
     """
     levels = gen.levels(t, dt, y.shape[:-1])
     if y is not gen._rows[0]:
         np.copyto(gen._rows[0], y)
-    for s, c, (program, dst, faces) in levels:
-        terms = gen._sources(s)
+    for s, c, program in levels:
+        gen._sources(s, c)
         mesh.run_ops(program)
-        gen._close(dst, faces, terms, c)
     return gen._rows[2]
 
 

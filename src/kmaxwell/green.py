@@ -1102,7 +1102,7 @@ def exact_sequence_suite(
         k = min(2, grid.n - 1)
     dt, t0, steps = grid.dt, grid.t0, sequence_steps(grid.dt)
     span = steps * dt
-    times = t0 + dt * np.arange(steps + 1)
+    times = _march_times(t0, steps, dt)
     window = (t0 + span / 6.0, t0 + 5.0 * span / 6.0)
     # one helper per statement, so each statement's histories are freed before the next is drawn
     rows = [
@@ -1147,22 +1147,22 @@ def _image_of_causal_defect(grid, k, metric, times, window, rng) -> float:
 
 def _cutoff_split_defect(grid, k, metric, times, rng) -> float:
     """Statement (c): the one-sided reconstructions of a solution's cutoff split, against it."""
-    dt, t0, steps = grid.dt, float(times[0]), len(times) - 1
+    dt, t0, steps, m = grid.dt, float(times[0]), len(times) - 1, SUPPORT_MARGIN_SLICES
     span = steps * dt
     sol = solution_history(grid, k, metric, steps, seed=int(rng.integers(2**31)))
     chi = CutoffProfile(t0 + span / 2.0, span / 4.0)
     # each part's sources are freed once its march returns; the sums are formed in lead's rows
-    lead = g_plus(cutoff_sources(sol, chi, metric), grid, metric, t_start=t0, t_final=float(times[-1]) + 2 * dt)
+    lead = g_plus(cutoff_sources(sol, chi, metric), grid, metric, t_start=t0, t_final=float(times[-1]) + m * dt)
     recon = lead.restrict(0, steps + 1)
     del lead
-    # the trail march runs backward from times[-1] to t0 - 2 dt: its slice at is recon's at - 2
+    # the trail march runs backward from times[-1] to t0 - m dt: its slice at is recon's at - m
     trail = _solve_march(
-        cutoff_sources(sol, chi, metric, complement=True), grid, metric, t0 - 2 * dt, float(times[-1]), backward=True
+        cutoff_sources(sol, chi, metric, complement=True), grid, metric, t0 - m * dt, float(times[-1]), backward=True
     )
     for at, fe, fb in _march(*trail, [None]):
-        if 2 <= at <= steps + 2:
-            recon.fe[at - 2] += fe[0]
-            recon.fb[at - 2] += fb[0]
+        if m <= at <= steps + m:
+            recon.fe[at - m] += fe[0]
+            recon.fb[at - m] += fb[0]
     recon -= sol
     return recon.norm(metric) / sol.norm(metric)
 
@@ -1285,7 +1285,7 @@ def pairing_currents(bundles, pairs, grid: mesh.GridSpec, metric: mesh.MetricFie
 
 
 def cutoff_pairing(current: np.ndarray, times: np.ndarray, chi: CutoffProfile) -> float:
-    """The pairing through cutoff ``chi``: the Stieltjes sum of a slice current against d(chi).
+    """The pairing through cutoff ``chi``: the trapezoidal Stieltjes sum of a slice current against d(chi).
 
     Raises:
         ValueError: when the ramp of ``chi`` leaves the time range.
@@ -1293,8 +1293,7 @@ def cutoff_pairing(current: np.ndarray, times: np.ndarray, chi: CutoffProfile) -
     lo, hi = chi.t_c - chi.width / 2.0, chi.t_c + chi.width / 2.0
     if lo < times[0] - 1e-9 or hi > times[-1] + 1e-9:
         raise ValueError("cutoff ramp leaves the history time range")
-    steps = np.diff(chi.value(times))
-    return float(np.sum(steps * 0.5 * (current[1:] + current[:-1])))
+    return float(np.trapezoid(current, chi.value(times)))
 
 
 def presymplectic(f1, f2, chi: CutoffProfile, grid: mesh.GridSpec, metric: mesh.MetricField) -> float:

@@ -832,7 +832,7 @@ class TestAssembledStep:
         for metric in metrics:
             for k in range(1, n):
                 gen = evolution.Generator(grid, metric, system.zero_sources(grid, k), 0.0)
-                programs = [program for _, _, (program, _, _) in gen.levels(0.0, grid.dt, batch)]
+                programs = [program for _, _, program in gen.levels(0.0, grid.dt, batch)]
                 assert [strided_calls(program, batch) for program in programs] == [[]] * 4
 
     @pytest.mark.parametrize("n", [3, 4])
@@ -894,6 +894,38 @@ class TestAssembledStep:
         want = chain(gen, 0.1, y0, grid.dt, 20, reference_step)
         assert np.abs(want[-1]).max() > 0.0
         assert all(same_bits(a, b) for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("name", sorted(CROSS_PATH_METRICS))
+    @pytest.mark.parametrize("family", ["jb", "ze"])
+    @pytest.mark.parametrize("periodic", [False, True], ids=["box", "torus"])
+    @pytest.mark.parametrize("tabulated", [False, True], ids=["evolve", "march_block"])
+    def test_one_family_sources(self, name, family, periodic, tabulated, monkeypatch):
+        # each level adds the one source-term half there is: a wrong or missing half changes the bits
+        grid, metric, t0, k = small_grid(3, periodic), CROSS_PATH_METRICS[name], 0.1, 2
+        degree, dual = {"jb": (k - 1, True), "ze": (grid.n - 1 - k, False)}[family]
+        row = np.random.default_rng(RNG_SEED).standard_normal(mesh.cochain_size(grid, degree, dual))
+        # a vectorized family of elementwise products, so a tabulated row is bit for bit a one-time row
+        profile = system.vectorized(lambda t: np.multiply.outer((np.asarray(t) - 0.05) * (0.4 - np.asarray(t)), row))
+        src = system.SourceData(grid, k, (0.05, 0.4), **{family: profile})
+        s0 = system.random_state(grid, k, np.random.default_rng(RNG_SEED + 1), t=t0)
+        steps, step = [], evolution._rk4_step
+
+        def spy(t, y, gen, dt):
+            out = step(t, y, gen, dt)
+            steps.append((t, dt, out.copy()))
+            return out
+
+        monkeypatch.setattr(evolution, "_rk4_step", spy)
+        if tabulated:
+            green._march_block(grid, metric, src, t0, 20, grid.dt, [s0, None])
+        else:
+            evolution.evolve(s0, src, metric, evolution.EvolveConfig(t_final=t0 + 20 * grid.dt, monitor_stride=100))
+        gen = evolution.Generator(grid, metric, src, t0)
+        y = gen.load([s0, None] if tabulated else s0).copy()
+        assert len(steps) == 20 and np.abs(y).max() > 0.0
+        for t, dt, got in steps:
+            y = reference_level_stage_step(t, y, gen, dt)
+            assert same_bits(got, y)
 
     @pytest.mark.parametrize("name", sorted(CROSS_PATH_METRICS))
     def test_load_writes_each_state_row_into_y0(self, name):

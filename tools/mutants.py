@@ -34,8 +34,8 @@ ROOT = Path(__file__).resolve().parent.parent
 MUTANTS = {
     "source_lapse": (
         "src/kmaxwell/evolution.py",
-        "zip(dst, terms, self._term, (self._weights[0], None))",
-        "zip(dst, terms, self._term, (None, None))",
+        "zip(self._term, rows, (self._weights[0], None))",
+        "zip(self._term, rows, (None, None))",
     ),
     "current_lapse": (
         "src/kmaxwell/green.py",
@@ -54,8 +54,8 @@ MUTANTS = {
     ),
     "stage_projection": (
         "src/kmaxwell/evolution.py",
-        "        mesh.run_ops(faces)\n",
-        "        mesh.run_ops(faces if dst is not self._halves[3] else ())\n",
+        "*mesh.project_ops(self.lb, dst[1])]",
+        "*(mesh.project_ops(self.lb, dst[1]) if dst is not self._halves[3] else ())]",
     ),
     "stage_combination": (
         "src/kmaxwell/evolution.py",
@@ -64,13 +64,18 @@ MUTANTS = {
     ),
     "level_source_coefficient": (
         "src/kmaxwell/evolution.py",
-        "np.add(half, np.multiply(term, c, out=buf), out=half)",
-        "np.add(half, np.multiply(term, 1.0, out=buf), out=half)",
+        "np.multiply(row, c, out=term)",
+        "np.multiply(row, 1.0, out=term)",
     ),
     "source_term_temporary": (
         "src/kmaxwell/evolution.py",
-        "np.add(half, np.multiply(term, c, out=buf), out=half)",
-        "np.add(half, term * c, out=half)",
+        "np.multiply(row, c, out=term)",
+        "term[...] = row * c",
+    ),
+    "stage_source_fb_add": (
+        "src/kmaxwell/evolution.py",
+        "for half, term in zip(dst, terms) if term is not None]",
+        "for half, term in zip(dst[:1], terms[:1]) if term is not None]",
     ),
     "horner_coefficient": (
         "src/kmaxwell/evolution.py",
@@ -79,8 +84,8 @@ MUTANTS = {
     ),
     "horner_projection": (
         "src/kmaxwell/evolution.py",
-        "dst, list(mesh.project_ops(self.lb, dst[1]))",
-        "dst, [] if dst is self._halves[1] else list(mesh.project_ops(self.lb, dst[1]))",
+        "*mesh.project_ops(self.lb, dst[1])]",
+        "*(() if dst is self._halves[1] else mesh.project_ops(self.lb, dst[1]))]",
     ),
     "horner_base": (
         "src/kmaxwell/evolution.py",
