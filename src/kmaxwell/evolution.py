@@ -11,10 +11,10 @@ from one of two tables (:meth:`Generator.levels`): a step over which the
 generator is constant (no ``jb``/``ze`` source, a static lapse, one a(t))
 runs the RK4 stability polynomial of B = P A in Horner form, any other the
 classical stages rewritten as levels.  The two agree to round-off.  A
-:class:`Generator` assembles the programs once, over 64-byte-aligned
-rows it owns, which are a march's only state: initial data are loaded
-into them, and a step returns one of them, so a warm step allocates
-nothing of row size.
+:class:`Generator` builds each table on the first step that takes it (a
+sourced march builds no Horner programs), over 64-byte-aligned rows it
+owns, which are a march's only state: initial data are loaded into them,
+and a step returns one of them, so a warm step allocates nothing of row size.
 Sources are evaluated once per level, or read from the table a generator
 builds for a chunk of steps (:meth:`Generator.tabulate`).  Constraint norms,
 an energy functional, and an optional causal-support leak are sampled into a
@@ -182,7 +182,7 @@ def validate_problem(
       * ``initial_support``: both components vanish within
         ``SUPPORT_MARGIN_CELLS`` sites of every boundary face;
       * ``source_window``: the source window starts at least two steps after
-        the initial time (trivially satisfied when no sources are given);
+        ``s0.t`` (trivially satisfied when no sources are given);
       * ``closed_fb`` / ``closed_fe``: the magnetic component and the
         lapse-weighted electric component are coboundary-closed (the
         source-free ``system.constraint_norms``);
@@ -211,14 +211,14 @@ def validate_problem(
     )
 
     has_sources = any(f is not None for f in (src.je, src.jb, src.ze, src.zb))
-    t_lo = src.window[0]
-    window_ok = (not has_sources) or (t_lo >= grid.t0 + 2 * grid.dt)
+    t_lo, t_min = src.window[0], s0.t + 2 * grid.dt
+    window_ok = (not has_sources) or (t_lo >= t_min)
     report.checks.append(
         CheckResult(
             "source_window",
             window_ok,
             float(t_lo) if np.isfinite(t_lo) else 0.0,
-            grid.t0 + 2 * grid.dt,
+            t_min,
             "" if window_ok else "source window must start after the initial slice",
         )
     )
@@ -269,22 +269,23 @@ class Generator:
     degree n-k) and ``fb`` the magnetic one (dual, degree k); a row is the
     two flat cochains end to end, and leading axes hold independent rows.
 
-    The generator assembles its split operator once, as the four level
-    programs of each of the two tables of :meth:`levels`: one program per
+    The generator assembles its split operator as the four level programs
+    of each of the two tables of :meth:`levels`, each table built once
+    (:meth:`_build_table`) on the first step that takes it: one program per
     level, kept as a list of bound ``np.multiply``/``np.subtract``/``np.add``
     calls on contiguous rows and ``np.copyto`` copies, which runs a
     ``system.level_ops`` level, adds the source-term row's halves and runs
     the ``mesh.project_ops`` program of the level's fb half.  The tables
     share one set of rows, one difference scratch, one reshaping buffer
-    (``mesh.d_ops``' pad) and one set of Hodge factors; a generator that
-    takes only autonomous (Horner) steps holds three rows and builds
-    neither the fourth row, nor the source-term row, nor the stage
-    programs.  The rows are a march's only state: :meth:`load` writes the
-    initial states into y0, and each step (:func:`_rk4_step`) reads y0 and
-    returns z2, which the next step copies into y0.  The buffers have one
-    leading batch shape at a time (the source-term row is one row, added to
-    each), are rebuilt only when rows of another shape arrive, and are
-    allocated 64-byte aligned (``mesh.empty_aligned``).
+    (``mesh.d_ops``' pad) and one set of Hodge factors.  A generator that
+    takes only autonomous (Horner) steps holds three rows and builds no
+    fourth row, source-term row or stage program; a sourced one builds no
+    Horner program.  The rows are a march's only state: :meth:`load` writes
+    the initial states into y0, and each step (:func:`_rk4_step`) reads y0
+    and returns z2, which the next step copies into y0.  The buffers have
+    one leading batch shape at a time (the source-term row is one row,
+    added to each), are rebuilt only when rows of another shape arrive, and
+    are allocated 64-byte aligned (``mesh.empty_aligned``).
     The programs read the lapse rows and Hodge factors the generator owns:
     the lapse is sampled once when ``metric.beta_dt`` is None and at every
     level otherwise, and the factors are recomputed only when h or a(t)
@@ -327,7 +328,7 @@ class Generator:
         self._weights = tuple(None if unit else b for b, unit in zip(self._beta, self._unit))
         # a static lapse scales |w| by at most its largest value (nan when it holds a nan): :meth:`finite`
         self._bound = None if metric.beta_dt is not None else float(np.maximum(1.0, np.max(self._beta[0])))
-        self._table = None
+        self._tabulated = None
         # no source term and a static lapse: a step with one a(t) is autonomous (levels)
         self._autonomous = src.jb is None and src.ze is None and metric.beta_dt is None
         self._rows = self._level_key = None
@@ -400,9 +401,9 @@ class Generator:
           its base ``(y2 + 2 y3 + y4 - y)/3`` in z1.
 
         Either way y0 holds the step's input and z2 ends holding the step.
-        The rows and programs are built for one batch shape at a time, the
-        fourth row and the stage programs only on the first step that is
-        not autonomous, and the Hodge factors the programs read are
+        The rows are built for one batch shape at a time, each table's
+        programs (:meth:`_build_table`) on the first step of that shape
+        that takes the table, and the Hodge factors the programs read are
         refreshed in place when h or a(t) changes.
         """
         t_mid, t_end = _stage_times(t, dt)[1:]
@@ -411,27 +412,27 @@ class Generator:
         confs = (a0, a_mid, a_mid, a1)
         horner = self._autonomous and a0 == a_mid == a1
         self._build_levels(batch)
-        if not horner and self._stages is None:
-            self._build_stages()
+        if horner not in self._programs:
+            self._build_table(horner)
         coefs = (dt / 4, dt / 3, dt / 2, dt) if horner else (dt / 2, dt / 2, dt, dt / 6)
         if self._level_key != (coefs, confs):
             self._level_key = (coefs, confs)
             for facs, c, conf in zip(self._level_fac, coefs, confs):
                 for fac, lay, scale in zip(facs, (self.lw, self.lb), (c, c * self.curl_sign)):
                     fac[:, 0] = mesh.hodge_factors(lay, conf, scale)
-        return zip(times, coefs, self._horner if horner else self._stages)
+        return zip(times, coefs, self._programs[horner])
 
-    def _level(self, src, dst, base, spare, fac, first=(), terms=(None, None)):
-        """A level's program: the ops ``first``, one ``system.level_ops`` level over the generator's
-        lapse rows and buffers, an add of each source-term half in ``terms`` that is not None, and the
-        projection program of dst's fb half."""
+    def _level(self, fac, src, dst, base, spare, first):
+        """A level's program over the factors ``fac``: the ops ``first``, one ``system.level_ops`` level
+        over the generator's lapse rows and buffers, an add of each source-term half that is not None,
+        and the projection program of dst's fb half."""
         ops = system.level_ops(self.lw, self.lb, src, dst, base, self._weights, fac, spare, self._scratch, self._pad)
-        adds = [(np.add, (half, term, half)) for half, term in zip(dst, terms) if term is not None]
+        adds = [(np.add, (half, term, half)) for half, term in zip(dst, self._term) if term is not None]
         return [*first, *ops, *adds, *mesh.project_ops(self.lb, dst[1])]
 
     def _build_levels(self, batch: tuple) -> None:
-        """The three rows, difference scratch, reshaping buffer, factors and Horner programs for rows of
-        leading shape ``batch``, unless they are built for it already."""
+        """The three rows, difference scratch, reshaping buffer and factors for rows of leading shape
+        ``batch``, with no programs yet, unless they are built for it already."""
         if self._rows is not None and self._rows[0].shape[:-1] == batch:
             return
         size = self.nw + self.lb.size
@@ -441,30 +442,26 @@ class Generator:
         self._pad = mesh.empty_aligned((math.prod(batch) * max(self.lw.largest, self.lb.largest),))
         # one (n, 1) array per level and component, so the programs see the factors refreshed in place
         self._level_fac = [tuple(np.empty((len(lay.subsets), 1)) for lay in (self.lw, self.lb)) for _ in range(4)]
-        self._level_key = self._stages = None
-        y0, z1, z2 = self._halves
-        # level 1 reads y0, which every level needs, so its second Hodge image goes into z2
-        self._horner = [
-            self._level(src, dst, y0, spare, fac)
-            for (src, dst, spare), fac in zip(
-                [(y0, z1, self._rows[2]), (z1, z2, None), (z2, z1, None), (z1, z2, None)], self._level_fac
-            )
-        ]
+        self._level_key, self._programs = None, {}
 
-    def _build_stages(self) -> None:
-        """The fourth row and the stage programs for the rows' batch shape."""
-        self._rows.append(mesh.empty_aligned(self._rows[0].shape))
-        self._halves.append((self._rows[3][..., : self.nw], self._rows[3][..., self.nw :]))
-        r0, r1, r2, r3 = self._rows
-        y0, z1, z2, z3 = self._halves
-        fold = [(np.multiply, (r2, 2.0, r3)), (np.add, (r1, r3, r1))]
-        base = [(np.add, (r1, r3, r1)), (np.subtract, (r1, r0, r1)), (np.divide, (r1, 3.0, r1))]
-        # y2 and y3 live on until they are folded, so levels 1 and 2 put their second Hodge image into a dead row
-        levels = [(y0, z1, y0, r2, ()), (z1, z2, y0, r3, ()), (z2, z3, y0, None, fold), (z3, z2, z1, None, base)]
-        self._stages = [
-            self._level(src, dst, b, spare, fac, first, self._term)
-            for (src, dst, b, spare, first), fac in zip(levels, self._level_fac)
-        ]
+    def _build_table(self, horner: bool) -> None:
+        """The four level programs of the Horner table (``horner``) or of the stage table, which first
+        adds the fourth row z3, over the rows' batch shape (:meth:`levels`)."""
+        if horner:
+            y0, z1, z2 = self._halves[:3]
+            # level 1 reads y0, which every level needs, so its second Hodge image goes into z2
+            hops = [(y0, z1, self._rows[2]), (z1, z2, None), (z2, z1, None), (z1, z2, None)]
+            levels = [(src, dst, y0, spare, ()) for src, dst, spare in hops]
+        else:
+            self._rows.append(mesh.empty_aligned(self._rows[0].shape))
+            self._halves.append((self._rows[3][..., : self.nw], self._rows[3][..., self.nw :]))
+            r0, r1, r2, r3 = self._rows
+            y0, z1, z2, z3 = self._halves
+            fold = [(np.multiply, (r2, 2.0, r3)), (np.add, (r1, r3, r1))]
+            base = [(np.add, (r1, r3, r1)), (np.subtract, (r1, r0, r1)), (np.divide, (r1, 3.0, r1))]
+            # y2 and y3 live on until they are folded, so levels 1 and 2 put their second Hodge image into a dead row
+            levels = [(y0, z1, y0, r2, ()), (z1, z2, y0, r3, ()), (z2, z3, y0, None, fold), (z3, z2, z1, None, base)]
+        self._programs[horner] = [self._level(fac, *level) for fac, level in zip(self._level_fac, levels)]
 
     def tabulate(self, steps, dt) -> None:
         """Tabulate the sources of the RK4 steps of size dt from each time in ``steps``.
@@ -474,14 +471,14 @@ class Generator:
         first, so a march holds one chunk of rows at a time.  The rows are
         read only.
         """
-        self._table = None
+        self._tabulated = None
         times = list(dict.fromkeys(s for t in steps for s in _stage_times(t, dt)))
         slots = system.rhs_sources(self.src, np.array(times), self.metric)
         for rows in slots:
             if rows is not None:
                 rows.flags.writeable = False
         columns = [itertools.repeat(None) if rows is None else rows for rows in slots]
-        self._table = dict(zip(times, zip(*columns)))
+        self._tabulated = dict(zip(times, zip(*columns)))
 
     def _sources(self, t, c) -> None:
         """Bring the lapse to time t and write c times the source terms at t into the source-term row.
@@ -494,7 +491,7 @@ class Generator:
         if self.metric.beta_dt is not None:
             for buf, row in zip(self._beta, self.lapse(t)):
                 buf[...] = row
-        rows = None if self._table is None else self._table.get(t)
+        rows = None if self._tabulated is None else self._tabulated.get(t)
         rows = rows if rows is not None else system.rhs_sources(self.src, t, self.metric)
         for term, row, weight in zip(self._term, rows, (self._weights[0], None)):
             if row is not None:

@@ -2,12 +2,13 @@
 
 The first-order operator D sends a degree-k field to the source pair
 (delta omega, d omega); :func:`apply_operator` evaluates it on histories
-through ``system.slots``, the split operator's one home.  Zero-data marches
-started from a slice on either side of a compactly supported source realize
-the two one-sided inverses of D; their difference maps source pairs onto
-homogeneous solutions.  Dense snapshot histories feed the right-inverse and
-exact-sequence defect suites and a pre-symplectic pairing evaluated through a
-smooth time cutoff.
+through ``system.slots``, the split operator's one home, and is the one
+place histories are differenced in time (:func:`history_differential` is
+its closed half).  Zero-data marches started from a slice on either side of
+a compactly supported source realize the two one-sided inverses of D; their
+difference maps source pairs onto homogeneous solutions.  Dense snapshot
+histories feed the right-inverse and exact-sequence defect suites and a
+pre-symplectic pairing evaluated through a smooth time cutoff.
 
 A sourced march tabulates its sources once per ``SOURCE_TABLE_STEPS`` steps,
 with one batched ``system.rhs_sources`` call on the distinct RK4 stage times
@@ -562,11 +563,12 @@ def apply_operator(h: History, metric: mesh.MetricField) -> SourceHistory:
     writes each slab into the preallocated source rows, so its temporaries
     span one slab and not the history.  A slab's time differences read a
     one-slice halo on each side (three slices at least, for the end
-    stencils): every slice is differenced as ``np.gradient`` differences the
-    whole history, and every other operation acts per slice, so the rows are
-    bit for bit those of the whole-history expressions.  Each slab samples
-    the lapse on its own slices (one row when it is static).
-    :func:`cutoff_sources` is the same pass with the cutoff applied per slab.
+    stencils): every slice is differenced as in the whole history, and
+    every other operation acts per slice, so the rows are bit for bit those
+    of the whole-history expressions.  Each slab samples the lapse on its
+    own slices (one row when it is static).  This pass is the one time
+    difference of histories: :func:`cutoff_sources` is it with the cutoff
+    applied per slab, and :func:`history_differential` is its closed half.
 
     Returns:
         SourceHistory on the same times, with the support window inferred
@@ -1367,21 +1369,18 @@ def presymplectic_source_form(src1, src2, grid: mesh.GridSpec, metric: mesh.Metr
 
 
 def history_differential(a: History, metric: mesh.MetricField) -> History:
-    """Discrete spacetime differential of a potential history.
+    """Discrete spacetime differential of a potential history: the closed half of D.
 
     For a degree-j history (dt ^ star(a_e) + a_b) the differential has
     magnetic part d(a_b) and electric part star-inverse of
-    (d/dt a_b - d(star a_e)), assembled with centered time differences.
+    (d/dt a_b - d(star a_e)), which are the ``(ze, zb)`` families of
+    :func:`apply_operator` (a degree-(j+1) history on the same times), so
+    histories are differenced in time in one place, its slab pass.
     """
-    grid, j = a.grid, a.k
-    n = grid.n
-    if j + 1 > n - 1:
+    if a.k + 1 > a.grid.n - 1:
         raise ValueError("differential would leave the supported field degrees")
-    le, lb, conf = a.le, a.lb, mesh.sample_conf(metric, a.times)
-    fb_dot = np.gradient(a.fb, a.dt, axis=0, edge_order=2)
-    x = fb_dot - mesh.d_flat(le.star, mesh.hodge_flat(le, a.fe, conf))
-    fe_rows = mesh.hodge_inverse_flat(lb, x, conf)
-    return History(grid, j + 1, a.times, fe_rows, mesh.d_flat(lb, a.fb))
+    D = apply_operator(a, metric)
+    return History(a.grid, a.k + 1, a.times, D.ze, D.zb)
 
 
 def _restrict_to(h: History, times: np.ndarray) -> History:

@@ -598,6 +598,16 @@ class TestValidateProblem:
         report = evolution.validate_problem(s0, src, grid, met)
         assert "source_window" in {c.name for c in report.checks if not c.passed}
 
+    def test_source_window_is_measured_from_the_state_time(self):
+        # evolve starts at s0.t, not at grid.t0: a window opening before the state's time is refused
+        grid = box_grid(3, 16, 0.01)
+        met = mesh.unit_metric()
+        s0, _ = manufactured.bump_state(grid, 2, met, t=0.5, radius=0.2, seed=2)
+        src = green.random_source_pair(grid, 2, met, (0.3, 0.6), np.random.default_rng(RNG_SEED))
+        check = next(c for c in evolution.validate_problem(s0, src, grid, met).checks if c.name == "source_window")
+        assert grid.t0 == 0.0 and not check.passed
+        assert (check.measure, check.threshold) == (0.3, 0.5 + 2 * grid.dt)
+
     def test_unit_divergence_defect_reports_unit_residual(self):
         grid, met, s0 = self.make_problem()
         rng = np.random.default_rng(RNG_SEED)
@@ -992,6 +1002,53 @@ class TestAssembledStep:
             col = gen.project(gen.rhs(0.37, e))
             assert same_bits(np.ascontiguousarray(mat[:, j]), col)
             assert same_bits(col, gen.project(reference_rhs(gen, 0.37, e)))
+
+
+class TestTables:
+    """A generator builds each table of four level programs on the first step that takes it."""
+
+    @staticmethod
+    def built(monkeypatch, run):
+        """The tables of every generator ``run`` builds, as ``[(tables taken, level programs built)]``."""
+        gens, level = {}, evolution.Generator._level
+
+        def spy(self, *args):
+            gens[self] = gens.get(self, 0) + 1
+            return level(self, *args)
+
+        monkeypatch.setattr(evolution.Generator, "_level", spy)
+        run()
+        return [(set(gen._programs), count) for gen, count in gens.items()]
+
+    @pytest.mark.parametrize("case", ["march", "evolve", "sourced_march", "expanding_evolve"])
+    def test_only_the_table_the_steps_take(self, case, monkeypatch):
+        grid = small_grid(3, False)
+        unit, expanding = mesh.unit_metric(), mesh.MetricField(beta=cli.BETA_CATALOGUE["unit"](1.0),
+                                                              conf=cli.A_CATALOGUE["expanding"](1.0))
+        s0 = system.random_state(grid, 2, np.random.default_rng(RNG_SEED), t=0.1)
+        cfg = evolution.EvolveConfig(t_final=0.15, monitor_stride=100)
+        src = green.random_source_pair(grid, 2, unit, (0.1, 0.4), np.random.default_rng(RNG_SEED))
+        run = {
+            "march": lambda: green._march_block(grid, unit, system.zero_sources(grid, 2), 0.1, 5, grid.dt, [s0]),
+            "evolve": lambda: evolution.evolve(s0, system.zero_sources(grid, 2), unit, cfg),
+            "sourced_march": lambda: green._march_block(grid, unit, src, 0.05, 5, grid.dt, [None]),
+            "expanding_evolve": lambda: evolution.evolve(s0, system.zero_sources(grid, 2), expanding, cfg),
+        }[case]
+        horner = case in ("march", "evolve")
+        assert self.built(monkeypatch, run) == [({horner}, 4)]
+
+    @pytest.mark.parametrize("t0, dt", [(0.13, 0.01), (0.27, -0.01)], ids=["stages_first", "horner_first"])
+    def test_a_generator_taking_both_tables_steps_as_the_reference(self, t0, dt, monkeypatch):
+        # a(t) is constant from t = 0.2 on: steps across it take both tables, in either order
+        grid = small_grid(3, True)
+        metric = mesh.MetricField(beta=cli.BETA_CATALOGUE["unit"](1.0), conf=lambda t: np.maximum(1.0, 1.2 - t))
+        gen = evolution.Generator(grid, metric, system.zero_sources(grid, 2), t0)
+        y0 = rows_with_zeros(gen, RNG_SEED)
+        got = []
+        tables = self.built(monkeypatch, lambda: got.extend(chain(gen, t0, y0, dt, 14, evolution._rk4_step)))
+        want = chain(gen, t0, y0, dt, 14, reference_step)
+        assert tables == [({True, False}, 8)]
+        assert all(same_bits(a, b) for a, b in zip(got, want))
 
 
 class TestMemory:

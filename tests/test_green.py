@@ -1469,3 +1469,24 @@ class TestDegeneracy:
         g, bundles = torus_bundles()
         with pytest.raises(ValueError, match="degree"):
             green.history_differential(bundles[0][2], METRIC)
+
+    @pytest.mark.parametrize(
+        "kind, n, degree",
+        [("box", 3, 2), ("torus", 3, 2), ("box", 4, 2), ("box", 4, 3), ("torus", 4, 2), ("torus", 4, 3),
+         ("compact", 3, 1), ("compact", 4, 2)],
+    )
+    @pytest.mark.parametrize("beta", ["unit", "well"])
+    def test_history_differential_is_the_closed_half_of_the_operator(self, kind, n, degree, beta):
+        # dA is the (ze, zb) part of D A, so the one time difference of D is the differential's too
+        metric = mesh.MetricField(beta=cli.BETA_CATALOGUE[beta](1.0))
+        periodic = (kind == "torus",) * (n - 1)
+        grid = mesh.GridSpec(n, (12, 12) if n == 3 else (8,) * 3, (1.0,) * (n - 1), DT, periodic=periodic)
+        if kind == "compact":
+            times = grid.t0 + grid.dt * np.arange(41)
+            a = green.random_compact_history(grid, degree, metric, times, (0.03, 0.17), np.random.default_rng(5))
+        else:
+            a = green.random_potential(grid, degree, metric, 40, seed=5)
+        D, f = green.apply_operator(a, metric), green.history_differential(a, metric)
+        assert (f.k, f.grid) == (a.k + 1, a.grid) and same_bits(f.times, a.times)
+        assert same_bits(f.fe, D.ze) and same_bits(f.fb, D.zb)
+        assert np.abs(f.fe).max() > 0.0 and np.abs(f.fb).max() > 0.0

@@ -74,8 +74,8 @@ MUTANTS = {
     ),
     "stage_source_fb_add": (
         "src/kmaxwell/evolution.py",
-        "for half, term in zip(dst, terms) if term is not None]",
-        "for half, term in zip(dst[:1], terms[:1]) if term is not None]",
+        "for half, term in zip(dst, self._term) if term is not None]",
+        "for half, term in zip(dst[:1], self._term[:1]) if term is not None]",
     ),
     "horner_coefficient": (
         "src/kmaxwell/evolution.py",
@@ -227,6 +227,11 @@ MUTANTS = {
         "src/kmaxwell/evolution.py",
         "    if s.k != src.k:\n        raise ValueError(",
         "    if False:\n        raise ValueError(",
+    ),
+    "source_window_start": (
+        "src/kmaxwell/evolution.py",
+        "t_lo, t_min = src.window[0], s0.t + 2 * grid.dt",
+        "t_lo, t_min = src.window[0], grid.t0 + 2 * grid.dt",
     ),
     "validate_consistency": (
         "src/kmaxwell/evolution.py",
